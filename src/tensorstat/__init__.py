@@ -2,6 +2,7 @@
 asymptotics of their multiplicity and character measures."""
 
 from .charalg import (
+    Branching,
     DecompositionTable,
     WeightSystem,
     character_value,

@@ -42,7 +42,7 @@ from .measures import (
     weak_convergence_distance,
 )
 from .numerics import box_quadrature
-from .pde import derivative_check, pde_residual
+from .pde import pde_residual
 from .rootsys import AlgebraSpec, build_root_system
 from .slnhook import (
     hook_multiplicity,
@@ -228,15 +228,17 @@ def criterion_6() -> CriterionResult:
                 problem = tensor_problem(rs, [(rep, 10)], epsilon=tau / 10)
                 for y in np.linspace(-1.0, 1.0, 10):
                     xi = forward_dual(problem, np.array([y]))
-                    worst_res = max(worst_res, pde_residual(problem, xi).residual)
-                    worst_dev = max(worst_dev, derivative_check(problem, xi).max_deviation)
+                    report = pde_residual(problem, xi)
+                    worst_res = max(worst_res, report.residual)
+                    worst_dev = max(worst_dev, report.derivatives.max_deviation)
         else:
             problem = tensor_problem(rs, [(rep, 10)], epsilon=0.1)
             for y1 in np.linspace(-1.0, 1.0, 10):
                 for y2 in np.linspace(-1.0, 1.0, 10):
                     xi = forward_dual(problem, np.array([y1, y2]))
-                    worst_res = max(worst_res, pde_residual(problem, xi).residual)
-                    worst_dev = max(worst_dev, derivative_check(problem, xi).max_deviation)
+                    report = pde_residual(problem, xi)
+                    worst_res = max(worst_res, report.residual)
+                    worst_dev = max(worst_dev, report.derivatives.max_deviation)
     passed = worst_res <= 1e-9 and worst_dev <= 1e-6
     detail = f"max residual {worst_res:.2e}, max FD deviation {worst_dev:.2e}"
     return CriterionResult(6, "rate-function PDE residual", passed, detail, time.time() - start)

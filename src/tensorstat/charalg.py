@@ -263,32 +263,55 @@ def _weyl_quotient_parts(rs: RootSystem, lam, t) -> tuple[float, int, float, int
     return log_num - log_den, sign_num * sign_den, max_rel + (log_num - log_den), len(W)
 
 
-def klimyk_tensor_step(rs: RootSystem, table: dict[Weight, int], nu) -> dict[Weight, int]:
-    """Decompose (sum_lam m_lam V(lam)) tensor V(nu) exactly.
+class Branching:
+    """Branching numbers b(lam, mu) of V(lam) (x) V(nu) for one factor nu.
 
-    For each highest weight lam in the table and each weight mu of V(nu),
-    lam + mu + rho is reflected to the dominant chamber; singular terms
-    cancel, the rest contribute parity * d_mu * m_lam to V(dom - rho).
+    row(lam) is Klimyk's formula: for each weight mu of V(nu), lam + mu +
+    rho is reflected to the dominant chamber; singular terms cancel, the
+    rest contribute parity * d_mu to V(dom - rho).  Each row is built once,
+    on first use, and kept for the life of the instance.
     """
-    nu = _as_weight(nu)
-    ws = weight_multiplicities(rs, nu)
-    out: dict[Weight, int] = {}
-    items = sorted(ws.multiplicities.items())
-    for lam, m in table.items():
-        for mu, d in items:
-            shifted = tuple(lam[i] + mu[i] + 1 for i in range(rs.rank))
-            dom, parity, singular = dominant_reflect(rs, shifted)
+
+    def __init__(self, rs: RootSystem, nu):
+        self.rs = rs
+        self._weights = sorted(weight_multiplicities(rs, nu).multiplicities.items())
+        self._rows: dict[Weight, dict[Weight, int]] = {}
+
+    def row(self, lam: Weight) -> dict[Weight, int]:
+        """Highest weight -> multiplicity in V(lam) (x) V(nu); exact, do not mutate."""
+        row = self._rows.get(lam)
+        if row is not None:
+            return row
+        r = self.rs.rank
+        out: dict[Weight, int] = {}
+        for mu, d in self._weights:
+            shifted = tuple(lam[i] + mu[i] + 1 for i in range(r))
+            dom, parity, singular = dominant_reflect(self.rs, shifted)
             if singular:
                 continue
             target = tuple(c - 1 for c in dom)
-            out[target] = out.get(target, 0) + parity * d * m
-    result = {}
-    for lam, m in out.items():
-        if m < 0:
-            raise InternalConsistencyError(f"negative multiplicity {m} at {lam}")
-        if m > 0:
-            result[lam] = m
-    return result
+            out[target] = out.get(target, 0) + parity * d
+        row = {}
+        for mu, b in out.items():
+            if b < 0:
+                raise InternalConsistencyError(f"negative multiplicity {b} at {mu}")
+            if b > 0:
+                row[mu] = b
+        self._rows[lam] = row
+        return row
+
+    def step(self, table: dict[Weight, int]) -> dict[Weight, int]:
+        """Decompose (sum_lam m_lam V(lam)) (x) V(nu): sum_lam m_lam row(lam)."""
+        out: dict[Weight, int] = {}
+        for lam, m in table.items():
+            for mu, b in self.row(lam).items():
+                out[mu] = out.get(mu, 0) + m * b
+        return out
+
+
+def klimyk_tensor_step(rs: RootSystem, table: dict[Weight, int], nu) -> dict[Weight, int]:
+    """Decompose (sum_lam m_lam V(lam)) tensor V(nu) exactly; see Branching."""
+    return Branching(rs, nu).step(table)
 
 
 @dataclass(frozen=True)
@@ -357,9 +380,10 @@ def tensor_power_decompose(
 ) -> DecompositionTable:
     """Decompose a product of tensor powers of irreducibles, exactly.
 
-    factors: sequence of (highest weight, power) pairs.  One Klimyk step
-    per applied factor; the table never holds anything but exact highest
-    weight multiplicities, so memory is bounded by the support size.
+    factors: sequence of (highest weight, power) pairs.  One branching
+    step per applied factor, each reusing the rows of that factor's
+    Branching; the table never holds anything but exact highest weight
+    multiplicities.
     """
     problem = tuple((_as_weight(nu), int(n)) for nu, n in factors)
     for nu, n in problem:
@@ -368,8 +392,9 @@ def tensor_power_decompose(
             raise DomainError(f"power {n} must be nonnegative")
     table: dict[Weight, int] = {(0,) * rs.rank: 1}
     for nu, n in problem:
+        branching = Branching(rs, nu)
         for _ in range(n):
-            table = klimyk_tensor_step(rs, table, nu)
+            table = branching.step(table)
             if len(table) > entry_cap:
                 raise EntryCapExceededError(
                     f"decomposition support exceeded {entry_cap} entries"

@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto library operations: decompose, measure,
 asymptotic, limit-compare, sample, pde-check, hook-check, selftest.
 Outputs go to stdout or --output; identical invocations produce
-bit-identical bytes (fixed seeds, thread-independent sampling, sorted
-rows).  Decompositions are cached as JSON under TENSORSTAT_CACHE_DIR
+bit-identical bytes (fixed seeds, counter-based sampling streams,
+sorted rows).  Decompositions are cached as JSON under TENSORSTAT_CACHE_DIR
 (default ~/.cache/tensorstat), one file per problem keyed by a hash of
 its canonical description.
 """
@@ -39,7 +39,7 @@ from .legendre import (
 )
 from .markov import evolve_exact, sample_paths, trajectories_to_jsonl
 from .measures import character_measure, weak_convergence_distance
-from .pde import derivative_check, pde_residual
+from .pde import pde_residual
 from .rootsys import AlgebraSpec, build_root_system
 from .slnhook import hook_multiplicity, partition_from_weight
 
@@ -118,7 +118,10 @@ def _emit(text: str, args) -> None:
 
 def _cmd_decompose(args) -> int:
     table = _cached_decompose(args.algebra, _build_factors(args), not args.no_cache)
-    table.check_dimension_identity()
+    if not table.check_dimension_identity():
+        raise InternalConsistencyError(
+            "decomposition fails the dimension identity; a cached table may be corrupt"
+        )
     if (args.format or "json") == "csv":
         lines = ["lambda,multiplicity"]
         for lam, mult in table.sorted_entries():
@@ -246,7 +249,7 @@ def _cmd_pde_check(args) -> int:
         y = np.array([grid[i] for i in point])
         xi = forward_dual(problem, y)
         report = pde_residual(problem, xi)
-        dev = derivative_check(problem, xi).max_deviation
+        dev = report.derivatives.max_deviation
         worst_res = max(worst_res, report.residual)
         worst_dev = max(worst_dev, dev)
         lines.append(
@@ -347,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--chains", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored; sampling runs in one thread"
+    )
     p.add_argument("--paths", help="write trajectories to this JSONL file")
 
     p = sub.add_parser("pde-check", parents=[common], help="rate-function PDE residual grid")

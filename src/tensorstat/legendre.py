@@ -84,13 +84,6 @@ def tensor_problem(rs: RootSystem, factors, epsilon: float | None = None) -> Ten
     return TensorProblem(rs=rs, factors=fs, epsilon=float(epsilon))
 
 
-def factor_log_character(problem: TensorProblem, k: int, y) -> float:
-    """ln chi_{nu_k}(e^y), weight-sum form."""
-    _, logd, M, _ = problem._factor_data[k]
-    y = np.asarray(y, dtype=float)
-    return logsumexp(logd + M @ y)
-
-
 def f_eval(problem: TensorProblem, y) -> float:
     """f(y) = sum_k tau_k ln chi_k(e^y)."""
     y = np.asarray(y, dtype=float)

@@ -12,30 +12,26 @@ V^(x)N exactly (the chi factors telescope along each path).  Some
 references print the reciprocal chi ratio, which is not row-stochastic;
 we keep the normalizable reading.
 
-Sampling is reproducible by construction: chain c consumes only the
-counter-based stream keyed (seed, c), so results are bit-identical for
-any thread count.
+Sampling runs in one thread.  It is reproducible by construction: chain
+c consumes only the counter-based stream keyed (seed, c).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .charalg import Weight, character_value, klimyk_tensor_step, weyl_dimension
+from .charalg import Branching, Weight, character_value, weyl_dimension
 from .errors import DomainError, InternalConsistencyError
 from .legendre import TensorProblem, tensor_problem
 from .measures import MeasureRow, MeasureTable, Scaling, assemble_measure_table
 from .rootsys import RootSystem
 
-# chains per work item; independent of the thread count so a pool of any
-# size processes the same blocks
+# chains advanced together; bounds the uniform and path arrays held at once
 _BLOCK = 8192
 
 
@@ -73,9 +69,10 @@ def trajectories_to_jsonl(trajectories) -> str:
 class TransitionKernel:
     """Memoizing view of the kernel for one (algebra, V, t).
 
-    Rows are built on demand and cached under a lock, so sampler threads
-    share one table.  States are interned to integer ids; rows keep both
-    the public (weight, probability) form and cdf arrays for sampling.
+    Rows are built on demand from one Branching for V and cached; the
+    kernel is not thread-safe.  States are interned to integer ids; rows
+    keep both the public (weight, probability) form and cdf arrays for
+    sampling.
     """
 
     def __init__(self, rs: RootSystem, rep, t=None):
@@ -88,7 +85,7 @@ class TransitionKernel:
             t_arr = None
         self._t_arr = t_arr
         self.t = None if t_arr is None else tuple(float(v) for v in t_arr)
-        self._lock = threading.Lock()
+        self._branching = Branching(rs, self.rep)
         self._states: list[Weight] = []
         self._state_ids: dict[Weight, int] = {}
         self._rows: dict[int, TransitionRow] = {}
@@ -102,10 +99,7 @@ class TransitionKernel:
         )
 
     def state_id(self, lam: Weight) -> int:
-        with self._lock:
-            return self._intern(lam)
-
-    def _intern(self, lam: Weight) -> int:
+        """Integer id of a state, interning it on first sight."""
         sid = self._state_ids.get(lam)
         if sid is None:
             sid = len(self._states)
@@ -127,24 +121,22 @@ class TransitionKernel:
         source = tuple(int(c) for c in source)
         if len(source) != self.rs.rank or not self.rs.is_dominant(source):
             raise DomainError(f"source state {source} is not a dominant weight")
-        with self._lock:
-            sid = self._intern(source)
-            row = self._rows.get(sid)
-            if row is None:
-                row = self._build_row(source, sid)
-            return row
+        sid = self.state_id(source)
+        row = self._rows.get(sid)
+        if row is None:
+            row = self._build_row(source, sid)
+        return row
 
     def row_cdf(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
         """(target state ids, cumulative probabilities) for a known state id."""
-        with self._lock:
-            cdf = self._cdfs.get(sid)
-            if cdf is None:
-                self._build_row(self._states[sid], sid)
-                cdf = self._cdfs[sid]
-            return cdf
+        cdf = self._cdfs.get(sid)
+        if cdf is None:
+            self._build_row(self._states[sid], sid)
+            cdf = self._cdfs[sid]
+        return cdf
 
     def _build_row(self, source: Weight, sid: int) -> TransitionRow:
-        branches = klimyk_tensor_step(self.rs, {source: 1}, self.rep)
+        branches = self._branching.row(source)
         targets = sorted(branches)
         if self._t_arr is None:
             # dimension weighting is exact; the row-sum identity is the
@@ -174,7 +166,7 @@ class TransitionKernel:
         row = TransitionRow(source, tuple(zip(targets, (float(p) for p in probs))))
         cdf = np.cumsum(probs)
         cdf[-1] = 1.0
-        target_ids = np.array([self._intern(mu) for mu in targets], dtype=np.int64)
+        target_ids = np.array([self.state_id(mu) for mu in targets], dtype=np.int64)
         self._rows[sid] = row
         self._cdfs[sid] = (target_ids, cdf)
         return row
@@ -272,24 +264,19 @@ def sample_paths(
 ) -> tuple[MeasureTable, tuple[Trajectory, ...]]:
     """Monte Carlo endpoint measure plus the sampled trajectories.
 
-    Chain c consumes only the stream keyed (seed, c); blocks of chains are
-    farmed to a thread pool, and endpoint aggregation is integer counting,
-    so the result is bit-identical for every value of threads.
+    Chain c consumes only the stream keyed (seed, c), and endpoint
+    aggregation is integer counting, so a seed fixes the result.  Sampling
+    runs in one thread; threads is accepted and ignored.
     """
     if chains < 1:
         raise DomainError("need at least one chain")
     if N < 0:
         raise DomainError("step count must be nonnegative")
     kernel = TransitionKernel(rs, rep, t)
-    blocks = [(lo, min(lo + _BLOCK, chains)) for lo in range(0, chains, _BLOCK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda b: _run_block(kernel, seed, b[0], b[1], N, keep_paths), blocks)
-            )
-    else:
-        results = [_run_block(kernel, seed, lo, hi, N, keep_paths) for lo, hi in blocks]
-    results.sort(key=lambda r: r[0])
+    results = [
+        _run_block(kernel, seed, lo, min(lo + _BLOCK, chains), N, keep_paths)
+        for lo in range(0, chains, _BLOCK)
+    ]
 
     final_ids = np.concatenate([ids for _, ids, _ in results])
     counts = np.bincount(final_ids)

@@ -67,8 +67,9 @@ def character_probabilities(table: DecompositionTable, t=None) -> dict[Weight, f
     for nu, n in table.problem:
         lg, _ = character_value(rs, nu, t)
         log_norm += n * lg
+    # sorted order: a fresh table and its cached copy must sum alike
     probs = {}
-    for lam, m in table.entries.items():
+    for lam, m in table.sorted_entries():
         lg, _ = character_value(rs, lam, t)
         probs[lam] = math.exp(math.log(m) + lg - log_norm)
     total = sum(probs.values())

@@ -38,6 +38,16 @@ def _rate_S(problem: TensorProblem, tau: float, xi: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
+class DerivativeReport:
+    xi_deviation: float
+    tau_deviation: float
+
+    @property
+    def max_deviation(self) -> float:
+        return max(self.xi_deviation, self.tau_deviation)
+
+
+@dataclass(frozen=True)
 class PdeReport:
     lhs: float
     rhs: float
@@ -46,6 +56,13 @@ class PdeReport:
     tau_partial_fd: float
     xi_partials: tuple[float, ...]
     xi_partials_fd: tuple[float, ...]
+
+    @property
+    def derivatives(self) -> DerivativeReport:
+        """Deviation of the central differences from the analytic partials."""
+        xi_dev = max(abs(a - f) for a, f in zip(self.xi_partials, self.xi_partials_fd))
+        tau_dev = abs(self.tau_partial - self.tau_partial_fd)
+        return DerivativeReport(xi_deviation=float(xi_dev), tau_deviation=float(tau_dev))
 
 
 def pde_residual(problem: TensorProblem, xi, h: float = 1e-5) -> PdeReport:
@@ -90,21 +107,6 @@ def pde_residual(problem: TensorProblem, xi, h: float = 1e-5) -> PdeReport:
     )
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
-    xi_deviation: float
-    tau_deviation: float
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.xi_deviation, self.tau_deviation)
-
-
 def derivative_check(problem: TensorProblem, xi, h: float = 1e-5) -> DerivativeReport:
     """Central differences of S in xi and tau against -Bx and ln chi(e^x)."""
-    report = pde_residual(problem, xi, h)
-    xi_dev = max(
-        abs(a - f) for a, f in zip(report.xi_partials, report.xi_partials_fd)
-    )
-    tau_dev = abs(report.tau_partial - report.tau_partial_fd)
-    return DerivativeReport(xi_deviation=float(xi_dev), tau_deviation=float(tau_dev))
+    return pde_residual(problem, xi, h).derivatives

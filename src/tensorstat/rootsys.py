@@ -302,11 +302,6 @@ class RootSystem:
         """(rho, alpha) over the positive roots."""
         return self.pos_pairing_f @ self.rho_root_f
 
-    def inner_root_f(self, x, y) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return float(x @ self.B_f @ y)
-
     def __repr__(self) -> str:
         return f"RootSystem({self.spec})"
 
@@ -381,20 +376,6 @@ def _det_fraction(M) -> Fraction:
             if factor:
                 A[row] = [x - factor * y for x, y in zip(A[row], A[col])]
     return det
-
-
-def convert_basis(rs: RootSystem, coords, target: str):
-    """Convert a coordinate vector between the two standard bases.
-
-    target="root": input is in the fundamental-weight basis.
-    target="weight": input is in the simple-root basis.
-    Exact for int/Fraction input.
-    """
-    if target == "root":
-        return rs.root_coords(coords)
-    if target == "weight":
-        return rs.weight_coords(coords)
-    raise ValueError(f"unknown basis {target!r}")
 
 
 def dominant_reflect(rs: RootSystem, coords) -> tuple[tuple[int, ...], int, bool]:

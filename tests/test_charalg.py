@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tensorstat import (
     AlgebraSpec,
+    Branching,
     DecompositionTable,
     DomainError,
     EntryCapExceededError,
@@ -152,6 +153,27 @@ def test_klimyk_step_oracles():
     g2 = build_root_system(AlgebraSpec.parse("G2"))
     seven = klimyk_tensor_step(g2, {(0, 1): 1}, (0, 1))
     assert seven == {(0, 2): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1}
+
+
+@pytest.mark.parametrize(
+    "algebra, nu, sources",
+    [
+        # wall weights (a zero coordinate) are where Klimyk terms cancel
+        ("A2", (1, 0), [(0, 0), (1, 0), (0, 3), (2, 0), (2, 1), (3, 3)]),
+        ("A2", (1, 1), [(0, 0), (1, 0), (0, 2), (1, 1), (3, 2)]),
+        ("B2", (0, 1), [(0, 0), (1, 0), (0, 1), (2, 0), (1, 2)]),
+        ("B2", (1, 1), [(0, 0), (0, 2), (1, 1), (3, 0)]),
+        ("G2", (1, 0), [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]),
+        ("G2", (0, 1), [(0, 0), (1, 0), (0, 2), (2, 1)]),
+    ],
+)
+def test_branching_row_matches_naive(algebra, nu, sources):
+    rs = build_root_system(AlgebraSpec.parse(algebra))
+    branching = Branching(rs, nu)
+    for lam in sources:
+        expected = naive_tensor_decompose(rs, [(lam, 1), (nu, 1)]).entries
+        assert branching.row(lam) == expected
+        assert branching.row(lam) is branching.row(lam)  # built once
 
 
 def test_tensor_power_a1_oracles():

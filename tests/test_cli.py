@@ -200,17 +200,41 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_cache_reuse_bit_identical(capsys, tmp_path, monkeypatch):
+    cases = [
+        ["decompose", "--algebra", "B2", "--rep", "0,1", "--power", "4"],
+        # a regular-t measure sums character terms, so it sees the entry order
+        ["measure", "--algebra", "A2", "--rep", "1,0", "--power", "60", "--t", "0.3,0.1"],
+    ]
+    for i, args in enumerate(cases):
+        cache = tmp_path / str(i)
+        monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(cache))
+        code1 = main(list(args))
+        out1 = capsys.readouterr().out
+        cached = list(cache.glob("*.json"))
+        assert len(cached) == 1
+        code2 = main(list(args))
+        out2 = capsys.readouterr().out
+        assert (code1, out1) == (code2, out2)
+        # cache hit must not rewrite the file
+        assert list(cache.glob("*.json")) == cached
+        code3 = main(list(args) + ["--no-cache"])
+        out3 = capsys.readouterr().out
+        assert (code1, out1) == (code3, out3)
+
+
+def test_tampered_cache_is_a_consistency_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(tmp_path))
-    args = ["decompose", "--algebra", "B2", "--rep", "0,1", "--power", "4"]
-    code1 = main(list(args))
-    out1 = capsys.readouterr().out
-    cached = list(tmp_path.glob("*.json"))
-    assert len(cached) == 1
-    code2 = main(list(args))
-    out2 = capsys.readouterr().out
-    assert (code1, out1) == (code2, out2)
-    # cache hit must not rewrite the file
-    assert list(tmp_path.glob("*.json")) == cached
+    args = ["decompose", "--algebra", "A2", "--rep", "1,0", "--power", "4"]
+    assert main(list(args)) == 0
+    capsys.readouterr()
+    (path,) = tmp_path.glob("*.json")
+    payload = json.loads(path.read_text())
+    payload["entries"][0][1] = str(int(payload["entries"][0][1]) + 1)
+    path.write_text(json.dumps(payload))
+    assert main(list(args)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_no_cache_flag(capsys, tmp_path, monkeypatch):
