@@ -3,10 +3,13 @@ asymptotics of their multiplicity and character measures."""
 
 from .charalg import (
     Branching,
+    CharacterLogs,
+    CharacterPlan,
     DecompositionTable,
     WeightSystem,
     character_value,
     klimyk_tensor_step,
+    log_characters,
     naive_tensor_decompose,
     second_casimir,
     tensor_power_decompose,

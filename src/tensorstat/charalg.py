@@ -10,7 +10,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,9 +20,17 @@ from .errors import (
     DomainError,
     EntryCapExceededError,
     InternalConsistencyError,
+    WeylGroupTooLargeError,
 )
-from .numerics import logsumexp, signed_logsumexp
-from .rootsys import RootSystem, build_root_system, dominant_reflect, enumerate_weyl_group
+from .numerics import logsumexp
+from .rootsys import (
+    RootSystem,
+    build_root_system,
+    dominant_reflect,
+    reflect_to_chamber,
+    wall_slack,
+    weyl_group_order,
+)
 
 Weight = tuple[int, ...]
 
@@ -42,16 +51,14 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
     """dim V(lambda) by the product over positive roots, exact."""
     lam = _as_weight(lam)
     _check_dominant(lam)
-    shifted = tuple(c + 1 for c in lam)
-    num = Fraction(1)
-    den = Fraction(1)
-    for idx in range(rs.n_positive):
-        num *= rs.pair_weight_posroot(shifted, idx)
-        den *= rs.pair_weight_posroot(rs.rho_weight, idx)
-    val = num / den
-    if val.denominator != 1 or val <= 0:
-        raise InternalConsistencyError(f"dimension formula gave {val} for {lam}")
-    return int(val)
+    num = den = 1
+    for k in rs.posroot_pairing_int:  # (lam + rho, alpha) and (rho, alpha), one common scale
+        num *= sum((c + 1) * x for c, x in zip(lam, k))
+        den *= sum(k)
+    val, rem = divmod(num, den)
+    if rem or val <= 0:
+        raise InternalConsistencyError(f"dimension formula gave {Fraction(num, den)} for {lam}")
+    return val
 
 
 def second_casimir(rs: RootSystem, lam) -> Fraction:
@@ -192,75 +199,273 @@ def character_value(rs: RootSystem, lam, t, method: str = "auto") -> tuple[float
     t is a real vector in simple-root coordinates.  The value is a sum of
     exponentials with positive coefficients, so the certified sign is
     always +1; it is returned to keep the signed-log contract explicit.
-
-    method "weight-sum" sums d_mu e^{(mu,t)} over the weight system;
-    "weyl-quotient" evaluates the alternating-sum quotient and requires t
-    regular (no positive root pairs to zero).  "auto" prefers the quotient
-    for regular t when the Weyl group is enumerable, since it needs no
-    weight system.
+    One row of log_characters; CharacterPlan.evaluate documents the methods.
     """
-    lam = _as_weight(lam)
-    _check_dominant(lam)
-    t = np.asarray(t, dtype=float)
-    if t.shape != (rs.rank,):
-        raise DomainError(f"t must have shape ({rs.rank},)")
+    return float(log_characters(rs, [lam], t, method).values[0]), 1
 
-    if method == "auto":
-        if not np.any(t):
-            return math.log(weyl_dimension(rs, lam)), 1
-        pairings = rs.pos_pairing_f @ t
-        scale = math.sqrt(max(float(t @ rs.B_f @ t), 1e-300))
-        regular = bool(np.min(np.abs(pairings)) > 1e-8 * scale)
-        from .rootsys import weyl_group_order
 
-        if regular and weyl_group_order(rs.spec) <= 10**6:
-            quot = _weyl_quotient_parts(rs, lam, t)
-            log_num, sign, max_term, order = quot
-            # cancellation in the alternating numerator eats
-            # (max_term - log_num) nats; trust the quotient only while the
-            # resulting noise stays below 1e-11 in the log value
-            noise = order * 2.3e-16 * math.exp(min(max_term - log_num, 700.0))
-            if sign == 1 and noise <= 1e-11:
-                return log_num, 1
-        method = "weight-sum"
+def log_characters(rs: RootSystem, lams, t, method: str = "auto") -> CharacterLogs:
+    """log chi_lambda(e^t) for every highest weight in lams; see CharacterPlan."""
+    return CharacterPlan(rs, t).evaluate(lams, method)
 
-    if method == "weight-sum":
-        ws = weight_multiplicities(rs, lam)
-        exps = ws.log_mults_f + ws.pairing_rows_f @ t
-        return logsumexp(exps), 1
 
-    if method == "weyl-quotient":
-        pairings = rs.pos_pairing_f @ t
-        scale = math.sqrt(max(float(t @ rs.B_f @ t), 1e-300))
-        if np.min(np.abs(pairings)) <= 1e-8 * scale:
-            raise DenominatorVanishesError(
-                "Weyl denominator vanishes: t pairs to zero with a positive root"
+# largest error |computed - exact| in log chi a float Weyl row may carry;
+# past it the row is a Freudenthal weight sum
+CHARACTER_BUDGET = 1e-11
+# Weyl groups above this order are not stacked: every row is a weight sum
+_MAX_WEYL_ORDER = 10**6
+# entries of one rows x cosets block
+_BLOCK_ENTRIES = 2**20
+_EPS = float(np.finfo(float).eps)
+
+
+class CharacterLogs(NamedTuple):
+    """log chi_lambda(e^t) per highest weight, with the path each row took.
+
+    paths[i] is "dimension" (t = 0: log of the exact dimension), "weyl"
+    (float coset sum) or "weight-sum" (Freudenthal weight system).
+    bounds[i] bounds |computed - exact| of the float coset sum: on "weyl"
+    rows it is the bound of the returned value; on "weight-sum" rows it is
+    the bound (or the t-only floor) that ruled the float sum out, or inf
+    where none was planned; on "dimension" rows it is 0.
+    """
+
+    values: np.ndarray
+    bounds: np.ndarray
+    paths: tuple[str, ...]
+
+
+def _rowdot(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """L @ Q.T, summed in a fixed coordinate order so a row's value never depends on its batch."""
+    out = L[:, :1] * Q[:, 0]
+    for i in range(1, L.shape[1]):
+        out += L[:, i : i + 1] * Q[:, i]
+    return out
+
+
+class _Parabolic(NamedTuple):
+    """The t-independent part of the coset sum for one set of walls; see CharacterPlan."""
+
+    qmat: np.ndarray  # (cosets, r, r) >= 0: qmat[w] @ pairings = d * (t - w t)
+    sign: np.ndarray  # (cosets,) parities; row 0 is the identity
+    poly: np.ndarray  # (n0, cosets, r): Lambda . poly[k, w] = den (Lambda, w alpha_k), alpha_k in Phi0+
+    rho0: np.ndarray  # (n0,) den (rho0, alpha_k)
+    outside: np.ndarray  # (roots, r) root coordinates of the positive roots outside Phi0
+    b_inv_norm: float  # sqrt(|B^-1|_2): moving the pairings by dp moves t by <= |dp|_2 b_inv_norm
+
+
+@lru_cache(maxsize=16)
+def _parabolic(spec, wall: tuple[bool, ...]) -> _Parabolic:
+    """Coset data of the stabilizer W0 of the simple roots marked in wall."""
+    rs = build_root_system(spec)
+    r = rs.rank
+    d = [Fraction(x) for x in rs.d]
+    # coset representatives: the distinct orbit points of an integral
+    # dominant weight whose stabilizer is W0 (zero exactly on the walls)
+    actions, parities = rs.weyl_actions
+    p_root = rs.root_coords([0 if wall[i] else 1 for i in range(r)])
+    scale = math.lcm(*(x.denominator for x in p_root))
+    p_int = np.array([int(x * scale) for x in p_root], dtype=np.int64)
+    _, reps = np.unique(actions @ p_int, axis=0, return_index=True)
+    reps = np.sort(reps)  # index 0, the identity, comes first
+    M = actions[reps]
+
+    # d * (t - w t) = diag(d) (1 - w) C^-1 diag(1/d) pairings: a matrix >= 0,
+    # exact up to one rounding per entry since m C^-1 is integral
+    m, adj = rs.cartan_inverse_int
+    factor = np.array([[float(d[i] / (d[j] * m)) for j in range(r)] for i in range(r)])
+    qmat = (np.eye(r, dtype=np.int64) - M) @ adj * factor
+
+    phi0 = [a for a in rs.positive_roots if all(a[i] == 0 for i in range(r) if not wall[i])]
+    den = math.lcm(*(x.denominator for x in d))
+    kd = np.array([int(den * x) for x in d], dtype=np.int64)
+    poly = np.array([kd * (M @ np.array(a, dtype=np.int64)) for a in phi0], dtype=float)
+    rho0_root = [sum(Fraction(a[i]) for a in phi0) / 2 for i in range(r)]
+    rho0 = np.array(
+        [float(den * sum(rho0_root[i] * rs.B[i][j] * a[j] for i in range(r) for j in range(r))) for a in phi0]
+    )
+    outside = [a for a in rs.positive_roots if any(a[i] != 0 for i in range(r) if not wall[i])]
+    return _Parabolic(
+        qmat=qmat,
+        sign=parities[reps].astype(float),
+        poly=poly.reshape(len(phi0), len(reps), r),
+        rho0=rho0,
+        outside=np.array(outside, dtype=float).reshape(len(outside), r),
+        b_inv_norm=math.sqrt(1.0 / float(np.min(np.linalg.eigvalsh(rs.B_f)))),
+    )
+
+
+class _Cosets(NamedTuple):
+    """Per-(algebra, t) data of the coset sum; see CharacterPlan."""
+
+    par: _Parabolic
+    q: np.ndarray  # (cosets, r) >= 0: x_w = Lambda . q[w], q[w] = d * (t - w t)
+    cinv_t: np.ndarray  # (r,) >= 0: (lambda, t) = lambda . cinv_t
+    log_den: float  # log D, D = prod over alpha > 0 outside Phi0 of (1 - e^{-(alpha, t)})
+    inv_den: float  # 1 / D, capped at e^700
+    den_err: float  # rounding bound of log D
+    eta: float  # bound on the B-norm distance from the caller's t (reflected) to the t used
+
+
+class CharacterPlan:
+    """Characters at one group element e^t for any list of highest weights.
+
+    Build once per (algebra, t) and call evaluate for each batch; the coset
+    data is made on first use.  Paths:
+
+    - t = 0: log of the exact Weyl dimension.
+    - Coset sum.  Characters are W-invariant, so t is reflected into the
+      dominant chamber; simple-root pairings within a few ulps of zero are
+      set to zero, which projects t onto that wall.  Phi0 = positive roots
+      with (alpha, t) = 0, rho0 their half sum, and D = prod over alpha > 0
+      outside Phi0 of (1 - e^{-(alpha, t)}).  With Lambda = lambda + rho,
+      the limit of Weyl's formula on the wall is a sum over the cosets
+      w W0 of the stabilizer W0:
+
+        chi = e^{(lambda, t)} P_1 S / D,
+        S = sum_w eps(w) (P_w / P_1) e^{-x_w},  x_w = (Lambda, t - w t) >= 0,
+        P_w = prod over alpha in Phi0+ of (Lambda, w alpha) / (rho0, alpha).
+
+      P_1 is the dimension of the stabilizer's module of highest weight
+      lambda.  For regular t, Phi0 is empty and this is Weyl's quotient.
+      Every x_w, (lambda, t) and (alpha, t) is a sum of nonnegative terms
+      (t - w t is a nonnegative combination of the simple pairings), so
+      each carries relative rounding of a few ulps and nothing cancels
+      before the signed sum.
+    - Freudenthal weight sum (exact weights, positive float terms), for
+      rows whose bound exceeds CHARACTER_BUDGET and for |W| > 10^6.
+
+    The bound is formed before the signed sum.  The weights of V(lambda)
+    at the top of its Phi0-strings pair with t like lambda, so chi >= P_1
+    e^{(lambda, t)} and S >= D: cancellation in S is at most
+    sum_w |term_w| / D.  Term w carries relative rounding at most
+    eps ((r + 2) x_w + n0 + 2) (eps = 2^-52: x_w to (r + 1) eps relative,
+    exp to one ulp, and each of the 2 n0 stabilizer factors to half an
+    ulp), and S is summed exactly rounded (math.fsum), so
+
+      |error of log S| <= eps (1 + sum_w |term_w| ((r + 2) x_w + n0 + 2) / D),
+
+    to which the bound adds the rounding of (lambda, t), log P_1, log D and
+    the final sum, and e^{|lambda| eta} - 1 for the distance eta by which
+    the reflection and projection moved t.  The identity term alone gives
+    the t-only floor eps (n0 + 2) / D: past the budget no row can pass,
+    and the rows x cosets block is never formed.
+    """
+
+    def __init__(self, rs: RootSystem, t):
+        t = np.asarray(t, dtype=float)
+        if t.shape != (rs.rank,) or not np.all(np.isfinite(t)):
+            raise DomainError(f"t must be {rs.rank} finite reals")
+        self.rs = rs
+        self.t = t
+
+    def evaluate(self, lams, method: str = "auto") -> CharacterLogs:
+        """log chi_lambda(e^t) for each lambda in lams.
+
+        method "auto" takes the paths described on the class; "weight-sum"
+        sums every row over its weight system; "weyl-quotient" takes the
+        float coset sum for every row whatever its bound, and requires t
+        regular (no positive root pairs to zero).
+        """
+        rs = self.rs
+        lams = [_as_weight(lam) for lam in lams]
+        for lam in lams:
+            if len(lam) != rs.rank:
+                raise DomainError(f"weight {lam} needs {rs.rank} coordinates")
+            _check_dominant(lam)
+        if method not in ("auto", "weight-sum", "weyl-quotient"):
+            raise ValueError(f"unknown method {method!r}")
+        n = len(lams)
+        if method == "auto" and not np.any(self.t):
+            values = np.array([math.log(weyl_dimension(rs, lam)) for lam in lams])
+            return CharacterLogs(values, np.zeros(n), ("dimension",) * n)
+        if method == "weyl-quotient":
+            pairings = rs.pos_pairing_f @ self.t
+            scale = math.sqrt(max(float(self.t @ rs.B_f @ self.t), 1e-300))
+            if np.min(np.abs(pairings)) <= 1e-8 * scale:
+                raise DenominatorVanishesError(
+                    "Weyl denominator vanishes: t pairs to zero with a positive root"
+                )
+            order = weyl_group_order(rs.spec)
+            if order > _MAX_WEYL_ORDER:
+                raise WeylGroupTooLargeError(f"Weyl group too large for the quotient: |W| = {order}", order)
+
+        values = np.full(n, np.nan)
+        bounds = np.full(n, np.inf)
+        weyl = np.zeros(n, dtype=bool)
+        cosets = None if method == "weight-sum" or n == 0 else self._cosets
+        if cosets is not None:
+            self._coset_rows(cosets, lams, values, bounds, weyl, force=method == "weyl-quotient")
+        for i in np.flatnonzero(~weyl):
+            ws = weight_multiplicities(rs, lams[i])
+            values[i] = logsumexp(ws.log_mults_f + ws.pairing_rows_f @ self.t)
+        return CharacterLogs(values, bounds, tuple("weyl" if w else "weight-sum" for w in weyl))
+
+    @cached_property
+    def _cosets(self) -> _Cosets | None:
+        rs = self.rs
+        if weyl_group_order(rs.spec) > _MAX_WEYL_ORDER:
+            return None
+        r = rs.rank
+        t, eta = reflect_to_chamber(rs, self.t)
+        pair = rs.B_f @ t
+        wall = pair <= wall_slack(rs, t)
+        par = _parabolic(rs.spec, tuple(bool(w) for w in wall))
+        dp = np.where(wall, np.abs(pair), 0.0) + (r + 2) * _EPS * (np.abs(rs.B_f) @ np.abs(t))
+        eta += float(np.linalg.norm(dp)) * par.b_inv_norm
+        pair = np.where(wall, 0.0, pair)
+        p_out = par.outside @ pair
+        log_terms = np.log(-np.expm1(-p_out))
+        log_den = float(np.sum(log_terms))
+        return _Cosets(
+            par=par,
+            q=par.qmat @ pair,
+            cinv_t=rs.cartan_inv_f.T @ pair,
+            log_den=log_den,
+            inv_den=math.exp(min(-log_den, 700.0)),
+            den_err=_EPS * (float(np.sum(r + 3 + np.abs(log_terms))) + len(p_out) * abs(log_den)),
+            eta=eta,
+        )
+
+    def _coset_rows(self, c: _Cosets, lams, values, bounds, weyl, force: bool) -> None:
+        """Fill values and bounds of the rows the coset sum takes (every row if force)."""
+        r = self.rs.rank
+        n0 = len(c.par.rho0)
+        floor = _EPS * (n0 + 2) * c.inv_den
+        if floor > CHARACTER_BUDGET and not force:
+            bounds[:] = floor
+            return
+        lam_all = np.array(lams, dtype=float)
+        step = max(1, _BLOCK_ENTRIES // len(c.par.sign))
+        for lo in range(0, len(lams), step):
+            lam = lam_all[lo : lo + step]
+            shifted = lam + 1.0
+            x = _rowdot(shifted, c.q)
+            terms = np.exp(-x)
+            log_p1 = np.zeros(len(lam))
+            for j in range(n0):
+                a = _rowdot(shifted, c.par.poly[j])
+                terms *= a / a[:, :1]
+                log_p1 += np.log(a[:, 0] / c.par.rho0[j])
+            mags = np.abs(terms)
+            err = np.sum(mags * ((r + 2) * x + (n0 + 2)), axis=1)
+            lam_t = _rowdot(lam, c.cinv_t[None, :])[:, 0]
+            log_s = np.maximum(abs(c.log_den), np.log(np.sum(mags, axis=1)))
+            size = lam_t + np.abs(log_p1) + log_s + abs(c.log_den)
+            norm = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", lam, self.rs.weight_gram_f, lam), 0.0))
+            bound = (
+                _EPS * (1.0 + err * c.inv_den + (r + 1) * lam_t + (n0 + 1) * np.abs(log_p1) + 3 * size + 2 * n0)
+                + c.den_err
+                + np.expm1(norm * c.eta)
             )
-        log_val, sign, _, _ = _weyl_quotient_parts(rs, lam, t)
-        if sign != 1:
-            raise InternalConsistencyError("character sign certificate failed")
-        return log_val, sign
-
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _weyl_quotient_parts(rs: RootSystem, lam, t) -> tuple[float, int, float, int]:
-    """(log quotient, sign, numerator max-term log, |W|) for the character at e^t."""
-    pairings = rs.pos_pairing_f @ t
-    lam_rho_root = np.array([float(x) for x in rs.root_coords(tuple(c + 1 for c in lam))])
-    Bt = rs.B_f @ t
-    W = enumerate_weyl_group(rs)
-    vals = np.empty(len(W))
-    signs = np.empty(len(W))
-    for i, w in enumerate(W):
-        vals[i] = (w.action_f @ lam_rho_root) @ Bt
-        signs[i] = w.parity
-    log_num, sign_num = signed_logsumexp(vals, signs)
-    half = 0.5 * pairings
-    log_den = float(np.sum(np.log(np.abs(2.0 * np.sinh(half)))))
-    sign_den = 1 if (np.sum(half < 0) % 2 == 0) else -1
-    max_rel = float(np.max(vals)) - log_num
-    return log_num - log_den, sign_num * sign_den, max_rel + (log_num - log_den), len(W)
+            bounds[lo : lo + step] = bound
+            take = np.ones(len(lam), dtype=bool) if force else bound <= CHARACTER_BUDGET
+            for i in np.flatnonzero(take):
+                total = math.fsum((c.par.sign * terms[i]).tolist())
+                if total <= 0.0:
+                    raise InternalConsistencyError("character sign certificate failed")
+                values[lo + i] = lam_t[i] + log_p1[i] + math.log(total) - c.log_den
+                weyl[lo + i] = True
 
 
 class Branching:
@@ -346,13 +551,13 @@ class DecompositionTable:
     def check_support_in_cone(self) -> bool:
         """Every highest weight lies under sum_k N_k nu_k in the root order."""
         rs = self.rs
-        top = tuple(sum(n * nu[i] for nu, n in self.problem) for i in range(rs.rank))
-        top_root = rs.root_coords(top)
-        for lam in self.entries:
-            diff = [t - x for t, x in zip(top_root, rs.root_coords(lam))]
-            if any(x < 0 or x.denominator != 1 for x in diff):
-                return False
-        return True
+        if not self.entries:
+            return True
+        top = [sum(n * nu[i] for nu, n in self.problem) for i in range(rs.rank)]
+        m, adj = rs.cartan_inverse_int
+        diff = np.array(top, dtype=np.int64) - np.array(list(self.entries), dtype=np.int64)
+        coords = diff @ adj.T  # m times the root coordinates of top - lam
+        return bool(np.all(coords >= 0) and np.all(coords % m == 0))
 
     def sorted_entries(self) -> list[tuple[Weight, int]]:
         return sorted(self.entries.items())

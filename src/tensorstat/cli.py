@@ -6,7 +6,8 @@ Outputs go to stdout or --output; identical invocations produce
 bit-identical bytes (fixed seeds, counter-based sampling streams,
 sorted rows).  Decompositions are cached as JSON under TENSORSTAT_CACHE_DIR
 (default ~/.cache/tensorstat), one file per problem keyed by a hash of
-its canonical description.
+its canonical description (factor order does not matter), written
+atomically and validated when read.
 """
 
 from __future__ import annotations
@@ -93,18 +94,58 @@ def _cache_dir() -> Path:
 
 def _cached_decompose(algebra: str, factors, use_cache: bool) -> DecompositionTable:
     rs = build_root_system(AlgebraSpec.parse(algebra))
+    problem = tuple((tuple(nu), n) for nu, n in factors)
     key_src = json.dumps([algebra, sorted([list(f[0]), f[1]] for f in factors)])
     key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
     path = _cache_dir() / f"{algebra}-{key}.json"
-    if use_cache and path.is_file():
-        table = DecompositionTable.from_json(path.read_text())
-        if table.problem == tuple((tuple(nu), n) for nu, n in factors):
+    if use_cache:
+        table = _load_cached(path, str(rs.spec), problem)
+        if table is not None:
             return table
     table = tensor_power_decompose(rs, factors)
     if use_cache:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(table.to_json())
+        _write_atomic(path, table.to_json())
     return table
+
+
+def _load_cached(path: Path, algebra: str, problem) -> DecompositionTable | None:
+    """The cached table of `problem` (in its factor order), or None on a miss.
+
+    A missing, truncated or malformed file, or one holding another problem,
+    is a miss: the caller recomputes and rewrites it.  A file that parses
+    but fails the dimension identity or the support cone is corrupt, and
+    raises InternalConsistencyError.
+    """
+    try:
+        cached = DecompositionTable.from_json(path.read_text())
+    except (FileNotFoundError, ValueError, KeyError, TypeError, IndexError):
+        return None
+    if cached.algebra != algebra or sorted(cached.problem) != sorted(problem):
+        return None
+    # the key ignores factor order; the entries serve every order
+    table = DecompositionTable(algebra=algebra, problem=problem, entries=cached.entries)
+    try:
+        valid = table.check_dimension_identity() and table.check_support_in_cone()
+    except DomainError:  # a weight of the wrong length or off the dominant chamber
+        valid = False
+    if not valid:
+        raise InternalConsistencyError(
+            f"cached table {path} fails the dimension identity or the support cone; "
+            "delete it or pass --no-cache"
+        )
+    return table
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _emit(text: str, args) -> None:
@@ -118,10 +159,6 @@ def _emit(text: str, args) -> None:
 
 def _cmd_decompose(args) -> int:
     table = _cached_decompose(args.algebra, _build_factors(args), not args.no_cache)
-    if not table.check_dimension_identity():
-        raise InternalConsistencyError(
-            "decomposition fails the dimension identity; a cached table may be corrupt"
-        )
     if (args.format or "json") == "csv":
         lines = ["lambda,multiplicity"]
         for lam, mult in table.sorted_entries():
@@ -392,11 +429,16 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (InternalConsistencyError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONSISTENCY_ERROR
+        return _fail(str(exc), CONSISTENCY_ERROR)
     except TensorstatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+        return _fail(str(exc), DOMAIN_ERROR)
+    except Exception as exc:  # the CLI boundary: one line and exit 3, never a traceback
+        return _fail(f"{type(exc).__name__}: {exc}", CONSISTENCY_ERROR)
+
+
+def _fail(message: str, code: int) -> int:
+    print("error: " + " ".join(message.split()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charalg import Branching, Weight, character_value, weyl_dimension
+from .charalg import Branching, CharacterPlan, Weight, weyl_dimension
 from .errors import DomainError, InternalConsistencyError
 from .legendre import TensorProblem, tensor_problem
 from .measures import MeasureRow, MeasureTable, Scaling, assemble_measure_table
@@ -92,11 +92,11 @@ class TransitionKernel:
         self._cdfs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._log_chi: dict[Weight, float] = {}
         self._dim_v = weyl_dimension(rs, self.rep)
-        self._log_chi_v = (
-            math.log(int(self._dim_v))
-            if t_arr is None
-            else character_value(rs, self.rep, t_arr)[0]
-        )
+        if t_arr is None:
+            self._log_chi_v = math.log(int(self._dim_v))
+        else:
+            self._characters = CharacterPlan(rs, t_arr)
+            self._log_chi_v = self._log_chi_at([self.rep])[0]
 
     def state_id(self, lam: Weight) -> int:
         """Integer id of a state, interning it on first sight."""
@@ -110,12 +110,13 @@ class TransitionKernel:
     def state(self, sid: int) -> Weight:
         return self._states[sid]
 
-    def _log_chi_at(self, lam: Weight) -> float:
-        lg = self._log_chi.get(lam)
-        if lg is None:
-            lg, _ = character_value(self.rs, lam, self._t_arr)
-            self._log_chi[lam] = lg
-        return lg
+    def _log_chi_at(self, lams) -> list[float]:
+        """log chi(e^t) per weight; the unseen ones are evaluated in one batch."""
+        missing = [lam for lam in dict.fromkeys(lams) if lam not in self._log_chi]
+        if missing:
+            values = self._characters.evaluate(missing).values
+            self._log_chi.update(zip(missing, values.tolist()))
+        return [self._log_chi[lam] for lam in lams]
 
     def row(self, source) -> TransitionRow:
         source = tuple(int(c) for c in source)
@@ -149,11 +150,11 @@ class TransitionKernel:
                 )
             probs = np.array([float(p) for p in fracs])
         else:
-            log_src = self._log_chi_at(source)
+            log_src, *log_targets = self._log_chi_at([source, *targets])
             logs = np.array(
                 [
-                    math.log(branches[mu]) + self._log_chi_at(mu) - log_src - self._log_chi_v
-                    for mu in targets
+                    math.log(branches[mu]) + lg - log_src - self._log_chi_v
+                    for mu, lg in zip(targets, log_targets)
                 ]
             )
             probs = np.exp(logs)

@@ -19,7 +19,7 @@ import numpy as np
 from .charalg import (
     DecompositionTable,
     Weight,
-    character_value,
+    log_characters,
     weyl_dimension,
 )
 from .errors import (
@@ -41,7 +41,7 @@ from .legendre import (
     tensor_problem,
 )
 from .numerics import cell_integrals
-from .rootsys import AlgebraSpec, RootSystem, build_root_system
+from .rootsys import AlgebraSpec, RootSystem, build_root_system, reflect_to_chamber
 
 
 def plancherel_measure(table: DecompositionTable) -> dict[Weight, Fraction]:
@@ -63,14 +63,14 @@ def character_probabilities(table: DecompositionTable, t=None) -> dict[Weight, f
         t = np.asarray(t, dtype=float)
     if t is None or not np.any(t):
         return {lam: float(p) for lam, p in plancherel_measure(table).items()}
-    log_norm = 0.0
-    for nu, n in table.problem:
-        lg, _ = character_value(rs, nu, t)
-        log_norm += n * lg
     # sorted order: a fresh table and its cached copy must sum alike
+    entries = table.sorted_entries()
+    logs = log_characters(rs, [lam for lam, _ in entries] + [nu for nu, _ in table.problem], t).values
+    log_norm = 0.0
+    for (_, n), lg in zip(table.problem, logs[len(entries) :].tolist()):
+        log_norm += n * lg
     probs = {}
-    for lam, m in table.sorted_entries():
-        lg, _ = character_value(rs, lam, t)
+    for (lam, m), lg in zip(entries, logs.tolist()):
         probs[lam] = math.exp(math.log(m) + lg - log_norm)
     total = sum(probs.values())
     if abs(total - 1.0) > 1e-9:
@@ -158,7 +158,7 @@ def asymptotic_log_probability(problem: TensorProblem, lam, t=None) -> float:
             + log_dim_scaled
         )
 
-    t_dom = _reflect_to_chamber(rs, t)
+    t_dom, _ = reflect_to_chamber(rs, t)
     t_pair = rs.pos_pairing_f @ t_dom
     scale = math.sqrt(float(t_dom @ rs.B_f @ t_dom))
     if np.min(t_pair) <= 1e-8 * scale:
@@ -181,19 +181,6 @@ def asymptotic_log_probability(problem: TensorProblem, lam, t=None) -> float:
         - log_delta_t
         - rho_xt
     )
-
-
-def _reflect_to_chamber(rs: RootSystem, t: np.ndarray) -> np.ndarray:
-    """Weyl-reflect a root-coordinate vector into the closed dominant chamber."""
-    t = np.array(t, dtype=float)
-    d = [float(x) for x in rs.d]
-    for _ in range(10000):
-        pair = rs.B_f @ t  # (alpha_a, t) over simple roots
-        a = int(np.argmin(pair))
-        if pair[a] >= -1e-15:
-            return t
-        t[a] -= pair[a] / d[a]
-    raise ConvergenceError("chamber reflection did not terminate")
 
 
 @dataclass(frozen=True)

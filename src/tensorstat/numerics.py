@@ -15,21 +15,6 @@ def logsumexp(values) -> float:
     return float(m + np.log(np.sum(np.exp(v - m))))
 
 
-def signed_logsumexp(values, signs) -> tuple[float, int]:
-    """log|sum_i s_i e^{v_i}| and the sign of the sum (0 on exact cancellation)."""
-    v = np.asarray(values, dtype=float)
-    s = np.asarray(signs, dtype=float)
-    if v.size == 0:
-        return -np.inf, 0
-    m = np.max(v)
-    if not np.isfinite(m):
-        return float(m), 0
-    total = float(np.sum(s * np.exp(v - m)))
-    if total == 0.0:
-        return -np.inf, 0
-    return float(m + np.log(abs(total))), (1 if total > 0 else -1)
-
-
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [a, b]."""
     x, w = np.polynomial.legendre.leggauss(n)

@@ -22,7 +22,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, InvalidAlgebraError, WeylGroupTooLargeError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    InternalConsistencyError,
+    InvalidAlgebraError,
+    WeylGroupTooLargeError,
+)
+
+# a simple-root pairing within this many ulps of its operands counts as zero
+WALL_ULPS = 64
 
 _RANK_RULES = {
     "A": lambda r: r >= 1,
@@ -256,6 +265,18 @@ class RootSystem:
         return tuple(tuple(self.d[a] * alpha[a] for a in range(self.rank)) for alpha in self.positive_roots)
 
     @cached_property
+    def posroot_pairing_int(self) -> tuple[tuple[int, ...], ...]:
+        """Per positive root alpha, integers k with (lambda, alpha) = lambda . k / lcm(denominators of d)."""
+        den = math.lcm(*(x.denominator for x in self.d))
+        return tuple(tuple(int(den * x) for x in row) for row in self._posroot_pair_weight)
+
+    @cached_property
+    def cartan_inverse_int(self) -> tuple[int, np.ndarray]:
+        """(m, m C^-1) with m the least integer making m C^-1 integral."""
+        m = math.lcm(*(x.denominator for row in self.cartan_inverse for x in row))
+        return m, np.array([[int(m * x) for x in row] for row in self.cartan_inverse], dtype=np.int64)
+
+    @cached_property
     def _weight_gram(self) -> tuple[tuple[Fraction, ...], ...]:
         # (omega_i, omega_j) = d_j * (C^{-1})_{ji}
         inv = self.cartan_inverse
@@ -294,6 +315,11 @@ class RootSystem:
         return self.pos_roots_f @ self.B_f
 
     @cached_property
+    def weight_gram_f(self) -> np.ndarray:
+        """(omega_i, omega_j): the form on weight coordinates."""
+        return np.array([[float(x) for x in row] for row in self._weight_gram])
+
+    @cached_property
     def rho_root_f(self) -> np.ndarray:
         return np.array([float(x) for x in self.rho_root])
 
@@ -301,6 +327,17 @@ class RootSystem:
     def rho_pos_pairings_f(self) -> np.ndarray:
         """(rho, alpha) over the positive roots."""
         return self.pos_pairing_f @ self.rho_root_f
+
+    @cached_property
+    def weyl_actions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every Weyl element stacked: (|W|, r, r) int root-coordinate actions, (|W|,) parities.
+
+        Row 0 is the identity.  Built from enumerate_weyl_group, so the same
+        size cap applies.
+        """
+        W = enumerate_weyl_group(self)
+        actions = np.array([w.action for w in W], dtype=np.int64)
+        return actions, np.array([w.parity for w in W], dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.spec})"
@@ -405,6 +442,34 @@ def dominant_reflect(rs: RootSystem, coords) -> tuple[tuple[int, ...], int, bool
             lam[i] -= la * cartan[i][a]
         parity = -parity
     return tuple(lam), parity, any(v == 0 for v in lam)
+
+
+def wall_slack(rs: RootSystem, t: np.ndarray) -> np.ndarray:
+    """Per simple root, the rounding scale below which (alpha_a, t) counts as zero."""
+    return WALL_ULPS * np.finfo(float).eps * (np.abs(rs.B_f) @ np.abs(t))
+
+
+def reflect_to_chamber(rs: RootSystem, t) -> tuple[np.ndarray, float]:
+    """Weyl-reflect a root-coordinate vector into the closed dominant chamber.
+
+    Returns the reflected vector and a bound on the B-norm of the rounding
+    error it carries.  Reflections are isometries, so each step adds its own
+    rounding to the bound and moves the earlier error without growing it.
+    Pairings within wall_slack of zero are left as they are.
+    """
+    t = np.array(t, dtype=float)
+    d = np.array([float(x) for x in rs.d])
+    abs_B = np.abs(rs.B_f)
+    eps = np.finfo(float).eps
+    err = 0.0
+    for _ in range(10000):
+        pair = rs.B_f @ t  # (alpha_a, t) over simple roots
+        a = int(np.argmin(pair))
+        if pair[a] >= -wall_slack(rs, t)[a]:
+            return t, err
+        err += (rs.rank + 3) * eps * float(abs_B[a] @ np.abs(t)) / d[a] * math.sqrt(2.0 * d[a])
+        t[a] -= pair[a] / d[a]
+    raise ConvergenceError("chamber reflection did not terminate")
 
 
 @dataclass(frozen=True)

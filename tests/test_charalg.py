@@ -1,5 +1,6 @@
 """Exact representation arithmetic: dimensions, weight systems, decompositions."""
 
+import decimal
 import json
 import math
 from fractions import Fraction
@@ -13,17 +14,21 @@ from tensorstat import (
     AlgebraSpec,
     Branching,
     DecompositionTable,
+    DenominatorVanishesError,
     DomainError,
     EntryCapExceededError,
     build_root_system,
     character_value,
     klimyk_tensor_step,
+    log_characters,
     naive_tensor_decompose,
     second_casimir,
     tensor_power_decompose,
     weight_multiplicities,
     weyl_dimension,
 )
+from tensorstat import charalg
+from tensorstat.charalg import CHARACTER_BUDGET
 
 DIMENSION_ORACLES = [
     ("A1", (1,), 2),
@@ -243,3 +248,90 @@ def test_dimension_identity_totals():
     table = tensor_power_decompose(rs, [((1, 0, 0), 4)])
     total = sum(m * weyl_dimension(rs, lam) for lam, m in table.entries.items())
     assert total == 6**4
+
+
+def _t_with_pairings(rs, pairings):
+    """Root-coordinate t whose simple-root pairings are `pairings`."""
+    return np.linalg.solve(rs.B_f, np.array(pairings, dtype=float))
+
+
+def _exact_log_character(rs, lam, t):
+    """log chi_lambda(e^t) from the weight system in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        # (mu, t) = sum_i mu_i d_i t_i for mu in weight and t in root coordinates
+        coeffs = [Fraction(d) * Fraction(float(x)) for d, x in zip(rs.d, t)]
+        total = decimal.Decimal(0)
+        for mu, m in weight_multiplicities(rs, lam).multiplicities.items():
+            pair = sum(c * mi for c, mi in zip(coeffs, mu))
+            total += m * (decimal.Decimal(pair.numerator) / decimal.Decimal(pair.denominator)).exp()
+        return float(total.ln())
+
+
+# per algebra: simple-root pairings at a wall, a small-regular and a regular t
+EVALUATOR_CASES = {
+    "A2": [(0.3, 0.0), (0.44, 0.15), (0.43, 0.48)],
+    "B2": [(0.0, 0.45), (0.1, 0.42), (0.41, 0.47)],
+    "G2": [(0.0, 0.45), (0.45, 0.1), (0.45, 0.41)],
+    "B3": [(0.41, 0.48, 0.0), (0.19, 0.43, 0.49), (0.41, 0.43, 0.45)],
+}
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["wall", "small", "regular"])
+@pytest.mark.parametrize("algebra", sorted(EVALUATOR_CASES))
+def test_log_characters_match_weight_sum(algebra, kind):
+    rs = build_root_system(algebra)
+    t = _t_with_pairings(rs, EVALUATOR_CASES[algebra][kind])
+    vec = (1,) + (0,) * (rs.rank - 1)
+    lams = [lam for lam, _ in tensor_power_decompose(rs, [(vec, 6)]).sorted_entries()]
+    got = log_characters(rs, lams, t)
+    ref = log_characters(rs, lams, t, method="weight-sum")
+    assert ref.paths == ("weight-sum",) * len(lams)
+    assert got.paths.count("weyl") >= len(lams) // 2
+    for value, bound, path, expect, lam in zip(got.values, got.bounds, got.paths, ref.values, lams):
+        assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect))
+        if path == "weyl":
+            assert bound <= CHARACTER_BUDGET
+            assert abs(value - _exact_log_character(rs, lam, t)) <= bound
+        else:
+            assert bound > CHARACTER_BUDGET
+
+
+def test_log_characters_rows_do_not_depend_on_the_batch():
+    rs = build_root_system("G2")
+    t = _t_with_pairings(rs, (0.0, 0.45))
+    lams = [(0, 0), (1, 0), (0, 3), (2, 1), (5, 2)]
+    batch = log_characters(rs, lams, t).values
+    for lam, value in zip(lams, batch):
+        assert log_characters(rs, [lam], t).values[0] == value
+
+
+def test_log_characters_f4_small_t_skips_the_coset_block(monkeypatch):
+    # with every simple pairing at 0.1 the identity term alone rules the
+    # float sum out, so no rows x |W| block may be formed
+    rs = build_root_system("F4")
+    t = _t_with_pairings(rs, (0.1, 0.1, 0.1, 0.1))
+
+    def no_block(*args):
+        raise AssertionError("rows x cosets block formed")
+
+    monkeypatch.setattr(charalg, "_rowdot", no_block)
+    lams = [(0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0)]
+    got = log_characters(rs, lams, t)
+    assert got.paths == ("weight-sum",) * 3
+    assert np.all(got.bounds > CHARACTER_BUDGET)
+    for lam, value in zip(lams, got.values):
+        assert value == pytest.approx(_exact_log_character(rs, lam, t), rel=1e-13)
+
+
+def test_log_characters_dimension_path_at_zero():
+    rs = build_root_system("B2")
+    got = log_characters(rs, [(0, 0), (2, 1)], np.zeros(2))
+    assert got.paths == ("dimension", "dimension")
+    assert np.exp(got.values).tolist() == pytest.approx([1, weyl_dimension(rs, (2, 1))], rel=1e-15)
+
+
+def test_weyl_quotient_rejects_a_wall_t():
+    rs = build_root_system("A2")
+    with pytest.raises(DenominatorVanishesError):
+        character_value(rs, (1, 0), (0.2, 0.1), method="weyl-quotient")

@@ -245,3 +245,73 @@ def test_no_cache_flag(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     assert code == 0
     assert list(tmp_path.glob("*.json")) == []
+
+
+def test_truncated_cache_is_a_miss_and_is_rewritten(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(tmp_path))
+    args = ["decompose", "--algebra", "A2", "--rep", "1,0", "--power", "4"]
+    assert main(list(args)) == 0
+    fresh = capsys.readouterr().out
+    (path,) = tmp_path.glob("*.json")
+    good = path.read_text()
+    path.write_text(good[: len(good) // 2])
+    assert main(list(args)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == fresh and captured.err == ""
+    assert path.read_text() == good
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
+
+def test_cache_outside_the_support_cone_is_a_consistency_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(tmp_path))
+    args = ["decompose", "--algebra", "A2", "--rep", "1,0", "--power", "3"]
+    assert main(list(args)) == 0
+    capsys.readouterr()
+    (path,) = tmp_path.glob("*.json")
+    payload = json.loads(path.read_text())
+    # (0,3) has the dimension of (3,0), so the dimension identity still
+    # holds, but it does not lie under 3 * (1,0) in the root order
+    payload["entries"] = [[[0, 3] if w == [3, 0] else w, m] for w, m in payload["entries"]]
+    path.write_text(json.dumps(payload))
+    assert main(list(args)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_swapped_factor_order_reuses_the_cache_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(tmp_path))
+    forward = ["decompose", "--algebra", "A2", "--rep", "1,0", "--power", "2", "--rep", "0,1", "--power", "1"]
+    backward = ["decompose", "--algebra", "A2", "--rep", "0,1", "--power", "1", "--rep", "1,0", "--power", "2"]
+    assert main(forward) == 0
+    capsys.readouterr()
+    (path,) = tmp_path.glob("*.json")
+    written = path.read_bytes()
+    stamp = path.stat().st_mtime_ns
+    assert main(backward) == 0
+    hit = json.loads(capsys.readouterr().out)
+    assert main(backward + ["--no-cache"]) == 0
+    assert hit == json.loads(capsys.readouterr().out)
+    assert hit["problem"] == [[[0, 1], 1], [[1, 0], 2]]
+    assert list(tmp_path.glob("*.json")) == [path]
+    assert path.read_bytes() == written and path.stat().st_mtime_ns == stamp
+
+
+def test_unwritable_output_is_exit_3(capsys, tmp_path):
+    target = tmp_path / "missing" / "table.json"
+    code = main(["decompose", "--algebra", "A1", "--rep", "1", "--power", "2", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: FileNotFoundError") and captured.err.count("\n") == 1
+
+
+def test_unusable_cache_dir_is_exit_3(capsys, tmp_path, monkeypatch):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(blocker / "cache"))
+    code = main(["decompose", "--algebra", "A1", "--rep", "1", "--power", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
