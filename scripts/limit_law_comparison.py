@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Total-variation distance between rescaled character measures and their limits.
 
-Three regimes on A1 (one per limit law) plus the A2 chambered law; grids are
-aligned with the rescaled weight lattice so the numbers measure weak
-convergence rather than binning artifacts.
+Three regimes on A1 (one per limit law) plus the A2 chambered law, each on
+the default comparison grid of weak_convergence_distance: aligned with the
+rescaled weight lattice, so the numbers measure weak convergence rather
+than binning artifacts.
 """
 
 import argparse
@@ -14,26 +15,18 @@ from tensorstat import (
     AlgebraSpec,
     build_root_system,
     character_measure,
-    lattice_aligned_edges,
+    hessian_at_origin,
     tensor_power_decompose,
+    tensor_problem,
     weak_convergence_distance,
 )
 
 
-def aligned_tv(rs, rep, n, kind, t=None, cover_hi=5.0):
+def limit_tv(rs, rep, n, kind, t=None):
     table = tensor_power_decompose(rs, [(rep, n)])
     scaling_kind = "gaussian" if kind == "gaussian" else "bulk"
     m = character_measure(table, t=t, with_asymptotics=False, scaling_kind=scaling_kind)
-    pts = np.array([row.scaled for row in m.rows])
-    spacing = min(
-        float(np.min(np.diff(np.unique(pts[:, ax])))) for ax in range(pts.shape[1])
-    )
-    if kind == "gaussian":
-        cover = [(-cover_hi, cover_hi)] * rs.rank
-    else:
-        cover = [(0.0, cover_hi)] * rs.rank
-    edges = lattice_aligned_edges(pts, spacing, cells_per=2, cover=cover)
-    return weak_convergence_distance(m, kind, edges=edges).tv
+    return weak_convergence_distance(m, kind).tv
 
 
 def main() -> None:
@@ -49,25 +42,23 @@ def main() -> None:
     print(f"{'law':>22} {'algebra':>8} " + " ".join(f"N={n:<6}" for n in powers))
 
     rows = []
-    rows.append(("plancherel (t = 0)", "A1", [aligned_tv(a1, (1,), n, "plancherel") for n in powers]))
+    rows.append(("plancherel (t = 0)", "A1", [limit_tv(a1, (1,), n, "plancherel") for n in powers]))
     rows.append(
         (
             "gaussian (fixed t)",
             "A1",
-            [aligned_tv(a1, (1,), n, "gaussian", t=np.array([0.5])) for n in powers],
+            [limit_tv(a1, (1,), n, "gaussian", t=np.array([0.5])) for n in powers],
         )
     )
     inter = []
     for n in powers:
         # t shrinks like sqrt(eps): the chamber law deforms but never freezes
-        from tensorstat import hessian_at_origin, tensor_problem
-
         problem = tensor_problem(a1, [((1,), n)])
         x, _ = hessian_at_origin(problem)
         t = np.array([args.u * np.sqrt(problem.epsilon / x)])
-        inter.append(aligned_tv(a1, (1,), n, "intermediate", t=t))
+        inter.append(limit_tv(a1, (1,), n, "intermediate", t=t))
     rows.append((f"intermediate (u = {args.u})", "A1", inter))
-    rows.append(("plancherel (t = 0)", "A2", [aligned_tv(a2, (1, 0), n, "plancherel") for n in powers if n <= 200]))
+    rows.append(("plancherel (t = 0)", "A2", [limit_tv(a2, (1, 0), n, "plancherel") for n in powers if n <= 200]))
 
     for name, algebra, tvs in rows:
         cells = " ".join(f"{tv:<8.4f}" for tv in tvs)

@@ -60,7 +60,6 @@ from .measures import (
     bulk_scaling,
     character_measure,
     character_probabilities,
-    default_edges,
     gaussian_scaling,
     lattice_aligned_edges,
     plancherel_measure,

@@ -37,7 +37,6 @@ from .markov import evolve_exact, sample_paths
 from .measures import (
     character_measure,
     character_probabilities,
-    lattice_aligned_edges,
     plancherel_measure,
     weak_convergence_distance,
 )
@@ -289,23 +288,10 @@ def criterion_7() -> CriterionResult:
     )
 
 
-def _min_gap_spacing(points: np.ndarray) -> float:
-    spacing = math.inf
-    for ax in range(points.shape[1]):
-        u = np.unique(points[:, ax])
-        gaps = np.diff(u)
-        gaps = gaps[gaps > 1e-9]
-        if gaps.size:
-            spacing = min(spacing, float(np.min(gaps)))
-    return spacing
-
-
 def _chambered_tv(rs, rep, n_power, kind, t=None) -> float:
     table = tensor_power_decompose(rs, [(rep, n_power)])
     m = character_measure(table, t=t, with_asymptotics=False, scaling_kind="bulk")
-    pts = np.array([row.scaled for row in m.rows])
-    edges = lattice_aligned_edges(pts, _min_gap_spacing(pts), cells_per=2, cover=[(0.0, 5.0)] * rs.rank)
-    return weak_convergence_distance(m, kind, edges=edges).tv
+    return weak_convergence_distance(m, kind).tv
 
 
 def criterion_8() -> CriterionResult:
@@ -328,16 +314,10 @@ def criterion_9() -> CriterionResult:
     for n_power in (100, 200, 400):
         table = tensor_power_decompose(rs, [((1,), n_power)])
         m = character_measure(table, t=t, with_asymptotics=False)
-        pts = np.array([row.scaled for row in m.rows])
-        problem = tensor_problem(rs, table.problem)
-        _, _, hess = f_grad_hess(problem, np.asarray(t))
-        K = rs.B_f @ np.linalg.solve(hess, rs.B_f)
-        cov = np.linalg.inv(0.5 * (K + K.T))
-        cover = [(-5 * math.sqrt(cov[a, a]), 5 * math.sqrt(cov[a, a])) for a in range(rs.rank)]
-        edges = lattice_aligned_edges(pts, _min_gap_spacing(pts), cells_per=2, cover=cover)
-        tvs.append(weak_convergence_distance(m, "gaussian", edges=edges).tv)
+        tvs.append(weak_convergence_distance(m, "gaussian").tv)
 
         best = max(m.rows, key=lambda row: row.probability)
+        problem = tensor_problem(rs, table.problem)
         eta = forward_dual(problem, np.asarray(t))
         xi_mode = problem.epsilon * np.array([float(v) for v in rs.root_coords(best.weight)])
         if float(np.max(np.abs(xi_mode - eta))) > 2.0 / n_power:
@@ -415,7 +395,7 @@ def criterion_11() -> CriterionResult:
 
 
 def criterion_12() -> CriterionResult:
-    """Every measure sums to one; every decomposition preserves dimension."""
+    """Measures sum to one; decompositions preserve dimension and stay in the support cone."""
     start = time.time()
     worst = 0.0
     count = 0
@@ -428,7 +408,10 @@ def criterion_12() -> CriterionResult:
     for name, factors, t_values in cases:
         rs = _rs(name)
         table = tensor_power_decompose(rs, factors)
-        table.check_dimension_identity()
+        if not (table.check_dimension_identity() and table.check_support_in_cone()):
+            return CriterionResult(
+                12, "conservation laws", False, f"{name} dimension identity or support cone", time.time() - start
+            )
         exact = plancherel_measure(table)
         if sum(exact.values()) != Fraction(1):
             return CriterionResult(12, "conservation laws", False, f"{name} exact sum", time.time() - start)
@@ -437,7 +420,7 @@ def criterion_12() -> CriterionResult:
             worst = max(worst, abs(sum(probs.values()) - 1.0))
             count += 1
     passed = worst <= 1e-12
-    detail = f"{count} measures, worst |1-sum| = {worst:.1e}; dimension identities exact"
+    detail = f"{count} measures, worst |1-sum| = {worst:.1e}; dimension identities exact, support in cone"
     return CriterionResult(12, "conservation laws", passed, detail, time.time() - start)
 
 

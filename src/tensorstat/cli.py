@@ -230,7 +230,7 @@ def _cmd_limit_compare(args) -> int:
     kind = args.kind
     scaling_kind = "gaussian" if kind == "gaussian" else "bulk"
     m = character_measure(table, t=t, epsilon=args.epsilon, with_asymptotics=False, scaling_kind=scaling_kind)
-    report = weak_convergence_distance(m, kind, cells=args.cells)
+    report = weak_convergence_distance(m, kind)
     payload = {
         "algebra": args.algebra,
         "kind": kind,
@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", help="temperature, comma-separated root-basis reals")
     p.add_argument("--t-basis", choices=("root", "weight"), default="root")
     p.add_argument("--kind", choices=("gaussian", "plancherel", "intermediate"), required=True)
-    p.add_argument("--cells", type=int, default=40)
 
     p = sub.add_parser("sample", parents=[common], help="Markov chain Monte Carlo endpoint measure")
     _add_problem_arguments(p)

@@ -26,7 +26,7 @@ from .errors import (
     NonRegularError,
 )
 from .numerics import logsumexp
-from .rootsys import RootSystem, build_root_system, enumerate_weyl_group
+from .rootsys import RootSystem, build_root_system
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,6 @@ def limit_density(
     points,
     K=None,
     u=None,
-    weyl_cap: int = 10**6,
 ) -> np.ndarray:
     """Evaluate a limit density at an array of root-coordinate points.
 
@@ -344,9 +343,8 @@ def limit_density(
         u_pair = rs.pos_pairing_f @ u
         if np.any(u_pair <= 0):
             raise NonRegularError("u must be strictly inside the dominant chamber")
-        W = enumerate_weyl_group(rs, cap=weyl_cap)
-        wu = np.stack([w.action_f @ u for w in W])  # (|W|, r)
-        parities = np.array([w.parity for w in W], dtype=float)
+        actions, parities = rs.weyl_actions
+        wu = actions @ u  # (|W|, r)
         pair = pts @ rs.pos_pairing_f.T
         inside = np.all(pair > -1e-12, axis=1)
         quad_b = np.einsum("ij,jk,ik->i", pts, rs.B_f, pts)

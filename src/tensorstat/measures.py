@@ -41,7 +41,7 @@ from .legendre import (
     tensor_problem,
 )
 from .numerics import cell_integrals
-from .rootsys import AlgebraSpec, RootSystem, build_root_system, reflect_to_chamber
+from .rootsys import AlgebraSpec, build_root_system, reflect_to_chamber
 
 
 def plancherel_measure(table: DecompositionTable) -> dict[Weight, Fraction]:
@@ -96,8 +96,12 @@ class Scaling:
 
 
 def gaussian_scaling(problem: TensorProblem, t) -> Scaling:
-    """Fluctuation coordinates a = (eps lam - eta) / sqrt(eps) around the mean eta."""
-    t = np.zeros(problem.rs.rank) if t is None else np.asarray(t, dtype=float)
+    """Fluctuation coordinates a = (eps lam - eta) / sqrt(eps) around the mean eta.
+
+    eta is taken at t's chamber representative: the measure is
+    W-invariant, and its mean sits in the dominant chamber.
+    """
+    t = np.zeros(problem.rs.rank) if t is None else reflect_to_chamber(problem.rs, t)[0]
     eta = forward_dual(problem, t)
     eps = problem.epsilon
     return Scaling(epsilon=eps, x_scalar=None, center=tuple(eta / eps), spread=math.sqrt(eps))
@@ -283,23 +287,6 @@ def character_measure(
     return assemble_measure_table(problem, probs, t, with_asymptotics, scaling_kind)
 
 
-def default_edges(kind: str, rs: RootSystem, K=None, cells: int = 40) -> list[np.ndarray]:
-    """Documented default comparison grid, 40 cells per axis.
-
-    Gaussian comparisons span +-5 marginal standard deviations read off
-    K^{-1}; chamber-supported comparisons span [0, 5] per root coordinate
-    (the dominant cone sits inside the positive orthant because C^{-1} is
-    entrywise positive).
-    """
-    if kind == "gaussian":
-        cov = np.linalg.inv(np.asarray(K, dtype=float))
-        return [
-            np.linspace(-5.0 * math.sqrt(cov[a, a]), 5.0 * math.sqrt(cov[a, a]), cells + 1)
-            for a in range(rs.rank)
-        ]
-    return [np.linspace(0.0, 5.0, cells + 1) for _ in range(rs.rank)]
-
-
 def lattice_aligned_edges(
     scaled_points: np.ndarray, spacing: float, cells_per: int = 2, cover=None
 ) -> list[np.ndarray]:
@@ -342,64 +329,69 @@ def weak_convergence_distance(
     m: MeasureTable,
     kind: str,
     edges=None,
-    cells: int = 40,
     quad_tol: float = 1e-9,
     coverage_tol: float = 1e-6,
 ) -> WeakConvergenceReport:
     """Total-variation distance between binned exact and limit measures.
 
     The measure's scaled coordinates are binned over a rectangular grid
-    (given edges, or the documented default) and compared against cell
-    integrals of the matching limit density: kind "gaussian" with the
-    precision matrix at the measure's t, "plancherel" at t = 0, or
-    "intermediate" with u recovered from t.  The measure must carry the
-    scaling of the requested regime.  Mass outside the grid counts in
-    full toward the distance.
+    and compared against cell integrals of the matching limit density:
+    kind "gaussian" with the precision matrix at the measure's t,
+    "plancherel" at t = 0, or "intermediate" with u recovered from t (t
+    is first reflected into the dominant chamber; the measure is
+    invariant).  The measure must carry the scaling of the requested
+    regime.  Mass outside the grid counts in full toward the distance.
+
+    Without edges the grid is lattice aligned, two lattice columns per
+    cell: highest weights of one problem differ by root-lattice vectors,
+    integers in root coordinates, so scaled points sit on a lattice of
+    spacing m.scaling.spread.  It also covers the limit law's tail beyond
+    s = sqrt(2 ln 1e9), where e^{-s^2/2} = 1e-9: |z| >= sqrt(r) + s for the
+    Gaussian, and |b|_B >= sqrt(dim g) + |u|_B + s for the chamber laws,
+    whose radial part is the norm of a shifted Gaussian element of g;
+    Cauchy-Schwarz in B turns these into per-coordinate bounds.
     """
     rs = build_root_system(AlgebraSpec.parse(m.algebra))
     problem = tensor_problem(rs, m.problem, m.epsilon)
     eps = m.epsilon
-    t_arr = None if m.t is None else np.asarray(m.t, dtype=float)
-    K = None
+    t_dom = None if m.t is None else reflect_to_chamber(rs, m.t)[0]
+    tail = math.sqrt(2.0 * math.log(1e9))
+    K = u = None
 
     if kind == "gaussian":
         if m.scaling.x_scalar is not None:
             raise DomainError("gaussian comparison needs a measure in fluctuation coordinates")
-        tt = np.zeros(rs.rank) if t_arr is None else t_arr
+        tt = np.zeros(rs.rank) if t_dom is None else t_dom
         _, _, hess = f_grad_hess(problem, tt)
         K = rs.B_f @ np.linalg.solve(hess, rs.B_f)
         K = 0.5 * (K + K.T)
-
-        def density(pts):
-            return limit_density(rs, "gaussian", pts, K=K)
-
-    elif kind == "plancherel":
-        if t_arr is not None:
-            raise DomainError("plancherel comparison requires t = 0")
+        half = (math.sqrt(rs.rank) + tail) * np.sqrt(np.diag(np.linalg.inv(K)))
+        cover = [(-h, h) for h in half]
+    elif kind in ("plancherel", "intermediate"):
         if m.scaling.x_scalar is None:
-            raise DomainError("plancherel comparison needs a measure in semiclassical coordinates")
-
-        def density(pts):
-            return limit_density(rs, "plancherel", pts)
-
-    elif kind == "intermediate":
-        if t_arr is None:
-            raise DomainError("intermediate comparison needs a nonzero t")
-        if m.scaling.x_scalar is None:
-            raise DomainError("intermediate comparison needs a measure in semiclassical coordinates")
-        u = t_arr * math.sqrt(m.scaling.x_scalar / eps)
-
-        def density(pts):
-            return limit_density(rs, "intermediate", pts, u=u)
-
+            raise DomainError(f"{kind} comparison needs a measure in semiclassical coordinates")
+        if kind == "plancherel":
+            if t_dom is not None:
+                raise DomainError("plancherel comparison requires t = 0")
+            u = np.zeros(rs.rank)
+        else:
+            if t_dom is None:
+                raise DomainError("intermediate comparison needs a nonzero t")
+            u = t_dom * math.sqrt(m.scaling.x_scalar / eps)
+        dim_g = rs.rank + 2 * rs.n_positive
+        radius = math.sqrt(dim_g) + math.sqrt(float(u @ rs.B_f @ u)) + tail
+        cover = [(0.0, h) for h in radius * np.sqrt(np.diag(np.linalg.inv(rs.B_f)))]
     else:
         raise ValueError(f"unknown comparison kind {kind!r}")
+
+    def density(pts):
+        return limit_density(rs, kind, pts, K=K, u=u)
 
     pvals = np.array([row.probability for row in m.rows])
     scaled = np.array([row.scaled for row in m.rows])
 
     if edges is None:
-        edges = default_edges(kind, rs, K=K, cells=cells)
+        edges = lattice_aligned_edges(scaled, m.scaling.spread, cells_per=2, cover=cover)
     edges = [np.asarray(e, dtype=float) for e in edges]
     shape = tuple(len(e) - 1 for e in edges)
 

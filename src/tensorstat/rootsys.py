@@ -480,10 +480,6 @@ class WeylElement:
     parity: int
     action: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def action_f(self) -> np.ndarray:
-        return np.array(self.action, dtype=float)
-
     def apply_root(self, x):
         """Act on a vector in root coordinates (exact for int/Fraction)."""
         return tuple(sum(self.action[i][j] * x[j] for j in range(len(x))) for i in range(len(x)))

@@ -9,6 +9,7 @@ criterion implementations in tensorstat.acceptance.
 import pytest
 
 from tensorstat import acceptance
+from tensorstat.charalg import DecompositionTable
 
 
 def _check(index):
@@ -70,3 +71,13 @@ def test_criterion_12_measure_normalization_and_dimensions():
 def test_registry_names_are_stable(index):
     fn = acceptance.ALL_CRITERIA[index]
     assert callable(fn)
+
+
+def test_criterion_12_fails_on_a_broken_dimension_identity(monkeypatch):
+    monkeypatch.setattr(DecompositionTable, "check_dimension_identity", lambda self: False)
+    assert acceptance.criterion_12().passed is False
+
+
+def test_criterion_12_fails_outside_the_support_cone(monkeypatch):
+    monkeypatch.setattr(DecompositionTable, "check_support_in_cone", lambda self: False)
+    assert acceptance.criterion_12().passed is False

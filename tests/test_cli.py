@@ -5,6 +5,13 @@ import math
 
 import pytest
 
+from tensorstat import (
+    AlgebraSpec,
+    build_root_system,
+    character_measure,
+    tensor_power_decompose,
+    weak_convergence_distance,
+)
 from tensorstat.cli import main
 
 
@@ -113,16 +120,47 @@ def test_asymptotic_per_weight_table(capsys):
     assert len(lines) == 1 + 7  # weights 12, 10, ..., 0
 
 
-def test_limit_compare_report(capsys):
-    code, out = run_cli(
-        capsys,
-        "limit-compare", "--algebra", "A1", "--rep", "1", "--power", "60",
-        "--kind", "plancherel",
-    )
+def _check_limit_compare(capsys, algebra, rep, power, kind, t=None):
+    """The CLI exits 0 on its own grid, covers the limit law, and agrees with the library."""
+    argv = ["limit-compare", "--no-cache", "--algebra", algebra, "--rep", rep,
+            "--power", str(power), "--kind", kind]
+    if t is not None:
+        argv += ["--t", t]
+    code, out = run_cli(capsys, *argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["kind"] == "plancherel"
-    assert 0 <= payload["tv"] <= 1
+    assert payload["kind"] == kind
+    assert payload["limit_mass_in_grid"] >= 1 - 1e-6
+    rs = build_root_system(AlgebraSpec.parse(algebra))
+    table = tensor_power_decompose(rs, [(tuple(int(c) for c in rep.split(",")), power)])
+    t_vec = None if t is None else [float(v) for v in t.split(",")]
+    scaling_kind = "gaussian" if kind == "gaussian" else "bulk"
+    m = character_measure(table, t=t_vec, with_asymptotics=False, scaling_kind=scaling_kind)
+    library = weak_convergence_distance(m, kind)
+    assert payload["tv"] == pytest.approx(library.tv, rel=1e-12)
+    assert payload["cells"] == list(library.cells)
+    return payload
+
+
+def test_limit_compare_report(capsys):
+    # the lattice-aligned grid: a lattice-blind one reported 0.44 here
+    payload = _check_limit_compare(capsys, "A1", "1", 40, "plancherel")
+    assert payload["tv"] == pytest.approx(0.0106, abs=5e-4)
+
+
+@pytest.mark.parametrize(
+    "algebra, rep, power, kind, t, tv",
+    [
+        ("A2", "1,0", 30, "plancherel", None, 0.1010),
+        ("B2", "0,1", 30, "plancherel", None, 0.0515),
+        ("G2", "1,0", 20, "plancherel", None, 0.0492),
+        ("A2", "1,0", 30, "gaussian", "1,1", 0.2347),
+        ("A2", "1,0", 30, "intermediate", "0.05,0.04", 0.1017),
+    ],
+)
+def test_limit_compare_rank2(capsys, algebra, rep, power, kind, t, tv):
+    payload = _check_limit_compare(capsys, algebra, rep, power, kind, t)
+    assert payload["tv"] == pytest.approx(tv, abs=5e-4)
 
 
 def test_sample_reports_tv_against_exact(capsys, tmp_path):

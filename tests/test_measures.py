@@ -14,7 +14,6 @@ from tensorstat import (
     bulk_scaling,
     character_measure,
     character_probabilities,
-    default_edges,
     gaussian_scaling,
     lattice_aligned_edges,
     plancherel_measure,
@@ -93,14 +92,6 @@ def test_measure_rows_sorted_and_scaled(a1):
     assert scaled == sorted(scaled)
 
 
-def test_default_edges_cover_origin(a2):
-    edges = default_edges("plancherel", a2)
-    assert len(edges) == 2
-    for e in edges:
-        assert e[0] <= 0 <= e[-1]
-        assert np.all(np.diff(e) > 0)
-
-
 def test_lattice_aligned_edges_properties():
     pts = (0.35 + 0.5 * np.arange(6))[:, None]
     edges = lattice_aligned_edges(pts, 0.5, cells_per=2)
@@ -165,6 +156,48 @@ def test_weak_convergence_report_fields(a1):
     assert rep.exact_mass_in_grid == pytest.approx(1.0, abs=1e-6)
     assert 0.9 < rep.limit_mass_in_grid <= 1.0 + 1e-9
     assert len(rep.cells) == 1 and rep.cells[0] >= 10
+
+
+def test_default_grid_matches_hand_aligned_grid(a1):
+    # the default grid is the lattice-aligned one, with spacing read off the scaling
+    m = character_measure(tensor_power_decompose(a1, [((1,), 80)]))
+    pts = np.array([r.scaled for r in m.rows])
+    spacing = float(np.min(np.diff(np.unique(pts[:, 0]))))
+    assert spacing == pytest.approx(m.scaling.spread, rel=1e-9)
+    edges = lattice_aligned_edges(pts, spacing, cells_per=2, cover=[(0.0, 5.0)])
+    hand = weak_convergence_distance(m, "plancherel", edges=edges)
+    rep = weak_convergence_distance(m, "plancherel")
+    assert rep.tv == pytest.approx(hand.tv, rel=1e-9)
+    assert rep.limit_mass_in_grid >= 1 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, rep, power, t_gauss, t_inter",
+    [("A1", (1,), 60, [0.5], [0.1]), ("A2", (1, 0), 20, [0.3, 0.1], [0.05, 0.04])],
+)
+def test_scaling_and_tv_constant_on_weyl_orbit_of_t(name, rep, power, t_gauss, t_inter):
+    # the measure is W-invariant in t (for A1, t and -t), so its scaled
+    # column and its distances to the limit laws are too
+    rs = build_root_system(AlgebraSpec.parse(name))
+    table = tensor_power_decompose(rs, [(rep, power)])
+    actions, _ = rs.weyl_actions
+    ref = None
+    for w in actions:
+        gauss = character_measure(table, t=w @ np.asarray(t_gauss), with_asymptotics=False)
+        bulk = character_measure(table, t=w @ np.asarray(t_inter), with_asymptotics=False, scaling_kind="bulk")
+        got = (
+            [r.probability for r in gauss.rows],
+            np.array([r.scaled for r in gauss.rows]),
+            weak_convergence_distance(gauss, "gaussian").tv,
+            weak_convergence_distance(bulk, "intermediate").tv,
+        )
+        if ref is None:
+            ref = got
+            continue
+        assert got[0] == pytest.approx(ref[0], rel=1e-12)
+        assert np.allclose(got[1], ref[1], rtol=0, atol=1e-12)
+        assert got[2] == pytest.approx(ref[2], rel=1e-9)
+        assert got[3] == pytest.approx(ref[3], rel=1e-9)
 
 
 def test_asymptotics_column_filled(a1):
