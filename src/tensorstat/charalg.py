@@ -24,6 +24,7 @@ from .errors import (
 )
 from .numerics import logsumexp
 from .rootsys import (
+    _MAX_WEYL_ORDER,
     RootSystem,
     build_root_system,
     dominant_reflect,
@@ -212,8 +213,6 @@ def log_characters(rs: RootSystem, lams, t, method: str = "auto") -> CharacterLo
 # largest error |computed - exact| in log chi a float Weyl row may carry;
 # past it the row is a Freudenthal weight sum
 CHARACTER_BUDGET = 1e-11
-# Weyl groups above this order are not stacked: every row is a weight sum
-_MAX_WEYL_ORDER = 10**6
 # entries of one rows x cosets block
 _BLOCK_ENTRIES = 2**20
 _EPS = float(np.finfo(float).eps)
@@ -405,7 +404,7 @@ class CharacterPlan:
     def _cosets(self) -> _Cosets | None:
         rs = self.rs
         if weyl_group_order(rs.spec) > _MAX_WEYL_ORDER:
-            return None
+            return None  # W is not stacked: every row is a weight sum
         r = rs.rank
         t, eta = reflect_to_chamber(rs, self.t)
         pair = rs.B_f @ t

@@ -13,6 +13,7 @@ atomically and validated when read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -244,9 +245,18 @@ def _cmd_limit_compare(args) -> int:
     return 0
 
 
+def _single_rep(args) -> tuple[int, ...]:
+    """The factor of a one-factor command; a second --rep is an error, not ignored."""
+    if len(args.rep) > 1:
+        raise DomainError(f"{args.command} takes one --rep, got {len(args.rep)}")
+    return _parse_int_vector(args.rep[0])
+
+
 def _cmd_sample(args) -> int:
     rs = build_root_system(AlgebraSpec.parse(args.algebra))
-    rep = _parse_int_vector(args.rep[0])
+    rep = _single_rep(args)
+    if args.power:
+        raise DomainError("sample takes no --power; the walk length is --steps")
     t = _resolve_t(rs, args)
     keep = args.paths is not None
     empirical, trajectories = sample_paths(
@@ -276,7 +286,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_pde_check(args) -> int:
     rs = build_root_system(AlgebraSpec.parse(args.algebra))
-    rep = _parse_int_vector(args.rep[0])
+    rep = _single_rep(args)
+    if args.power and len(args.power) > 1:
+        raise DomainError(f"pde-check takes at most one --power, got {len(args.power)}")
     n = args.power[0] if args.power else 10
     problem = tensor_problem(rs, [(rep, n)], args.epsilon)
     lines = ["y,xi,residual,fd_deviation"]
@@ -310,7 +322,7 @@ def _cmd_hook_check(args) -> int:
                 checked += 1
                 if hook_multiplicity(n, partition_from_weight(n, lam, big_n)) != mult:
                     failures += 1
-    print(f"hook-check: {checked} multiplicities, {failures} mismatches")
+    _emit(f"hook-check: {checked} multiplicities, {failures} mismatches\n", args)
     if failures:
         raise InternalConsistencyError(f"{failures} hook mismatches")
     return 0
@@ -320,11 +332,12 @@ def _cmd_selftest(args) -> int:
     indices = None
     if args.criteria:
         indices = [int(c) for c in args.criteria.split(",")]
-    results = acceptance.run(indices)
+    with open(args.output, "w") if args.output else contextlib.nullcontext() as stream:
+        results = acceptance.run(indices, stream=stream)
     return 0 if all(r.passed for r in results) else CONSISTENCY_ERROR
 
 
-def _add_problem_arguments(sub, multi_rep: bool = True) -> None:
+def _add_problem_arguments(sub) -> None:
     sub.add_argument("--algebra", required=True, help="family plus rank, e.g. A2, B2, G2")
     sub.add_argument(
         "--rep",

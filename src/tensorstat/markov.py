@@ -25,9 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charalg import Branching, CharacterPlan, Weight, weyl_dimension
+from .charalg import Branching, CharacterPlan, Weight, weight_multiplicities, weyl_dimension
 from .errors import DomainError, InternalConsistencyError
-from .legendre import TensorProblem, tensor_problem
+from .legendre import tensor_problem
 from .measures import MeasureRow, MeasureTable, Scaling, assemble_measure_table
 from .rootsys import RootSystem
 
@@ -69,10 +69,12 @@ def trajectories_to_jsonl(trajectories) -> str:
 class TransitionKernel:
     """Memoizing view of the kernel for one (algebra, V, t).
 
-    Rows are built on demand from one Branching for V and cached; the
-    kernel is not thread-safe.  States are interned to integer ids; rows
-    keep both the public (weight, probability) form and cdf arrays for
-    sampling.
+    States are interned to integer ids.  Row sid is stored once, in three
+    aligned tables of one row per state: target ids (sorted by weight,
+    padded with -1), their probabilities, and their cumulative sums
+    (padded with 2.0, above every uniform); an unbuilt row holds only
+    pads.  Exact evolution, sampling and row() read these tables.  Rows are built on demand from one Branching
+    for V; the kernel is not thread-safe.
     """
 
     def __init__(self, rs: RootSystem, rep, t=None):
@@ -88,8 +90,11 @@ class TransitionKernel:
         self._branching = Branching(rs, self.rep)
         self._states: list[Weight] = []
         self._state_ids: dict[Weight, int] = {}
-        self._rows: dict[int, TransitionRow] = {}
-        self._cdfs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # a row has at most one target per weight of V
+        shape = (64, len(weight_multiplicities(rs, self.rep).multiplicities))
+        self._targets = np.full(shape, -1, dtype=np.int64)
+        self._probs = np.zeros(shape)
+        self._cdf = np.full(shape, 2.0)
         self._log_chi: dict[Weight, float] = {}
         self._dim_v = weyl_dimension(rs, self.rep)
         if t_arr is None:
@@ -105,10 +110,20 @@ class TransitionKernel:
             sid = len(self._states)
             self._states.append(lam)
             self._state_ids[lam] = sid
+            if sid == len(self._targets):  # double the tables; new rows hold the pads
+                self._targets, self._probs, self._cdf = (
+                    np.concatenate([table, np.full_like(table, pad)])
+                    for table, pad in ((self._targets, -1), (self._probs, 0.0), (self._cdf, 2.0))
+                )
         return sid
 
     def state(self, sid: int) -> Weight:
         return self._states[sid]
+
+    def _build_rows(self, sids: np.ndarray) -> None:
+        """Build the rows not built yet among the given state ids."""
+        for sid in np.unique(sids[self._targets[sids, 0] < 0]).tolist():
+            self._build_row(self._states[sid], sid)
 
     def _log_chi_at(self, lams) -> list[float]:
         """log chi(e^t) per weight; the unseen ones are evaluated in one batch."""
@@ -123,20 +138,12 @@ class TransitionKernel:
         if len(source) != self.rs.rank or not self.rs.is_dominant(source):
             raise DomainError(f"source state {source} is not a dominant weight")
         sid = self.state_id(source)
-        row = self._rows.get(sid)
-        if row is None:
-            row = self._build_row(source, sid)
-        return row
+        self._build_rows(np.array([sid]))
+        n = int(np.count_nonzero(self._targets[sid] >= 0))
+        targets = [self._states[i] for i in self._targets[sid, :n].tolist()]
+        return TransitionRow(source, tuple(zip(targets, self._probs[sid, :n].tolist())))
 
-    def row_cdf(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
-        """(target state ids, cumulative probabilities) for a known state id."""
-        cdf = self._cdfs.get(sid)
-        if cdf is None:
-            self._build_row(self._states[sid], sid)
-            cdf = self._cdfs[sid]
-        return cdf
-
-    def _build_row(self, source: Weight, sid: int) -> TransitionRow:
+    def _build_row(self, source: Weight, sid: int) -> None:
         branches = self._branching.row(source)
         targets = sorted(branches)
         if self._t_arr is None:
@@ -164,13 +171,13 @@ class TransitionKernel:
                     f"transition row from {source} sums to {total}, expected 1"
                 )
             probs = probs / total
-        row = TransitionRow(source, tuple(zip(targets, (float(p) for p in probs))))
-        cdf = np.cumsum(probs)
-        cdf[-1] = 1.0
-        target_ids = np.array([self.state_id(mu) for mu in targets], dtype=np.int64)
-        self._rows[sid] = row
-        self._cdfs[sid] = (target_ids, cdf)
-        return row
+        # interning may grow the tables, so it precedes the writes
+        target_ids = [self.state_id(mu) for mu in targets]
+        n = len(target_ids)
+        self._targets[sid, :n] = target_ids
+        self._probs[sid, :n] = probs
+        self._cdf[sid, :n] = np.cumsum(probs)
+        self._cdf[sid, n - 1] = 1.0
 
 
 def transition_row(rs: RootSystem, rep, t, source) -> TransitionRow:
@@ -178,15 +185,19 @@ def transition_row(rs: RootSystem, rep, t, source) -> TransitionRow:
     return TransitionKernel(rs, rep, t).row(source)
 
 
-def _point_mass_table(rs: RootSystem, rep, epsilon: float | None) -> MeasureTable:
+def _endpoint_table(kernel: TransitionKernel, N: int, dist, epsilon, with_asymptotics) -> MeasureTable:
+    """Measure table of the law dist (weight -> probability) after N steps."""
+    if N > 0:
+        problem = tensor_problem(kernel.rs, [(kernel.rep, N)], epsilon)
+        return assemble_measure_table(problem, dist, kernel.t, with_asymptotics, "auto")
     # zero tensor factors: the chain has not moved, no rescaling applies
+    rank = kernel.rs.rank
     eps = 1.0 if epsilon is None else float(epsilon)
-    zero = (0,) * rs.rank
-    scaling = Scaling(epsilon=eps, x_scalar=None, center=(0.0,) * rs.rank, spread=1.0)
-    row = MeasureRow(zero, 1.0, math.nan, (0.0,) * rs.rank)
+    scaling = Scaling(epsilon=eps, x_scalar=None, center=(0.0,) * rank, spread=1.0)
+    row = MeasureRow((0,) * rank, 1.0, math.nan, (0.0,) * rank)
     return MeasureTable(
-        algebra=str(rs.spec),
-        problem=((tuple(int(c) for c in rep), 0),),
+        algebra=str(kernel.rs.spec),
+        problem=((kernel.rep, 0),),
         t=None,
         epsilon=eps,
         scaling=scaling,
@@ -210,42 +221,35 @@ def evolve_exact(
     """
     if N < 0:
         raise DomainError("step count must be nonnegative")
-    if N == 0:
-        return _point_mass_table(rs, rep, epsilon)
     kernel = TransitionKernel(rs, rep, t)
-    dist: dict[Weight, float] = {(0,) * rs.rank: 1.0}
+    sids = np.array([kernel.state_id((0,) * rs.rank)])
+    probs = np.ones(1)
     for _ in range(N):
-        out: dict[Weight, float] = {}
-        for lam, p in dist.items():
-            for mu, q in kernel.row(lam).targets:
-                out[mu] = out.get(mu, 0.0) + p * q
-        dist = out
-    problem = tensor_problem(rs, [(kernel.rep, N)], epsilon)
-    return assemble_measure_table(problem, dist, kernel.t, with_asymptotics, "auto")
-
-
-def _chain_uniforms(seed: int, chain: int, n: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, chain], dtype=np.uint64)))
-    return gen.random(n)
+        # one sparse mat-vec; a target reached with zero mass stays in the support
+        kernel._build_rows(sids)
+        targets = kernel._targets[sids]
+        reached = targets >= 0
+        flat = targets[reached]
+        mass = np.bincount(flat, weights=(probs[:, None] * kernel._probs[sids])[reached])
+        sids = np.unique(flat)
+        probs = mass[sids]
+    dist = dict(zip(map(kernel.state, sids.tolist()), probs.tolist()))
+    return _endpoint_table(kernel, N, dist, epsilon, with_asymptotics)
 
 
 def _run_block(kernel: TransitionKernel, seed: int, lo: int, hi: int, N: int, keep_paths: bool):
-    nb = hi - lo
-    uniforms = np.empty((nb, N))
-    for j in range(nb):
-        uniforms[j] = _chain_uniforms(seed, lo + j, N)
-    ids = np.full(nb, kernel.state_id((0,) * kernel.rs.rank), dtype=np.int64)
-    paths = np.zeros((nb, N + 1), dtype=np.int64) if keep_paths else None
-    if keep_paths:
-        paths[:, 0] = ids
+    uniforms = np.empty((hi - lo, N))
+    for j in range(hi - lo):  # chain lo + j draws from the Philox stream keyed (seed, lo + j)
+        key = np.array([seed, lo + j], dtype=np.uint64)
+        uniforms[j] = np.random.Generator(np.random.Philox(key=key)).random(N)
+    start = kernel.state_id((0,) * kernel.rs.rank)
+    ids = np.full(hi - lo, start, dtype=np.int64)
+    paths = np.full((hi - lo, N + 1), start, dtype=np.int64) if keep_paths else None
     for step in range(N):
-        u = uniforms[:, step]
-        nxt = np.empty(nb, dtype=np.int64)
-        for sid in np.unique(ids):
-            mask = ids == sid
-            target_ids, cdf = kernel.row_cdf(int(sid))
-            nxt[mask] = target_ids[np.searchsorted(cdf, u[mask], side="right")]
-        ids = nxt
+        kernel._build_rows(ids)
+        # entries <= u: what searchsorted(cdf, u, side="right") counts; pads exceed u
+        k = np.count_nonzero(kernel._cdf[ids] <= uniforms[:, step, None], axis=1)
+        ids = kernel._targets[ids, k]
         if keep_paths:
             paths[:, step + 1] = ids
     return lo, ids, paths
@@ -279,21 +283,14 @@ def sample_paths(
         for lo in range(0, chains, _BLOCK)
     ]
 
-    final_ids = np.concatenate([ids for _, ids, _ in results])
-    counts = np.bincount(final_ids)
-    probs = {
-        kernel.state(int(sid)): float(counts[sid]) / chains for sid in np.flatnonzero(counts)
-    }
-    if N == 0:
-        table = _point_mass_table(rs, rep, epsilon)
-    else:
-        problem = tensor_problem(rs, [(kernel.rep, N)], epsilon)
-        table = assemble_measure_table(problem, probs, kernel.t, with_asymptotics, "auto")
-
-    trajectories: list[Trajectory] = []
-    if keep_paths:
-        for lo, _, paths in results:
-            for j in range(paths.shape[0]):
-                steps = tuple(kernel.state(int(sid)) for sid in paths[j])
-                trajectories.append(Trajectory(seed=seed, chain=lo + j, steps=steps))
-    return table, tuple(trajectories)
+    counts = np.bincount(np.concatenate([ids for _, ids, _ in results]))
+    ends = np.flatnonzero(counts)
+    probs = dict(zip(map(kernel.state, ends.tolist()), (counts[ends] / chains).tolist()))
+    states = kernel._states
+    trajectories = tuple(
+        Trajectory(seed=seed, chain=lo + j, steps=tuple(map(states.__getitem__, path.tolist())))
+        for lo, _, paths in results
+        if keep_paths
+        for j, path in enumerate(paths)
+    )
+    return _endpoint_table(kernel, N, probs, epsilon, with_asymptotics), trajectories

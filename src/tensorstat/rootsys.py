@@ -485,24 +485,23 @@ class WeylElement:
         return tuple(sum(self.action[i][j] * x[j] for j in range(len(x))) for i in range(len(x)))
 
 
-_WEYL_CACHE: dict[AlgebraSpec, tuple[WeylElement, ...]] = {}
+# largest Weyl group that is enumerated or stacked
+_MAX_WEYL_ORDER = 10**6
 
 
-def enumerate_weyl_group(rs: RootSystem, cap: int = 10**6) -> tuple[WeylElement, ...]:
+def enumerate_weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     """All Weyl group elements by breadth-first closure over simple reflections.
 
-    The group order is known in closed form per family, so oversized groups
-    are rejected before any enumeration happens.
+    The group order is known in closed form per family, so groups above
+    _MAX_WEYL_ORDER are rejected before any enumeration happens.  Not
+    cached: RootSystem.weyl_actions keeps the stacked group.
     """
     order = weyl_group_order(rs.spec)
-    if order > cap:
+    if order > _MAX_WEYL_ORDER:
         raise WeylGroupTooLargeError(
-            f"Weyl group too large to enumerate: |W| = {order} exceeds cap {cap}",
+            f"Weyl group too large to enumerate: |W| = {order} exceeds cap {_MAX_WEYL_ORDER}",
             order,
         )
-    cached = _WEYL_CACHE.get(rs.spec)
-    if cached is not None and len(cached) == order:
-        return cached
 
     r = rs.rank
     C = rs.cartan
@@ -534,6 +533,4 @@ def enumerate_weyl_group(rs: RootSystem, cap: int = 10**6) -> tuple[WeylElement,
         frontier = nxt
     if len(elements) != order:
         raise InternalConsistencyError(f"{rs.spec}: enumerated {len(elements)} Weyl elements, expected {order}")
-    result = tuple(elements)
-    _WEYL_CACHE[rs.spec] = result
-    return result
+    return tuple(elements)

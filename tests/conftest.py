@@ -12,6 +12,12 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+@pytest.fixture(autouse=True)
+def _isolated_decomposition_cache(tmp_path_factory, monkeypatch):
+    """Point the CLI cache at a fresh directory, never the user's home cache."""
+    monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+
+
 @pytest.fixture(scope="session")
 def a1():
     return build_root_system(AlgebraSpec.parse("A1"))

@@ -201,6 +201,42 @@ def test_hook_check(capsys):
     assert "0 mismatches" in out
 
 
+def test_hook_check_output_file(capsys, tmp_path):
+    _, stdout = run_cli(capsys, "hook-check", "--max-power", "3")
+    target = tmp_path / "hooks.txt"
+    code, out = run_cli(capsys, "hook-check", "--max-power", "3", "--output", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_text() == stdout == "hook-check: 17 multiplicities, 0 mismatches\n"
+
+
+def test_selftest_output_file(capsys, tmp_path):
+    target = tmp_path / "selftest.txt"
+    code, out = run_cli(capsys, "selftest", "--criteria", "2", "--output", str(target))
+    assert code == 0
+    assert out == ""
+    lines = target.read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("PASS")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--rep", "1,0", "--rep", "0,1", "--steps", "5", "--chains", "10"],
+        ["sample", "--rep", "1,0", "--power", "5", "--steps", "5", "--chains", "10"],
+        ["pde-check", "--rep", "1,0", "--rep", "0,1", "--grid", "2"],
+        ["pde-check", "--rep", "1,0", "--power", "4", "--power", "5", "--grid", "2"],
+    ],
+    ids=["sample-two-reps", "sample-power", "pde-check-two-reps", "pde-check-two-powers"],
+)
+def test_extra_problem_arguments_are_domain_errors(capsys, argv):
+    code = main([argv[0], "--algebra", "A2", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_selftest_subset(capsys):
     code, out = run_cli(capsys, "selftest", "--criteria", "2,5")
     assert code == 0

@@ -1,5 +1,6 @@
 """Multiplicative random walk on dominant weights: kernel, evolution, sampling."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from tensorstat import (
     DomainError,
     TransitionKernel,
+    build_root_system,
     character_measure,
     evolve_exact,
     sample_paths,
@@ -125,6 +127,36 @@ def test_sample_paths_deterministic_across_threads(a2):
         trajs.append(trajectories_to_jsonl(paths))
     assert tables[0] == tables[1] == tables[2]
     assert trajs[0] == trajs[1] == trajs[2]
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        (
+            ("A2", (1, 0), np.array([0.1, 0.2]), 12, 600, 424242),
+            "cb70dd94976d76e3d6443cdabd299044bf7b788e3301688f10920f4e2c6beb6e",
+        ),
+        (
+            ("B2", (0, 1), None, 9, 300, 3),
+            "e79f7eaa69cac6e28160a257b3cc20e9e7f4c9549ff8e73412ef0643251cd51f",
+        ),
+    ],
+    ids=["A2-regular-t", "B2-t-zero"],
+)
+def test_sample_paths_trajectory_bytes_are_pinned(case, digest):
+    # the (seed, chain) contract: a seed fixes the trajectory bytes across versions
+    algebra, rep, t, n, chains, seed = case
+    _, paths = sample_paths(build_root_system(algebra), rep, t, N=n, chains=chains, seed=seed)
+    assert hashlib.sha256(trajectories_to_jsonl(paths).encode()).hexdigest() == digest
+
+
+def test_evolve_exact_keeps_states_whose_mass_underflows(a1):
+    # at t = 800 every path that ends at (1,) has a probability that underflows to 0.0
+    walked = evolve_exact(a1, (1,), [800.0], 3).probabilities()
+    direct = character_measure(
+        tensor_power_decompose(a1, [((1,), 3)]), t=[800.0], with_asymptotics=False
+    ).probabilities()
+    assert walked == direct == {(1,): 0.0, (3,): 1.0}
 
 
 def test_sample_paths_seed_sensitivity(a1):
