@@ -83,12 +83,8 @@ class WeightSystem:
         return sum(self.multiplicities.values())
 
     @cached_property
-    def weights_weight_f(self) -> np.ndarray:
-        return np.array(sorted(self.multiplicities), dtype=float)
-
-    @cached_property
     def weights_root_f(self) -> np.ndarray:
-        return self.weights_weight_f @ self.rs.cartan_inv_f.T
+        return np.array(sorted(self.multiplicities), dtype=float) @ self.rs.cartan_inv_f.T
 
     @cached_property
     def mults_f(self) -> np.ndarray:
@@ -104,61 +100,68 @@ class WeightSystem:
         return self.weights_root_f @ self.rs.B_f
 
 
-_WEIGHT_SYSTEM_CACHE: dict[tuple[str, Weight], WeightSystem] = {}
-
-
 def weight_multiplicities(rs: RootSystem, lam) -> WeightSystem:
-    """Weight system of V(lambda) by the Freudenthal recursion.
+    """Weight system of V(lambda): dominant descent, then integer Freudenthal.
 
-    Dominant weights mu <= lambda are enumerated through the root-coordinate
-    box 0 <= c <= C^{-1} lambda (entrywise; C^{-1} is positive, so the box
-    contains every admissible lambda - mu), processed by increasing height
-    of lambda - mu, then each Weyl orbit is filled in by reflections.
+    The dominant weights below lambda are linked to it by positive-root
+    steps mu -> mu - alpha that stay dominant (Stembridge, "The partial
+    order of dominant weights", Adv. Math. 136, 1998), so a descent over
+    those steps finds them all, each with the root coordinates c of
+    lambda - mu.  By increasing height sum(c), Freudenthal's recursion
+    scaled by den = lcm of the denominators of d (Moody-Patera, "Fast
+    recursion formula for weight multiplicities", Bull. AMS 6, 1982) is
+
+      m(mu) sum_a c_a den d_a (lambda_a + mu_a + 2)
+          = 2 sum_{alpha > 0, k >= 1} m(nu) nu . k_alpha,  nu = mu + k alpha,
+
+    in ints throughout (k_alpha: RootSystem.posroot_pairing_int); the
+    quotient must be exact and positive.  Each Weyl orbit is then filled
+    in by reflections, and the total is checked against Weyl's formula.
     """
     lam = _as_weight(lam)
+    if len(lam) != rs.rank:
+        raise DomainError(f"weight {lam} needs {rs.rank} coordinates")
     _check_dominant(lam)
-    key = (str(rs.spec), lam)
-    cached = _WEIGHT_SYSTEM_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _weight_system(rs.spec, lam)
 
+
+@lru_cache(maxsize=1024)
+def _weight_system(spec, lam: Weight) -> WeightSystem:
+    rs = build_root_system(spec)
     r = rs.rank
-    lam_root = rs.root_coords(lam)
-    box = [int(x) for x in lam_root]  # floor, since entries are >= 0
-    candidates = []
-    for c in _integer_box(box):
-        mu = tuple(lam[i] - sum(rs.cartan[i][a] * c[a] for a in range(r)) for i in range(r))
-        if all(v >= 0 for v in mu):
-            candidates.append((sum(c), mu))
-    candidates.sort()
-
-    rho = rs.rho_weight
-    lam_rho_norm = rs.inner_weight(tuple(c + 1 for c in lam), tuple(c + 1 for c in lam))
     pos_w = rs.positive_roots_weight
-    dom_mult: dict[Weight, int] = {}
-    for height, mu in candidates:
-        if height == 0:
-            dom_mult[mu] = 1
-            continue
-        mu_rho = tuple(c + 1 for c in mu)
-        denom = lam_rho_norm - rs.inner_weight(mu_rho, mu_rho)
-        if denom <= 0:
-            raise InternalConsistencyError(f"Freudenthal denominator {denom} at {mu}")
-        total = Fraction(0)
-        for idx, alpha in enumerate(pos_w):
-            k = 1
+    steps = list(zip(pos_w, rs.positive_roots))
+    coords = {lam: (0,) * r}  # dominant mu -> root coordinates of lambda - mu
+    stack = [lam]
+    while stack:
+        mu = stack.pop()
+        for alpha_w, alpha in steps:
+            nu = tuple(x - y for x, y in zip(mu, alpha_w))
+            if min(nu) >= 0 and nu not in coords:
+                coords[nu] = tuple(x + y for x, y in zip(coords[mu], alpha))
+                stack.append(nu)
+
+    den = math.lcm(*(x.denominator for x in rs.d))
+    dd = [int(den * x) for x in rs.d]
+    pos = list(zip(pos_w, rs.posroot_pairing_int))
+    dom_mult: dict[Weight, int] = {lam: 1}
+    for mu in sorted(coords, key=lambda mu: (sum(coords[mu]), mu))[1:]:
+        c = coords[mu]
+        denom = sum(c[a] * dd[a] * (lam[a] + mu[a] + 2) for a in range(r))
+        total = 0
+        for alpha, k in pos:
+            nu = mu
             while True:
-                nu = tuple(mu[i] + k * alpha[i] for i in range(r))
+                nu = tuple(x + y for x, y in zip(nu, alpha))
                 dom, _, _ = dominant_reflect(rs, nu)
                 m = dom_mult.get(dom, 0)
                 if m == 0:
                     break
-                total += 2 * m * rs.pair_weight_posroot(nu, idx)
-                k += 1
-        val = total / denom
-        if val.denominator != 1 or val <= 0:
-            raise InternalConsistencyError(f"Freudenthal gave multiplicity {val} at {mu}")
-        dom_mult[mu] = int(val)
+                total += m * sum(x * y for x, y in zip(nu, k))
+        val, rem = divmod(2 * total, denom)
+        if rem or val <= 0:
+            raise InternalConsistencyError(f"Freudenthal gave multiplicity {2 * total}/{denom} at {mu}")
+        dom_mult[mu] = val
 
     full: dict[Weight, int] = {}
     for mu, m in dom_mult.items():
@@ -180,18 +183,7 @@ def weight_multiplicities(rs: RootSystem, lam) -> WeightSystem:
     ws = WeightSystem(rs=rs, highest=lam, multiplicities=full, dominant_multiplicities=dom_mult)
     if ws.dim != weyl_dimension(rs, lam):
         raise InternalConsistencyError(f"weight system of {lam} sums to {ws.dim}, dimension formula disagrees")
-    _WEIGHT_SYSTEM_CACHE[key] = ws
     return ws
-
-
-def _integer_box(limits):
-    """All integer tuples 0 <= c_a <= limits[a]."""
-    if not limits:
-        yield ()
-        return
-    for head in range(limits[0] + 1):
-        for tail in _integer_box(limits[1:]):
-            yield (head,) + tail
 
 
 def character_value(rs: RootSystem, lam, t, method: str = "auto") -> tuple[float, int]:

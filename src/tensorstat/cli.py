@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance
+from . import acceptance, markov
 from .charalg import DecompositionTable, tensor_power_decompose
 from .errors import (
     ConvergenceError,
@@ -39,7 +39,6 @@ from .legendre import (
     rate_point,
     tensor_problem,
 )
-from .markov import evolve_exact, sample_paths, trajectories_to_jsonl
 from .measures import character_measure, weak_convergence_distance
 from .pde import pde_residual
 from .rootsys import AlgebraSpec, build_root_system
@@ -259,13 +258,13 @@ def _cmd_sample(args) -> int:
         raise DomainError("sample takes no --power; the walk length is --steps")
     t = _resolve_t(rs, args)
     keep = args.paths is not None
-    empirical, trajectories = sample_paths(
-        rs, rep, t, args.steps, args.chains, args.seed,
-        threads=args.threads, epsilon=args.epsilon, keep_paths=keep,
-    )
+    markov._check_sampling(args.steps, args.chains, args.seed)
+    # one kernel for both runs; evolving first keeps evolve_exact's state order
+    kernel = markov.TransitionKernel(rs, rep, t)
+    exact = markov._evolve(kernel, args.steps, args.epsilon, False)
+    empirical, trajectories = markov._sample(kernel, args.steps, args.chains, args.seed, args.epsilon, keep, False)
     if keep:
-        Path(args.paths).write_text(trajectories_to_jsonl(trajectories))
-    exact = evolve_exact(rs, rep, t, args.steps, epsilon=args.epsilon)
+        Path(args.paths).write_text(markov.trajectories_to_jsonl(trajectories))
     pe, pc = empirical.probabilities(), exact.probabilities()
     tv = 0.5 * sum(abs(pe.get(w, 0.0) - pc.get(w, 0.0)) for w in set(pe) | set(pc))
     payload = {

@@ -221,8 +221,12 @@ def evolve_exact(
     """
     if N < 0:
         raise DomainError("step count must be nonnegative")
-    kernel = TransitionKernel(rs, rep, t)
-    sids = np.array([kernel.state_id((0,) * rs.rank)])
+    return _evolve(TransitionKernel(rs, rep, t), N, epsilon, with_asymptotics)
+
+
+def _evolve(kernel: TransitionKernel, N: int, epsilon, with_asymptotics) -> MeasureTable:
+    """evolve_exact on a given kernel; N is already checked."""
+    sids = np.array([kernel.state_id((0,) * kernel.rs.rank)])
     probs = np.ones(1)
     for _ in range(N):
         # one sparse mat-vec; a target reached with zero mass stays in the support
@@ -273,11 +277,21 @@ def sample_paths(
     aggregation is integer counting, so a seed fixes the result.  Sampling
     runs in one thread; threads is accepted and ignored.
     """
+    _check_sampling(N, chains, seed)
+    return _sample(TransitionKernel(rs, rep, t), N, chains, seed, epsilon, keep_paths, with_asymptotics)
+
+
+def _check_sampling(N: int, chains: int, seed: int) -> None:
     if chains < 1:
         raise DomainError("need at least one chain")
     if N < 0:
         raise DomainError("step count must be nonnegative")
-    kernel = TransitionKernel(rs, rep, t)
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed {seed} is outside [0, 2^64)")
+
+
+def _sample(kernel: TransitionKernel, N: int, chains: int, seed: int, epsilon, keep_paths, with_asymptotics):
+    """sample_paths on a given kernel; the arguments are already checked."""
     results = [
         _run_block(kernel, seed, lo, min(lo + _BLOCK, chains), N, keep_paths)
         for lo in range(0, chains, _BLOCK)

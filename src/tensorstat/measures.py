@@ -169,7 +169,8 @@ def asymptotic_log_probability(problem: TensorProblem, lam, t=None) -> float:
         raise NonRegularError("nonzero t on a chamber wall has no single-phase asymptotics")
     rp = rate_point(problem, xi)
     x = np.array(rp.x)
-    log_delta_t = float(np.sum(np.log(2.0 * np.sinh(0.5 * t_pair))))
+    # log 2 sinh(x/2) = x/2 + log(1 - e^{-x}): no overflow at large x, no cancellation at small x
+    log_delta_t = float(np.sum(0.5 * t_pair + np.log(-np.expm1(-t_pair))))
     rho_xt = float(rs.rho_root_f @ rs.B_f @ (x - t_dom))
     s_tilde = rp.S - f_eval(problem, t_dom) + float(t_dom @ rs.B_f @ xi)
     sign, logdetK = np.linalg.slogdet(np.array(rp.K))

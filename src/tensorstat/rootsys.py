@@ -248,27 +248,18 @@ class RootSystem:
     def is_dominant(self, weight_coords) -> bool:
         return all(c >= 0 for c in weight_coords)
 
-    def pair_weight_posroot(self, weight_coords, root_index: int) -> Fraction:
-        """(lambda, alpha) for lambda in weight coordinates, alpha positive."""
-        v = self._posroot_pair_weight[root_index]
-        return sum(Fraction(c) * x for c, x in zip(weight_coords, v))
-
     def inner_weight(self, x, y) -> Fraction:
         """(x, y) for two vectors in weight coordinates, exact."""
         G = self._weight_gram
         return sum(Fraction(x[i]) * sum(G[i][j] * Fraction(y[j]) for j in range(self.rank)) for i in range(self.rank))
 
     @cached_property
-    def _posroot_pair_weight(self) -> tuple[tuple[Fraction, ...], ...]:
-        # (omega_i, alpha_a) = d_a delta_ia, so pairing a weight-coordinate
-        # vector with a positive root reduces to d * root coordinates.
-        return tuple(tuple(self.d[a] * alpha[a] for a in range(self.rank)) for alpha in self.positive_roots)
-
-    @cached_property
     def posroot_pairing_int(self) -> tuple[tuple[int, ...], ...]:
         """Per positive root alpha, integers k with (lambda, alpha) = lambda . k / lcm(denominators of d)."""
+        # (omega_i, alpha_a) = d_a delta_ia, so k = den * d * root coordinates
         den = math.lcm(*(x.denominator for x in self.d))
-        return tuple(tuple(int(den * x) for x in row) for row in self._posroot_pair_weight)
+        kd = [int(den * x) for x in self.d]
+        return tuple(tuple(x * y for x, y in zip(kd, alpha)) for alpha in self.positive_roots)
 
     @cached_property
     def cartan_inverse_int(self) -> tuple[int, np.ndarray]:

@@ -1,6 +1,8 @@
 """Exact representation arithmetic: dimensions, weight systems, decompositions."""
 
 import decimal
+import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -94,12 +96,44 @@ def test_weight_system_a1():
 
 def test_weight_system_adjoint_zero_multiplicity():
     # Freudenthal recursion: adjoint zero weight carries mult = rank
-    for name in ["A2", "B2", "G2", "C3"]:
+    for name in ["A2", "B2", "G2", "C3", "E7", "E8"]:
         rs = build_root_system(AlgebraSpec.parse(name))
         theta = rs.weight_coords(max(rs.positive_roots, key=sum))
         ws = weight_multiplicities(rs, theta)
         assert ws.multiplicities[(0,) * rs.rank] == rs.rank
         assert ws.dim == rs.dim_g
+
+
+def test_weight_system_e8_3875():
+    rs = build_root_system(AlgebraSpec.parse("E8"))
+    lam = (1,) + (0,) * 7
+    ws = weight_multiplicities(rs, lam)
+    assert ws.dim == 3875
+    assert ws.dominant_multiplicities == {lam: 1, (0,) * 7 + (1,): 7, (0,) * 8: 35}
+
+
+def test_weight_system_rejects_wrong_length():
+    rs = build_root_system(AlgebraSpec.parse("A2"))
+    with pytest.raises(DomainError):
+        weight_multiplicities(rs, (1,))
+
+
+def test_weight_systems_are_pinned():
+    # SHA-256 of the weight systems of the fundamental weights of ten
+    # algebras, plus every lambda in {0,1,2}^r at rank <= 3 (125 systems)
+    lines = []
+    for name in ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6"]:
+        rs = build_root_system(AlgebraSpec.parse(name))
+        r = rs.rank
+        lams = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        if r <= 3:
+            lams += [lam for lam in itertools.product(range(3), repeat=r) if lam not in lams]
+        for lam in lams:
+            ws = weight_multiplicities(rs, lam)
+            lines.append(f"{name} {lam} {sorted(ws.multiplicities.items())}")
+    assert len(lines) == 125
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ac5696f2e505d2798155e43f1c6c9bbb86b3d1a49364b08a3b1870b884ab6572"
 
 
 def test_weight_system_27_of_a2():

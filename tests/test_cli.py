@@ -12,6 +12,7 @@ from tensorstat import (
     tensor_power_decompose,
     weak_convergence_distance,
 )
+from tensorstat import markov
 from tensorstat.cli import main
 
 
@@ -389,3 +390,50 @@ def test_unusable_cache_dir_is_exit_3(capsys, tmp_path, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_measure_e8(capsys):
+    # every row of an E8 measure is a weight sum (|W| > 10^6)
+    code, out = run_cli(
+        capsys,
+        "measure", "--algebra", "E8", "--rep", "0,0,0,0,0,0,0,1", "--power", "2",
+        "--t", "1,1,1,1,1,1,1,1", "--no-cache",
+    )
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 5  # 1 + 248 + 3875 + 27000 + 30380
+    assert math.fsum(float(row.split(",")[8]) for row in rows) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_sample_seed_outside_range_is_a_domain_error(capsys, seed):
+    code = main(["sample", "--algebra", "A1", "--rep", "1", "--steps", "3", "--chains", "10", "--seed", seed])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: seed") and err.count("\n") == 1
+
+
+def test_measure_at_large_t_warns_nothing(capsys):
+    # log 2 sinh(x/2) of a pairing of 800 once overflowed; RuntimeWarnings are errors here
+    code = main(["measure", "--algebra", "A2", "--rep", "1,0", "--power", "6", "--t", "800,1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    rows = captured.out.strip().splitlines()[1:]
+    assert math.fsum(float(row.split(",")[2]) for row in rows) == pytest.approx(1.0)
+
+
+def test_sample_builds_each_row_once(capsys, monkeypatch):
+    # exact evolution and sampling share one kernel
+    built = []
+    build_row = markov.TransitionKernel._build_row
+
+    def counting(self, source, sid):
+        built.append(source)
+        build_row(self, source, sid)
+
+    monkeypatch.setattr(markov.TransitionKernel, "_build_row", counting)
+    code = main(["sample", "--algebra", "A2", "--rep", "1,0", "--t", "0.3,0.1", "--steps", "8", "--chains", "2000"])
+    capsys.readouterr()
+    assert code == 0
+    assert built and len(built) == len(set(built))

@@ -1,5 +1,6 @@
 """Root system construction: Cartan data, Weyl groups, chamber reflection."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -137,7 +138,9 @@ def test_rho_pairs_with_simple_roots():
         if sum(beta) != 1:
             continue
         j = beta.index(1)
-        assert rs.pair_weight_posroot(rs.rho_weight, i) == rs.d[j]
+        den = math.lcm(*(x.denominator for x in rs.d))
+        k = rs.posroot_pairing_int[i]
+        assert Fraction(sum(c * x for c, x in zip(rs.rho_weight, k)), den) == rs.d[j]
 
 
 def test_basis_conversion_roundtrip():
