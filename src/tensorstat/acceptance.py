@@ -374,22 +374,23 @@ def criterion_11() -> CriterionResult:
     exact = evolve_exact(rs, (1,), None, 50).probabilities()
     tvs = []
     for chains in (1000, 10000, 100000):
-        emp, _ = sample_paths(rs, (1,), None, 50, chains, seed=11, threads=2, keep_paths=False)
+        emp, _ = sample_paths(rs, (1,), None, 50, chains, seed=11, keep_paths=False)
         pe = emp.probabilities()
         tvs.append(0.5 * sum(abs(pe.get(w, 0.0) - exact.get(w, 0.0)) for w in set(pe) | set(exact)))
     # each tenfold chain increase should shrink TV by ~sqrt(10), within factor 2
     ratio_ok = all(math.sqrt(10) / 2 <= tvs[i] / tvs[i + 1] <= 2 * math.sqrt(10) for i in range(2))
     mc_ok = tvs[-1] <= 0.02 and ratio_ok
 
-    runs = [
-        sample_paths(rs, (1,), None, 30, 5000, seed=42, threads=k) for k in (1, 2, 8)
-    ]
-    det_ok = all(
-        r[0].probabilities() == runs[0][0].probabilities() and r[1] == runs[0][1] for r in runs[1:]
-    )
-    passed = exact_ok and mc_ok and det_ok
+    # chain c reads only the stream keyed (seed, c): a 9000-chain run crosses
+    # the 8192-chain block boundary and must start with the 5000-chain run
+    _, long_paths = sample_paths(rs, (1,), None, 30, 9000, seed=42)
+    runs = [sample_paths(rs, (1,), None, 30, 5000, seed=42) for _ in range(2)]
+    prefix_ok = long_paths[:5000] == runs[0][1]
+    repeat_ok = runs[1][0].probabilities() == runs[0][0].probabilities() and runs[1][1] == runs[0][1]
+    passed = exact_ok and mc_ok and prefix_ok and repeat_ok
     detail = (
-        f"evolve gap {worst:.1e}, TV by chains {['%.4f' % v for v in tvs]}, threads identical: {det_ok}"
+        f"evolve gap {worst:.1e}, TV by chains {['%.4f' % v for v in tvs]}, "
+        f"9000-chain prefix identical: {prefix_ok}, same-seed repeat identical: {repeat_ok}"
     )
     return CriterionResult(11, "Markov chain exactness and sampling", passed, detail, time.time() - start)
 

@@ -13,7 +13,9 @@ references print the reciprocal chi ratio, which is not row-stochastic;
 we keep the normalizable reading.
 
 Sampling runs in one thread.  It is reproducible by construction: chain
-c consumes only the counter-based stream keyed (seed, c).
+c consumes only the counter-based stream keyed (seed, c).  The streams come
+from the package's own vectorized Philox4x64-10, one array pass per block
+of chains, which reproduces NumPy's Philox(key=[seed, c]) bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -33,6 +36,18 @@ from .rootsys import RootSystem
 
 # chains advanced together; bounds the uniform and path arrays held at once
 _BLOCK = 8192
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC'11): per multiplier, the word and its 32-bit halves; the two Weyl key
+# increments.  Every constant is a uint64 so no product is promoted to float.
+_PHILOX_M = tuple(
+    (np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
+    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
 
 
 @dataclass(frozen=True)
@@ -61,9 +76,27 @@ class Trajectory:
         )
 
 
+class _WeightText(dict):
+    """Memo of each weight's JSON text, encoded on first lookup."""
+
+    def __missing__(self, w: Weight) -> str:
+        text = self[w] = json.dumps(list(w))
+        return text
+
+
 def trajectories_to_jsonl(trajectories) -> str:
-    """One trajectory per line: {seed, chain, steps: [[coords]...]}."""
-    return "\n".join(tr.to_jsonl() for tr in trajectories) + "\n"
+    """One trajectory per line: {seed, chain, steps: [[coords]...]}.
+
+    The bytes of joining each Trajectory.to_jsonl, with a final newline;
+    each distinct weight is encoded once.
+    """
+    text = _WeightText().__getitem__
+    lines = (
+        f'{{"seed": {tr.seed}, "chain": {tr.chain}, "steps": [{", ".join(map(text, tr.steps))}]}}\n'
+        for tr in trajectories
+    )
+    # joined 1024 lines at a time, so the text and all its lines are never held at once
+    return "".join(iter(lambda: "".join(islice(lines, 1024)), "")) or "\n"
 
 
 class TransitionKernel:
@@ -241,11 +274,72 @@ def _evolve(kernel: TransitionKernel, N: int, epsilon, with_asymptotics) -> Meas
     return _endpoint_table(kernel, N, dist, epsilon, with_asymptotics)
 
 
+def _mulhilo(x: np.ndarray, m, m_lo, m_hi) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products x * m, from 32-bit halves.
+
+    With x = 2^32 xh + xl and m = 2^32 mh + ml, the high word is
+    xh mh + (xl mh >> 32) + (xh ml >> 32) plus the carry of the middle
+    column, ((xl ml >> 32) + low32(xl mh) + low32(xh ml)) >> 32.  The high
+    words are written over x.  Wraparound is intended; the caller ignores
+    overflow.
+    """
+    lo = x * m
+    x_lo = x & _LO32
+    x >>= _SHIFT32  # x holds the high halves
+    mid = x_lo * m_lo
+    mid >>= _SHIFT32
+    x_lo *= m_hi
+    mid += x_lo & _LO32
+    x_lo >>= _SHIFT32
+    cross = x * m_lo
+    x *= m_hi
+    x += x_lo
+    mid += cross & _LO32
+    cross >>= _SHIFT32
+    x += cross
+    mid >>= _SHIFT32
+    x += mid
+    return x, lo
+
+
+def _philox_uniforms(seed: int, lo: int, hi: int, N: int) -> np.ndarray:
+    """Row j: the first N doubles of NumPy's Generator(Philox(key=[seed, lo + j])).random.
+
+    Philox4x64-10 for all chains at once: key (seed, c), counter block
+    (b, 0, 0, 0) for b = 1, 2, ..., whose four words x0..x3 give four
+    doubles (x >> 11) * 2^-53 in order.
+    """
+    chains, blocks = hi - lo, -(-N // 4)
+    out = np.empty((chains, N))
+    c = np.arange(lo, hi, dtype=np.uint64)
+    # round r keys with (seed, c) bumped r times by the Weyl increments; the
+    # second key word, c + bump, is formed per round so only c is held
+    keys = [
+        (np.uint64((seed + r * _PHILOX_W[0]) % 2**64), np.uint64(r * _PHILOX_W[1] % 2**64))
+        for r in range(10)
+    ]
+    with np.errstate(over="ignore"):
+        for b in range(blocks):
+            x0 = np.full(chains, b + 1, dtype=np.uint64)
+            x1, x2, x3 = (np.zeros(chains, dtype=np.uint64) for _ in range(3))
+            for k0, bump in keys:
+                hi0, lo0 = _mulhilo(x0, *_PHILOX_M[0])
+                hi0 ^= x3
+                hi0 ^= c + bump
+                hi1, lo1 = _mulhilo(x2, *_PHILOX_M[1])
+                hi1 ^= x1
+                hi1 ^= k0
+                x0, x1, x2, x3 = hi1, lo1, hi0, lo0
+            for i, x in enumerate((x0, x1, x2, x3)[: N - 4 * b]):
+                x >>= _SHIFT11
+                out[:, 4 * b + i] = x
+    out *= 2.0**-53
+    return out
+
+
 def _run_block(kernel: TransitionKernel, seed: int, lo: int, hi: int, N: int, keep_paths: bool):
-    uniforms = np.empty((hi - lo, N))
-    for j in range(hi - lo):  # chain lo + j draws from the Philox stream keyed (seed, lo + j)
-        key = np.array([seed, lo + j], dtype=np.uint64)
-        uniforms[j] = np.random.Generator(np.random.Philox(key=key)).random(N)
+    # chain lo + j draws from the Philox stream keyed (seed, lo + j)
+    uniforms = _philox_uniforms(seed, lo, hi, N)
     start = kernel.state_id((0,) * kernel.rs.rank)
     ids = np.full(hi - lo, start, dtype=np.int64)
     paths = np.full((hi - lo, N + 1), start, dtype=np.int64) if keep_paths else None

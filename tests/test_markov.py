@@ -16,6 +16,7 @@ from tensorstat import (
     build_root_system,
     character_measure,
     evolve_exact,
+    markov,
     sample_paths,
     tensor_power_decompose,
     trajectories_to_jsonl,
@@ -150,6 +151,29 @@ def test_sample_paths_trajectory_bytes_are_pinned(case, digest):
     assert hashlib.sha256(trajectories_to_jsonl(paths).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "seed, chains, n",
+    [(0, 1, 1), (3, 9, 9), (2**63, 13, 13), (7, 50, 100), (1, 8192, 30), (2**64 - 1, 5, 7), (5, 3, 0)],
+)
+def test_philox_uniforms_match_numpy_streams(seed, chains, n):
+    # chain c's stream is NumPy's Philox keyed (seed, c), bit for bit
+    expected = np.array(
+        [
+            np.random.Generator(np.random.Philox(key=np.array([seed, c], dtype=np.uint64))).random(n)
+            for c in range(chains)
+        ]
+    ).reshape(chains, n)
+    assert np.array_equal(markov._philox_uniforms(seed, 0, chains, n), expected)
+
+
+def test_sample_paths_bytes_do_not_depend_on_block_size(a2, monkeypatch):
+    kwargs = dict(t=np.array([0.1, 0.2]), N=9, chains=40, seed=2**64 - 1)
+    whole = trajectories_to_jsonl(sample_paths(a2, (1, 0), **kwargs)[1])
+    monkeypatch.setattr(markov, "_BLOCK", 7)
+    blocked = trajectories_to_jsonl(sample_paths(a2, (1, 0), **kwargs)[1])
+    assert blocked == whole
+
+
 def test_evolve_exact_keeps_states_whose_mass_underflows(a1):
     # at t = 800 every path that ends at (1,) has a probability that underflows to 0.0
     walked = evolve_exact(a1, (1,), [800.0], 3).probabilities()
@@ -191,6 +215,13 @@ def test_trajectory_jsonl_format(a1):
             assert tuple(b[i] - a[i] for i in range(1)) in weight_multiplicities(
                 a1, (1,)
             ).multiplicities
+
+
+def test_trajectories_to_jsonl_matches_per_trajectory_encoding(b2):
+    # 2500 lines cross the writer's 1024-line batches
+    _, paths = sample_paths(b2, (0, 1), np.array([0.3, 0.2]), 4, 2500, seed=9)
+    assert trajectories_to_jsonl(paths) == "\n".join(tr.to_jsonl() for tr in paths) + "\n"
+    assert trajectories_to_jsonl(()) == "\n"
 
 
 def test_single_chain_single_step(a1):

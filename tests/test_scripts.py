@@ -41,3 +41,13 @@ def test_convergence_sweep_script():
     assert lines[1].split() == ["N", "lambda", "eps", "ln", "m", "S(xi)", "|rel", "err|"]
     assert len(lines) == 2 + 5  # one row per power 50..800
     assert not any("not decreasing" in line for line in lines)
+
+
+def test_sampling_demo_script():
+    lines = _run_script("sampling_demo.py")
+    start = lines.index("error scaling:") + 2  # past the column header
+    rows = [line.split() for line in lines[start : start + 3]]
+    assert [int(row[0]) for row in rows] == [1_000, 10_000, 100_000]
+    tvs = [float(row[1]) for row in rows]
+    assert 0.2 > tvs[0] > tvs[1] > tvs[2] > 0
+    assert lines[-1] == "same-seed repeat (2000 chains): identical"
