@@ -24,8 +24,7 @@ from tensorstat import (
 
 def limit_tv(rs, rep, n, kind, t=None):
     table = tensor_power_decompose(rs, [(rep, n)])
-    scaling_kind = "gaussian" if kind == "gaussian" else "bulk"
-    m = character_measure(table, t=t, with_asymptotics=False, scaling_kind=scaling_kind)
+    m = character_measure(table, t=t, with_asymptotics=False)
     return weak_convergence_distance(m, kind).tv
 
 

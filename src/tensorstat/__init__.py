@@ -9,7 +9,6 @@ from .charalg import (
     WeightSystem,
     character_value,
     klimyk_tensor_step,
-    log_characters,
     naive_tensor_decompose,
     second_casimir,
     tensor_power_decompose,
@@ -18,7 +17,6 @@ from .charalg import (
 )
 from .errors import (
     ConvergenceError,
-    DenominatorVanishesError,
     DomainError,
     EntryCapExceededError,
     GridCoverageError,
@@ -49,7 +47,6 @@ from .markov import (
     evolve_exact,
     sample_paths,
     trajectories_to_jsonl,
-    transition_row,
 )
 from .measures import (
     MeasureRow,
@@ -65,7 +62,7 @@ from .measures import (
     plancherel_measure,
     weak_convergence_distance,
 )
-from .pde import DerivativeReport, PdeReport, derivative_check, pde_residual
+from .pde import DerivativeReport, PdeReport, pde_residual
 from .rootsys import (
     AlgebraSpec,
     RootSystem,

@@ -290,7 +290,7 @@ def criterion_7() -> CriterionResult:
 
 def _chambered_tv(rs, rep, n_power, kind, t=None) -> float:
     table = tensor_power_decompose(rs, [(rep, n_power)])
-    m = character_measure(table, t=t, with_asymptotics=False, scaling_kind="bulk")
+    m = character_measure(table, t=t, with_asymptotics=False)
     return weak_convergence_distance(m, kind).tv
 
 

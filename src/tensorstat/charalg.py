@@ -16,11 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DenominatorVanishesError,
     DomainError,
     EntryCapExceededError,
     InternalConsistencyError,
-    WeylGroupTooLargeError,
 )
 from .numerics import logsumexp
 from .rootsys import (
@@ -192,14 +190,9 @@ def character_value(rs: RootSystem, lam, t, method: str = "auto") -> tuple[float
     t is a real vector in simple-root coordinates.  The value is a sum of
     exponentials with positive coefficients, so the certified sign is
     always +1; it is returned to keep the signed-log contract explicit.
-    One row of log_characters; CharacterPlan.evaluate documents the methods.
+    One row of CharacterPlan(rs, t).evaluate, which documents the methods.
     """
-    return float(log_characters(rs, [lam], t, method).values[0]), 1
-
-
-def log_characters(rs: RootSystem, lams, t, method: str = "auto") -> CharacterLogs:
-    """log chi_lambda(e^t) for every highest weight in lams; see CharacterPlan."""
-    return CharacterPlan(rs, t).evaluate(lams, method)
+    return float(CharacterPlan(rs, t).evaluate([lam], method).values[0]), 1
 
 
 # largest error |computed - exact| in log chi a float Weyl row may carry;
@@ -354,9 +347,7 @@ class CharacterPlan:
         """log chi_lambda(e^t) for each lambda in lams.
 
         method "auto" takes the paths described on the class; "weight-sum"
-        sums every row over its weight system; "weyl-quotient" takes the
-        float coset sum for every row whatever its bound, and requires t
-        regular (no positive root pairs to zero).
+        sums every row over its weight system.
         """
         rs = self.rs
         lams = [_as_weight(lam) for lam in lams]
@@ -364,29 +355,19 @@ class CharacterPlan:
             if len(lam) != rs.rank:
                 raise DomainError(f"weight {lam} needs {rs.rank} coordinates")
             _check_dominant(lam)
-        if method not in ("auto", "weight-sum", "weyl-quotient"):
+        if method not in ("auto", "weight-sum"):
             raise ValueError(f"unknown method {method!r}")
         n = len(lams)
         if method == "auto" and not np.any(self.t):
             values = np.array([math.log(weyl_dimension(rs, lam)) for lam in lams])
             return CharacterLogs(values, np.zeros(n), ("dimension",) * n)
-        if method == "weyl-quotient":
-            pairings = rs.pos_pairing_f @ self.t
-            scale = math.sqrt(max(float(self.t @ rs.B_f @ self.t), 1e-300))
-            if np.min(np.abs(pairings)) <= 1e-8 * scale:
-                raise DenominatorVanishesError(
-                    "Weyl denominator vanishes: t pairs to zero with a positive root"
-                )
-            order = weyl_group_order(rs.spec)
-            if order > _MAX_WEYL_ORDER:
-                raise WeylGroupTooLargeError(f"Weyl group too large for the quotient: |W| = {order}", order)
 
         values = np.full(n, np.nan)
         bounds = np.full(n, np.inf)
         weyl = np.zeros(n, dtype=bool)
         cosets = None if method == "weight-sum" or n == 0 else self._cosets
         if cosets is not None:
-            self._coset_rows(cosets, lams, values, bounds, weyl, force=method == "weyl-quotient")
+            self._coset_rows(cosets, lams, values, bounds, weyl)
         for i in np.flatnonzero(~weyl):
             ws = weight_multiplicities(rs, lams[i])
             values[i] = logsumexp(ws.log_mults_f + ws.pairing_rows_f @ self.t)
@@ -418,12 +399,12 @@ class CharacterPlan:
             eta=eta,
         )
 
-    def _coset_rows(self, c: _Cosets, lams, values, bounds, weyl, force: bool) -> None:
-        """Fill values and bounds of the rows the coset sum takes (every row if force)."""
+    def _coset_rows(self, c: _Cosets, lams, values, bounds, weyl) -> None:
+        """Fill values and bounds of the rows the coset sum takes."""
         r = self.rs.rank
         n0 = len(c.par.rho0)
         floor = _EPS * (n0 + 2) * c.inv_den
-        if floor > CHARACTER_BUDGET and not force:
+        if floor > CHARACTER_BUDGET:
             bounds[:] = floor
             return
         lam_all = np.array(lams, dtype=float)
@@ -450,8 +431,7 @@ class CharacterPlan:
                 + np.expm1(norm * c.eta)
             )
             bounds[lo : lo + step] = bound
-            take = np.ones(len(lam), dtype=bool) if force else bound <= CHARACTER_BUDGET
-            for i in np.flatnonzero(take):
+            for i in np.flatnonzero(bound <= CHARACTER_BUDGET):
                 total = math.fsum((c.par.sign * terms[i]).tolist())
                 if total <= 0.0:
                     raise InternalConsistencyError("character sign certificate failed")

@@ -227,13 +227,11 @@ def _cmd_limit_compare(args) -> int:
     rs = build_root_system(AlgebraSpec.parse(args.algebra))
     table = _cached_decompose(args.algebra, _build_factors(args), not args.no_cache)
     t = _resolve_t(rs, args)
-    kind = args.kind
-    scaling_kind = "gaussian" if kind == "gaussian" else "bulk"
-    m = character_measure(table, t=t, epsilon=args.epsilon, with_asymptotics=False, scaling_kind=scaling_kind)
-    report = weak_convergence_distance(m, kind)
+    m = character_measure(table, t=t, epsilon=args.epsilon, with_asymptotics=False)
+    report = weak_convergence_distance(m, args.kind)
     payload = {
         "algebra": args.algebra,
-        "kind": kind,
+        "kind": args.kind,
         "t": None if t is None else list(t),
         "tv": report.tv,
         "exact_mass_in_grid": report.exact_mass_in_grid,
@@ -290,6 +288,8 @@ def _cmd_pde_check(args) -> int:
         raise DomainError(f"pde-check takes at most one --power, got {len(args.power)}")
     n = args.power[0] if args.power else 10
     problem = tensor_problem(rs, [(rep, n)], args.epsilon)
+    if args.grid < 1:
+        raise DomainError(f"--grid must be at least 1, got {args.grid}")
     lines = ["y,xi,residual,fd_deviation"]
     worst_res = worst_dev = 0.0
     grid = np.linspace(-1.0, 1.0, args.grid)
@@ -310,6 +310,8 @@ def _cmd_pde_check(args) -> int:
 
 
 def _cmd_hook_check(args) -> int:
+    if args.max_power < 1:
+        raise DomainError(f"--max-power must be at least 1, got {args.max_power}")
     failures = 0
     checked = 0
     for n in (1, 2, 3):
@@ -330,7 +332,11 @@ def _cmd_hook_check(args) -> int:
 def _cmd_selftest(args) -> int:
     indices = None
     if args.criteria:
-        indices = [int(c) for c in args.criteria.split(",")]
+        indices = _parse_int_vector(args.criteria)
+        unknown = sorted(set(indices) - set(acceptance.ALL_CRITERIA))
+        if unknown:
+            known = acceptance.ALL_CRITERIA
+            raise DomainError(f"unknown criteria {unknown}; choose from {min(known)}-{max(known)}")
     with open(args.output, "w") if args.output else contextlib.nullcontext() as stream:
         results = acceptance.run(indices, stream=stream)
     return 0 if all(r.passed for r in results) else CONSISTENCY_ERROR

@@ -33,10 +33,6 @@ class ConvergenceError(TensorstatError):
     """Iterative solver failed to converge within its iteration budget."""
 
 
-class DenominatorVanishesError(DomainError):
-    """Weyl denominator vanishes at the requested point."""
-
-
 class GridCoverageError(DomainError):
     """Comparison grid does not capture enough of the limit mass."""
 

@@ -79,8 +79,8 @@ def tensor_problem(rs: RootSystem, factors, epsilon: float | None = None) -> Ten
         raise DomainError("problem needs at least one nontrivial factor with positive power")
     if epsilon is None:
         epsilon = 1.0 / total
-    if not (epsilon > 0):
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
     return TensorProblem(rs=rs, factors=fs, epsilon=float(epsilon))
 
 

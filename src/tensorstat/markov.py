@@ -106,8 +106,9 @@ class TransitionKernel:
     aligned tables of one row per state: target ids (sorted by weight,
     padded with -1), their probabilities, and their cumulative sums
     (padded with 2.0, above every uniform); an unbuilt row holds only
-    pads.  Exact evolution, sampling and row() read these tables.  Rows are built on demand from one Branching
-    for V; the kernel is not thread-safe.
+    pads.  Exact evolution, sampling and row() read these tables.  Rows
+    are built on demand from one Branching for V, the characters of one
+    call's new rows in one batch; the kernel is not thread-safe.
     """
 
     def __init__(self, rs: RootSystem, rep, t=None):
@@ -154,8 +155,16 @@ class TransitionKernel:
         return self._states[sid]
 
     def _build_rows(self, sids: np.ndarray) -> None:
-        """Build the rows not built yet among the given state ids."""
-        for sid in np.unique(sids[self._targets[sids, 0] < 0]).tolist():
+        """Build the rows not built yet among the given state ids.
+
+        The characters of every source and target of these rows are
+        evaluated in one batch before the rows are filled.
+        """
+        todo = np.unique(sids[self._targets[sids, 0] < 0]).tolist()
+        if self._t_arr is not None:
+            sources = [self._states[sid] for sid in todo]
+            self._log_chi_at([lam for src in sources for lam in (src, *self._branching.row(src))])
+        for sid in todo:
             self._build_row(self._states[sid], sid)
 
     def _log_chi_at(self, lams) -> list[float]:
@@ -213,16 +222,11 @@ class TransitionKernel:
         self._cdf[sid, n - 1] = 1.0
 
 
-def transition_row(rs: RootSystem, rep, t, source) -> TransitionRow:
-    """Kernel row from one dominant weight; see the module formula."""
-    return TransitionKernel(rs, rep, t).row(source)
-
-
 def _endpoint_table(kernel: TransitionKernel, N: int, dist, epsilon, with_asymptotics) -> MeasureTable:
     """Measure table of the law dist (weight -> probability) after N steps."""
     if N > 0:
         problem = tensor_problem(kernel.rs, [(kernel.rep, N)], epsilon)
-        return assemble_measure_table(problem, dist, kernel.t, with_asymptotics, "auto")
+        return assemble_measure_table(problem, dist, kernel.t, with_asymptotics)
     # zero tensor factors: the chain has not moved, no rescaling applies
     rank = kernel.rs.rank
     eps = 1.0 if epsilon is None else float(epsilon)
@@ -360,7 +364,6 @@ def sample_paths(
     N: int,
     chains: int,
     seed: int,
-    threads: int = 1,
     epsilon: float | None = None,
     keep_paths: bool = True,
     with_asymptotics: bool = False,
@@ -368,8 +371,7 @@ def sample_paths(
     """Monte Carlo endpoint measure plus the sampled trajectories.
 
     Chain c consumes only the stream keyed (seed, c), and endpoint
-    aggregation is integer counting, so a seed fixes the result.  Sampling
-    runs in one thread; threads is accepted and ignored.
+    aggregation is integer counting, so a seed fixes the result.
     """
     _check_sampling(N, chains, seed)
     return _sample(TransitionKernel(rs, rep, t), N, chains, seed, epsilon, keep_paths, with_asymptotics)

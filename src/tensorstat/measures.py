@@ -16,12 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charalg import (
-    DecompositionTable,
-    Weight,
-    log_characters,
-    weyl_dimension,
-)
+from .charalg import CharacterPlan, DecompositionTable, Weight, weyl_dimension
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -65,7 +60,7 @@ def character_probabilities(table: DecompositionTable, t=None) -> dict[Weight, f
         return {lam: float(p) for lam, p in plancherel_measure(table).items()}
     # sorted order: a fresh table and its cached copy must sum alike
     entries = table.sorted_entries()
-    logs = log_characters(rs, [lam for lam, _ in entries] + [nu for nu, _ in table.problem], t).values
+    logs = CharacterPlan(rs, t).evaluate([lam for lam, _ in entries] + [nu for nu, _ in table.problem]).values
     log_norm = 0.0
     for (_, n), lg in zip(table.problem, logs[len(entries) :].tolist()):
         log_norm += n * lg
@@ -101,8 +96,7 @@ def gaussian_scaling(problem: TensorProblem, t) -> Scaling:
     eta is taken at t's chamber representative: the measure is
     W-invariant, and its mean sits in the dominant chamber.
     """
-    t = np.zeros(problem.rs.rank) if t is None else reflect_to_chamber(problem.rs, t)[0]
-    eta = forward_dual(problem, t)
+    eta = forward_dual(problem, reflect_to_chamber(problem.rs, t)[0])
     eps = problem.epsilon
     return Scaling(epsilon=eps, x_scalar=None, center=tuple(eta / eps), spread=math.sqrt(eps))
 
@@ -232,27 +226,17 @@ def assemble_measure_table(
     probs: dict[Weight, float],
     t=None,
     with_asymptotics: bool = True,
-    scaling_kind: str = "auto",
 ) -> MeasureTable:
     """Package a probability map over dominant weights as a MeasureTable.
 
     Rows are sorted by weight.  The scaled column uses the Gaussian
-    rescaling for regular t and the semiclassical one for t = 0 ("auto");
-    pass scaling_kind "bulk" to keep semiclassical coordinates at nonzero
-    t (the intermediate regime).  The asymptotic column is NaN where the
-    pointwise formula does not apply (chamber walls, or scaled weights
-    outside the admissible domain).
+    rescaling for nonzero t and the semiclassical one for t = 0.  The
+    asymptotic column is NaN where the pointwise formula does not apply
+    (chamber walls, or scaled weights outside the admissible domain).
     """
     rs = problem.rs
     use_t = None if t is None or not np.any(np.asarray(t, dtype=float)) else np.asarray(t, dtype=float)
-    if scaling_kind == "auto":
-        scaling_kind = "bulk" if use_t is None else "gaussian"
-    if scaling_kind == "bulk":
-        scaling = bulk_scaling(problem)
-    elif scaling_kind == "gaussian":
-        scaling = gaussian_scaling(problem, use_t)
-    else:
-        raise ValueError(f"unknown scaling kind {scaling_kind!r}")
+    scaling = bulk_scaling(problem) if use_t is None else gaussian_scaling(problem, use_t)
     rows = []
     for lam in sorted(probs):
         lam_root = np.array([float(v) for v in rs.root_coords(lam)])
@@ -279,13 +263,12 @@ def character_measure(
     t=None,
     epsilon: float | None = None,
     with_asymptotics: bool = True,
-    scaling_kind: str = "auto",
 ) -> MeasureTable:
     """Evaluate the character measure of a decomposition as a MeasureTable."""
     rs = table.rs
     problem = tensor_problem(rs, table.problem, epsilon)
     probs = character_probabilities(table, t)
-    return assemble_measure_table(problem, probs, t, with_asymptotics, scaling_kind)
+    return assemble_measure_table(problem, probs, t, with_asymptotics)
 
 
 def lattice_aligned_edges(
@@ -335,18 +318,20 @@ def weak_convergence_distance(
 ) -> WeakConvergenceReport:
     """Total-variation distance between binned exact and limit measures.
 
-    The measure's scaled coordinates are binned over a rectangular grid
-    and compared against cell integrals of the matching limit density:
-    kind "gaussian" with the precision matrix at the measure's t,
-    "plancherel" at t = 0, or "intermediate" with u recovered from t (t
-    is first reflected into the dominant chamber; the measure is
-    invariant).  The measure must carry the scaling of the requested
-    regime.  Mass outside the grid counts in full toward the distance.
+    The regime fixes the coordinates: the highest weights are rescaled by
+    gaussian_scaling for kind "gaussian" (nonzero t) and by bulk_scaling
+    for "plancherel" (t = 0) and "intermediate" (nonzero t), whatever the
+    scaled column of m holds.  They are binned over a rectangular grid and
+    compared against cell integrals of the matching limit density: the
+    Gaussian with the precision matrix at the measure's t, or the chamber
+    law with u recovered from t (t is first reflected into the dominant
+    chamber; the measure is invariant).  Mass outside the grid counts in
+    full toward the distance.
 
     Without edges the grid is lattice aligned, two lattice columns per
     cell: highest weights of one problem differ by root-lattice vectors,
     integers in root coordinates, so scaled points sit on a lattice of
-    spacing m.scaling.spread.  It also covers the limit law's tail beyond
+    spacing scaling.spread.  It also covers the limit law's tail beyond
     s = sqrt(2 ln 1e9), where e^{-s^2/2} = 1e-9: |z| >= sqrt(r) + s for the
     Gaussian, and |b|_B >= sqrt(dim g) + |u|_B + s for the chamber laws,
     whose radial part is the norm of a shifted Gaussian element of g;
@@ -360,17 +345,16 @@ def weak_convergence_distance(
     K = u = None
 
     if kind == "gaussian":
-        if m.scaling.x_scalar is not None:
-            raise DomainError("gaussian comparison needs a measure in fluctuation coordinates")
-        tt = np.zeros(rs.rank) if t_dom is None else t_dom
-        _, _, hess = f_grad_hess(problem, tt)
+        if t_dom is None:
+            raise DomainError("gaussian comparison needs a nonzero t")
+        scaling = gaussian_scaling(problem, m.t)
+        _, _, hess = f_grad_hess(problem, t_dom)
         K = rs.B_f @ np.linalg.solve(hess, rs.B_f)
         K = 0.5 * (K + K.T)
         half = (math.sqrt(rs.rank) + tail) * np.sqrt(np.diag(np.linalg.inv(K)))
         cover = [(-h, h) for h in half]
     elif kind in ("plancherel", "intermediate"):
-        if m.scaling.x_scalar is None:
-            raise DomainError(f"{kind} comparison needs a measure in semiclassical coordinates")
+        scaling = bulk_scaling(problem)
         if kind == "plancherel":
             if t_dom is not None:
                 raise DomainError("plancherel comparison requires t = 0")
@@ -378,7 +362,7 @@ def weak_convergence_distance(
         else:
             if t_dom is None:
                 raise DomainError("intermediate comparison needs a nonzero t")
-            u = t_dom * math.sqrt(m.scaling.x_scalar / eps)
+            u = t_dom * math.sqrt(scaling.x_scalar / eps)
         dim_g = rs.rank + 2 * rs.n_positive
         radius = math.sqrt(dim_g) + math.sqrt(float(u @ rs.B_f @ u)) + tail
         cover = [(0.0, h) for h in radius * np.sqrt(np.diag(np.linalg.inv(rs.B_f)))]
@@ -389,10 +373,10 @@ def weak_convergence_distance(
         return limit_density(rs, kind, pts, K=K, u=u)
 
     pvals = np.array([row.probability for row in m.rows])
-    scaled = np.array([row.scaled for row in m.rows])
+    scaled = scaling.apply([[float(v) for v in rs.root_coords(row.weight)] for row in m.rows])
 
     if edges is None:
-        edges = lattice_aligned_edges(scaled, m.scaling.spread, cells_per=2, cover=cover)
+        edges = lattice_aligned_edges(scaled, scaling.spread, cells_per=2, cover=cover)
     edges = [np.asarray(e, dtype=float) for e in edges]
     shape = tuple(len(e) - 1 for e in edges)
 

@@ -6,7 +6,7 @@ For a single tensor factor the rate function satisfies
 
 with the partials available in closed form at the dual point x:
 dS/dtau = ln chi_V(e^x) and dS/dxi = -Bx.  Both sides are evaluated
-through different code paths (Weyl-quotient character vs weight sum over
+through different code paths (coset-sum character vs weight sum over
 the gradient), so the residual exercises the whole Legendre pipeline.
 Finite-difference versions of both partials back the analytic ones.
 """
@@ -105,8 +105,3 @@ def pde_residual(problem: TensorProblem, xi, h: float = 1e-5) -> PdeReport:
         xi_partials=tuple(float(g) for g in grad_S),
         xi_partials_fd=tuple(float(g) for g in xi_fd),
     )
-
-
-def derivative_check(problem: TensorProblem, xi, h: float = 1e-5) -> DerivativeReport:
-    """Central differences of S in xi and tau against -Bx and ln chi(e^x)."""
-    return pde_residual(problem, xi, h).derivatives

@@ -135,8 +135,7 @@ def _check_limit_compare(capsys, algebra, rep, power, kind, t=None):
     rs = build_root_system(AlgebraSpec.parse(algebra))
     table = tensor_power_decompose(rs, [(tuple(int(c) for c in rep.split(",")), power)])
     t_vec = None if t is None else [float(v) for v in t.split(",")]
-    scaling_kind = "gaussian" if kind == "gaussian" else "bulk"
-    m = character_measure(table, t=t_vec, with_asymptotics=False, scaling_kind=scaling_kind)
+    m = character_measure(table, t=t_vec, with_asymptotics=False)
     library = weak_convergence_distance(m, kind)
     assert payload["tv"] == pytest.approx(library.tv, rel=1e-12)
     assert payload["cells"] == list(library.cells)
@@ -232,6 +231,31 @@ def test_selftest_output_file(capsys, tmp_path):
 )
 def test_extra_problem_arguments_are_domain_errors(capsys, argv):
     code = main([argv[0], "--algebra", "A2", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--criteria", "13"],
+        ["selftest", "--criteria", "x"],
+        ["pde-check", "--algebra", "A1", "--rep", "1", "--grid", "0"],
+        ["pde-check", "--algebra", "A1", "--rep", "1", "--grid", "-1"],
+        ["hook-check", "--max-power", "-2"],
+        ["measure", "--algebra", "A1", "--rep", "1", "--power", "4", "--epsilon", "inf"],
+        # the Gaussian fluctuation law does not hold at t = 0
+        ["limit-compare", "--algebra", "A1", "--rep", "1", "--power", "20", "--kind", "gaussian"],
+    ],
+    ids=[
+        "criteria-13", "criteria-x", "grid-0", "grid-negative", "max-power-negative",
+        "epsilon-inf", "gaussian-without-t",
+    ],
+)
+def test_invalid_inputs_are_domain_errors(capsys, argv):
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tensorstat import (
+    CharacterPlan,
     DomainError,
     TransitionKernel,
     build_root_system,
@@ -20,7 +21,6 @@ from tensorstat import (
     sample_paths,
     tensor_power_decompose,
     trajectories_to_jsonl,
-    transition_row,
     weight_multiplicities,
     weyl_dimension,
 )
@@ -28,23 +28,23 @@ from tensorstat import (
 
 def test_kernel_row_oracles_t_zero(a1):
     # M(lam -> mu) = b * dim(mu) / (dim(lam) dim(V)), exact at t = 0
-    row = transition_row(a1, (1,), None, (1,))
+    row = TransitionKernel(a1, (1,), None).row((1,))
     assert dict(row.targets) == {(0,): 0.25, (2,): 0.75}
-    row2 = transition_row(a1, (1,), None, (2,))
+    row2 = TransitionKernel(a1, (1,), None).row((2,))
     assert dict(row2.targets) == {(1,): float(Fraction(1, 3)), (3,): float(Fraction(2, 3))}
     assert row2.probability((3,)) == float(Fraction(2, 3))
     assert row2.probability((7,)) == 0.0
 
 
 def test_kernel_row_from_origin(a1, a2):
-    assert dict(transition_row(a1, (1,), None, (0,)).targets) == {(1,): 1.0}
-    assert dict(transition_row(a2, (1, 0), None, (0, 0)).targets) == {(1, 0): 1.0}
+    assert dict(TransitionKernel(a1, (1,), None).row((0,)).targets) == {(1,): 1.0}
+    assert dict(TransitionKernel(a2, (1, 0), None).row((0, 0)).targets) == {(1, 0): 1.0}
 
 
 def test_kernel_row_regular_t_closed_form(a1):
     # M([1] -> [2]) = chi_2(t) / chi_1(t)^2 at e^t, complement to [0]
     t = 0.5
-    row = transition_row(a1, (1,), np.array([t]), (1,))
+    row = TransitionKernel(a1, (1,), np.array([t])).row((1,))
     p2 = (1 + 2 * math.cosh(2 * t)) / (2 * math.cosh(t)) ** 2
     assert row.probability((2,)) == pytest.approx(p2, rel=1e-12)
     assert row.probability((0,)) == pytest.approx(1 - p2, rel=1e-12)
@@ -64,7 +64,7 @@ def test_kernel_rejects_bad_input(a1):
     with pytest.raises(DomainError):
         TransitionKernel(a1, (-1,), None)
     with pytest.raises(DomainError):
-        transition_row(a1, (1,), None, (-2,))
+        TransitionKernel(a1, (1,), None).row((-2,))
 
 
 def test_deep_chamber_row_is_weight_translation(a2):
@@ -72,7 +72,7 @@ def test_deep_chamber_row_is_weight_translation(a2):
     rep = (1, 0)
     ws = weight_multiplicities(a2, rep)
     lam = (7, 9)
-    row = transition_row(a2, rep, None, lam)
+    row = TransitionKernel(a2, rep, None).row(lam)
     expected = {tuple(l + int(m) for l, m in zip(lam, mu)) for mu in ws.multiplicities}
     assert {mu for mu, _ in row.targets} == expected
 
@@ -84,7 +84,7 @@ def test_deep_chamber_row_hypothesis(extra):
     rs = build_root_system(AlgebraSpec.parse("B2"))
     rep = (1, 0)
     ws = weight_multiplicities(rs, rep)
-    row = transition_row(rs, rep, None, extra)
+    row = TransitionKernel(rs, rep, None).row(extra)
     expected = {tuple(l + int(m) for l, m in zip(extra, mu)) for mu in ws.multiplicities}
     assert {mu for mu, _ in row.targets} == expected
     assert sum(p for _, p in row.targets) == pytest.approx(1.0, abs=1e-12)
@@ -116,18 +116,6 @@ def test_evolve_exact_telescopes_to_character_measure(a1, t):
 def test_evolve_exact_rejects_negative_steps(a1):
     with pytest.raises(DomainError):
         evolve_exact(a1, (1,), None, -1)
-
-
-def test_sample_paths_deterministic_across_threads(a2):
-    kwargs = dict(t=np.array([0.1, 0.2]), N=12, chains=600, seed=424242)
-    tables = []
-    trajs = []
-    for threads in [1, 2, 4]:
-        m, paths = sample_paths(a2, (1, 0), threads=threads, **kwargs)
-        tables.append(m.probabilities())
-        trajs.append(trajectories_to_jsonl(paths))
-    assert tables[0] == tables[1] == tables[2]
-    assert trajs[0] == trajs[1] == trajs[2]
 
 
 @pytest.mark.parametrize(
@@ -181,6 +169,25 @@ def test_evolve_exact_keeps_states_whose_mass_underflows(a1):
         tensor_power_decompose(a1, [((1,), 3)]), t=[800.0], with_asymptotics=False
     ).probabilities()
     assert walked == direct == {(1,): 0.0, (3,): 1.0}
+
+
+def test_kernel_evaluates_characters_once_per_step(a2, monkeypatch):
+    # the characters of the sources and targets of every row a step builds
+    # go to CharacterPlan.evaluate in one batch
+    calls = []
+    evaluate = CharacterPlan.evaluate
+
+    def counted(self, lams, method="auto"):
+        calls.append(len(lams))
+        return evaluate(self, lams, method)
+
+    monkeypatch.setattr(CharacterPlan, "evaluate", counted)
+    t, n = np.array([0.3, 0.1]), 12
+    evolve_exact(a2, (1, 0), t, n)
+    assert len(calls) <= 1 + n  # chi_V, then at most one batch per step
+    calls.clear()
+    sample_paths(a2, (1, 0), t, n, 500, seed=3, keep_paths=False)
+    assert len(calls) <= 1 + n
 
 
 def test_sample_paths_seed_sensitivity(a1):

@@ -184,7 +184,7 @@ def test_scaling_and_tv_constant_on_weyl_orbit_of_t(name, rep, power, t_gauss, t
     ref = None
     for w in actions:
         gauss = character_measure(table, t=w @ np.asarray(t_gauss), with_asymptotics=False)
-        bulk = character_measure(table, t=w @ np.asarray(t_inter), with_asymptotics=False, scaling_kind="bulk")
+        bulk = character_measure(table, t=w @ np.asarray(t_inter), with_asymptotics=False)
         got = (
             [r.probability for r in gauss.rows],
             np.array([r.scaled for r in gauss.rows]),

@@ -5,7 +5,6 @@ import pytest
 
 from tensorstat import (
     DomainError,
-    derivative_check,
     pde_residual,
     tensor_problem,
 )
@@ -56,9 +55,9 @@ def test_finite_difference_cross_check(a1):
         assert exact == pytest.approx(fd, abs=1e-6)
 
 
-def test_derivative_check_report(a2):
+def test_pde_residual_derivatives_report(a2):
     p = _single(a2, (1, 0), 12, 1.2)
-    out = derivative_check(p, np.array([0.05, -0.02]))
+    out = pde_residual(p, np.array([0.05, -0.02])).derivatives
     assert out.max_deviation == max(out.tau_deviation, out.xi_deviation)
     assert out.max_deviation < 1e-6
 
