@@ -66,7 +66,6 @@ from .pde import DerivativeReport, PdeReport, pde_residual
 from .rootsys import (
     AlgebraSpec,
     RootSystem,
-    WeylElement,
     build_root_system,
     cartan_matrix,
     dominant_reflect,

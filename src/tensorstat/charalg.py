@@ -29,6 +29,7 @@ from .rootsys import (
     reflect_to_chamber,
     wall_slack,
     weyl_group_order,
+    weyl_orbits,
 )
 
 Weight = tuple[int, ...]
@@ -46,10 +47,18 @@ def _check_dominant(lam: Weight):
         raise DomainError(f"weight {lam} is not dominant")
 
 
+def _dominant_weight(rs: RootSystem, lam) -> Weight:
+    """lam as an integer dominant weight of rs, or a DomainError."""
+    lam = _as_weight(lam)
+    if len(lam) != rs.rank:
+        raise DomainError(f"weight {lam} needs {rs.rank} coordinates")
+    _check_dominant(lam)
+    return lam
+
+
 def weyl_dimension(rs: RootSystem, lam) -> int:
     """dim V(lambda) by the product over positive roots, exact."""
-    lam = _as_weight(lam)
-    _check_dominant(lam)
+    lam = _dominant_weight(rs, lam)
     num = den = 1
     for k in rs.posroot_pairing_int:  # (lam + rho, alpha) and (rho, alpha), one common scale
         num *= sum((c + 1) * x for c, x in zip(lam, k))
@@ -62,7 +71,7 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
 
 def second_casimir(rs: RootSystem, lam) -> Fraction:
     """Quadratic Casimir eigenvalue (lambda, lambda + 2 rho), exact."""
-    lam = _as_weight(lam)
+    lam = _dominant_weight(rs, lam)
     shifted = tuple(c + 2 for c in lam)
     return rs.inner_weight(lam, shifted)
 
@@ -114,13 +123,10 @@ def weight_multiplicities(rs: RootSystem, lam) -> WeightSystem:
 
     in ints throughout (k_alpha: RootSystem.posroot_pairing_int); the
     quotient must be exact and positive.  Each Weyl orbit is then filled
-    in by reflections, and the total is checked against Weyl's formula.
+    in by one weyl_orbits walk, and the total is checked against Weyl's
+    formula.
     """
-    lam = _as_weight(lam)
-    if len(lam) != rs.rank:
-        raise DomainError(f"weight {lam} needs {rs.rank} coordinates")
-    _check_dominant(lam)
-    return _weight_system(rs.spec, lam)
+    return _weight_system(rs.spec, _dominant_weight(rs, lam))
 
 
 @lru_cache(maxsize=1024)
@@ -161,23 +167,9 @@ def _weight_system(spec, lam: Weight) -> WeightSystem:
             raise InternalConsistencyError(f"Freudenthal gave multiplicity {2 * total}/{denom} at {mu}")
         dom_mult[mu] = val
 
-    full: dict[Weight, int] = {}
-    for mu, m in dom_mult.items():
-        frontier = [mu]
-        full[mu] = m
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for a in range(r):
-                    wa = w[a]
-                    if wa <= 0:
-                        continue  # reflect only downward, each orbit point reached once
-                    refl = tuple(w[i] - wa * rs.cartan[i][a] for i in range(r))
-                    if refl not in full:
-                        full[refl] = m
-                        nxt.append(refl)
-            frontier = nxt
-
+    points, origin = weyl_orbits(rs, list(dom_mult))
+    mults = list(dom_mult.values())
+    full = {w: mults[o] for w, o in zip(map(tuple, points.tolist()), origin.tolist())}
     ws = WeightSystem(rs=rs, highest=lam, multiplicities=full, dominant_multiplicities=dom_mult)
     if ws.dim != weyl_dimension(rs, lam):
         raise InternalConsistencyError(f"weight system of {lam} sums to {ws.dim}, dimension formula disagrees")
@@ -244,15 +236,9 @@ def _parabolic(spec, wall: tuple[bool, ...]) -> _Parabolic:
     rs = build_root_system(spec)
     r = rs.rank
     d = [Fraction(x) for x in rs.d]
-    # coset representatives: the distinct orbit points of an integral
-    # dominant weight whose stabilizer is W0 (zero exactly on the walls)
-    actions, parities = rs.weyl_actions
-    p_root = rs.root_coords([0 if wall[i] else 1 for i in range(r)])
-    scale = math.lcm(*(x.denominator for x in p_root))
-    p_int = np.array([int(x * scale) for x in p_root], dtype=np.int64)
-    _, reps = np.unique(actions @ p_int, axis=0, return_index=True)
-    reps = np.sort(reps)  # index 0, the identity, comes first
-    M = actions[reps]
+    # minimal coset representatives: the orbit of the dominant weight whose
+    # stabilizer is W0 (zero exactly on the walls); the identity comes first
+    _, _, M, parities = weyl_orbits(rs, [[0 if w else 1 for w in wall]], with_actions=True)
 
     # d * (t - w t) = diag(d) (1 - w) C^-1 diag(1/d) pairings: a matrix >= 0,
     # exact up to one rounding per entry since m C^-1 is integral
@@ -271,8 +257,8 @@ def _parabolic(spec, wall: tuple[bool, ...]) -> _Parabolic:
     outside = [a for a in rs.positive_roots if any(a[i] != 0 for i in range(r) if not wall[i])]
     return _Parabolic(
         qmat=qmat,
-        sign=parities[reps].astype(float),
-        poly=poly.reshape(len(phi0), len(reps), r),
+        sign=parities.astype(float),
+        poly=poly.reshape(len(phi0), len(M), r),
         rho0=rho0,
         outside=np.array(outside, dtype=float).reshape(len(outside), r),
         b_inv_norm=math.sqrt(1.0 / float(np.min(np.linalg.eigvalsh(rs.B_f)))),
@@ -350,11 +336,7 @@ class CharacterPlan:
         sums every row over its weight system.
         """
         rs = self.rs
-        lams = [_as_weight(lam) for lam in lams]
-        for lam in lams:
-            if len(lam) != rs.rank:
-                raise DomainError(f"weight {lam} needs {rs.rank} coordinates")
-            _check_dominant(lam)
+        lams = [_dominant_weight(rs, lam) for lam in lams]
         if method not in ("auto", "weight-sum"):
             raise ValueError(f"unknown method {method!r}")
         n = len(lams)

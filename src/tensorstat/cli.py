@@ -259,8 +259,8 @@ def _cmd_sample(args) -> int:
     markov._check_sampling(args.steps, args.chains, args.seed)
     # one kernel for both runs; evolving first keeps evolve_exact's state order
     kernel = markov.TransitionKernel(rs, rep, t)
-    exact = markov._evolve(kernel, args.steps, args.epsilon, False)
-    empirical, trajectories = markov._sample(kernel, args.steps, args.chains, args.seed, args.epsilon, keep, False)
+    exact = markov._evolve(kernel, args.steps, args.epsilon)
+    empirical, trajectories = markov._sample(kernel, args.steps, args.chains, args.seed, args.epsilon, keep)
     if keep:
         Path(args.paths).write_text(markov.trajectories_to_jsonl(trajectories))
     pe, pc = empirical.probabilities(), exact.probabilities()

@@ -77,11 +77,16 @@ def tensor_problem(rs: RootSystem, factors, epsilon: float | None = None) -> Ten
             nontrivial = True
     if not nontrivial:
         raise DomainError("problem needs at least one nontrivial factor with positive power")
+    return TensorProblem(rs=rs, factors=fs, epsilon=_checked_epsilon(epsilon, 1.0 / total))
+
+
+def _checked_epsilon(epsilon, default: float) -> float:
+    """epsilon as a float, default where it is None; finite and positive or a DomainError."""
     if epsilon is None:
-        epsilon = 1.0 / total
+        epsilon = default
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
-    return TensorProblem(rs=rs, factors=fs, epsilon=float(epsilon))
+    return float(epsilon)
 
 
 def f_eval(problem: TensorProblem, y) -> float:

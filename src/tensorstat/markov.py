@@ -30,7 +30,7 @@ import numpy as np
 
 from .charalg import Branching, CharacterPlan, Weight, weight_multiplicities, weyl_dimension
 from .errors import DomainError, InternalConsistencyError
-from .legendre import tensor_problem
+from .legendre import _checked_epsilon, tensor_problem
 from .measures import MeasureRow, MeasureTable, Scaling, assemble_measure_table
 from .rootsys import RootSystem
 
@@ -222,14 +222,14 @@ class TransitionKernel:
         self._cdf[sid, n - 1] = 1.0
 
 
-def _endpoint_table(kernel: TransitionKernel, N: int, dist, epsilon, with_asymptotics) -> MeasureTable:
+def _endpoint_table(kernel: TransitionKernel, N: int, dist, epsilon) -> MeasureTable:
     """Measure table of the law dist (weight -> probability) after N steps."""
     if N > 0:
         problem = tensor_problem(kernel.rs, [(kernel.rep, N)], epsilon)
-        return assemble_measure_table(problem, dist, kernel.t, with_asymptotics)
+        return assemble_measure_table(problem, dist, kernel.t, False)
     # zero tensor factors: the chain has not moved, no rescaling applies
     rank = kernel.rs.rank
-    eps = 1.0 if epsilon is None else float(epsilon)
+    eps = _checked_epsilon(epsilon, 1.0)
     scaling = Scaling(epsilon=eps, x_scalar=None, center=(0.0,) * rank, spread=1.0)
     row = MeasureRow((0,) * rank, 1.0, math.nan, (0.0,) * rank)
     return MeasureTable(
@@ -248,7 +248,6 @@ def evolve_exact(
     t,
     N: int,
     epsilon: float | None = None,
-    with_asymptotics: bool = False,
 ) -> MeasureTable:
     """Distribution after N kernel steps from the zero weight.
 
@@ -258,10 +257,10 @@ def evolve_exact(
     """
     if N < 0:
         raise DomainError("step count must be nonnegative")
-    return _evolve(TransitionKernel(rs, rep, t), N, epsilon, with_asymptotics)
+    return _evolve(TransitionKernel(rs, rep, t), N, epsilon)
 
 
-def _evolve(kernel: TransitionKernel, N: int, epsilon, with_asymptotics) -> MeasureTable:
+def _evolve(kernel: TransitionKernel, N: int, epsilon) -> MeasureTable:
     """evolve_exact on a given kernel; N is already checked."""
     sids = np.array([kernel.state_id((0,) * kernel.rs.rank)])
     probs = np.ones(1)
@@ -275,7 +274,7 @@ def _evolve(kernel: TransitionKernel, N: int, epsilon, with_asymptotics) -> Meas
         sids = np.unique(flat)
         probs = mass[sids]
     dist = dict(zip(map(kernel.state, sids.tolist()), probs.tolist()))
-    return _endpoint_table(kernel, N, dist, epsilon, with_asymptotics)
+    return _endpoint_table(kernel, N, dist, epsilon)
 
 
 def _mulhilo(x: np.ndarray, m, m_lo, m_hi) -> tuple[np.ndarray, np.ndarray]:
@@ -366,7 +365,6 @@ def sample_paths(
     seed: int,
     epsilon: float | None = None,
     keep_paths: bool = True,
-    with_asymptotics: bool = False,
 ) -> tuple[MeasureTable, tuple[Trajectory, ...]]:
     """Monte Carlo endpoint measure plus the sampled trajectories.
 
@@ -374,7 +372,7 @@ def sample_paths(
     aggregation is integer counting, so a seed fixes the result.
     """
     _check_sampling(N, chains, seed)
-    return _sample(TransitionKernel(rs, rep, t), N, chains, seed, epsilon, keep_paths, with_asymptotics)
+    return _sample(TransitionKernel(rs, rep, t), N, chains, seed, epsilon, keep_paths)
 
 
 def _check_sampling(N: int, chains: int, seed: int) -> None:
@@ -386,7 +384,7 @@ def _check_sampling(N: int, chains: int, seed: int) -> None:
         raise DomainError(f"seed {seed} is outside [0, 2^64)")
 
 
-def _sample(kernel: TransitionKernel, N: int, chains: int, seed: int, epsilon, keep_paths, with_asymptotics):
+def _sample(kernel: TransitionKernel, N: int, chains: int, seed: int, epsilon, keep_paths):
     """sample_paths on a given kernel; the arguments are already checked."""
     results = [
         _run_block(kernel, seed, lo, min(lo + _BLOCK, chains), N, keep_paths)
@@ -403,4 +401,4 @@ def _sample(kernel: TransitionKernel, N: int, chains: int, seed: int, epsilon, k
         if keep_paths
         for j, path in enumerate(paths)
     )
-    return _endpoint_table(kernel, N, probs, epsilon, with_asymptotics), trajectories
+    return _endpoint_table(kernel, N, probs, epsilon), trajectories

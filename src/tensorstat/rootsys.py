@@ -321,14 +321,8 @@ class RootSystem:
 
     @cached_property
     def weyl_actions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every Weyl element stacked: (|W|, r, r) int root-coordinate actions, (|W|,) parities.
-
-        Row 0 is the identity.  Built from enumerate_weyl_group, so the same
-        size cap applies.
-        """
-        W = enumerate_weyl_group(self)
-        actions = np.array([w.action for w in W], dtype=np.int64)
-        return actions, np.array([w.parity for w in W], dtype=np.int64)
+        """enumerate_weyl_group, kept: every Weyl element's root-coordinate action and parity."""
+        return enumerate_weyl_group(self)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.spec})"
@@ -463,29 +457,56 @@ def reflect_to_chamber(rs: RootSystem, t) -> tuple[np.ndarray, float]:
     raise ConvergenceError("chamber reflection did not terminate")
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """Group element as reduced word, parity, and root-coordinate matrix."""
-
-    word: tuple[int, ...]
-    parity: int
-    action: tuple[tuple[int, ...], ...]
-
-    def apply_root(self, x):
-        """Act on a vector in root coordinates (exact for int/Fraction)."""
-        return tuple(sum(self.action[i][j] * x[j] for j in range(len(x))) for i in range(len(x)))
-
-
 # largest Weyl group that is enumerated or stacked
 _MAX_WEYL_ORDER = 10**6
 
 
-def enumerate_weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """All Weyl group elements by breadth-first closure over simple reflections.
+def weyl_orbits(rs: RootSystem, mus, with_actions: bool = False):
+    """The W-orbits of the distinct dominant weights mus, walked level by level.
 
-    The group order is known in closed form per family, so groups above
-    _MAX_WEYL_ORDER are rejected before any enumeration happens.  Not
-    cached: RootSystem.weyl_actions keeps the stacked group.
+    From an orbit point x, the simple reflection s_a lengthens the minimal
+    element taking the dominant weight to x exactly when x_a > 0.  So level
+    k + 1 is level k reflected at its positive coordinates, and it meets no
+    earlier level; its repeats are dropped by np.unique (sorted, first
+    occurrence kept).  Returns (points, origin): (n, r) int64 weight
+    coordinates and, per point, the index in mus of its dominant weight;
+    level 0 is mus in order.  With with_actions, also (n, r, r) int64
+    root-coordinate matrices of the minimal elements and their (n,)
+    parities (-1)^level; the identity comes first.
+    """
+    C = np.array(rs.cartan, dtype=np.int64)
+    r = rs.rank
+    level = np.array(mus, dtype=np.int64).reshape(-1, r)
+    origin = np.arange(len(level))
+    action = np.broadcast_to(np.eye(r, dtype=np.int64), (len(level), r, r)) if with_actions else None
+    levels = [(level, origin, action)]
+    while True:
+        parent, simple = np.nonzero(level > 0)
+        if not len(parent):
+            break
+        level, first = np.unique(level[parent] - level[parent, simple, None] * C.T[simple], axis=0, return_index=True)
+        parent, simple = parent[first], simple[first]
+        origin = origin[parent]
+        if with_actions:
+            # s_a on root coordinates subtracts <y, alpha_a^vee> alpha_a from y
+            action = action[parent]
+            action[np.arange(len(parent)), simple] -= np.einsum("nj,njk->nk", C[simple], action)
+        levels.append((level, origin, action))
+    points, origin, actions = zip(*levels)
+    if not with_actions:
+        return np.concatenate(points), np.concatenate(origin)
+    parities = [np.full(len(p), (-1) ** k, dtype=np.int64) for k, p in enumerate(points)]
+    return np.concatenate(points), np.concatenate(origin), np.concatenate(actions), np.concatenate(parities)
+
+
+def enumerate_weyl_group(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Every Weyl element: (|W|, r, r) int root-coordinate actions, (|W|,) parities.
+
+    The minimal elements over the orbit of rho, which is regular, so each
+    element appears once; row 0 is the identity.  The group order is known
+    in closed form per family, so groups above _MAX_WEYL_ORDER are rejected
+    before any enumeration happens.  Not cached: RootSystem.weyl_actions
+    keeps the result.
     """
     order = weyl_group_order(rs.spec)
     if order > _MAX_WEYL_ORDER:
@@ -493,35 +514,7 @@ def enumerate_weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
             f"Weyl group too large to enumerate: |W| = {order} exceeds cap {_MAX_WEYL_ORDER}",
             order,
         )
-
-    r = rs.rank
-    C = rs.cartan
-    ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-    refl = []
-    for a in range(r):
-        refl.append(tuple(tuple((1 if b == c else 0) - (C[a][c] if b == a else 0) for c in range(r)) for b in range(r)))
-
-    def matmul(X, Y):
-        return tuple(tuple(sum(X[i][k] * Y[k][j] for k in range(r)) for j in range(r)) for i in range(r))
-
-    # BFS over orbit of rho (regular, so the orbit map is injective)
-    start = (1,) * r
-    elements = [WeylElement((), 1, ident)]
-    seen = {start}
-    frontier = [(start, elements[0])]
-    while frontier:
-        nxt = []
-        for vec, el in frontier:
-            for a in range(r):
-                va = vec[a]
-                nv = tuple(vec[i] - va * C[i][a] for i in range(r))
-                if nv in seen:
-                    continue
-                seen.add(nv)
-                nel = WeylElement((a,) + el.word, -el.parity, matmul(refl[a], el.action))
-                elements.append(nel)
-                nxt.append((nv, nel))
-        frontier = nxt
-    if len(elements) != order:
-        raise InternalConsistencyError(f"{rs.spec}: enumerated {len(elements)} Weyl elements, expected {order}")
-    return tuple(elements)
+    _, _, actions, parities = weyl_orbits(rs, [rs.rho_weight], with_actions=True)
+    if len(actions) != order:
+        raise InternalConsistencyError(f"{rs.spec}: enumerated {len(actions)} Weyl elements, expected {order}")
+    return actions, parities

@@ -117,6 +117,23 @@ def test_weight_system_rejects_wrong_length():
         weight_multiplicities(rs, (1,))
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        weyl_dimension,
+        second_casimir,
+        weight_multiplicities,
+        lambda rs, lam: CharacterPlan(rs, (0.3, 0.1)).evaluate([lam]),
+    ],
+    ids=["weyl_dimension", "second_casimir", "weight_multiplicities", "evaluate"],
+)
+@pytest.mark.parametrize("lam", [(1, 0, 0), (1,), (-1, 2), (0.5, 1)], ids=["long", "short", "nondominant", "fraction"])
+def test_weights_are_checked_for_rank_integrality_and_dominance(check, lam):
+    # a weight of the wrong length is an error, never silently truncated or padded
+    with pytest.raises(DomainError):
+        check(build_root_system("A2"), lam)
+
+
 def test_weight_systems_are_pinned():
     # SHA-256 of the weight systems of the fundamental weights of ten
     # algebras, plus every lambda in {0,1,2}^r at rank <= 3 (125 systems)
@@ -366,3 +383,15 @@ def test_log_characters_dimension_path_at_zero():
     assert got.paths == ("dimension", "dimension")
     assert np.exp(got.values).tolist() == pytest.approx([1, weyl_dimension(rs, (2, 1))], rel=1e-15)
 
+
+
+def test_e6_characters_take_the_coset_sum():
+    # |W(E6)| = 51840: the coset sum at a regular t and on the alpha_3 wall
+    rs = build_root_system("E6")
+    lams = [lam for lam, _ in tensor_power_decompose(rs, [((1, 0, 0, 0, 0, 0), 3)]).sorted_entries()]
+    for pairings in [(1.2, 1.6, 1.4, 1.3, 1.7, 1.1), (1.5, 1.5, 0.0, 1.5, 1.5, 1.5)]:
+        t = _t_with_pairings(rs, pairings)
+        got = CharacterPlan(rs, t).evaluate(lams)
+        ref = CharacterPlan(rs, t).evaluate(lams, method="weight-sum")
+        assert got.paths == ("weyl",) * len(lams)
+        assert np.all(np.abs(got.values - ref.values) <= 1e-12 * np.maximum(1.0, np.abs(ref.values)))

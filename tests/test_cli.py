@@ -246,12 +246,15 @@ def test_extra_problem_arguments_are_domain_errors(capsys, argv):
         ["pde-check", "--algebra", "A1", "--rep", "1", "--grid", "-1"],
         ["hook-check", "--max-power", "-2"],
         ["measure", "--algebra", "A1", "--rep", "1", "--power", "4", "--epsilon", "inf"],
+        # zero steps build no tensor problem, yet epsilon is checked alike
+        ["sample", "--algebra", "A1", "--rep", "1", "--steps", "0", "--chains", "3", "--epsilon", "-1"],
+        ["sample", "--algebra", "A1", "--rep", "1", "--steps", "0", "--chains", "3", "--epsilon", "inf"],
         # the Gaussian fluctuation law does not hold at t = 0
         ["limit-compare", "--algebra", "A1", "--rep", "1", "--power", "20", "--kind", "gaussian"],
     ],
     ids=[
         "criteria-13", "criteria-x", "grid-0", "grid-negative", "max-power-negative",
-        "epsilon-inf", "gaussian-without-t",
+        "epsilon-inf", "zero-steps-epsilon-negative", "zero-steps-epsilon-inf", "gaussian-without-t",
     ],
 )
 def test_invalid_inputs_are_domain_errors(capsys, argv):

@@ -95,6 +95,15 @@ def test_evolve_exact_zero_steps(a1):
     assert m.probabilities() == {(0,): 1.0}
 
 
+@pytest.mark.parametrize("steps", [0, 3])
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+def test_epsilon_is_checked_at_every_step_count(a1, steps, epsilon):
+    with pytest.raises(DomainError):
+        evolve_exact(a1, (1,), None, steps, epsilon=epsilon)
+    with pytest.raises(DomainError):
+        sample_paths(a1, (1,), None, steps, 3, 0, epsilon=epsilon)
+
+
 def test_evolve_exact_matches_decomposition(a1):
     m = evolve_exact(a1, (1,), None, 4)
     assert m.probabilities() == pytest.approx({(4,): 5 / 16, (2,): 9 / 16, (0,): 2 / 16})

@@ -16,7 +16,7 @@ PUBLIC = [
     "LegendreDomainError", "MeasureRow", "MeasureTable", "NonRegularError", "PdeReport",
     "RatePoint", "RootSystem", "Scaling", "SlnClosedForm", "TensorProblem", "TensorstatError",
     "Trajectory", "TransitionKernel", "TransitionRow", "WeakConvergenceReport", "WeightSystem",
-    "WeylElement", "WeylGroupTooLargeError", "asymptotic_log_multiplicity",
+    "WeylGroupTooLargeError", "asymptotic_log_multiplicity",
     "asymptotic_log_probability", "build_root_system", "bulk_scaling", "cartan_matrix",
     "character_measure", "character_probabilities", "character_value", "charalg",
     "dominant_reflect", "enumerate_weyl_group", "errors", "evolve_exact", "f_eval",

@@ -19,6 +19,7 @@ from tensorstat import (
     enumerate_weyl_group,
     weyl_group_order,
 )
+from tensorstat.rootsys import weyl_orbits
 
 
 def test_spec_parse_roundtrip():
@@ -152,13 +153,13 @@ def test_basis_conversion_roundtrip():
 
 def test_enumerate_weyl_a2():
     rs = build_root_system(AlgebraSpec.parse("A2"))
-    W = enumerate_weyl_group(rs)
-    assert len(W) == 6
-    assert sum(w.parity for w in W) == 0
-    mats = {w.action for w in W}
-    assert len(mats) == 6
-    for w in W:
-        assert w.parity == (-1) ** len(w.word)
+    actions, parities = enumerate_weyl_group(rs)
+    assert len(actions) == 6
+    assert parities.sum() == 0
+    assert len({a.tobytes() for a in actions}) == 6
+    assert (actions[0] == np.eye(2)).all() and parities[0] == 1
+    # a product of k simple reflections has determinant (-1)^k
+    assert (np.round(np.linalg.det(actions)) == parities).all()
 
 
 def test_enumerate_weyl_respects_cap():
@@ -191,13 +192,32 @@ def test_dominant_reflect_properties(name, coords):
     assert parity in (-1, 1)
     assert singular == any(c == 0 for c in lam)
     # the dominant representative is Weyl-invariant data
-    for w in enumerate_weyl_group(rs):
-        moved = w.apply_root(rs.root_coords(coords))
-        lam2, parity2, singular2 = dominant_reflect(rs, rs.weight_coords(moved))
+    m, adj = rs.cartan_inverse_int
+    actions, parities = enumerate_weyl_group(rs)
+    moved = (actions @ (adj @ coords)) @ np.array(rs.cartan).T  # m times the weight coordinates
+    assert (moved % m == 0).all()
+    for w, w_parity in zip((moved // m).tolist(), parities.tolist()):
+        lam2, parity2, singular2 = dominant_reflect(rs, w)
         assert lam2 == lam
         assert singular2 == singular
         if not singular:
-            assert parity2 == parity * w.parity
+            assert parity2 == parity * w_parity
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"])
+@given(data=st.data())
+def test_weyl_orbit_size_is_index_of_stabilizer(name, data):
+    rs = build_root_system(AlgebraSpec.parse(name))
+    mu = data.draw(st.lists(st.integers(min_value=0, max_value=3), min_size=rs.rank, max_size=rs.rank))
+    points, origin = weyl_orbits(rs, [mu])
+    m, adj = rs.cartan_inverse_int
+    actions, _ = rs.weyl_actions
+    stabilizer = np.count_nonzero((actions @ (adj @ mu) == adj @ mu).all(axis=1))
+    assert len(points) == weyl_group_order(rs.spec) // stabilizer
+    assert len({p.tobytes() for p in points}) == len(points)
+    assert points[0].tolist() == mu and not origin.any()
+    for p in points.tolist():
+        assert dominant_reflect(rs, p)[0] == tuple(mu)
 
 
 def test_inner_product_positive_definite_sample():
