@@ -24,7 +24,7 @@ from tensorstat import (
 
 def limit_tv(rs, rep, n, kind, t=None):
     table = tensor_power_decompose(rs, [(rep, n)])
-    m = character_measure(table, t=t, with_asymptotics=False)
+    m = character_measure(table, t=t)
     return weak_convergence_distance(m, kind).tv
 
 

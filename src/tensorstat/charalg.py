@@ -35,25 +35,37 @@ from .rootsys import (
 Weight = tuple[int, ...]
 
 
-def _as_weight(coords) -> Weight:
-    w = tuple(int(c) for c in coords)
-    if any(c != int(c) for c in coords):
-        raise DomainError(f"weight coordinates must be integers, got {coords!r}")
-    return w
-
-
-def _check_dominant(lam: Weight):
-    if any(c < 0 for c in lam):
-        raise DomainError(f"weight {lam} is not dominant")
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as ints, or a DomainError naming `what` if one is not an integer."""
+    try:
+        values = tuple(values)
+        ints = tuple(int(c) for c in values)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or ints != values:
+        raise DomainError(f"{what} must be integers, got {values!r}")
+    return ints
 
 
 def _dominant_weight(rs: RootSystem, lam) -> Weight:
     """lam as an integer dominant weight of rs, or a DomainError."""
-    lam = _as_weight(lam)
+    lam = _integers(lam, "weight coordinates")
     if len(lam) != rs.rank:
         raise DomainError(f"weight {lam} needs {rs.rank} coordinates")
-    _check_dominant(lam)
+    if any(c < 0 for c in lam):
+        raise DomainError(f"weight {lam} is not dominant")
     return lam
+
+
+def _factors(rs: RootSystem, factors) -> tuple[tuple[Weight, int], ...]:
+    """(highest weight, power) pairs as dominant weights of rs and integer powers >= 0."""
+    out = []
+    for nu, n in factors:
+        (n,) = _integers((n,), "powers")
+        if n < 0:
+            raise DomainError(f"power {n} must be nonnegative")
+        out.append((_dominant_weight(rs, nu), n))
+    return tuple(out)
 
 
 def weyl_dimension(rs: RootSystem, lam) -> int:
@@ -543,11 +555,7 @@ def tensor_power_decompose(
     Branching; the table never holds anything but exact highest weight
     multiplicities.
     """
-    problem = tuple((_as_weight(nu), int(n)) for nu, n in factors)
-    for nu, n in problem:
-        _check_dominant(nu)
-        if n < 0:
-            raise DomainError(f"power {n} must be nonnegative")
+    problem = _factors(rs, factors)
     table: dict[Weight, int] = {(0,) * rs.rank: 1}
     for nu, n in problem:
         branching = Branching(rs, nu)
@@ -568,7 +576,7 @@ def naive_tensor_decompose(rs: RootSystem, factors) -> DecompositionTable:
     and is the highest weight of a summand.  Exponential in the problem
     size; meant only to cross-check the production path on small cases.
     """
-    problem = tuple((_as_weight(nu), int(n)) for nu, n in factors)
+    problem = _factors(rs, factors)
     char: dict[Weight, int] = {(0,) * rs.rank: 1}
     for nu, n in problem:
         ws = weight_multiplicities(rs, nu)

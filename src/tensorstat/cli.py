@@ -42,7 +42,6 @@ from .legendre import (
 from .measures import character_measure, weak_convergence_distance
 from .pde import pde_residual
 from .rootsys import AlgebraSpec, build_root_system
-from .slnhook import hook_multiplicity, partition_from_weight
 
 USAGE_ERROR = 1
 DOMAIN_ERROR = 2
@@ -184,12 +183,10 @@ def _cmd_measure(args) -> int:
                 {
                     "weight": list(r.weight),
                     "probability": r.probability,
-                    "asymptotic_log_probability": None
-                    if math.isnan(r.asymptotic_log_probability)
-                    else r.asymptotic_log_probability,
+                    "asymptotic_log_probability": None if math.isnan(asym) else asym,
                     "scaled": list(r.scaled),
                 }
-                for r in m.rows
+                for r, asym in zip(m.rows, m.asymptotic_log_probabilities)
             ],
         }
         _emit(json.dumps(payload, indent=1), args)
@@ -227,7 +224,7 @@ def _cmd_limit_compare(args) -> int:
     rs = build_root_system(AlgebraSpec.parse(args.algebra))
     table = _cached_decompose(args.algebra, _build_factors(args), not args.no_cache)
     t = _resolve_t(rs, args)
-    m = character_measure(table, t=t, epsilon=args.epsilon, with_asymptotics=False)
+    m = character_measure(table, t=t, epsilon=args.epsilon)
     report = weak_convergence_distance(m, args.kind)
     payload = {
         "algebra": args.algebra,
@@ -312,18 +309,9 @@ def _cmd_pde_check(args) -> int:
 def _cmd_hook_check(args) -> int:
     if args.max_power < 1:
         raise DomainError(f"--max-power must be at least 1, got {args.max_power}")
-    failures = 0
-    checked = 0
-    for n in (1, 2, 3):
-        rs = build_root_system(AlgebraSpec.parse(f"A{n}"))
-        rep = (1,) + (0,) * (n - 1)
-        for big_n in range(1, args.max_power + 1):
-            table = tensor_power_decompose(rs, [(rep, big_n)])
-            for lam, mult in table.entries.items():
-                checked += 1
-                if hook_multiplicity(n, partition_from_weight(n, lam, big_n)) != mult:
-                    failures += 1
-    _emit(f"hook-check: {checked} multiplicities, {failures} mismatches\n", args)
+    matches = [ok for *_, ok in acceptance.hook_sweep(args.max_power)]
+    failures = matches.count(False)
+    _emit(f"hook-check: {len(matches)} multiplicities, {failures} mismatches\n", args)
     if failures:
         raise InternalConsistencyError(f"{failures} hook mismatches")
     return 0

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charalg import Weight, _as_weight, _check_dominant, second_casimir, weight_multiplicities
+from .charalg import Weight, _dominant_weight, _factors, second_casimir, weight_multiplicities
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -26,7 +26,7 @@ from .errors import (
     NonRegularError,
 )
 from .numerics import logsumexp
-from .rootsys import RootSystem, build_root_system
+from .rootsys import RootSystem
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,9 @@ class TensorProblem:
 
 def tensor_problem(rs: RootSystem, factors, epsilon: float | None = None) -> TensorProblem:
     """Validate and build a TensorProblem; epsilon defaults to 1 / sum N_k."""
-    fs = tuple((_as_weight(nu), int(n)) for nu, n in factors)
-    total = 0
-    nontrivial = False
-    for nu, n in fs:
-        _check_dominant(nu)
-        if n < 0:
-            raise DomainError(f"power {n} must be nonnegative")
-        total += n
-        if n > 0 and any(nu):
-            nontrivial = True
-    if not nontrivial:
+    fs = _factors(rs, factors)
+    total = sum(n for _, n in fs)
+    if not any(n > 0 and any(nu) for nu, n in fs):
         raise DomainError("problem needs at least one nontrivial factor with positive power")
     return TensorProblem(rs=rs, factors=fs, epsilon=_checked_epsilon(epsilon, 1.0 / total))
 
@@ -268,8 +260,7 @@ def asymptotic_log_multiplicity(problem: TensorProblem, lam) -> float:
     interior chamber point and the prefactor is finite.  The estimate is
     S(xi)/epsilon + (r/2) ln epsilon + log_prefactor at xi = epsilon lambda.
     """
-    lam = _as_weight(lam)
-    _check_dominant(lam)
+    lam = _dominant_weight(problem.rs, lam)
     if any(c == 0 for c in lam):
         raise NonRegularError(f"lambda {lam} lies on a chamber wall")
     rs = problem.rs

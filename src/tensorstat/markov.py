@@ -28,7 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from .charalg import Branching, CharacterPlan, Weight, weight_multiplicities, weyl_dimension
+from .charalg import Branching, CharacterPlan, Weight, _dominant_weight, weight_multiplicities, weyl_dimension
 from .errors import DomainError, InternalConsistencyError
 from .legendre import _checked_epsilon, tensor_problem
 from .measures import MeasureRow, MeasureTable, Scaling, assemble_measure_table
@@ -113,9 +113,7 @@ class TransitionKernel:
 
     def __init__(self, rs: RootSystem, rep, t=None):
         self.rs = rs
-        self.rep = tuple(int(c) for c in rep)
-        if any(c < 0 for c in self.rep):
-            raise DomainError(f"factor weight {self.rep} is not dominant")
+        self.rep = _dominant_weight(rs, rep)
         t_arr = None if t is None else np.asarray(t, dtype=float)
         if t_arr is not None and not np.any(t_arr):
             t_arr = None
@@ -176,9 +174,7 @@ class TransitionKernel:
         return [self._log_chi[lam] for lam in lams]
 
     def row(self, source) -> TransitionRow:
-        source = tuple(int(c) for c in source)
-        if len(source) != self.rs.rank or not self.rs.is_dominant(source):
-            raise DomainError(f"source state {source} is not a dominant weight")
+        source = _dominant_weight(self.rs, source)
         sid = self.state_id(source)
         self._build_rows(np.array([sid]))
         n = int(np.count_nonzero(self._targets[sid] >= 0))
@@ -226,12 +222,12 @@ def _endpoint_table(kernel: TransitionKernel, N: int, dist, epsilon) -> MeasureT
     """Measure table of the law dist (weight -> probability) after N steps."""
     if N > 0:
         problem = tensor_problem(kernel.rs, [(kernel.rep, N)], epsilon)
-        return assemble_measure_table(problem, dist, kernel.t, False)
+        return assemble_measure_table(problem, dist, kernel.t)
     # zero tensor factors: the chain has not moved, no rescaling applies
     rank = kernel.rs.rank
     eps = _checked_epsilon(epsilon, 1.0)
     scaling = Scaling(epsilon=eps, x_scalar=None, center=(0.0,) * rank, spread=1.0)
-    row = MeasureRow((0,) * rank, 1.0, math.nan, (0.0,) * rank)
+    row = MeasureRow((0,) * rank, 1.0, (0.0,) * rank)
     return MeasureTable(
         algebra=str(kernel.rs.spec),
         problem=((kernel.rep, 0),),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -27,16 +28,16 @@ from .errors import (
 )
 from .legendre import (
     TensorProblem,
+    asymptotic_log_multiplicity,
     f_eval,
     f_grad_hess,
     forward_dual,
     hessian_at_origin,
     limit_density,
-    rate_point,
     tensor_problem,
 )
 from .numerics import cell_integrals
-from .rootsys import AlgebraSpec, build_root_system, reflect_to_chamber
+from .rootsys import build_root_system, reflect_to_chamber
 
 
 def plancherel_measure(table: DecompositionTable) -> dict[Weight, Fraction]:
@@ -124,69 +125,55 @@ def bulk_scaling(problem: TensorProblem) -> Scaling:
 def asymptotic_log_probability(problem: TensorProblem, lam, t=None) -> float:
     """Pointwise asymptotics of ln P(lambda) under the character measure.
 
-    Two regimes.  For t = 0 the dimension factor contributes the root
-    products of xi = eps lambda; for regular t the character of lambda is
-    dominated by one Weyl term, and t is first reflected into the positive
-    chamber (the measure is invariant).  Both regimes carry the
-    multiplicity prefactor, which degenerates on chamber walls, so lambda
-    must be strictly dominant.  Nonzero t on a chamber wall is outside
-    both regimes.
+    P(lambda) = m_lambda chi_lambda(e^t) / chi_V(e^t)^N, so the estimate is
+    asymptotic_log_multiplicity plus a log weight in lambda minus
+    f(t)/eps = N ln chi_V(e^t).  At t = 0 the weight is the dimension,
+    prod_alpha (lambda + rho, alpha) / (rho, alpha), taken at leading order
+    as prod (lambda, alpha) / (rho, alpha).  At regular t, reflected into
+    the positive chamber (the measure is invariant), one Weyl term
+    dominates the character: e^{(lambda + rho, t)} / Delta(t) with
+    Delta(t) = prod_alpha 2 sinh((alpha, t)/2).  lambda must be strictly
+    dominant, where the multiplicity prefactor is finite; nonzero t on a
+    chamber wall is outside both regimes (NonRegularError).
     """
+    return _asymptotic_estimator(problem, t)(lam)
+
+
+def _asymptotic_estimator(problem: TensorProblem, t):
+    """lam -> asymptotic_log_probability(problem, lam, t), the t-only terms computed once."""
     rs = problem.rs
-    lam = tuple(int(c) for c in lam)
-    if any(c < 0 for c in lam):
-        raise DomainError(f"lambda {lam} is not dominant")
-    if any(c == 0 for c in lam):
-        raise NonRegularError(f"lambda {lam} lies on a chamber wall")
     eps = problem.epsilon
-    r = rs.rank
-    xi = eps * np.array([float(v) for v in rs.root_coords(lam)])
-    if t is not None:
-        t = np.asarray(t, dtype=float)
-
     if t is None or not np.any(t):
-        rp = rate_point(problem, xi)
-        xi_pair = rs.pos_pairing_f @ xi
-        log_dim_scaled = float(np.sum(np.log(xi_pair)) - np.sum(np.log(rs.rho_pos_pairings_f)))
-        f0 = f_eval(problem, np.zeros(r))
-        return float(
-            (rp.S - f0) / eps
-            + (0.5 * r - rs.n_positive) * math.log(eps)
-            + rp.log_prefactor
-            + log_dim_scaled
-        )
+        c = -f_eval(problem, np.zeros(rs.rank)) / eps - float(np.sum(np.log(rs.rho_pos_pairings_f)))
 
-    t_dom, _ = reflect_to_chamber(rs, t)
-    t_pair = rs.pos_pairing_f @ t_dom
-    scale = math.sqrt(float(t_dom @ rs.B_f @ t_dom))
-    if np.min(t_pair) <= 1e-8 * scale:
-        raise NonRegularError("nonzero t on a chamber wall has no single-phase asymptotics")
-    rp = rate_point(problem, xi)
-    x = np.array(rp.x)
-    # log 2 sinh(x/2) = x/2 + log(1 - e^{-x}): no overflow at large x, no cancellation at small x
-    log_delta_t = float(np.sum(0.5 * t_pair + np.log(-np.expm1(-t_pair))))
-    rho_xt = float(rs.rho_root_f @ rs.B_f @ (x - t_dom))
-    s_tilde = rp.S - f_eval(problem, t_dom) + float(t_dom @ rs.B_f @ xi)
-    sign, logdetK = np.linalg.slogdet(np.array(rp.K))
-    log_delta_x = rp.log_prefactor - 0.5 * logdetK + 0.5 * r * math.log(2 * math.pi) + float(
-        rs.rho_root_f @ rs.B_f @ x
-    )
-    return float(
-        s_tilde / eps
-        + 0.5 * r * math.log(eps)
-        + 0.5 * logdetK
-        - 0.5 * r * math.log(2.0 * math.pi)
-        + log_delta_x
-        - log_delta_t
-        - rho_xt
-    )
+        def log_weight(lam_root):
+            return float(np.sum(np.log(rs.pos_pairing_f @ lam_root)))
+
+    else:
+        t_dom, _ = reflect_to_chamber(rs, np.asarray(t, dtype=float))
+        t_pair = rs.pos_pairing_f @ t_dom
+        scale = math.sqrt(float(t_dom @ rs.B_f @ t_dom))
+        if np.min(t_pair) <= 1e-8 * scale:
+            raise NonRegularError("nonzero t on a chamber wall has no single-phase asymptotics")
+        # log 2 sinh(x/2) = x/2 + log(1 - e^{-x}): no overflow at large x, no cancellation at small x
+        log_delta = float(np.sum(0.5 * t_pair + np.log(-np.expm1(-t_pair))))
+        t_pairing = rs.B_f @ t_dom
+        c = float(rs.rho_root_f @ t_pairing) - log_delta - f_eval(problem, t_dom) / eps
+
+        def log_weight(lam_root):
+            return float(t_pairing @ lam_root)
+
+    def estimate(lam) -> float:
+        log_m = asymptotic_log_multiplicity(problem, lam)
+        return log_m + log_weight(np.array([float(v) for v in rs.root_coords(lam)])) + c
+
+    return estimate
 
 
 @dataclass(frozen=True)
 class MeasureRow:
     weight: Weight
     probability: float
-    asymptotic_log_probability: float
     scaled: tuple[float, ...]
 
 
@@ -204,6 +191,33 @@ class MeasureTable:
     def probabilities(self) -> dict[Weight, float]:
         return {row.weight: row.probability for row in self.rows}
 
+    def _tensor_problem(self) -> TensorProblem:
+        return tensor_problem(build_root_system(self.algebra), self.problem, self.epsilon)
+
+    @cached_property
+    def asymptotic_log_probabilities(self) -> tuple[float, ...]:
+        """asymptotic_log_probability of each row, computed on first read.
+
+        NaN where the formula does not apply: weights on a chamber wall,
+        scaled weights on the boundary of the Legendre domain, every row at
+        a nonzero t on a chamber wall, and every row of a table of no
+        tensor factors.
+        """
+        nan = (math.nan,) * len(self.rows)
+        if not any(n for _, n in self.problem):
+            return nan
+        try:
+            estimate = _asymptotic_estimator(self._tensor_problem(), self.t)
+        except NonRegularError:
+            return nan
+        out = []
+        for row in self.rows:
+            try:
+                out.append(estimate(row.weight))
+            except (NonRegularError, LegendreDomainError, ConvergenceError):
+                out.append(math.nan)
+        return tuple(out)
+
     def to_csv(self) -> str:
         r = len(self.rows[0].weight) if self.rows else 0
         header = (
@@ -212,27 +226,20 @@ class MeasureTable:
             + [f"scaled_{i + 1}" for i in range(r)]
         )
         lines = [",".join(header)]
-        for row in self.rows:
+        for row, asym in zip(self.rows, self.asymptotic_log_probabilities):
             cells = [str(c) for c in row.weight]
             cells.append(repr(row.probability))
-            cells.append("nan" if math.isnan(row.asymptotic_log_probability) else repr(row.asymptotic_log_probability))
+            cells.append(repr(asym))
             cells.extend(repr(v) for v in row.scaled)
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
 
-def assemble_measure_table(
-    problem: TensorProblem,
-    probs: dict[Weight, float],
-    t=None,
-    with_asymptotics: bool = True,
-) -> MeasureTable:
+def assemble_measure_table(problem: TensorProblem, probs: dict[Weight, float], t=None) -> MeasureTable:
     """Package a probability map over dominant weights as a MeasureTable.
 
     Rows are sorted by weight.  The scaled column uses the Gaussian
-    rescaling for nonzero t and the semiclassical one for t = 0.  The
-    asymptotic column is NaN where the pointwise formula does not apply
-    (chamber walls, or scaled weights outside the admissible domain).
+    rescaling for nonzero t and the semiclassical one for t = 0.
     """
     rs = problem.rs
     use_t = None if t is None or not np.any(np.asarray(t, dtype=float)) else np.asarray(t, dtype=float)
@@ -240,14 +247,7 @@ def assemble_measure_table(
     rows = []
     for lam in sorted(probs):
         lam_root = np.array([float(v) for v in rs.root_coords(lam)])
-        scaled = tuple(float(v) for v in scaling.apply(lam_root))
-        asym = math.nan
-        if with_asymptotics:
-            try:
-                asym = asymptotic_log_probability(problem, lam, use_t)
-            except (NonRegularError, LegendreDomainError, ConvergenceError):
-                asym = math.nan
-        rows.append(MeasureRow(lam, probs[lam], asym, scaled))
+        rows.append(MeasureRow(lam, probs[lam], tuple(float(v) for v in scaling.apply(lam_root))))
     return MeasureTable(
         algebra=str(rs.spec),
         problem=problem.factors,
@@ -258,17 +258,10 @@ def assemble_measure_table(
     )
 
 
-def character_measure(
-    table: DecompositionTable,
-    t=None,
-    epsilon: float | None = None,
-    with_asymptotics: bool = True,
-) -> MeasureTable:
+def character_measure(table: DecompositionTable, t=None, epsilon: float | None = None) -> MeasureTable:
     """Evaluate the character measure of a decomposition as a MeasureTable."""
-    rs = table.rs
-    problem = tensor_problem(rs, table.problem, epsilon)
-    probs = character_probabilities(table, t)
-    return assemble_measure_table(problem, probs, t, with_asymptotics)
+    problem = tensor_problem(table.rs, table.problem, epsilon)
+    return assemble_measure_table(problem, character_probabilities(table, t), t)
 
 
 def lattice_aligned_edges(
@@ -337,8 +330,8 @@ def weak_convergence_distance(
     whose radial part is the norm of a shifted Gaussian element of g;
     Cauchy-Schwarz in B turns these into per-coordinate bounds.
     """
-    rs = build_root_system(AlgebraSpec.parse(m.algebra))
-    problem = tensor_problem(rs, m.problem, m.epsilon)
+    problem = m._tensor_problem()
+    rs = problem.rs
     eps = m.epsilon
     t_dom = None if m.t is None else reflect_to_chamber(rs, m.t)[0]
     tail = math.sqrt(2.0 * math.log(1e9))

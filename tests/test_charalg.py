@@ -19,12 +19,19 @@ from tensorstat import (
     DecompositionTable,
     DomainError,
     EntryCapExceededError,
+    NonRegularError,
+    TransitionKernel,
+    asymptotic_log_multiplicity,
+    asymptotic_log_probability,
     build_root_system,
     character_value,
+    evolve_exact,
     klimyk_tensor_step,
     naive_tensor_decompose,
+    sample_paths,
     second_casimir,
     tensor_power_decompose,
+    tensor_problem,
     weight_multiplicities,
     weyl_dimension,
 )
@@ -124,14 +131,40 @@ def test_weight_system_rejects_wrong_length():
         second_casimir,
         weight_multiplicities,
         lambda rs, lam: CharacterPlan(rs, (0.3, 0.1)).evaluate([lam]),
+        lambda rs, lam: evolve_exact(rs, lam, None, 2),
+        lambda rs, lam: sample_paths(rs, lam, None, 2, 4, 0),
+        lambda rs, lam: TransitionKernel(rs, (1, 0), None).row(lam),
+        lambda rs, lam: asymptotic_log_multiplicity(tensor_problem(rs, [((1, 0), 30)]), lam),
+        lambda rs, lam: asymptotic_log_probability(tensor_problem(rs, [((1, 0), 30)]), lam),
     ],
-    ids=["weyl_dimension", "second_casimir", "weight_multiplicities", "evaluate"],
+    ids=[
+        "weyl_dimension", "second_casimir", "weight_multiplicities", "evaluate", "evolve_exact",
+        "sample_paths", "kernel_row", "asymptotic_log_multiplicity", "asymptotic_log_probability",
+    ],
 )
 @pytest.mark.parametrize("lam", [(1, 0, 0), (1,), (-1, 2), (0.5, 1)], ids=["long", "short", "nondominant", "fraction"])
 def test_weights_are_checked_for_rank_integrality_and_dominance(check, lam):
-    # a weight of the wrong length is an error, never silently truncated or padded
-    with pytest.raises(DomainError):
+    # a weight of the wrong length or with a fractional coordinate is an
+    # error, never silently truncated, padded or reported as a chamber wall
+    with pytest.raises(DomainError) as info:
         check(build_root_system("A2"), lam)
+    assert not isinstance(info.value, NonRegularError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs: tensor_power_decompose(rs, [((1, 0), 2.5)]),
+        lambda rs: naive_tensor_decompose(rs, [((1, 0), 2.5)]),
+        lambda rs: tensor_problem(rs, [((1, 0), 2.5)]),
+        lambda rs: tensor_problem(rs, [((1, 0), float("nan"))]),
+    ],
+    ids=["tensor_power_decompose", "naive_tensor_decompose", "tensor_problem", "tensor_problem_nan"],
+)
+def test_fractional_powers_are_domain_errors(call):
+    # a fractional power was once truncated, and the product of its integer part returned
+    with pytest.raises(DomainError, match="must be integers"):
+        call(build_root_system("A2"))
 
 
 def test_weight_systems_are_pinned():

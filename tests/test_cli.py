@@ -135,7 +135,7 @@ def _check_limit_compare(capsys, algebra, rep, power, kind, t=None):
     rs = build_root_system(AlgebraSpec.parse(algebra))
     table = tensor_power_decompose(rs, [(tuple(int(c) for c in rep.split(",")), power)])
     t_vec = None if t is None else [float(v) for v in t.split(",")]
-    m = character_measure(table, t=t_vec, with_asymptotics=False)
+    m = character_measure(table, t=t_vec)
     library = weak_convergence_distance(m, kind)
     assert payload["tv"] == pytest.approx(library.tv, rel=1e-12)
     assert payload["cells"] == list(library.cells)

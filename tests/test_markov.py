@@ -113,7 +113,7 @@ def test_evolve_exact_matches_decomposition(a1):
 def test_evolve_exact_telescopes_to_character_measure(a1, t):
     n = 9
     table = tensor_power_decompose(a1, [((1,), n)])
-    direct = character_measure(table, t=t, with_asymptotics=False)
+    direct = character_measure(table, t=t)
     walked = evolve_exact(a1, (1,), t, n)
     dp = direct.probabilities()
     wp = walked.probabilities()
@@ -174,9 +174,7 @@ def test_sample_paths_bytes_do_not_depend_on_block_size(a2, monkeypatch):
 def test_evolve_exact_keeps_states_whose_mass_underflows(a1):
     # at t = 800 every path that ends at (1,) has a probability that underflows to 0.0
     walked = evolve_exact(a1, (1,), [800.0], 3).probabilities()
-    direct = character_measure(
-        tensor_power_decompose(a1, [((1,), 3)]), t=[800.0], with_asymptotics=False
-    ).probabilities()
+    direct = character_measure(tensor_power_decompose(a1, [((1,), 3)]), t=[800.0]).probabilities()
     assert walked == direct == {(1,): 0.0, (3,): 1.0}
 
 

@@ -10,6 +10,7 @@ from tensorstat import (
     AlgebraSpec,
     DomainError,
     GridCoverageError,
+    asymptotic_log_probability,
     build_root_system,
     bulk_scaling,
     character_measure,
@@ -183,8 +184,8 @@ def test_scaling_and_tv_constant_on_weyl_orbit_of_t(name, rep, power, t_gauss, t
     actions, _ = rs.weyl_actions
     ref = None
     for w in actions:
-        gauss = character_measure(table, t=w @ np.asarray(t_gauss), with_asymptotics=False)
-        bulk = character_measure(table, t=w @ np.asarray(t_inter), with_asymptotics=False)
+        gauss = character_measure(table, t=w @ np.asarray(t_gauss))
+        bulk = character_measure(table, t=w @ np.asarray(t_inter))
         got = (
             [r.probability for r in gauss.rows],
             np.array([r.scaled for r in gauss.rows]),
@@ -202,12 +203,32 @@ def test_scaling_and_tv_constant_on_weyl_orbit_of_t(name, rep, power, t_gauss, t
 
 def test_asymptotics_column_filled(a1):
     table = tensor_power_decompose(a1, [((1,), 40)])
-    m = character_measure(table, with_asymptotics=True)
-    interior = [r for r in m.rows if abs(r.scaled[0]) < 3 and r.weight != (0,)]
+    m = character_measure(table)
+    interior = [
+        (r, asym)
+        for r, asym in zip(m.rows, m.asymptotic_log_probabilities)
+        if abs(r.scaled[0]) < 3 and r.weight != (0,)
+    ]
     assert interior
     filled = 0
-    for r in interior:
-        if not math.isnan(r.asymptotic_log_probability):
+    for r, asym in interior:
+        if not math.isnan(asym):
             filled += 1
-            assert abs(r.asymptotic_log_probability - math.log(r.probability)) < 1.0
+            assert abs(asym - math.log(r.probability)) < 1.0
     assert filled >= len(interior) // 2
+
+
+@pytest.mark.parametrize("t, final", [(0.5, 2e-3), (0.0, 0.1)])
+def test_asymptotic_log_probability_converges_at_the_mode(a1, t, final):
+    # each term of the formula is O(1) or larger at the mode, so dropping
+    # one (the rho pairing of t, or f / eps) leaves an error that does not
+    # shrink with N
+    errors = []
+    for n in (100, 200, 400):
+        table = tensor_power_decompose(a1, [((1,), n)])
+        probs = character_probabilities(table, [t])
+        mode = max(probs, key=probs.get)
+        est = asymptotic_log_probability(tensor_problem(a1, [((1,), n)]), mode, [t])
+        errors.append(abs(est - math.log(probs[mode])))
+    assert errors[0] > errors[1] > errors[2]
+    assert errors[2] < final

@@ -5,6 +5,8 @@ import io
 import re
 from pathlib import Path
 
+from tensorstat.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -36,3 +38,13 @@ def test_readme_quick_start_prints_its_comments():
     assert "{(0, 2): 0.145582, (1, 0): 0.107728, (2, 1): 0.555263, (4, 0): 0.191427}" in expected
     # the limit-law distance on the default lattice-aligned grid
     assert expected[-1] == "0.0053"
+
+
+def test_readme_measure_block_is_the_cli_output(capsys):
+    # the one unabridged CLI block of the quick start, byte for byte
+    text = README.read_text()
+    command = "$ tensorstat measure --algebra A1 --rep 1 --power 8 --t 0.5\n"
+    start = text.index(command) + len(command)
+    block = text[start : text.index("\n\n", start) + 1]
+    assert main(command.split()[2:]) == 0
+    assert capsys.readouterr().out == block
