@@ -20,7 +20,6 @@ from .errors import (
     EntryCapExceededError,
     InternalConsistencyError,
 )
-from .numerics import logsumexp
 from .rootsys import (
     _MAX_WEYL_ORDER,
     RootSystem,
@@ -88,35 +87,31 @@ def second_casimir(rs: RootSystem, lam) -> Fraction:
     return rs.inner_weight(lam, shifted)
 
 
+@lru_cache(maxsize=4096)
+def _orbit(spec, mu: Weight) -> np.ndarray:
+    """The W-orbit of the dominant weight mu, walked once per (algebra, mu) and shared; read-only."""
+    points = weyl_orbits(build_root_system(spec), mu)
+    points.flags.writeable = False
+    return points
+
+
 @dataclass(frozen=True)
 class WeightSystem:
-    """All weights of an irreducible module with their multiplicities."""
+    """The dominant weights of an irreducible module with their multiplicities; the rest are W-images."""
 
     rs: RootSystem
     highest: Weight
-    multiplicities: dict[Weight, int]
     dominant_multiplicities: dict[Weight, int]
 
     @property
     def dim(self) -> int:
-        return sum(self.multiplicities.values())
+        return sum(m * len(_orbit(self.rs.spec, mu)) for mu, m in self.dominant_multiplicities.items())
 
     @cached_property
-    def weights_root_f(self) -> np.ndarray:
-        return np.array(sorted(self.multiplicities), dtype=float) @ self.rs.cartan_inv_f.T
-
-    @cached_property
-    def mults_f(self) -> np.ndarray:
-        return np.array([self.multiplicities[w] for w in sorted(self.multiplicities)], dtype=float)
-
-    @cached_property
-    def log_mults_f(self) -> np.ndarray:
-        return np.log(self.mults_f)
-
-    @cached_property
-    def pairing_rows_f(self) -> np.ndarray:
-        """Row per weight: functional t -> (mu, t) on root coordinates."""
-        return self.weights_root_f @ self.rs.B_f
+    def multiplicities(self) -> dict[Weight, int]:
+        """Every weight with its multiplicity, built from the shared orbits on first read."""
+        spec = self.rs.spec
+        return {w: m for mu, m in self.dominant_multiplicities.items() for w in map(tuple, _orbit(spec, mu).tolist())}
 
 
 def weight_multiplicities(rs: RootSystem, lam) -> WeightSystem:
@@ -134,9 +129,9 @@ def weight_multiplicities(rs: RootSystem, lam) -> WeightSystem:
           = 2 sum_{alpha > 0, k >= 1} m(nu) nu . k_alpha,  nu = mu + k alpha,
 
     in ints throughout (k_alpha: RootSystem.posroot_pairing_int); the
-    quotient must be exact and positive.  Each Weyl orbit is then filled
-    in by one weyl_orbits walk, and the total is checked against Weyl's
-    formula.
+    quotient must be exact and positive.  Only these dominant
+    multiplicities are stored; sum m(mu) |W mu| over the cached orbits is
+    checked against Weyl's formula.
     """
     return _weight_system(rs.spec, _dominant_weight(rs, lam))
 
@@ -179,10 +174,7 @@ def _weight_system(spec, lam: Weight) -> WeightSystem:
             raise InternalConsistencyError(f"Freudenthal gave multiplicity {2 * total}/{denom} at {mu}")
         dom_mult[mu] = val
 
-    points, origin = weyl_orbits(rs, list(dom_mult))
-    mults = list(dom_mult.values())
-    full = {w: mults[o] for w, o in zip(map(tuple, points.tolist()), origin.tolist())}
-    ws = WeightSystem(rs=rs, highest=lam, multiplicities=full, dominant_multiplicities=dom_mult)
+    ws = WeightSystem(rs=rs, highest=lam, dominant_multiplicities=dom_mult)
     if ws.dim != weyl_dimension(rs, lam):
         raise InternalConsistencyError(f"weight system of {lam} sums to {ws.dim}, dimension formula disagrees")
     return ws
@@ -250,7 +242,7 @@ def _parabolic(spec, wall: tuple[bool, ...]) -> _Parabolic:
     d = [Fraction(x) for x in rs.d]
     # minimal coset representatives: the orbit of the dominant weight whose
     # stabilizer is W0 (zero exactly on the walls); the identity comes first
-    _, _, M, parities = weyl_orbits(rs, [[0 if w else 1 for w in wall]], with_actions=True)
+    _, M, parities = weyl_orbits(rs, [0 if w else 1 for w in wall], with_actions=True)
 
     # d * (t - w t) = diag(d) (1 - w) C^-1 diag(1/d) pairings: a matrix >= 0,
     # exact up to one rounding per entry since m C^-1 is integral
@@ -314,8 +306,10 @@ class CharacterPlan:
       (t - w t is a nonnegative combination of the simple pairings), so
       each carries relative rounding of a few ulps and nothing cancels
       before the signed sum.
-    - Freudenthal weight sum (exact weights, positive float terms), for
-      rows whose bound exceeds CHARACTER_BUDGET and for |W| > 10^6.
+    - Freudenthal weight sum, for rows whose bound exceeds CHARACTER_BUDGET
+      and for |W| > 10^6: sum over the dominant mu of V(lambda) of m(mu)
+      O_mu(t), with O_mu(t) = sum over nu in W mu of e^{(nu, t)} from the
+      cached orbit, every term positive; rows share their O_mu.
 
     The bound is formed before the signed sum.  The weights of V(lambda)
     at the top of its Phi0-strings pair with t like lambda, so chi >= P_1
@@ -340,6 +334,8 @@ class CharacterPlan:
             raise DomainError(f"t must be {rs.rank} finite reals")
         self.rs = rs
         self.t = t
+        self._dt = np.array([float(x) for x in rs.d]) * t  # (nu, t) = nu . dt for nu in weight coordinates
+        self._orbit_sums: dict[Weight, tuple[float, float]] = {}  # mu -> (top, sum of e^{z - top})
 
     def evaluate(self, lams, method: str = "auto") -> CharacterLogs:
         """log chi_lambda(e^t) for each lambda in lams.
@@ -363,9 +359,18 @@ class CharacterPlan:
         if cosets is not None:
             self._coset_rows(cosets, lams, values, bounds, weyl)
         for i in np.flatnonzero(~weyl):
-            ws = weight_multiplicities(rs, lams[i])
-            values[i] = logsumexp(ws.log_mults_f + ws.pairing_rows_f @ self.t)
+            values[i] = self._weight_sum(weight_multiplicities(rs, lams[i]))
         return CharacterLogs(values, bounds, tuple("weyl" if w else "weight-sum" for w in weyl))
+
+    def _weight_sum(self, ws: WeightSystem) -> float:
+        """log sum over the dominant mu of ws of m(mu) O_mu(t); each O_mu is formed once per plan."""
+        sums, mults = self._orbit_sums, ws.dominant_multiplicities
+        for mu in mults.keys() - sums.keys():
+            z = _orbit(self.rs.spec, mu) @ self._dt
+            top = float(np.max(z))
+            sums[mu] = (top, float(np.sum(np.exp(z - top))))
+        peak = max(sums[mu][0] for mu in mults)
+        return peak + math.log(math.fsum(m * sums[mu][1] * math.exp(sums[mu][0] - peak) for mu, m in mults.items()))
 
     @cached_property
     def _cosets(self) -> _Cosets | None:

@@ -58,8 +58,9 @@ class TensorProblem:
         """
         out = []
         for (nu, _), tk in zip(self.factors, self.tau):
-            ws = weight_multiplicities(self.rs, nu)
-            out.append((tk, ws.log_mults_f, ws.pairing_rows_f, ws.weights_root_f))
+            weights, d = zip(*sorted(weight_multiplicities(self.rs, nu).multiplicities.items()))
+            M = np.array(weights, dtype=float) @ self.rs.cartan_inv_f.T @ self.rs.B_f
+            out.append((tk, np.log(np.array(d, dtype=float)), M))
         return out
 
 
@@ -84,7 +85,7 @@ def _checked_epsilon(epsilon, default: float) -> float:
 def f_eval(problem: TensorProblem, y) -> float:
     """f(y) = sum_k tau_k ln chi_k(e^y)."""
     y = np.asarray(y, dtype=float)
-    return sum(tk * logsumexp(logd + M @ y) for tk, logd, M, _ in problem._factor_data)
+    return sum(tk * logsumexp(logd + M @ y) for tk, logd, M in problem._factor_data)
 
 
 def f_grad_hess(problem: TensorProblem, y) -> tuple[float, np.ndarray, np.ndarray]:
@@ -94,7 +95,7 @@ def f_grad_hess(problem: TensorProblem, y) -> tuple[float, np.ndarray, np.ndarra
     val = 0.0
     grad = np.zeros(r)
     hess = np.zeros((r, r))
-    for tk, logd, M, _ in problem._factor_data:
+    for tk, logd, M in problem._factor_data:
         z = logd + M @ y
         m = np.max(z)
         p = np.exp(z - m)

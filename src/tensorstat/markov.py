@@ -28,7 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from .charalg import Branching, CharacterPlan, Weight, _dominant_weight, weight_multiplicities, weyl_dimension
+from .charalg import Branching, CharacterPlan, Weight, _dominant_weight, _integers, weyl_dimension
 from .errors import DomainError, InternalConsistencyError
 from .legendre import _checked_epsilon, tensor_problem
 from .measures import MeasureRow, MeasureTable, Scaling, assemble_measure_table
@@ -123,7 +123,7 @@ class TransitionKernel:
         self._states: list[Weight] = []
         self._state_ids: dict[Weight, int] = {}
         # a row has at most one target per weight of V
-        shape = (64, len(weight_multiplicities(rs, self.rep).multiplicities))
+        shape = (64, len(self._branching._weights))
         self._targets = np.full(shape, -1, dtype=np.int64)
         self._probs = np.zeros(shape)
         self._cdf = np.full(shape, 2.0)
@@ -251,6 +251,7 @@ def evolve_exact(
     chi factors cancel along every path, leaving multiplicity times
     chi_mu / chi_V^N.
     """
+    (N,) = _integers((N,), "step counts")
     if N < 0:
         raise DomainError("step count must be nonnegative")
     return _evolve(TransitionKernel(rs, rep, t), N, epsilon)
@@ -367,17 +368,20 @@ def sample_paths(
     Chain c consumes only the stream keyed (seed, c), and endpoint
     aggregation is integer counting, so a seed fixes the result.
     """
-    _check_sampling(N, chains, seed)
+    N, chains, seed = _check_sampling(N, chains, seed)
     return _sample(TransitionKernel(rs, rep, t), N, chains, seed, epsilon, keep_paths)
 
 
-def _check_sampling(N: int, chains: int, seed: int) -> None:
+def _check_sampling(N: int, chains: int, seed: int) -> tuple[int, int, int]:
+    """(N, chains, seed) as ints, or a DomainError."""
+    N, chains, seed = _integers((N, chains, seed), "step count, chain count and seed")
     if chains < 1:
         raise DomainError("need at least one chain")
     if N < 0:
         raise DomainError("step count must be nonnegative")
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed {seed} is outside [0, 2^64)")
+    return N, chains, seed
 
 
 def _sample(kernel: TransitionKernel, N: int, chains: int, seed: int, epsilon, keep_paths):

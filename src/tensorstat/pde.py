@@ -84,9 +84,9 @@ def pde_residual(problem: TensorProblem, xi, h: float = 1e-5) -> PdeReport:
     tau_partial, _ = character_value(rs, nu, x)
     lhs = float(np.exp(tau_partial))
 
-    ws = weight_multiplicities(rs, nu)
-    exponents = -ws.weights_root_f @ grad_S
-    rhs = float(np.sum(ws.mults_f * np.exp(exponents)))
+    weights, d = zip(*sorted(weight_multiplicities(rs, nu).multiplicities.items()))
+    exponents = -(np.array(weights, dtype=float) @ rs.cartan_inv_f.T) @ grad_S
+    rhs = float(np.sum(np.array(d, dtype=float) * np.exp(exponents)))
     residual = abs(lhs - rhs) / abs(lhs)
 
     tau_fd = (_rate_S(problem, tau + h, xi) - _rate_S(problem, tau - h, xi)) / (2 * h)

@@ -218,7 +218,6 @@ class RootSystem:
     positive_roots: tuple[tuple[int, ...], ...]
     rho_weight: tuple[int, ...]
     rho_root: tuple[Fraction, ...]
-    fundamental_weights_root: tuple[tuple[Fraction, ...], ...]
     dim_g: int
 
     @property
@@ -244,9 +243,6 @@ class RootSystem:
             raise DomainError(f"expected {self.rank} root coordinates, got {len(root_coords)}")
         C = self.cartan
         return tuple(sum(C[i][a] * Fraction(root_coords[a]) for a in range(self.rank)) for i in range(self.rank))
-
-    def is_dominant(self, weight_coords) -> bool:
-        return all(c >= 0 for c in weight_coords)
 
     def inner_weight(self, x, y) -> Fraction:
         """(x, y) for two vectors in weight coordinates, exact."""
@@ -359,10 +355,9 @@ def build_root_system(spec) -> RootSystem:
             f"{spec}: found {len(pos)} positive roots, expected {_expected_positive_count(spec)}"
         )
     rho_root = tuple(sum(Fraction(alpha[a]) for alpha in pos) / 2 for a in range(r))
-    fw = tuple(tuple(inv[a][i] for a in range(r)) for i in range(r))
-    # rho is also the sum of the fundamental weights
+    # rho is also the sum of the fundamental weights, the columns of C^-1
     for a in range(r):
-        if rho_root[a] != sum(fw[i][a] for i in range(r)):
+        if rho_root[a] != sum(inv[a]):
             raise InternalConsistencyError(f"{spec}: rho mismatch between root sum and weight sum")
 
     rs = RootSystem(
@@ -374,7 +369,6 @@ def build_root_system(spec) -> RootSystem:
         positive_roots=tuple(pos),
         rho_weight=(1,) * r,
         rho_root=rho_root,
-        fundamental_weights_root=fw,
         dim_g=r + 2 * len(pos),
     )
     _ROOT_SYSTEM_CACHE[spec] = rs
@@ -461,42 +455,36 @@ def reflect_to_chamber(rs: RootSystem, t) -> tuple[np.ndarray, float]:
 _MAX_WEYL_ORDER = 10**6
 
 
-def weyl_orbits(rs: RootSystem, mus, with_actions: bool = False):
-    """The W-orbits of the distinct dominant weights mus, walked level by level.
+def weyl_orbits(rs: RootSystem, mu, with_actions: bool = False):
+    """The W-orbit of the dominant weight mu, walked level by level.
 
     From an orbit point x, the simple reflection s_a lengthens the minimal
-    element taking the dominant weight to x exactly when x_a > 0.  So level
-    k + 1 is level k reflected at its positive coordinates, and it meets no
-    earlier level; its repeats are dropped by np.unique (sorted, first
-    occurrence kept).  Returns (points, origin): (n, r) int64 weight
-    coordinates and, per point, the index in mus of its dominant weight;
-    level 0 is mus in order.  With with_actions, also (n, r, r) int64
-    root-coordinate matrices of the minimal elements and their (n,)
-    parities (-1)^level; the identity comes first.
+    element taking mu to x exactly when x_a > 0.  So level k + 1 is level
+    k reflected at its positive coordinates; it meets no earlier level,
+    and np.unique drops its repeats (sorted, first occurrence kept).
+    Returns the (n, r) int64 weight coordinates of the orbit, mu first.
+    With with_actions, returns (points, actions, parities): also the
+    (n, r, r) int64 root-coordinate matrices of the minimal elements and
+    their (n,) parities (-1)^level; the identity comes first.
     """
     C = np.array(rs.cartan, dtype=np.int64)
-    r = rs.rank
-    level = np.array(mus, dtype=np.int64).reshape(-1, r)
-    origin = np.arange(len(level))
-    action = np.broadcast_to(np.eye(r, dtype=np.int64), (len(level), r, r)) if with_actions else None
-    levels = [(level, origin, action)]
-    while True:
-        parent, simple = np.nonzero(level > 0)
-        if not len(parent):
-            break
+    level = np.array(mu, dtype=np.int64).reshape(1, rs.rank)
+    action = np.eye(rs.rank, dtype=np.int64)[None] if with_actions else None
+    levels = [(level, action)]
+    parent, simple = np.nonzero(level > 0)
+    while len(parent):
         level, first = np.unique(level[parent] - level[parent, simple, None] * C.T[simple], axis=0, return_index=True)
-        parent, simple = parent[first], simple[first]
-        origin = origin[parent]
         if with_actions:
             # s_a on root coordinates subtracts <y, alpha_a^vee> alpha_a from y
-            action = action[parent]
-            action[np.arange(len(parent)), simple] -= np.einsum("nj,njk->nk", C[simple], action)
-        levels.append((level, origin, action))
-    points, origin, actions = zip(*levels)
+            action, a = action[parent[first]], simple[first]
+            action[np.arange(len(a)), a] -= np.einsum("nj,njk->nk", C[a], action)
+        levels.append((level, action))
+        parent, simple = np.nonzero(level > 0)
+    points, actions = zip(*levels)
     if not with_actions:
-        return np.concatenate(points), np.concatenate(origin)
+        return np.concatenate(points)
     parities = [np.full(len(p), (-1) ** k, dtype=np.int64) for k, p in enumerate(points)]
-    return np.concatenate(points), np.concatenate(origin), np.concatenate(actions), np.concatenate(parities)
+    return np.concatenate(points), np.concatenate(actions), np.concatenate(parities)
 
 
 def enumerate_weyl_group(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -514,7 +502,7 @@ def enumerate_weyl_group(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
             f"Weyl group too large to enumerate: |W| = {order} exceeds cap {_MAX_WEYL_ORDER}",
             order,
         )
-    _, _, actions, parities = weyl_orbits(rs, [rs.rho_weight], with_actions=True)
+    _, actions, parities = weyl_orbits(rs, rs.rho_weight, with_actions=True)
     if len(actions) != order:
         raise InternalConsistencyError(f"{rs.spec}: enumerated {len(actions)} Weyl elements, expected {order}")
     return actions, parities

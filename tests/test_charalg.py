@@ -360,20 +360,31 @@ EVALUATOR_CASES = {
     "B2": [(0.0, 0.45), (0.1, 0.42), (0.41, 0.47)],
     "G2": [(0.0, 0.45), (0.45, 0.1), (0.45, 0.41)],
     "B3": [(0.41, 0.48, 0.0), (0.19, 0.43, 0.49), (0.41, 0.43, 0.45)],
+    # |W(E7)| > 10^6, so every row is a weight sum; a wall t only
+    "E7": [(0.41, 0.48, 0.0, 0.43, 0.45, 0.47, 0.44)],
 }
+KINDS = ("wall", "small", "regular")
+# the rows are the summands of V^N: (V, N) per algebra, (1, 0, ..., 0)^6 by default
+EVALUATOR_FACTORS = {"E7": ((0,) * 6 + (1,), 2)}
 
 
-@pytest.mark.parametrize("kind", [0, 1, 2], ids=["wall", "small", "regular"])
-@pytest.mark.parametrize("algebra", sorted(EVALUATOR_CASES))
+@pytest.mark.parametrize(
+    "algebra, kind",
+    [(a, k) for a in sorted(EVALUATOR_CASES) for k in range(len(EVALUATOR_CASES[a]))],
+    ids=[f"{a}-{KINDS[k]}" for a in sorted(EVALUATOR_CASES) for k in range(len(EVALUATOR_CASES[a]))],
+)
 def test_log_characters_match_weight_sum(algebra, kind):
     rs = build_root_system(algebra)
     t = _t_with_pairings(rs, EVALUATOR_CASES[algebra][kind])
-    vec = (1,) + (0,) * (rs.rank - 1)
-    lams = [lam for lam, _ in tensor_power_decompose(rs, [(vec, 6)]).sorted_entries()]
+    factor = EVALUATOR_FACTORS.get(algebra, ((1,) + (0,) * (rs.rank - 1), 6))
+    lams = [lam for lam, _ in tensor_power_decompose(rs, [factor]).sorted_entries()]
     got = CharacterPlan(rs, t).evaluate(lams)
     ref = CharacterPlan(rs, t).evaluate(lams, method="weight-sum")
     assert ref.paths == ("weight-sum",) * len(lams)
-    assert got.paths.count("weyl") >= len(lams) // 2
+    if algebra == "E7":
+        assert got.paths == ref.paths
+    else:
+        assert got.paths.count("weyl") >= len(lams) // 2
     for value, bound, path, expect, lam in zip(got.values, got.bounds, got.paths, ref.values, lams):
         assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect))
         if path == "weyl":
@@ -381,6 +392,10 @@ def test_log_characters_match_weight_sum(algebra, kind):
             assert abs(value - _exact_log_character(rs, lam, t)) <= bound
         else:
             assert bound > CHARACTER_BUDGET
+    # every weight-sum row, forced or taken, against the 50-digit reference
+    for value, lam in zip(ref.values, lams):
+        exact = _exact_log_character(rs, lam, t)
+        assert abs(value - exact) <= 1e-15 * max(1.0, abs(exact))
 
 
 def test_log_characters_rows_do_not_depend_on_the_batch():
@@ -408,6 +423,25 @@ def test_log_characters_f4_small_t_skips_the_coset_block(monkeypatch):
     assert np.all(got.bounds > CHARACTER_BUDGET)
     for lam, value in zip(lams, got.values):
         assert value == pytest.approx(_exact_log_character(rs, lam, t), rel=1e-13)
+
+
+def test_weight_sum_rows_share_cached_orbits(monkeypatch):
+    # at small t every F4 row is a weight sum over dominant weights: the
+    # rows never build full weight dicts, and a second plan walks no orbit
+    rs = build_root_system("F4")
+    lams = [lam for lam, _ in tensor_power_decompose(rs, [((0, 0, 0, 1), 5)]).sorted_entries()]
+    charalg._weight_system.cache_clear()
+    charalg._orbit.cache_clear()
+    got = CharacterPlan(rs, _t_with_pairings(rs, (0.1, 0.1, 0.1, 0.1))).evaluate(lams)
+    assert got.paths == ("weight-sum",) * len(lams)
+    assert not any("multiplicities" in vars(weight_multiplicities(rs, lam)) for lam in lams)
+
+    calls = []
+    walk = charalg.weyl_orbits
+    monkeypatch.setattr(charalg, "weyl_orbits", lambda *args, **kwargs: calls.append(args) or walk(*args, **kwargs))
+    again = CharacterPlan(rs, _t_with_pairings(rs, (0.12, 0.09, 0.11, 0.1))).evaluate(lams)
+    assert again.paths == got.paths
+    assert calls == []
 
 
 def test_log_characters_dimension_path_at_zero():

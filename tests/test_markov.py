@@ -57,7 +57,7 @@ def test_kernel_rows_are_stochastic(a2, b2):
             row = kernel.row(source)
             assert sum(p for _, p in row.targets) == pytest.approx(1.0, abs=1e-12)
             assert all(p > 0 for _, p in row.targets)
-            assert all(rs.is_dominant(mu) for mu, _ in row.targets)
+            assert all(min(mu) >= 0 for mu, _ in row.targets)
 
 
 def test_kernel_rejects_bad_input(a1):
@@ -125,6 +125,23 @@ def test_evolve_exact_telescopes_to_character_measure(a1, t):
 def test_evolve_exact_rejects_negative_steps(a1):
     with pytest.raises(DomainError):
         evolve_exact(a1, (1,), None, -1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs: evolve_exact(rs, (1, 0), None, 2.5),
+        lambda rs: sample_paths(rs, (1, 0), None, 2.5, 5, 0),
+        lambda rs: sample_paths(rs, (1, 0), None, 6, 2.5, 0),
+        lambda rs: sample_paths(rs, (1, 0), None, 6, 5, seed=0.5),
+    ],
+    ids=["evolve_steps", "sample_steps", "sample_chains", "sample_seed"],
+)
+def test_fractional_steps_chains_and_seeds_are_domain_errors(a2, call):
+    # steps and chains once raised a bare TypeError; seed 0.5 ran silently
+    # on a stream unlike seed 0's
+    with pytest.raises(DomainError, match="must be integers"):
+        call(a2)
 
 
 @pytest.mark.parametrize(

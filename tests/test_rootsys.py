@@ -188,7 +188,7 @@ def test_dominant_reflect_a1_oracle():
 def test_dominant_reflect_properties(name, coords):
     rs = build_root_system(AlgebraSpec.parse(name))
     lam, parity, singular = dominant_reflect(rs, coords)
-    assert rs.is_dominant(lam)
+    assert min(lam) >= 0
     assert parity in (-1, 1)
     assert singular == any(c == 0 for c in lam)
     # the dominant representative is Weyl-invariant data
@@ -209,13 +209,13 @@ def test_dominant_reflect_properties(name, coords):
 def test_weyl_orbit_size_is_index_of_stabilizer(name, data):
     rs = build_root_system(AlgebraSpec.parse(name))
     mu = data.draw(st.lists(st.integers(min_value=0, max_value=3), min_size=rs.rank, max_size=rs.rank))
-    points, origin = weyl_orbits(rs, [mu])
+    points = weyl_orbits(rs, mu)
     m, adj = rs.cartan_inverse_int
     actions, _ = rs.weyl_actions
     stabilizer = np.count_nonzero((actions @ (adj @ mu) == adj @ mu).all(axis=1))
     assert len(points) == weyl_group_order(rs.spec) // stabilizer
     assert len({p.tobytes() for p in points}) == len(points)
-    assert points[0].tolist() == mu and not origin.any()
+    assert points[0].tolist() == mu
     for p in points.tolist():
         assert dominant_reflect(rs, p)[0] == tuple(mu)
 
