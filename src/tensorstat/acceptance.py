@@ -30,11 +30,13 @@ from .legendre import (
     forward_dual,
     hessian_at_origin,
     limit_density,
+    precision_matrix,
     rate_point,
     tensor_problem,
 )
 from .markov import evolve_exact, sample_paths
 from .measures import (
+    asymptotic_log_probability,
     character_measure,
     character_probabilities,
     plancherel_measure,
@@ -257,9 +259,7 @@ def criterion_7() -> CriterionResult:
     for name, rep, t in (("A1", (1,), [0.3]), ("A2", (1, 0), [0.3, 0.1]), ("B2", (0, 1), [0.2, 0.1])):
         rs = _rs(name)
         problem = tensor_problem(rs, [(rep, 40)])
-        _, _, hess = f_grad_hess(problem, np.asarray(t, dtype=float))
-        K = rs.B_f @ np.linalg.solve(hess, rs.B_f)
-        K = 0.5 * (K + K.T)
+        K = precision_matrix(rs, f_grad_hess(problem, np.asarray(t, dtype=float))[2])
         cov = np.linalg.inv(K)
         bounds = [(-8 * math.sqrt(cov[a, a]), 8 * math.sqrt(cov[a, a])) for a in range(rs.rank)]
         pts, wts = box_quadrature(bounds, 120 if rs.rank == 1 else 80)
@@ -428,6 +428,28 @@ def criterion_12() -> CriterionResult:
     return CriterionResult(12, "conservation laws", passed, detail, time.time() - start)
 
 
+def criterion_13() -> CriterionResult:
+    """At t on the alpha_2 wall: TV to the wall law and the pointwise error at the mode fall with N."""
+    start = time.time()
+    parts, passed = [], True
+    for name, rep, t, tv_bound, mode_powers, mode_bound in (
+        ("A2", (1, 0), [1.0, 0.5], 0.07, (40, 80, 160), 0.2),
+        ("B2", (0, 1), [1.0, 1.0], 0.15, (20, 80, 160), 0.17),
+    ):
+        rs = _rs(name)
+        ms = {n: character_measure(tensor_power_decompose(rs, [(rep, n)]), t=t) for n in {20, 80, 160, *mode_powers}}
+        tvs = [weak_convergence_distance(ms[n], "gaussian").tv for n in (20, 80, 160)]
+        errors = []
+        for n in mode_powers:
+            probs = ms[n].probabilities()
+            mode = max(probs, key=probs.get)
+            est = asymptotic_log_probability(tensor_problem(rs, [(rep, n)]), mode, t)
+            errors.append(abs(est - math.log(probs[mode])))
+        passed &= tvs[0] > tvs[1] > tvs[2] and tvs[2] <= tv_bound and errors[0] > errors[1] > errors[2] < mode_bound
+        parts.append(f"{name} TV {['%.4f' % v for v in tvs]}, mode errors {['%.4f' % v for v in errors]}")
+    return CriterionResult(13, "wall-t weak and pointwise convergence", passed, "; ".join(parts), time.time() - start)
+
+
 ALL_CRITERIA = {
     1: criterion_1,
     2: criterion_2,
@@ -441,6 +463,7 @@ ALL_CRITERIA = {
     10: criterion_10,
     11: criterion_11,
     12: criterion_12,
+    13: criterion_13,
 }
 
 

@@ -26,7 +26,7 @@ from .rootsys import (
     build_root_system,
     dominant_reflect,
     reflect_to_chamber,
-    wall_slack,
+    stabilizer_roots,
     weyl_group_order,
     weyl_orbits,
 )
@@ -250,7 +250,8 @@ def _parabolic(spec, wall: tuple[bool, ...]) -> _Parabolic:
     factor = np.array([[float(d[i] / (d[j] * m)) for j in range(r)] for i in range(r)])
     qmat = (np.eye(r, dtype=np.int64) - M) @ adj * factor
 
-    phi0 = [a for a in rs.positive_roots if all(a[i] == 0 for i in range(r) if not wall[i])]
+    in0 = stabilizer_roots(rs, wall)
+    phi0 = [a for a, keep in zip(rs.positive_roots, in0) if keep]
     den = math.lcm(*(x.denominator for x in d))
     kd = np.array([int(den * x) for x in d], dtype=np.int64)
     poly = np.array([kd * (M @ np.array(a, dtype=np.int64)) for a in phi0], dtype=float)
@@ -258,13 +259,12 @@ def _parabolic(spec, wall: tuple[bool, ...]) -> _Parabolic:
     rho0 = np.array(
         [float(den * sum(rho0_root[i] * rs.B[i][j] * a[j] for i in range(r) for j in range(r))) for a in phi0]
     )
-    outside = [a for a in rs.positive_roots if any(a[i] != 0 for i in range(r) if not wall[i])]
     return _Parabolic(
         qmat=qmat,
         sign=parities.astype(float),
         poly=poly.reshape(len(phi0), len(M), r),
         rho0=rho0,
-        outside=np.array(outside, dtype=float).reshape(len(outside), r),
+        outside=rs.pos_roots_f[~in0],
         b_inv_norm=math.sqrt(1.0 / float(np.min(np.linalg.eigvalsh(rs.B_f)))),
     )
 
@@ -378,9 +378,8 @@ class CharacterPlan:
         if weyl_group_order(rs.spec) > _MAX_WEYL_ORDER:
             return None  # W is not stacked: every row is a weight sum
         r = rs.rank
-        t, eta = reflect_to_chamber(rs, self.t)
+        t, eta, wall = reflect_to_chamber(rs, self.t)
         pair = rs.B_f @ t
-        wall = pair <= wall_slack(rs, t)
         par = _parabolic(rs.spec, tuple(bool(w) for w in wall))
         dp = np.where(wall, np.abs(pair), 0.0) + (r + 2) * _EPS * (np.abs(rs.B_f) @ np.abs(t))
         eta += float(np.linalg.norm(dp)) * par.b_inv_norm

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import (
     NonRegularError,
 )
 from .numerics import logsumexp
-from .rootsys import RootSystem
+from .rootsys import RootSystem, reflect_to_chamber, stabilizer_roots
 
 
 @dataclass(frozen=True)
@@ -183,33 +183,27 @@ class RatePoint:
     log_prefactor: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "algebra": self.algebra,
-                "xi": list(self.xi),
-                "x": list(self.x),
-                "S": self.S,
-                "grad_S": list(self.grad_S),
-                "hess_f": [list(row) for row in self.hess_f],
-                "K": [list(row) for row in self.K],
-                "log_prefactor": self.log_prefactor,
-            },
-            indent=1,
-        )
+        return json.dumps(asdict(self), indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "RatePoint":
         p = json.loads(text)
-        return cls(
-            algebra=p["algebra"],
-            xi=tuple(p["xi"]),
-            x=tuple(p["x"]),
-            S=p["S"],
-            grad_S=tuple(p["grad_S"]),
-            hess_f=tuple(tuple(row) for row in p["hess_f"]),
-            K=tuple(tuple(row) for row in p["K"]),
-            log_prefactor=p["log_prefactor"],
-        )
+        vectors = {k: tuple(p[k]) for k in ("xi", "x", "grad_S")}
+        matrices = {k: tuple(map(tuple, p[k])) for k in ("hess_f", "K")}
+        return cls(algebra=p["algebra"], S=p["S"], log_prefactor=p["log_prefactor"], **vectors, **matrices)
+
+
+def precision_matrix(rs: RootSystem, hess) -> np.ndarray:
+    """K = B H^-1 B for H = Hess f at a point, symmetrized.
+
+    Near the boundary of the Legendre domain the tilted weight distribution
+    collapses onto a face and H degenerates exponentially; solves there
+    still "converge" by float saturation, so H is gated first.
+    """
+    if float(np.min(np.linalg.eigvalsh(hess))) < 1e-12:
+        raise LegendreDomainError("Hess f is singular to float precision: the mean weight is at the domain boundary")
+    K = rs.B_f @ np.linalg.solve(hess, rs.B_f)
+    return 0.5 * (K + K.T)
 
 
 def rate_point(problem: TensorProblem, xi) -> RatePoint:
@@ -224,15 +218,9 @@ def rate_point(problem: TensorProblem, xi) -> RatePoint:
     xi = np.asarray(xi, dtype=float)
     x = legendre_dual(problem, xi)
     val, _, hess = f_grad_hess(problem, x)
-    # near the polytope boundary the tilted weight distribution collapses
-    # onto a face and H degenerates exponentially; the residual equation
-    # still "converges" there by float saturation, so gate on H instead
-    if float(np.min(np.linalg.eigvalsh(hess))) < 1e-12:
-        raise LegendreDomainError("xi within float tolerance of the domain boundary")
+    K = precision_matrix(rs, hess)
     S = val - float(x @ rs.B_f @ xi)
     grad_S = -(rs.B_f @ x)
-    K = rs.B_f @ np.linalg.solve(hess, rs.B_f)
-    K = 0.5 * (K + K.T)
     sign, logdetK = np.linalg.slogdet(K)
     if sign <= 0:
         raise DomainError("fluctuation matrix K is not positive definite")
@@ -296,54 +284,60 @@ def limit_density(
 ) -> np.ndarray:
     """Evaluate a limit density at an array of root-coordinate points.
 
-    kind "gaussian": needs the precision matrix K; supported on all of
-    the Cartan space.  kind "plancherel": squared-root-product density,
-    normalized on the dominant chamber (zero outside it).  kind
-    "intermediate": needs the dominant regular parameter u; interpolates
-    between the other two on the chamber.  Returns densities with respect
-    to Lebesgue measure in root coordinates.
+    kind "gaussian": with Phi0+ the positive roots the parameter u pairs to
+    zero with (none if u is None), rho0 their half sum and H = B K^-1 B,
+
+      p(a) = prod over Phi0+ of (alpha, a)^2 e^{-a.Ka/2} / Z
+
+    on the cone (alpha, a) >= 0, alpha in Phi0+, where Z = (2 pi)^{r/2}
+    det K^{-1/2} prod over Phi0+ of (rho0, alpha) alpha.H.alpha / (alpha,
+    alpha) is the Macdonald-Mehta integral taken factor by factor (K is
+    W0-invariant, so a multiple of B on each simple factor of Phi0).  With
+    no walls it is the Gaussian of precision K.  kind "plancherel" is its
+    other end, K = B with every wall: the chamber law at t = 0.  kind
+    "intermediate" needs a regular u and interpolates between the two on
+    the chamber.  u is reflected into the dominant chamber first.  Returns
+    densities with respect to Lebesgue measure in root coordinates.
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
+    single = np.ndim(points) == 1
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != rs.rank:
         raise DomainError(f"points must have {rs.rank} columns")
     r = rs.rank
-
-    if kind == "gaussian":
+    if kind == "plancherel":
+        K, u = rs.B_f, np.zeros(r)
+    elif kind not in ("gaussian", "intermediate"):
+        raise ValueError(f"unknown density kind {kind!r}")
+    if u is None:
+        if kind == "intermediate":
+            raise DomainError("intermediate density needs the parameter u")
+        wall = np.zeros(r, dtype=bool)
+    else:
+        u, _, wall = reflect_to_chamber(rs, u)
+    if kind != "intermediate":
         if K is None:
             raise DomainError("gaussian density needs the precision matrix K")
         K = np.asarray(K, dtype=float)
         sign, logdet = np.linalg.slogdet(K)
         if sign <= 0:
             raise DomainError("K must be positive definite")
+        in0 = stabilizer_roots(rs, wall)
+        v = rs.pos_pairing_f[in0]  # row alpha: a -> (alpha, a)
+        rho0 = rs.pos_roots_f[in0].sum(axis=0) / 2
+        # alpha.H.alpha / (alpha, alpha) = v K^-1 v / (alpha, alpha)
+        ratio = np.einsum("ij,ji->i", v, np.linalg.solve(K, v.T)) / np.einsum("ij,ij->i", v, rs.pos_roots_f[in0])
+        log_z = 0.5 * r * math.log(2.0 * math.pi) - 0.5 * logdet + float(np.sum(np.log((v @ rho0) * ratio)))
+        pair = pts @ v.T
         quad = np.einsum("ij,jk,ik->i", pts, K, pts)
-        out = np.exp(0.5 * logdet - 0.5 * r * math.log(2.0 * math.pi) - 0.5 * quad)
-    elif kind == "plancherel":
-        pair = pts @ rs.pos_pairing_f.T  # (m, n_positive)
-        inside = np.all(pair > -1e-12, axis=1)
-        quad = np.einsum("ij,jk,ik->i", pts, rs.B_f, pts)
-        sign, logdetB = np.linalg.slogdet(rs.B_f)
-        log_rho = np.sum(np.log(rs.rho_pos_pairings_f))
-        prod = np.prod(np.maximum(pair, 0.0) ** 2, axis=1)
-        out = (
-            math.exp(0.5 * logdetB - 0.5 * r * math.log(2.0 * math.pi) - log_rho)
-            * prod
-            * np.exp(-0.5 * quad)
-        )
-        out = np.where(inside, out, 0.0)
-    elif kind == "intermediate":
-        if u is None:
-            raise DomainError("intermediate density needs the parameter u")
-        u = np.asarray(u, dtype=float)
+        out = np.prod(np.maximum(pair, 0.0) ** 2, axis=1) * np.exp(-log_z - 0.5 * quad)
+        out = np.where(np.all(pair > -1e-12, axis=1), out, 0.0)
+    else:
+        if np.any(wall):
+            raise NonRegularError("u must be off every chamber wall")
         u_pair = rs.pos_pairing_f @ u
-        if np.any(u_pair <= 0):
-            raise NonRegularError("u must be strictly inside the dominant chamber")
         actions, parities = rs.weyl_actions
         wu = actions @ u  # (|W|, r)
         pair = pts @ rs.pos_pairing_f.T
-        inside = np.all(pair > -1e-12, axis=1)
         quad_b = np.einsum("ij,jk,ik->i", pts, rs.B_f, pts)
         quad_u = float(u @ rs.B_f @ u)
         expo = (pts @ rs.B_f) @ wu.T  # (m, |W|), entries (b, w(u))
@@ -351,20 +345,12 @@ def limit_density(
         alt = np.sum(parities[None, :] * np.exp(expo - m0), axis=1)
         sign, logdetB = np.linalg.slogdet(rs.B_f)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_main = (
-                0.5 * logdetB
-                - 0.5 * r * math.log(2.0 * math.pi)
-                + np.sum(np.log(np.maximum(pair, 1e-300)), axis=1)
-                - float(np.sum(np.log(u_pair)))
-                + m0[:, 0]
-                - 0.5 * quad_b
-                - 0.5 * quad_u
-            )
+            log_pair = np.sum(np.log(np.maximum(pair, 1e-300)), axis=1)
+            log_main = 0.5 * logdetB - 0.5 * r * math.log(2.0 * math.pi) + log_pair - float(np.sum(np.log(u_pair)))
+            log_main = log_main + m0[:, 0] - 0.5 * quad_b - 0.5 * quad_u
         # on chamber walls both the root product and the alternating sum
         # vanish, so the continuous extension is zero there
         interior = np.all(pair > 1e-12, axis=1)
         out = np.where(interior, np.exp(log_main) * np.maximum(alt, 0.0), 0.0)
-    else:
-        raise ValueError(f"unknown density kind {kind!r}")
 
     return out[0] if single else out

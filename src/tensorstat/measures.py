@@ -34,10 +34,11 @@ from .legendre import (
     forward_dual,
     hessian_at_origin,
     limit_density,
+    precision_matrix,
     tensor_problem,
 )
 from .numerics import cell_integrals
-from .rootsys import build_root_system, reflect_to_chamber
+from .rootsys import build_root_system, reflect_to_chamber, stabilizer_roots
 
 
 def plancherel_measure(table: DecompositionTable) -> dict[Weight, Fraction]:
@@ -126,15 +127,13 @@ def asymptotic_log_probability(problem: TensorProblem, lam, t=None) -> float:
     """Pointwise asymptotics of ln P(lambda) under the character measure.
 
     P(lambda) = m_lambda chi_lambda(e^t) / chi_V(e^t)^N, so the estimate is
-    asymptotic_log_multiplicity plus a log weight in lambda minus
-    f(t)/eps = N ln chi_V(e^t).  At t = 0 the weight is the dimension,
-    prod_alpha (lambda + rho, alpha) / (rho, alpha), taken at leading order
-    as prod (lambda, alpha) / (rho, alpha).  At regular t, reflected into
-    the positive chamber (the measure is invariant), one Weyl term
-    dominates the character: e^{(lambda + rho, t)} / Delta(t) with
-    Delta(t) = prod_alpha 2 sinh((alpha, t)/2).  lambda must be strictly
-    dominant, where the multiplicity prefactor is finite; nonzero t on a
-    chamber wall is outside both regimes (NonRegularError).
+    asymptotic_log_multiplicity, plus the identity term of CharacterPlan's
+    coset sum for ln chi_lambda(e^t) at leading order in lambda, minus
+    f(t)/eps = N ln chi_V(e^t).  With t reflected into the dominant chamber,
+    Phi0+ the positive roots it pairs to zero with and rho0 their half sum,
+    that term is (lambda, t) + sum over Phi0+ of ln((lambda, alpha) /
+    (rho0, alpha)) - ln D(t), D(t) = prod over the other positive roots of
+    1 - e^{-(alpha, t)}.  lambda must be strictly dominant.
     """
     return _asymptotic_estimator(problem, t)(lam)
 
@@ -142,30 +141,19 @@ def asymptotic_log_probability(problem: TensorProblem, lam, t=None) -> float:
 def _asymptotic_estimator(problem: TensorProblem, t):
     """lam -> asymptotic_log_probability(problem, lam, t), the t-only terms computed once."""
     rs = problem.rs
-    eps = problem.epsilon
-    if t is None or not np.any(t):
-        c = -f_eval(problem, np.zeros(rs.rank)) / eps - float(np.sum(np.log(rs.rho_pos_pairings_f)))
-
-        def log_weight(lam_root):
-            return float(np.sum(np.log(rs.pos_pairing_f @ lam_root)))
-
-    else:
-        t_dom, _ = reflect_to_chamber(rs, np.asarray(t, dtype=float))
-        t_pair = rs.pos_pairing_f @ t_dom
-        scale = math.sqrt(float(t_dom @ rs.B_f @ t_dom))
-        if np.min(t_pair) <= 1e-8 * scale:
-            raise NonRegularError("nonzero t on a chamber wall has no single-phase asymptotics")
-        # log 2 sinh(x/2) = x/2 + log(1 - e^{-x}): no overflow at large x, no cancellation at small x
-        log_delta = float(np.sum(0.5 * t_pair + np.log(-np.expm1(-t_pair))))
-        t_pairing = rs.B_f @ t_dom
-        c = float(rs.rho_root_f @ t_pairing) - log_delta - f_eval(problem, t_dom) / eps
-
-        def log_weight(lam_root):
-            return float(t_pairing @ lam_root)
+    t_dom, _, wall = reflect_to_chamber(rs, np.zeros(rs.rank) if t is None else t)
+    in0 = stabilizer_roots(rs, wall)
+    pairing0 = rs.pos_pairing_f[in0]
+    rho0 = rs.pos_roots_f[in0].sum(axis=0) / 2
+    # log(1 - e^{-p}) has no overflow at large p and no cancellation at small p
+    log_den = float(np.sum(np.log(-np.expm1(-(rs.pos_pairing_f[~in0] @ t_dom)))))
+    c = -f_eval(problem, t_dom) / problem.epsilon - float(np.sum(np.log(pairing0 @ rho0))) - log_den
+    t_pairing = rs.B_f @ t_dom
 
     def estimate(lam) -> float:
         log_m = asymptotic_log_multiplicity(problem, lam)
-        return log_m + log_weight(np.array([float(v) for v in rs.root_coords(lam)])) + c
+        lam_root = np.array([float(v) for v in rs.root_coords(lam)])
+        return log_m + (float(t_pairing @ lam_root) + float(np.sum(np.log(pairing0 @ lam_root)))) + c
 
     return estimate
 
@@ -199,17 +187,12 @@ class MeasureTable:
         """asymptotic_log_probability of each row, computed on first read.
 
         NaN where the formula does not apply: weights on a chamber wall,
-        scaled weights on the boundary of the Legendre domain, every row at
-        a nonzero t on a chamber wall, and every row of a table of no
-        tensor factors.
+        scaled weights on the boundary of the Legendre domain, and every row
+        of a table of no tensor factors.
         """
-        nan = (math.nan,) * len(self.rows)
         if not any(n for _, n in self.problem):
-            return nan
-        try:
-            estimate = _asymptotic_estimator(self._tensor_problem(), self.t)
-        except NonRegularError:
-            return nan
+            return (math.nan,) * len(self.rows)
+        estimate = _asymptotic_estimator(self._tensor_problem(), self.t)
         out = []
         for row in self.rows:
             try:
@@ -294,6 +277,11 @@ def lattice_aligned_edges(
     return edges
 
 
+# cell_integrals refines each cell to at most 16^r midpoints; a comparison
+# grid may take at most this many (2^23 points of rank 2: 128 MiB an array)
+_MAX_GRID_POINTS = 2**23
+
+
 @dataclass(frozen=True)
 class WeakConvergenceReport:
     tv: float
@@ -311,89 +299,89 @@ def weak_convergence_distance(
 ) -> WeakConvergenceReport:
     """Total-variation distance between binned exact and limit measures.
 
-    The regime fixes the coordinates: the highest weights are rescaled by
-    gaussian_scaling for kind "gaussian" (nonzero t) and by bulk_scaling
-    for "plancherel" (t = 0) and "intermediate" (nonzero t), whatever the
-    scaled column of m holds.  They are binned over a rectangular grid and
-    compared against cell integrals of the matching limit density: the
-    Gaussian with the precision matrix at the measure's t, or the chamber
-    law with u recovered from t (t is first reflected into the dominant
-    chamber; the measure is invariant).  Mass outside the grid counts in
-    full toward the distance.
+    The highest weights are rescaled by bulk_scaling at t = 0 and for
+    "intermediate", by gaussian_scaling otherwise, binned over a grid and
+    compared with cell integrals of the limit density; mass outside the
+    grid counts in full.  t is reflected into the dominant chamber first.
+
+    "gaussian" (nonzero t) and "plancherel" (t = 0) are one law: with
+    Phi0+ the positive roots t pairs to zero with and rho0 their half sum,
+    a = sqrt(eps) (lambda + rho0) - eta / sqrt(eps) has the density
+    limit_density(rs, "gaussian", a, K, t), K = B Hess f(t)^-1 B and
+    eta = B^-1 grad f(t), pulled back to the scaled coordinates by the
+    affine map between the two.  "intermediate" is the chamber law with u
+    recovered from t, which must be regular.
 
     Without edges the grid is lattice aligned, two lattice columns per
     cell: highest weights of one problem differ by root-lattice vectors,
     integers in root coordinates, so scaled points sit on a lattice of
     spacing scaling.spread.  It also covers the limit law's tail beyond
-    s = sqrt(2 ln 1e9), where e^{-s^2/2} = 1e-9: |z| >= sqrt(r) + s for the
-    Gaussian, and |b|_B >= sqrt(dim g) + |u|_B + s for the chamber laws,
-    whose radial part is the norm of a shifted Gaussian element of g;
-    Cauchy-Schwarz in B turns these into per-coordinate bounds.
+    s = sqrt(2 ln 1e9), where e^{-s^2/2} = 1e-9: |a|_K >= sqrt(r + 2 |Phi0+|)
+    + s, from 0 up when every simple root is a wall, and |b|_B >= sqrt(dim g)
+    + |u|_B + s for the intermediate law (a shifted Gaussian element of g
+    in norm); Cauchy-Schwarz gives per-coordinate bounds.  A grid needing
+    over _MAX_GRID_POINTS quadrature points is a DomainError.
     """
     problem = m._tensor_problem()
     rs = problem.rs
+    r = rs.rank
     eps = m.epsilon
-    t_dom = None if m.t is None else reflect_to_chamber(rs, m.t)[0]
+    t_dom, _, wall = reflect_to_chamber(rs, np.zeros(r) if m.t is None else m.t)
     tail = math.sqrt(2.0 * math.log(1e9))
-    K = u = None
-
-    if kind == "gaussian":
-        if t_dom is None:
-            raise DomainError("gaussian comparison needs a nonzero t")
-        scaling = gaussian_scaling(problem, m.t)
-        _, _, hess = f_grad_hess(problem, t_dom)
-        K = rs.B_f @ np.linalg.solve(hess, rs.B_f)
-        K = 0.5 * (K + K.T)
-        half = (math.sqrt(rs.rank) + tail) * np.sqrt(np.diag(np.linalg.inv(K)))
-        cover = [(-h, h) for h in half]
-    elif kind in ("plancherel", "intermediate"):
-        scaling = bulk_scaling(problem)
-        if kind == "plancherel":
-            if t_dom is not None:
-                raise DomainError("plancherel comparison requires t = 0")
-            u = np.zeros(rs.rank)
-        else:
-            if t_dom is None:
-                raise DomainError("intermediate comparison needs a nonzero t")
-            u = t_dom * math.sqrt(scaling.x_scalar / eps)
-        dim_g = rs.rank + 2 * rs.n_positive
-        radius = math.sqrt(dim_g) + math.sqrt(float(u @ rs.B_f @ u)) + tail
-        cover = [(0.0, h) for h in radius * np.sqrt(np.diag(np.linalg.inv(rs.B_f)))]
-    else:
+    if kind not in ("gaussian", "plancherel", "intermediate"):
         raise ValueError(f"unknown comparison kind {kind!r}")
+    if (kind == "plancherel") != (m.t is None):
+        raise DomainError(f"{kind} comparison needs {'t = 0' if kind == 'plancherel' else 'a nonzero t'}")
+    if kind == "intermediate":
+        if np.any(wall):
+            raise NonRegularError("intermediate comparison needs a t off every chamber wall")
+        scaling = bulk_scaling(problem)
+        u = t_dom * math.sqrt(scaling.x_scalar / eps)
+        radius = math.sqrt(rs.dim_g) + math.sqrt(float(u @ rs.B_f @ u)) + tail
+        cover = [(0.0, h) for h in radius * np.sqrt(np.diag(np.linalg.inv(rs.B_f)))]
 
-    def density(pts):
-        return limit_density(rs, kind, pts, K=K, u=u)
+        def density(pts):
+            return limit_density(rs, kind, pts, u=u)
+
+    else:
+        scaling = bulk_scaling(problem) if m.t is None else gaussian_scaling(problem, m.t)
+        _, grad, hess = f_grad_hess(problem, t_dom)
+        K = precision_matrix(rs, hess)
+        in0 = stabilizer_roots(rs, wall)
+        # a = scale * (scaled point) + shift
+        scale = math.sqrt(eps) / scaling.spread
+        rho0 = rs.pos_roots_f[in0].sum(axis=0) / 2
+        shift = math.sqrt(eps) * (np.asarray(scaling.center) + rho0) - np.linalg.solve(rs.B_f, grad) / math.sqrt(eps)
+        half = (math.sqrt(r + 2 * int(np.sum(in0))) + tail) * np.sqrt(np.diag(np.linalg.inv(K)))
+        lo = np.zeros(r) if np.all(wall) else -half
+        cover = list(zip((lo - shift) / scale, (half - shift) / scale))
+
+        def density(pts):
+            return scale**r * limit_density(rs, "gaussian", scale * pts + shift, K=K, u=t_dom)
 
     pvals = np.array([row.probability for row in m.rows])
     scaled = scaling.apply([[float(v) for v in rs.root_coords(row.weight)] for row in m.rows])
 
+    def check_size(shape):
+        if math.prod(shape) * 16**r > _MAX_GRID_POINTS:
+            cells = " x ".join(f"{n:.0f}" for n in shape)
+            raise DomainError(f"comparison grid of {cells} cells needs over {_MAX_GRID_POINTS} quadrature points")
+
     if edges is None:
+        check_size([(hi - lo) / (2 * scaling.spread) for lo, hi in cover])  # the cover alone, before any edge
         edges = lattice_aligned_edges(scaled, scaling.spread, cells_per=2, cover=cover)
     edges = [np.asarray(e, dtype=float) for e in edges]
     shape = tuple(len(e) - 1 for e in edges)
+    check_size(shape)
 
-    idx = np.zeros((len(m.rows), rs.rank), dtype=int)
-    inside = np.ones(len(m.rows), dtype=bool)
-    for ax, e in enumerate(edges):
-        pos = np.searchsorted(e, scaled[:, ax], side="right") - 1
-        idx[:, ax] = pos
-        inside &= (pos >= 0) & (pos < shape[ax])
-
-    P = np.zeros(shape)
-    np.add.at(P, tuple(idx[inside].T), pvals[inside])
+    # cells are half-open [e_k, e_k+1), as np.histogramdd bins all but its last
+    inside = np.all([(x >= e[0]) & (x < e[-1]) for x, e in zip(scaled.T, edges)], axis=0)
+    P = np.histogramdd(scaled[inside], bins=edges, weights=pvals[inside])[0]
     p_in = float(pvals[inside].sum())
 
     Q = cell_integrals(density, edges, tol=quad_tol)
     q_in = float(Q.sum())
     if q_in < 1.0 - coverage_tol:
-        raise GridCoverageError(
-            f"grid captures only {q_in} of the limit mass (tolerance {coverage_tol})"
-        )
+        raise GridCoverageError(f"grid captures only {q_in} of the limit mass (tolerance {coverage_tol})")
     tv = 0.5 * (float(np.abs(P - Q).sum()) + (1.0 - p_in) + max(0.0, 1.0 - q_in))
-    return WeakConvergenceReport(
-        tv=float(tv),
-        exact_mass_in_grid=p_in,
-        limit_mass_in_grid=q_in,
-        cells=shape,
-    )
+    return WeakConvergenceReport(tv=float(tv), exact_mass_in_grid=p_in, limit_mass_in_grid=q_in, cells=shape)

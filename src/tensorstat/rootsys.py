@@ -311,11 +311,6 @@ class RootSystem:
         return np.array([float(x) for x in self.rho_root])
 
     @cached_property
-    def rho_pos_pairings_f(self) -> np.ndarray:
-        """(rho, alpha) over the positive roots."""
-        return self.pos_pairing_f @ self.rho_root_f
-
-    @cached_property
     def weyl_actions(self) -> tuple[np.ndarray, np.ndarray]:
         """enumerate_weyl_group, kept: every Weyl element's root-coordinate action and parity."""
         return enumerate_weyl_group(self)
@@ -423,18 +418,15 @@ def dominant_reflect(rs: RootSystem, coords) -> tuple[tuple[int, ...], int, bool
     return tuple(lam), parity, any(v == 0 for v in lam)
 
 
-def wall_slack(rs: RootSystem, t: np.ndarray) -> np.ndarray:
-    """Per simple root, the rounding scale below which (alpha_a, t) counts as zero."""
-    return WALL_ULPS * np.finfo(float).eps * (np.abs(rs.B_f) @ np.abs(t))
-
-
-def reflect_to_chamber(rs: RootSystem, t) -> tuple[np.ndarray, float]:
+def reflect_to_chamber(rs: RootSystem, t) -> tuple[np.ndarray, float, np.ndarray]:
     """Weyl-reflect a root-coordinate vector into the closed dominant chamber.
 
-    Returns the reflected vector and a bound on the B-norm of the rounding
-    error it carries.  Reflections are isometries, so each step adds its own
-    rounding to the bound and moves the earlier error without growing it.
-    Pairings within wall_slack of zero are left as they are.
+    Returns the reflected vector t_dom, a bound on the B-norm of the
+    rounding error it carries, and the wall mask: per simple root, whether
+    (alpha_a, t_dom) is within WALL_ULPS rounding units of zero.  This is
+    the one place that decides the walls of t.  Reflections are isometries,
+    so each step adds its own rounding to the bound and moves the earlier
+    error without growing it.
     """
     t = np.array(t, dtype=float)
     d = np.array([float(x) for x in rs.d])
@@ -443,12 +435,22 @@ def reflect_to_chamber(rs: RootSystem, t) -> tuple[np.ndarray, float]:
     err = 0.0
     for _ in range(10000):
         pair = rs.B_f @ t  # (alpha_a, t) over simple roots
+        slack = WALL_ULPS * eps * (abs_B @ np.abs(t))
         a = int(np.argmin(pair))
-        if pair[a] >= -wall_slack(rs, t)[a]:
-            return t, err
+        if pair[a] >= -slack[a]:
+            return t, err, pair <= slack
         err += (rs.rank + 3) * eps * float(abs_B[a] @ np.abs(t)) / d[a] * math.sqrt(2.0 * d[a])
         t[a] -= pair[a] / d[a]
     raise ConvergenceError("chamber reflection did not terminate")
+
+
+def stabilizer_roots(rs: RootSystem, wall) -> np.ndarray:
+    """Mask over rs.positive_roots: True on Phi0+, the roots spanned by the simple roots marked in wall.
+
+    Phi0+ are the positive roots of the stabilizer W0 of a t with these
+    walls, the roots t pairs to zero with; the rest pair positively.
+    """
+    return ~np.any(rs.pos_roots_f[:, ~np.asarray(wall, dtype=bool)] != 0, axis=1)
 
 
 # largest Weyl group that is enumerated or stacked

@@ -67,6 +67,10 @@ def test_criterion_12_measure_normalization_and_dimensions():
     _check(12)
 
 
+def test_criterion_13_wall_t_convergence():
+    _check(13)
+
+
 @pytest.mark.parametrize("index", sorted(acceptance.ALL_CRITERIA))
 def test_registry_names_are_stable(index):
     fn = acceptance.ALL_CRITERIA[index]

@@ -12,7 +12,7 @@ from tensorstat import (
     tensor_power_decompose,
     weak_convergence_distance,
 )
-from tensorstat import markov
+from tensorstat import markov, measures
 from tensorstat.cli import main
 
 
@@ -156,11 +156,27 @@ def test_limit_compare_report(capsys):
         ("G2", "1,0", 20, "plancherel", None, 0.0492),
         ("A2", "1,0", 30, "gaussian", "1,1", 0.2347),
         ("A2", "1,0", 30, "intermediate", "0.05,0.04", 0.1017),
+        # t pairs to zero with alpha_2: the Gaussian times (alpha_2, a)^2 on a
+        # half space; the plain Gaussian read 0.52 here and grew with N
+        ("A2", "1,0", 20, "gaussian", "1,0.5", 0.1513),
     ],
 )
 def test_limit_compare_rank2(capsys, algebra, rep, power, kind, t, tv):
     payload = _check_limit_compare(capsys, algebra, rep, power, kind, t)
     assert payload["tv"] == pytest.approx(tv, abs=5e-4)
+
+
+def test_limit_compare_refuses_an_oversized_grid(capsys, monkeypatch):
+    # the intermediate cover grows with |t|; its grid would take gigabytes
+    def fail(*args, **kwargs):
+        raise AssertionError("cell_integrals ran on an oversized grid")
+
+    monkeypatch.setattr(measures, "cell_integrals", fail)
+    code = main(["limit-compare", "--no-cache", "--algebra", "A2", "--rep", "1,0", "--power", "12",
+                 "--t", "300,200", "--kind", "intermediate"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: comparison grid") and captured.err.count("\n") == 1
 
 
 def test_sample_reports_tv_against_exact(capsys, tmp_path):
@@ -240,7 +256,7 @@ def test_extra_problem_arguments_are_domain_errors(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["selftest", "--criteria", "13"],
+        ["selftest", "--criteria", "14"],
         ["selftest", "--criteria", "x"],
         ["pde-check", "--algebra", "A1", "--rep", "1", "--grid", "0"],
         ["pde-check", "--algebra", "A1", "--rep", "1", "--grid", "-1"],
@@ -251,10 +267,21 @@ def test_extra_problem_arguments_are_domain_errors(capsys, argv):
         ["sample", "--algebra", "A1", "--rep", "1", "--steps", "0", "--chains", "3", "--epsilon", "inf"],
         # the Gaussian fluctuation law does not hold at t = 0
         ["limit-compare", "--algebra", "A1", "--rep", "1", "--power", "20", "--kind", "gaussian"],
+        # Hess f(t) singular to float precision, refused before K and the grid are formed
+        ["limit-compare", "--no-cache", "--algebra", "A1", "--rep", "1", "--power", "12", "--t", "20", "--kind", "gaussian"],
+        ["limit-compare", "--no-cache", "--algebra", "A1", "--rep", "1", "--power", "12", "--t", "50", "--kind", "gaussian"],
+        ["limit-compare", "--no-cache", "--algebra", "A2", "--rep", "1,1", "--power", "12", "--t", "300,200",
+         "--kind", "gaussian"],
+        ["limit-compare", "--no-cache", "--algebra", "A2", "--rep", "1,0", "--power", "12", "--t", "300,200",
+         "--kind", "gaussian"],
+        ["limit-compare", "--no-cache", "--algebra", "A2", "--rep", "1,0", "--power", "12", "--t", "1,0.5",
+         "--kind", "intermediate"],
     ],
     ids=[
-        "criteria-13", "criteria-x", "grid-0", "grid-negative", "max-power-negative",
+        "criteria-14", "criteria-x", "grid-0", "grid-negative", "max-power-negative",
         "epsilon-inf", "zero-steps-epsilon-negative", "zero-steps-epsilon-inf", "gaussian-without-t",
+        "gaussian-a1-t20", "gaussian-a1-t50", "gaussian-a2-adjoint-t300", "gaussian-a2-vector-t300",
+        "intermediate-at-a-wall",
     ],
 )
 def test_invalid_inputs_are_domain_errors(capsys, argv):

@@ -23,6 +23,7 @@ from tensorstat import (
     tensor_power_decompose,
     tensor_problem,
 )
+from tensorstat.numerics import box_quadrature
 
 
 def _a1_problem(tau=1.0, n=10):
@@ -200,3 +201,57 @@ def test_limit_density_input_validation():
         limit_density(rs, "intermediate", np.zeros((3, 2)))  # u missing
     with pytest.raises(DomainError):
         limit_density(rs, "plancherel", np.zeros((3, 1)))  # wrong width
+
+
+def _wall_law(name, wall):
+    """rs, K = B H^-1 B and H = Hess f(t) for (1, 0, ...)^10 at a t with these walls."""
+    rs = build_root_system(AlgebraSpec.parse(name))
+    t = rs.cartan_inv_f @ np.where(wall, 0.0, 0.6)
+    _, _, hess = f_grad_hess(tensor_problem(rs, [((1,) + (0,) * (rs.rank - 1), 10)]), t)
+    return rs, rs.B_f @ np.linalg.solve(hess, rs.B_f), hess, t
+
+
+@pytest.mark.parametrize(
+    "name, wall",
+    [
+        ("A2", (True, False)), ("A2", (False, True)), ("B2", (True, False)), ("B2", (False, True)),
+        ("G2", (True, False)), ("G2", (False, True)),
+        ("A3", (True, True, False)), ("A3", (True, False, True)), ("B3", (False, True, True)),
+    ],
+    ids=["A2-1", "A2-2", "B2-1", "B2-2", "G2-1", "G2-2", "A3-12", "A3-13", "B3-23"],
+)
+def test_limit_density_normalized_at_a_wall(name, wall):
+    # in the simple-root pairings y = B a the cone is an orthant and the
+    # integrand is smooth on it, so Gauss-Legendre converges spectrally
+    rs, K, hess, t = _wall_law(name, wall)
+    half = 11.0 * np.sqrt(np.diag(hess))  # y has covariance H
+    y, wts = box_quadrature([(0.0, h) if w else (-h, h) for w, h in zip(wall, half)], 100 if rs.rank == 2 else 60)
+    a = np.linalg.solve(rs.B_f, y.T).T
+    total = float(limit_density(rs, "gaussian", a, K=K, u=t) @ wts) / abs(np.linalg.det(rs.B_f))
+    assert total == pytest.approx(1.0, abs=1e-10)
+    # the cone: zero where a wall pairing is negative
+    assert limit_density(rs, "gaussian", -a[wts.argmax()], K=K, u=t) == 0.0
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+def test_limit_density_ends_are_plancherel_and_gaussian(name):
+    rs = build_root_system(AlgebraSpec.parse(name))
+    r = rs.rank
+    pts = np.random.default_rng(5).normal(size=(40, r)) @ rs.cartan_inv_f.T
+    # every wall and K = B: prod (alpha, a)^2 e^{-a.Ba/2} on the chamber
+    # over (2 pi)^{r/2} det B^{-1/2} prod (rho, alpha)
+    pair = pts @ rs.pos_pairing_f.T
+    rho_pair = rs.pos_pairing_f @ rs.rho_root_f
+    quad = np.einsum("ij,jk,ik->i", pts, rs.B_f, pts)
+    chamber = np.all(pair > 0, axis=1)
+    closed = np.where(chamber, np.prod(pair**2, axis=1) * np.exp(-0.5 * quad), 0.0) * math.sqrt(
+        np.linalg.det(rs.B_f) / (2 * math.pi) ** r
+    ) / np.prod(rho_pair)
+    assert chamber.any() and not chamber.all()
+    for dens in (limit_density(rs, "plancherel", pts), limit_density(rs, "gaussian", pts, K=rs.B_f, u=np.zeros(r))):
+        assert dens == pytest.approx(closed, rel=1e-12, abs=0)
+    # no walls: the Gaussian with precision K, at u = None and at a regular u
+    _, K, _, t = _wall_law(name, (False,) * r)
+    gauss = np.exp(-0.5 * np.einsum("ij,jk,ik->i", pts, K, pts)) * math.sqrt(np.linalg.det(K) / (2 * math.pi) ** r)
+    for u in (None, t):
+        assert limit_density(rs, "gaussian", pts, K=K, u=u) == pytest.approx(gauss, rel=1e-12, abs=0)

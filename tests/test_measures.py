@@ -232,3 +232,16 @@ def test_asymptotic_log_probability_converges_at_the_mode(a1, t, final):
         errors.append(abs(est - math.log(probs[mode])))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < final
+
+
+def test_asymptotics_column_filled_at_a_wall(a2):
+    # t pairs to zero with alpha_2: the column once was NaN on every row; now
+    # only rows on a chamber wall or at the edge of the Legendre domain are
+    m = character_measure(tensor_power_decompose(a2, [((1, 0), 30)]), t=[0.2, 0.1])
+    errors = [
+        abs(asym - math.log(row.probability))
+        for row, asym in zip(m.rows, m.asymptotic_log_probabilities)
+        if not math.isnan(asym)
+    ]
+    assert len(m.rows) == 91 and len(errors) == 63
+    assert np.median(errors) < 0.3
