@@ -26,6 +26,7 @@ from .rootsys import (
     build_root_system,
     dominant_reflect,
     reflect_to_chamber,
+    row_runs,
     stabilizer_roots,
     weyl_group_order,
     weyl_orbits,
@@ -382,7 +383,9 @@ class CharacterPlan:
         pair = rs.B_f @ t
         par = _parabolic(rs.spec, tuple(bool(w) for w in wall))
         dp = np.where(wall, np.abs(pair), 0.0) + (r + 2) * _EPS * (np.abs(rs.B_f) @ np.abs(t))
-        eta += float(np.linalg.norm(dp)) * par.b_inv_norm
+        eta += math.hypot(*dp.tolist()) * par.b_inv_norm  # scaled: a finite dp has a finite norm
+        if not math.isfinite(eta):
+            return None  # t is lost to overflow: no float row can be certified
         pair = np.where(wall, 0.0, pair)
         p_out = par.outside @ pair
         log_terms = np.log(-np.expm1(-p_out))
@@ -426,7 +429,7 @@ class CharacterPlan:
             bound = (
                 _EPS * (1.0 + err * c.inv_den + (r + 1) * lam_t + (n0 + 1) * np.abs(log_p1) + 3 * size + 2 * n0)
                 + c.den_err
-                + np.expm1(norm * c.eta)
+                + np.expm1(np.minimum(norm * c.eta, 1.0))  # past 1 no row passes; the cap keeps expm1 finite
             )
             bounds[lo : lo + step] = bound
             for i in np.flatnonzero(bound <= CHARACTER_BUDGET):
@@ -440,47 +443,87 @@ class CharacterPlan:
 class Branching:
     """Branching numbers b(lam, mu) of V(lam) (x) V(nu) for one factor nu.
 
-    row(lam) is Klimyk's formula: for each weight mu of V(nu), lam + mu +
-    rho is reflected to the dominant chamber; singular terms cancel, the
-    rest contribute parity * d_mu to V(dom - rho).  Each row is built once,
-    on first use, and kept for the life of the instance.
+    Klimyk's formula: for each weight mu of V(nu), lam + mu + rho is
+    reflected to the dominant chamber; singular terms cancel, the rest
+    contribute parity * d_mu to V(dom - rho).  One vectorized fold applies
+    it to a whole batch of highest weights at once: decomposition steps
+    sum the terms of a table per target, kernel rows sum them per (source,
+    target).  Each row is built once and kept for the life of the
+    instance.
     """
 
     def __init__(self, rs: RootSystem, nu):
         self.rs = rs
-        self._weights = sorted(weight_multiplicities(rs, nu).multiplicities.items())
+        weights = sorted(weight_multiplicities(rs, nu).multiplicities.items())
+        self._shifts = np.array([mu for mu, _ in weights], dtype=np.int64) + 1  # mu + rho
+        self._mults = np.array([d for _, d in weights], dtype=np.int64)
+        self._cartan_cols = np.array(rs.cartan, dtype=np.int64).T  # row a: C[i][a] over i
         self._rows: dict[Weight, dict[Weight, int]] = {}
+
+    def _fold(self, keys: np.ndarray, values: np.ndarray, by_source: bool = False):
+        """Klimyk's formula on sum_i values[i] V(keys[i]) (x) V(nu), summed per target.
+
+        keys: (n, r) int64 dominant weights; values: (n,) ints, int64 or
+        Python ints in an object array (kept exact).  Returns (sources,
+        targets, sums): the nonzero sums, sorted by target; with by_source
+        they are summed per (source index, target) and sorted by both,
+        else sources is None.
+        """
+        r = self.rs.rank
+        n, k = len(keys), len(self._mults)
+        x = (keys[:, None, :] + self._shifts).reshape(n * k, r)
+        src = np.repeat(np.arange(n), k)
+        coef = np.tile(self._mults, n)
+        # dominant_reflect's word on every row at once: reflect at the first
+        # negative coordinate, flipping the sign each time
+        live = np.flatnonzero(x.min(axis=1) < 0)
+        while len(live):
+            y = x[live]
+            a = np.argmax(y < 0, axis=1)
+            y -= y[np.arange(len(live)), a, None] * self._cartan_cols[a]
+            x[live] = y
+            coef[live] *= -1
+            live = live[y.min(axis=1) < 0]
+        regular = np.flatnonzero(x.min(axis=1) > 0)  # singular terms cancel
+        x, src, coef = x[regular], src[regular], coef[regular]
+        if not len(x):
+            return (src if by_source else None), x, values[:0]
+        order, starts = row_runs(x, src if by_source else None)
+        src, coef = src[order], coef[order]
+        terms = values[src]
+        scaled = coef != 1  # most terms are unreflected weights of multiplicity 1
+        terms[scaled] *= coef[scaled]
+        sums = np.add.reduceat(terms, starts)
+        positive = sums > 0
+        if not positive.all():
+            if np.any(sums < 0):
+                i = int(np.argmax(sums < 0))
+                target = tuple((x[order[starts[i]]] - 1).tolist())
+                raise InternalConsistencyError(f"negative multiplicity {sums[i]} at {target}")
+            starts, sums = starts[positive], sums[positive]
+        return (src[starts] if by_source else None), x[order[starts]] - 1, sums
+
+    def rows(self, lams) -> list[dict[Weight, int]]:
+        """row(lam) for each lam in lams; the rows not built yet come from one fold."""
+        todo = [lam for lam in dict.fromkeys(lams) if lam not in self._rows]
+        if todo:
+            keys = np.array(todo, dtype=np.int64).reshape(len(todo), self.rs.rank)
+            sources, targets, sums = self._fold(keys, np.ones(len(todo), dtype=np.int64), by_source=True)
+            built: list[dict[Weight, int]] = [{} for _ in todo]
+            for i, mu, b in zip(sources.tolist(), map(tuple, targets.tolist()), sums.tolist()):
+                built[i][mu] = b
+            self._rows.update(zip(todo, built))
+        return [self._rows[lam] for lam in lams]
 
     def row(self, lam: Weight) -> dict[Weight, int]:
         """Highest weight -> multiplicity in V(lam) (x) V(nu); exact, do not mutate."""
-        row = self._rows.get(lam)
-        if row is not None:
-            return row
-        r = self.rs.rank
-        out: dict[Weight, int] = {}
-        for mu, d in self._weights:
-            shifted = tuple(lam[i] + mu[i] + 1 for i in range(r))
-            dom, parity, singular = dominant_reflect(self.rs, shifted)
-            if singular:
-                continue
-            target = tuple(c - 1 for c in dom)
-            out[target] = out.get(target, 0) + parity * d
-        row = {}
-        for mu, b in out.items():
-            if b < 0:
-                raise InternalConsistencyError(f"negative multiplicity {b} at {mu}")
-            if b > 0:
-                row[mu] = b
-        self._rows[lam] = row
-        return row
+        return self.rows([lam])[0]
 
     def step(self, table: dict[Weight, int]) -> dict[Weight, int]:
         """Decompose (sum_lam m_lam V(lam)) (x) V(nu): sum_lam m_lam row(lam)."""
-        out: dict[Weight, int] = {}
-        for lam, m in table.items():
-            for mu, b in self.row(lam).items():
-                out[mu] = out.get(mu, 0) + m * b
-        return out
+        keys = np.array(list(table), dtype=np.int64).reshape(len(table), self.rs.rank)
+        _, targets, sums = self._fold(keys, np.array(list(table.values()), dtype=object))
+        return dict(zip(map(tuple, targets.tolist()), sums.tolist()))
 
 
 def klimyk_tensor_step(rs: RootSystem, table: dict[Weight, int], nu) -> dict[Weight, int]:
@@ -560,16 +603,18 @@ def tensor_power_decompose(
     multiplicities.
     """
     problem = _factors(rs, factors)
-    table: dict[Weight, int] = {(0,) * rs.rank: 1}
+    keys = np.zeros((1, rs.rank), dtype=np.int64)
+    values = np.array([1], dtype=object)
     for nu, n in problem:
         branching = Branching(rs, nu)
         for _ in range(n):
-            table = branching.step(table)
-            if len(table) > entry_cap:
+            _, keys, values = branching._fold(keys, values)
+            if len(keys) > entry_cap:
                 raise EntryCapExceededError(
                     f"decomposition support exceeded {entry_cap} entries"
                 )
-    return DecompositionTable(algebra=str(rs.spec), problem=problem, entries=table)
+    entries = dict(zip(map(tuple, keys.tolist()), values.tolist()))
+    return DecompositionTable(algebra=str(rs.spec), problem=problem, entries=entries)
 
 
 def naive_tensor_decompose(rs: RootSystem, factors) -> DecompositionTable:

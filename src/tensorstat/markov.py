@@ -123,7 +123,7 @@ class TransitionKernel:
         self._states: list[Weight] = []
         self._state_ids: dict[Weight, int] = {}
         # a row has at most one target per weight of V
-        shape = (64, len(self._branching._weights))
+        shape = (64, len(self._branching._mults))
         self._targets = np.full(shape, -1, dtype=np.int64)
         self._probs = np.zeros(shape)
         self._cdf = np.full(shape, 2.0)
@@ -159,9 +159,10 @@ class TransitionKernel:
         evaluated in one batch before the rows are filled.
         """
         todo = np.unique(sids[self._targets[sids, 0] < 0]).tolist()
+        sources = [self._states[sid] for sid in todo]
+        rows = self._branching.rows(sources)
         if self._t_arr is not None:
-            sources = [self._states[sid] for sid in todo]
-            self._log_chi_at([lam for src in sources for lam in (src, *self._branching.row(src))])
+            self._log_chi_at([lam for src, row in zip(sources, rows) for lam in (src, *row)])
         for sid in todo:
             self._build_row(self._states[sid], sid)
 

@@ -37,7 +37,7 @@ from .legendre import (
     precision_matrix,
     tensor_problem,
 )
-from .numerics import cell_integrals
+from .numerics import MAX_SUBDIV, cell_integrals
 from .rootsys import build_root_system, reflect_to_chamber, stabilizer_roots
 
 
@@ -277,8 +277,8 @@ def lattice_aligned_edges(
     return edges
 
 
-# cell_integrals refines each cell to at most 16^r midpoints; a comparison
-# grid may take at most this many (2^23 points of rank 2: 128 MiB an array)
+# cell_integrals refines each cell to at most MAX_SUBDIV^r midpoints; a
+# comparison grid may take at most this many (2^23 points of rank 2: 128 MiB an array)
 _MAX_GRID_POINTS = 2**23
 
 
@@ -320,7 +320,11 @@ def weak_convergence_distance(
     + s, from 0 up when every simple root is a wall, and |b|_B >= sqrt(dim g)
     + |u|_B + s for the intermediate law (a shifted Gaussian element of g
     in norm); Cauchy-Schwarz gives per-coordinate bounds.  A grid needing
-    over _MAX_GRID_POINTS quadrature points is a DomainError.
+    over _MAX_GRID_POINTS quadrature points is a DomainError.  A grid
+    capturing under 1 - coverage_tol of the limit mass is a
+    GridCoverageError; when the cell quadrature did not converge, or its
+    midpoints lie wider apart than the law's width, the error names that
+    spacing and width.
     """
     problem = m._tensor_problem()
     rs = problem.rs
@@ -338,7 +342,8 @@ def weak_convergence_distance(
         scaling = bulk_scaling(problem)
         u = t_dom * math.sqrt(scaling.x_scalar / eps)
         radius = math.sqrt(rs.dim_g) + math.sqrt(float(u @ rs.B_f @ u)) + tail
-        cover = [(0.0, h) for h in radius * np.sqrt(np.diag(np.linalg.inv(rs.B_f)))]
+        width = np.sqrt(np.diag(np.linalg.inv(rs.B_f)))  # per-axis spread of a unit Gaussian in g
+        cover = [(0.0, h) for h in radius * width]
 
         def density(pts):
             return limit_density(rs, kind, pts, u=u)
@@ -352,7 +357,9 @@ def weak_convergence_distance(
         scale = math.sqrt(eps) / scaling.spread
         rho0 = rs.pos_roots_f[in0].sum(axis=0) / 2
         shift = math.sqrt(eps) * (np.asarray(scaling.center) + rho0) - np.linalg.solve(rs.B_f, grad) / math.sqrt(eps)
-        half = (math.sqrt(r + 2 * int(np.sum(in0))) + tail) * np.sqrt(np.diag(np.linalg.inv(K)))
+        width = np.sqrt(np.diag(np.linalg.inv(K)))  # per-axis standard deviation in a
+        half = (math.sqrt(r + 2 * int(np.sum(in0))) + tail) * width
+        width = width / scale
         lo = np.zeros(r) if np.all(wall) else -half
         cover = list(zip((lo - shift) / scale, (half - shift) / scale))
 
@@ -363,7 +370,7 @@ def weak_convergence_distance(
     scaled = scaling.apply([[float(v) for v in rs.root_coords(row.weight)] for row in m.rows])
 
     def check_size(shape):
-        if math.prod(shape) * 16**r > _MAX_GRID_POINTS:
+        if math.prod(shape) * MAX_SUBDIV**r > _MAX_GRID_POINTS:
             cells = " x ".join(f"{n:.0f}" for n in shape)
             raise DomainError(f"comparison grid of {cells} cells needs over {_MAX_GRID_POINTS} quadrature points")
 
@@ -379,9 +386,18 @@ def weak_convergence_distance(
     P = np.histogramdd(scaled[inside], bins=edges, weights=pvals[inside])[0]
     p_in = float(pvals[inside].sum())
 
-    Q = cell_integrals(density, edges, tol=quad_tol)
+    Q, converged = cell_integrals(density, edges, tol=quad_tol)
     q_in = float(Q.sum())
     if q_in < 1.0 - coverage_tol:
+        # a law narrower than the midpoint spacing falls between the midpoints
+        spacing = np.array([float(np.max(np.diff(e))) / MAX_SUBDIV for e in edges])
+        ax = int(np.argmax(spacing / width))
+        if not converged or spacing[ax] > width[ax]:
+            raise GridCoverageError(
+                f"cell quadrature did not resolve the limit law: its {MAX_SUBDIV} midpoints per cell"
+                f" lie {spacing[ax]:.3g} apart on axis {ax + 1}, against a limit law of width"
+                f" {width[ax]:.3g} there (it found {q_in:.4g} of the limit mass)"
+            )
         raise GridCoverageError(f"grid captures only {q_in} of the limit mass (tolerance {coverage_tol})")
     tv = 0.5 * (float(np.abs(P - Q).sum()) + (1.0 - p_in) + max(0.0, 1.0 - q_in))
     return WeakConvergenceReport(tv=float(tv), exact_mass_in_grid=p_in, limit_mass_in_grid=q_in, cells=shape)

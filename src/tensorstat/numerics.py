@@ -15,6 +15,10 @@ def logsumexp(values) -> float:
     return float(m + np.log(np.sum(np.exp(v - m))))
 
 
+# most midpoints per cell axis cell_integrals refines to
+MAX_SUBDIV = 16
+
+
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [a, b]."""
     x, w = np.polynomial.legendre.leggauss(n)
@@ -37,13 +41,15 @@ def box_quadrature(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
-def cell_integrals(f, edges, tol: float = 1e-9, max_subdiv: int = 16) -> np.ndarray:
+def cell_integrals(f, edges, tol: float = 1e-9, max_subdiv: int = MAX_SUBDIV) -> tuple[np.ndarray, bool]:
     """Integrate a vectorized density over every cell of a rectangular grid.
 
     edges: list of 1-d increasing edge arrays, one per axis.  f maps an
     (m, r) array of points to m values.  Midpoint rule per cell, with the
-    per-cell subdivision count doubled until the cell values stabilize.
-    Returns an array of cell integrals with shape (len(e)-1 for e in edges).
+    per-cell subdivision count doubled until no cell value moves by more
+    than tol, or until max_subdiv midpoints per cell axis.  Returns the
+    cell integrals, shape (len(e)-1 for e in edges), and whether they met
+    tol.
     """
     edges = [np.asarray(e, dtype=float) for e in edges]
     shape = tuple(len(e) - 1 for e in edges)
@@ -68,9 +74,8 @@ def cell_integrals(f, edges, tol: float = 1e-9, max_subdiv: int = 16) -> np.ndar
             sl[ax] = slice(None)
             cellw = cellw * w[tuple(sl)]
         current = summed * cellw / (k ** len(shape))
-        if prev is not None and np.max(np.abs(current - prev)) <= tol:
-            return current
-        if k >= max_subdiv:
-            return current
+        converged = prev is not None and np.max(np.abs(current - prev)) <= tol
+        if converged or k >= max_subdiv:
+            return current, bool(converged)
         prev = current
         k *= 2

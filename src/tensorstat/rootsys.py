@@ -457,13 +457,34 @@ def stabilizer_roots(rs: RootSystem, wall) -> np.ndarray:
 _MAX_WEYL_ORDER = 10**6
 
 
+def row_runs(rows: np.ndarray, major: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the rows of an (n, r) int array and find its runs of equal rows.
+
+    Returns (order, starts): the stable lexicographic order of the rows
+    (by major first, when given) and the positions in it where each run of
+    equal rows (and equal major) begins.  rows[order[starts]] are the
+    distinct rows, sorted, each at its first occurrence.
+    """
+    keys = [rows[:, i] for i in range(rows.shape[1] - 1, -1, -1)]
+    if major is not None:
+        keys.append(major)
+    order = np.lexsort(keys)
+    ordered = rows[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    if major is not None:
+        major = major[order]
+        new[1:] |= major[1:] != major[:-1]
+    return order, np.flatnonzero(new)
+
+
 def weyl_orbits(rs: RootSystem, mu, with_actions: bool = False):
     """The W-orbit of the dominant weight mu, walked level by level.
 
     From an orbit point x, the simple reflection s_a lengthens the minimal
     element taking mu to x exactly when x_a > 0.  So level k + 1 is level
     k reflected at its positive coordinates; it meets no earlier level,
-    and np.unique drops its repeats (sorted, first occurrence kept).
+    and row_runs drops its repeats (sorted, first occurrence kept).
     Returns the (n, r) int64 weight coordinates of the orbit, mu first.
     With with_actions, returns (points, actions, parities): also the
     (n, r, r) int64 root-coordinate matrices of the minimal elements and
@@ -475,7 +496,10 @@ def weyl_orbits(rs: RootSystem, mu, with_actions: bool = False):
     levels = [(level, action)]
     parent, simple = np.nonzero(level > 0)
     while len(parent):
-        level, first = np.unique(level[parent] - level[parent, simple, None] * C.T[simple], axis=0, return_index=True)
+        level = level[parent] - level[parent, simple, None] * C.T[simple]
+        order, starts = row_runs(level)
+        first = order[starts]
+        level = level[first]
         if with_actions:
             # s_a on root coordinates subtracts <y, alpha_a^vee> alpha_a from y
             action, a = action[parent[first]], simple[first]

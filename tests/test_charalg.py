@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorstat import (
@@ -19,6 +19,7 @@ from tensorstat import (
     DecompositionTable,
     DomainError,
     EntryCapExceededError,
+    InternalConsistencyError,
     NonRegularError,
     TransitionKernel,
     asymptotic_log_multiplicity,
@@ -37,6 +38,7 @@ from tensorstat import (
 )
 from tensorstat import charalg
 from tensorstat.charalg import CHARACTER_BUDGET
+from tensorstat.rootsys import dominant_reflect
 
 DIMENSION_ORACLES = [
     ("A1", (1,), 2),
@@ -246,6 +248,75 @@ def test_klimyk_step_oracles():
     assert seven == {(0, 2): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1}
 
 
+def _klimyk_by_reflection(rs, table, nu):
+    """sum over lam in table and mu in wt V(nu) of m_lam d_mu parity at dom(lam + mu + rho) - rho, term by term."""
+    out = {}
+    for lam, m in table.items():
+        for mu, d in weight_multiplicities(rs, nu).multiplicities.items():
+            dom, parity, singular = dominant_reflect(rs, [a + b + 1 for a, b in zip(lam, mu)])
+            if not singular:
+                target = tuple(c - 1 for c in dom)
+                out[target] = out.get(target, 0) + parity * m * d
+    return {lam: m for lam, m in out.items() if m}
+
+
+# A1 to G2, with the non-minuscule A2 (1,1), B3 (0,1,0) and G2 (0,1)
+KLIMYK_FACTORS = [
+    ("A1", (1,)), ("A1", (3,)), ("A2", (1, 0)), ("A2", (1, 1)), ("A3", (0, 1, 0)), ("B2", (0, 1)),
+    ("B2", (1, 0)), ("B3", (0, 1, 0)), ("C3", (1, 0, 0)), ("D4", (0, 0, 0, 1)), ("G2", (1, 0)), ("G2", (0, 1)),
+]
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_klimyk_step_matches_termwise_reflection(data):
+    for algebra, nu in KLIMYK_FACTORS:
+        rs = build_root_system(AlgebraSpec.parse(algebra))
+        table = data.draw(
+            st.dictionaries(
+                st.tuples(*[st.integers(0, 3)] * rs.rank),
+                st.integers(1, 10**40),  # past int64: the multiplicities stay exact
+                min_size=1,
+                max_size=5,
+            ),
+            label=algebra,
+        )
+        assert klimyk_tensor_step(rs, table, nu) == _klimyk_by_reflection(rs, table, nu)
+
+
+@pytest.mark.parametrize(
+    "algebra, nu, power, digest",
+    [
+        # SHA-256 of to_json, taken from the per-row dict step the fold replaced
+        ("A2", (1, 1), 30, "e13295c897145dc4d0557ee6bc5f7b91b765f3b7d2da533e9e92e7a99c4a5a7c"),
+        ("B2", (0, 1), 30, "ebaaa061682e3a1cb4c0fb258a2e2f133c8efaf1681c23a3af0527afbada1560"),
+        ("G2", (1, 0), 28, "a7bf19daabfa4c6be6db0decebf081c91190dffd01cdc6570594f1bf6267304b"),
+        ("B3", (0, 1, 0), 8, "b4b1defdd4752405713eb2da1579b11c2620fe86612c34167efd6e14a287f8e7"),
+    ],
+)
+def test_tensor_powers_are_pinned(algebra, nu, power, digest):
+    table = tensor_power_decompose(build_root_system(AlgebraSpec.parse(algebra)), [(nu, power)])
+    assert hashlib.sha256(table.to_json().encode()).hexdigest() == digest
+
+
+def test_negative_klimyk_total_is_a_consistency_error():
+    branching = Branching(build_root_system(AlgebraSpec.parse("A1")), (1,))
+    branching._mults = -branching._mults  # a corrupt weight system
+    with pytest.raises(InternalConsistencyError, match="negative multiplicity"):
+        branching.step({(1,): 1})
+
+
+def test_branching_rows_of_one_batch_match_single_rows():
+    rs = build_root_system(AlgebraSpec.parse("G2"))
+    sources = [(0, 0), (1, 0), (0, 1), (2, 1), (0, 3), (1, 0)]
+    batch = Branching(rs, (1, 0))
+    rows = batch.rows(sources)
+    assert rows[1] is rows[5]
+    for lam, row in zip(sources, rows):
+        assert row == Branching(rs, (1, 0)).row(lam)
+        assert batch.row(lam) is row  # kept from the batch
+
+
 @pytest.mark.parametrize(
     "algebra, nu, sources",
     [
@@ -314,6 +385,13 @@ def test_entry_cap_enforced():
     rs = build_root_system(AlgebraSpec.parse("A2"))
     with pytest.raises(EntryCapExceededError):
         tensor_power_decompose(rs, [((1, 0), 30)], entry_cap=10)
+    # the cap counts the nonzero support: a cap equal to it passes
+    full = tensor_power_decompose(rs, [((1, 1), 12)]).entries
+    assert all(m > 0 for m in full.values())
+    capped = tensor_power_decompose(rs, [((1, 1), 12)], entry_cap=len(full))
+    assert capped.entries == full
+    with pytest.raises(EntryCapExceededError):
+        tensor_power_decompose(rs, [((1, 1), 12)], entry_cap=len(full) - 1)
 
 
 def test_decomposition_json_roundtrip():

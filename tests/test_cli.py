@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -475,6 +476,36 @@ def test_measure_at_large_t_warns_nothing(capsys):
     assert captured.err == ""
     rows = captured.out.strip().splitlines()[1:]
     assert math.fsum(float(row.split(",")[2]) for row in rows) == pytest.approx(1.0)
+
+
+def test_measure_at_huge_t_rejects_float_rows_silently(capsys):
+    # the coset sum's distance bound once overflowed (a norm, then 0 * inf) and warned twice
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["measure", "--no-cache", "--algebra", "A1", "--rep", "1", "--power", "4", "--t", "1e300"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out == (
+        "lambda_1,probability,asymptotic_log_probability,scaled_1\n"
+        "0,0.0,nan,-1.0\n"
+        "2,0.0,-2e+300,-0.5\n"
+        "4,1.0,nan,0.0\n"
+    )
+
+
+def test_limit_compare_names_an_unresolved_quadrature(capsys):
+    # the Gaussian at t = 5 is narrower than the midpoint spacing; this read
+    # "grid captures only 0.1187 of the limit mass", though the grid covers it
+    code = main(["limit-compare", "--no-cache", "--algebra", "A1", "--rep", "1", "--power", "12", "--t", "5",
+                 "--kind", "gaussian"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cell quadrature did not resolve the limit law: its 16 midpoints per cell lie 0.0361 apart"
+        " on axis 1, against a limit law of width 0.00674 there (it found 0.1187 of the limit mass)\n"
+    )
 
 
 def test_sample_builds_each_row_once(capsys, monkeypatch):

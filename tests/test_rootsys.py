@@ -19,7 +19,7 @@ from tensorstat import (
     enumerate_weyl_group,
     weyl_group_order,
 )
-from tensorstat.rootsys import weyl_orbits
+from tensorstat.rootsys import row_runs, weyl_orbits
 
 
 def test_spec_parse_roundtrip():
@@ -234,3 +234,22 @@ def test_inner_product_positive_definite_sample():
 def test_invalid_rank_zero():
     with pytest.raises(DomainError):
         AlgebraSpec.parse("A0")
+
+
+@given(
+    rows=st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=40),
+    major=st.lists(st.integers(0, 2), min_size=40, max_size=40),
+)
+def test_row_runs_match_unique(rows, major):
+    x = np.array(rows, dtype=np.int64)
+    order, starts = row_runs(x)
+    unique, first = np.unique(x, axis=0, return_index=True)
+    assert np.array_equal(x[order[starts]], unique)
+    assert np.array_equal(order[starts], first)
+    # with a major key: runs of equal (major, row), sorted by major first
+    g = np.array(major[: len(x)])
+    order, starts = row_runs(x, g)
+    keyed = np.column_stack([g, x])
+    unique, first = np.unique(keyed, axis=0, return_index=True)
+    assert np.array_equal(keyed[order[starts]], unique)
+    assert np.array_equal(order[starts], first)
