@@ -43,7 +43,7 @@ from .measures import (
     weak_convergence_distance,
 )
 from .numerics import box_quadrature
-from .pde import pde_residual
+from .pde import _pde_rows
 from .rootsys import AlgebraSpec, build_root_system
 from .slnhook import (
     hook_multiplicity,
@@ -227,24 +227,16 @@ def criterion_6() -> CriterionResult:
     """Rate function solves its PDE on interior grids; FD partials agree."""
     start = time.time()
     worst_res, worst_dev = 0.0, 0.0
+    grid = np.linspace(-1.0, 1.0, 10)
     for name, rep in (("A1", (1,)), ("A2", (1, 0)), ("B2", (0, 1))):
         rs = _rs(name)
-        if rs.rank == 1:
-            for tau in np.linspace(0.5, 2.0, 10):
-                problem = tensor_problem(rs, [(rep, 10)], epsilon=tau / 10)
-                for y in np.linspace(-1.0, 1.0, 10):
-                    xi = forward_dual(problem, np.array([y]))
-                    report = pde_residual(problem, xi)
-                    worst_res = max(worst_res, report.residual)
-                    worst_dev = max(worst_dev, report.derivatives.max_deviation)
-        else:
-            problem = tensor_problem(rs, [(rep, 10)], epsilon=0.1)
-            for y1 in np.linspace(-1.0, 1.0, 10):
-                for y2 in np.linspace(-1.0, 1.0, 10):
-                    xi = forward_dual(problem, np.array([y1, y2]))
-                    report = pde_residual(problem, xi)
-                    worst_res = max(worst_res, report.residual)
-                    worst_dev = max(worst_dev, report.derivatives.max_deviation)
+        # rank 1 scans tau too; every grid of one problem is one batch
+        for tau in np.linspace(0.5, 2.0, 10) if rs.rank == 1 else [1.0]:
+            problem = tensor_problem(rs, [(rep, 10)], epsilon=tau / 10)
+            xis = [forward_dual(problem, np.array(y)) for y in itertools.product(grid, repeat=rs.rank)]
+            for report in _pde_rows(problem, np.array(xis)):
+                worst_res = max(worst_res, report.residual)
+                worst_dev = max(worst_dev, report.derivatives.max_deviation)
     passed = worst_res <= 1e-9 and worst_dev <= 1e-6
     detail = f"max residual {worst_res:.2e}, max FD deviation {worst_dev:.2e}"
     return CriterionResult(6, "rate-function PDE residual", passed, detail, time.time() - start)

@@ -198,6 +198,9 @@ CHARACTER_BUDGET = 1e-11
 # entries of one rows x cosets block
 _BLOCK_ENTRIES = 2**20
 _EPS = float(np.finfo(float).eps)
+# largest |(w(lambda + rho), t)| evaluate accepts: its exp/log sites scale
+# pairings by factors far below the 2^20 left to the float range
+_PAIRING_MAX = float(np.finfo(float).max) / 2**20
 
 
 class CharacterLogs(NamedTuple):
@@ -353,6 +356,13 @@ class CharacterPlan:
             values = np.array([math.log(weyl_dimension(rs, lam)) for lam in lams])
             return CharacterLogs(values, np.zeros(n), ("dimension",) * n)
 
+        # |(w(lambda + rho), t)| <= |lambda + rho| |t| over W, and the weight Gram matrix is
+        # positive, so the coordinatewise largest lambda bounds every row; |t| is taken in
+        # units of max(1, max |t_i|), so nothing overflows
+        scale = max(1.0, float(np.max(np.abs(self.t))))
+        u, top = self.t / scale, np.array([max(c) for c in zip(*lams)], dtype=float) + 1.0
+        if n and math.sqrt(float(top @ rs.weight_gram_f @ top) * float(u @ rs.B_f @ u)) > _PAIRING_MAX / scale:
+            raise DomainError(f"t is too large: its pairings with lambda + rho may pass {_PAIRING_MAX:.3g}")
         values = np.full(n, np.nan)
         bounds = np.full(n, np.inf)
         weyl = np.zeros(n, dtype=bool)

@@ -29,18 +29,11 @@ from .errors import (
     ConvergenceError,
     DomainError,
     InternalConsistencyError,
-    LegendreDomainError,
-    NonRegularError,
     TensorstatError,
 )
-from .legendre import (
-    asymptotic_log_multiplicity,
-    forward_dual,
-    rate_point,
-    tensor_problem,
-)
+from .legendre import _log_multiplicity_rows, forward_dual, rate_point, tensor_problem
 from .measures import character_measure, weak_convergence_distance
-from .pde import pde_residual
+from .pde import _pde_rows
 from .rootsys import AlgebraSpec, build_root_system
 
 USAGE_ERROR = 1
@@ -206,15 +199,13 @@ def _cmd_asymptotic(args) -> int:
         _emit(rate_point(problem, np.asarray(xi)).to_json(), args)
         return 0
     # per-weight comparison of exact multiplicities against the asymptotics
-    table = _cached_decompose(args.algebra, factors, not args.no_cache)
+    entries = _cached_decompose(args.algebra, factors, not args.no_cache).sorted_entries()
+    _, estimates, _ = _log_multiplicity_rows(problem, [lam for lam, _ in entries])
     lines = ["lambda,multiplicity,log_multiplicity_asymptotic,ratio"]
-    for lam, mult in table.sorted_entries():
-        try:
-            est = asymptotic_log_multiplicity(problem, lam)
-            ratio = math.exp(est - math.log(mult))
-            est_s, ratio_s = repr(est), repr(ratio)
-        except (NonRegularError, LegendreDomainError, ConvergenceError):
-            est_s, ratio_s = "nan", "nan"
+    for (lam, mult), est in zip(entries, estimates.tolist()):
+        est_s, ratio_s = "nan", "nan"
+        if not math.isnan(est):
+            est_s, ratio_s = repr(est), repr(math.exp(est - math.log(mult)))
         lines.append(f"\"{','.join(str(c) for c in lam)}\",{mult},{est_s},{ratio_s}")
     _emit("\n".join(lines) + "\n", args)
     return 0
@@ -290,10 +281,9 @@ def _cmd_pde_check(args) -> int:
     lines = ["y,xi,residual,fd_deviation"]
     worst_res = worst_dev = 0.0
     grid = np.linspace(-1.0, 1.0, args.grid)
-    for point in np.ndindex(*([args.grid] * rs.rank)):
-        y = np.array([grid[i] for i in point])
-        xi = forward_dual(problem, y)
-        report = pde_residual(problem, xi)
+    ys = [np.array([grid[i] for i in point]) for point in np.ndindex(*([args.grid] * rs.rank))]
+    xis = [forward_dual(problem, y) for y in ys]
+    for y, xi, report in zip(ys, xis, _pde_rows(problem, np.array(xis))):
         dev = report.derivatives.max_deviation
         worst_res = max(worst_res, report.residual)
         worst_dev = max(worst_dev, dev)

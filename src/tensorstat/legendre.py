@@ -11,8 +11,10 @@ form B fixed in rootsys.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -25,7 +27,6 @@ from .errors import (
     LegendreDomainError,
     NonRegularError,
 )
-from .numerics import logsumexp
 from .rootsys import RootSystem, reflect_to_chamber, stabilizer_roots
 
 
@@ -82,36 +83,147 @@ def _checked_epsilon(epsilon, default: float) -> float:
     return float(epsilon)
 
 
+def _rows(A, X) -> np.ndarray:
+    """A x for every row x of X (A may be a stack too).
+
+    A stacked product makes the same BLAS call for each row whatever else
+    is in the batch, so a one-row view returns the bits of its batched row.
+    """
+    return (A @ X[..., None])[..., 0]
+
+
+def _f_rows(problem: TensorProblem, Y: np.ndarray):
+    """Value, gradient and Hessian of f at each row of Y, one softmax pass per factor."""
+    n, r = Y.shape
+    val, grad, hess = np.zeros(n), np.zeros((n, r)), np.zeros((n, r, r))
+    for tk, logd, M in problem._factor_data:
+        z = logd + _rows(M, Y)
+        top = np.max(z, axis=1)
+        p = np.exp(z - top[:, None])
+        Z = p.sum(axis=1)
+        p /= Z[:, None]
+        val += tk * (top + np.log(Z))
+        g = _rows(M.T, p)
+        grad += tk * g
+        hess += tk * ((M.T * p[:, None, :]) @ M - g[:, :, None] * g[:, None, :])
+    return val, grad, hess
+
+
 def f_eval(problem: TensorProblem, y) -> float:
     """f(y) = sum_k tau_k ln chi_k(e^y)."""
-    y = np.asarray(y, dtype=float)
-    return sum(tk * logsumexp(logd + M @ y) for tk, logd, M in problem._factor_data)
+    return f_grad_hess(problem, y)[0]
 
 
 def f_grad_hess(problem: TensorProblem, y) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient and Hessian of f at y, one softmax pass per factor."""
-    y = np.asarray(y, dtype=float)
-    r = problem.rs.rank
-    val = 0.0
-    grad = np.zeros(r)
-    hess = np.zeros((r, r))
-    for tk, logd, M in problem._factor_data:
-        z = logd + M @ y
-        m = np.max(z)
-        p = np.exp(z - m)
-        Z = p.sum()
-        p /= Z
-        val += tk * (m + math.log(Z))
-        g = M.T @ p
-        grad += tk * g
-        hess += tk * ((M.T * p) @ M - np.outer(g, g))
-    return val, grad, hess
+    val, grad, hess = _f_rows(problem, np.asarray(y, dtype=float)[None])
+    return float(val[0]), grad[0], hess[0]
 
 
 def forward_dual(problem: TensorProblem, y) -> np.ndarray:
     """The mean scaled weight xi(y) = B^{-1} grad f(y), in root coordinates."""
     _, grad, _ = f_grad_hess(problem, y)
     return np.linalg.solve(problem.rs.B_f, grad)
+
+
+# rows per batched solve: bounds the (rows, weights) softmax arrays of a large table
+_BLOCK = 1024
+# H = Hess f is rejected when lambda_min(H) < _MIN_EIGENVALUE or < _MIN_CONDITION lambda_max(H)
+_MIN_EIGENVALUE = 1e-12
+_MIN_CONDITION = 1e-9
+# a row's status in the batched solves: 0 converged, else the error its one-row view raises
+_DEGENERATE, _DIVERGED, _STALLED, _MAX_ITER, _BOUNDARY, _WALL = range(1, 7)
+_ROW_ERRORS = {
+    _DEGENERATE: (LegendreDomainError, "xi outside Legendre domain: dual Hessian degenerates"),
+    _DIVERGED: (LegendreDomainError, "xi outside Legendre domain: dual iterates diverge"),
+    _STALLED: (ConvergenceError, "line search stalled in legendre_dual"),
+    _MAX_ITER: (ConvergenceError, "legendre_dual did not converge in {max_iter} iterations"),
+    _BOUNDARY: (LegendreDomainError, "Hess f is singular to float precision: the mean weight is at the domain boundary"),
+    _WALL: (NonRegularError, "lambda {lam} lies on a chamber wall"),
+}
+
+
+def _raise_row(status: int, lam=None, max_iter: int = 200) -> None:
+    """Raise the error of a failed row; a converged row (status 0) passes."""
+    if status:
+        cls, message = _ROW_ERRORS[int(status)]
+        raise cls(message.format(lam=lam, max_iter=max_iter))
+
+
+def _xi_row(rs: RootSystem, xi) -> np.ndarray:
+    """xi as a one-row batch, or a DomainError."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (rs.rank,):
+        raise DomainError(f"xi must have shape ({rs.rank},)")
+    return xi[None]
+
+
+def _newton_steps(hess: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """-H^-1 R per row, NaN where LAPACK finds H singular."""
+    try:
+        return -np.linalg.solve(hess, resid[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(resid.shape, np.nan)
+        for i in range(len(resid)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = -np.linalg.solve(hess[i], resid[i])
+        return out
+
+
+def _dual_rows(problem: TensorProblem, xi: np.ndarray, tol=1e-12, max_iter=200, y_max=400.0):
+    """Damped Newton for grad f(y) = B xi at every row of xi, all rows at once.
+
+    Returns y, f(y), Hess f(y) and each row's status.  A row leaves the
+    active set when it converges, its Hessian is singular, its iterate
+    passes y_max or its line search stalls.
+    """
+    n, r = xi.shape
+    target = _rows(problem.rs.B_f, xi)
+    norm_target = np.maximum(1.0, np.linalg.norm(target, axis=1))
+    y = np.zeros((n, r))
+    val, grad, hess = _f_rows(problem, y)
+    status = np.full(n, _MAX_ITER)
+    act = np.arange(n)
+    for _ in range(max_iter):
+        resid = grad[act] - target[act]
+        done = np.linalg.norm(resid, axis=1) <= tol * norm_target[act]
+        status[act[done]] = 0
+        act, resid = act[~done], resid[~done]
+        if not act.size:
+            break
+        step = _newton_steps(hess[act], resid)
+        # softmax weights collapse to a face only when y has run off toward
+        # the recession cone, i.e. xi is not interior
+        singular = np.any(np.isnan(step), axis=1)
+        status[act[singular]] = _DEGENERATE
+        act, resid, step = act[~singular], resid[~singular], step[~singular]
+        # Armijo backtracking on the convex objective f(y) - y . target.
+        # Skip it where the predicted decrease is below float resolution of
+        # the objective: there the test is noise and pure Newton is already
+        # in its quadratic basin.
+        y0, tgt = y[act], target[act]
+        phi = val[act] - np.sum(y0 * tgt, axis=1)
+        slope = np.sum(resid * step, axis=1)
+        s = np.ones(len(act))
+        cand = y0 + step
+        cval, cgrad, chess = _f_rows(problem, cand)
+        search = np.abs(slope) > 1e-12 * (1.0 + np.abs(phi))
+        while True:
+            search &= ~(cval - np.sum(cand * tgt, axis=1) <= phi + 1e-4 * s * slope)
+            if not search.any():
+                break
+            s[search] *= 0.5
+            status[act[search & (s < 1e-12)]] = _STALLED
+            search &= s >= 1e-12
+            cand[search] = y0[search] + s[search, None] * step[search]
+            cval[search], cgrad[search], chess[search] = _f_rows(problem, cand[search])
+        moved = s >= 1e-12
+        act, cand = act[moved], cand[moved]
+        y[act], val[act], grad[act], hess[act] = cand, cval[moved], cgrad[moved], chess[moved]
+        far = np.linalg.norm(cand, axis=1) > y_max
+        status[act[far]] = _DIVERGED
+        act = act[~far]
+    return y, val, hess, status
 
 
 def legendre_dual(
@@ -126,47 +238,12 @@ def legendre_dual(
     f is smooth and strictly convex, so the minimizer of f(y) - (y, xi) is
     unique when xi lies in the open domain (the interior of the mean-weight
     polytope).  Outside it the iterates run away; that is reported as a
-    domain error once |y| passes y_max.
+    domain error once |y| passes y_max.  This is a one-row view of the
+    batched solve that rate points of a whole table share.
     """
-    rs = problem.rs
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (rs.rank,):
-        raise DomainError(f"xi must have shape ({rs.rank},)")
-    target = rs.B_f @ xi
-    norm_target = max(1.0, float(np.linalg.norm(target)))
-    y = np.zeros(rs.rank)
-    val, grad, hess = f_grad_hess(problem, y)
-    for _ in range(max_iter):
-        resid = grad - target
-        if float(np.linalg.norm(resid)) <= tol * norm_target:
-            return y
-        try:
-            step = np.linalg.solve(hess, -resid)
-        except np.linalg.LinAlgError:
-            # softmax weights collapse to a face only when y has run off
-            # toward the recession cone, i.e. xi is not interior
-            raise LegendreDomainError("xi outside Legendre domain: dual Hessian degenerates")
-        # Armijo backtracking on the convex objective f(y) - y . target.
-        # Skip it when the predicted decrease is below float resolution of
-        # the objective: there the test is noise and pure Newton is already
-        # in its quadratic basin.
-        phi = val - y @ target
-        slope = resid @ step
-        s = 1.0
-        if abs(slope) > 1e-12 * (1.0 + abs(phi)):
-            while True:
-                cand = y + s * step
-                cval = f_eval(problem, cand)
-                if cval - cand @ target <= phi + 1e-4 * s * slope:
-                    break
-                s *= 0.5
-                if s < 1e-12:
-                    raise ConvergenceError("line search stalled in legendre_dual")
-        y = y + s * step
-        if float(np.linalg.norm(y)) > y_max:
-            raise LegendreDomainError("xi outside Legendre domain: dual iterates diverge")
-        val, grad, hess = f_grad_hess(problem, y)
-    raise ConvergenceError(f"legendre_dual did not converge in {max_iter} iterations")
+    y, _, _, status = _dual_rows(problem, _xi_row(problem.rs, xi), tol, max_iter, y_max)
+    _raise_row(status[0], max_iter=max_iter)
+    return y[0]
 
 
 @dataclass(frozen=True)
@@ -193,17 +270,60 @@ class RatePoint:
         return cls(algebra=p["algebra"], S=p["S"], log_prefactor=p["log_prefactor"], **vectors, **matrices)
 
 
+def _precision_rows(rs: RootSystem, hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """precision_matrix of each H in a stack, NaN where the gate rejects it, and the pass mask."""
+    eig = np.linalg.eigvalsh(hess)
+    ok = (eig[:, 0] >= _MIN_EIGENVALUE) & (eig[:, 0] >= _MIN_CONDITION * eig[:, -1])
+    K = np.full(hess.shape, np.nan)
+    B = np.broadcast_to(rs.B_f, hess[ok].shape)
+    K[ok] = rs.B_f @ np.linalg.solve(hess[ok], B)
+    return 0.5 * (K + np.swapaxes(K, 1, 2)), ok
+
+
 def precision_matrix(rs: RootSystem, hess) -> np.ndarray:
     """K = B H^-1 B for H = Hess f at a point, symmetrized.
 
     Near the boundary of the Legendre domain the tilted weight distribution
     collapses onto a face and H degenerates exponentially; solves there
-    still "converge" by float saturation, so H is gated first.
+    still "converge" by float saturation, so H is gated first.  At a
+    vertex H vanishes in every direction, and lambda_min(H) < 1e-12 is
+    rejected; on an edge or face it vanishes across it only, and
+    lambda_min(H) < 1e-9 lambda_max(H) is rejected.  That ratio does not
+    change when epsilon rescales H.
     """
-    if float(np.min(np.linalg.eigvalsh(hess))) < 1e-12:
-        raise LegendreDomainError("Hess f is singular to float precision: the mean weight is at the domain boundary")
-    K = rs.B_f @ np.linalg.solve(hess, rs.B_f)
-    return 0.5 * (K + K.T)
+    K, ok = _precision_rows(rs, np.asarray(hess, dtype=float)[None])
+    if not ok[0]:
+        _raise_row(_BOUNDARY)
+    return K[0]
+
+
+# rate_point's fields for a batch of xi (arrays, one row per xi), and each row's status
+_RateRows = namedtuple("_RateRows", "x S hess K log_prefactor status")
+
+
+def _rate_rows(problem: TensorProblem, xi: np.ndarray) -> _RateRows:
+    """rate_point at every row of xi, solved in blocks of _BLOCK rows."""
+    if len(xi) > _BLOCK:
+        blocks = [_rate_rows(problem, xi[lo : lo + _BLOCK]) for lo in range(0, len(xi), _BLOCK)]
+        return _RateRows(*(np.concatenate(parts) for parts in zip(*blocks)))
+    rs = problem.rs
+    x, val, hess, status = _dual_rows(problem, xi)
+    K = np.full(hess.shape, np.nan)
+    good = np.flatnonzero(status == 0)
+    K[good], ok = _precision_rows(rs, hess[good])
+    status[good[~ok]] = _BOUNDARY
+    logdetK = np.full(len(xi), np.nan)
+    # K = B H^-1 B is positive definite: the gate bounds the condition of H
+    logdetK[good[ok]] = np.linalg.slogdet(K[good[ok]])[1]
+    bx = _rows(rs.B_f, x)
+    S = val - np.sum(bx * xi, axis=1)
+    # a failed row's x may lie past exp's range; its prefactor is NaN anyway
+    pair = _rows(rs.pos_pairing_f, np.where(status[:, None] == 0, x, 0.0))
+    with np.errstate(divide="ignore"):
+        log_delta = np.sum(np.log(np.abs(2.0 * np.sinh(0.5 * pair))), axis=1)
+    rho_x = np.sum(bx * rs.rho_root_f, axis=1)
+    log_pref = 0.5 * logdetK - 0.5 * rs.rank * math.log(2.0 * math.pi) + log_delta - rho_x
+    return _RateRows(x, S, hess, K, log_pref, status)
 
 
 def rate_point(problem: TensorProblem, xi) -> RatePoint:
@@ -213,33 +333,34 @@ def rate_point(problem: TensorProblem, xi) -> RatePoint:
     covariance of the Gaussian regime is K^{-1} with K = B H^{-1} B for
     H = Hess f(x).  log_prefactor collects the x-dependent part of the
     multiplicity prefactor (it is -inf when x sits on a chamber wall).
+    A one-row view of the batched rate points.
     """
     rs = problem.rs
-    xi = np.asarray(xi, dtype=float)
-    x = legendre_dual(problem, xi)
-    val, _, hess = f_grad_hess(problem, x)
-    K = precision_matrix(rs, hess)
-    S = val - float(x @ rs.B_f @ xi)
-    grad_S = -(rs.B_f @ x)
-    sign, logdetK = np.linalg.slogdet(K)
-    if sign <= 0:
-        raise DomainError("fluctuation matrix K is not positive definite")
-    pair = rs.pos_pairing_f @ x
-    with np.errstate(divide="ignore"):
-        log_delta = float(np.sum(np.log(np.abs(2.0 * np.sinh(0.5 * pair)))))
-    rho_x = float(rs.rho_root_f @ rs.B_f @ x)
-    r = rs.rank
-    log_pref = 0.5 * logdetK - 0.5 * r * math.log(2.0 * math.pi) + log_delta - rho_x
-    return RatePoint(
-        algebra=str(rs.spec),
-        xi=tuple(float(v) for v in xi),
-        x=tuple(float(v) for v in x),
-        S=float(S),
-        grad_S=tuple(float(v) for v in grad_S),
-        hess_f=tuple(tuple(float(v) for v in row) for row in hess),
-        K=tuple(tuple(float(v) for v in row) for row in K),
-        log_prefactor=float(log_pref),
-    )
+    xi = _xi_row(rs, xi)
+    x, S, hess, K, log_prefactor, status = (field[0] for field in _rate_rows(problem, xi))
+    _raise_row(status)
+    vectors = {k: tuple(v.tolist()) for k, v in (("xi", xi[0]), ("x", x), ("grad_S", -(rs.B_f @ x)))}
+    matrices = {k: tuple(map(tuple, v.tolist())) for k, v in (("hess_f", hess), ("K", K))}
+    return RatePoint(algebra=str(rs.spec), S=float(S), log_prefactor=float(log_prefactor), **vectors, **matrices)
+
+
+def _log_multiplicity_rows(problem: TensorProblem, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """asymptotic_log_multiplicity at each dominant weight, in one batched solve.
+
+    Returns the root coordinates of the weights (the integer m C^-1 over m,
+    so each is correctly rounded, as float(Fraction) is), the estimates (NaN
+    where a row fails) and each row's status.
+    """
+    rs, eps = problem.rs, problem.epsilon
+    lams = np.array(lams, dtype=np.int64).reshape(-1, rs.rank)
+    m, inv = rs.cartan_inverse_int
+    lam_root = (lams @ inv.T) / m
+    status, est = np.full(len(lams), _WALL), np.full(len(lams), np.nan)
+    regular = np.all(lams > 0, axis=1)
+    rows = _rate_rows(problem, eps * lam_root[regular])
+    status[regular] = rows.status
+    est[regular] = np.where(rows.status == 0, rows.S / eps + 0.5 * rs.rank * math.log(eps) + rows.log_prefactor, np.nan)
+    return lam_root, est, status
 
 
 def asymptotic_log_multiplicity(problem: TensorProblem, lam) -> float:
@@ -248,16 +369,12 @@ def asymptotic_log_multiplicity(problem: TensorProblem, lam) -> float:
     Requires lambda strictly dominant (regular), so the dual point is an
     interior chamber point and the prefactor is finite.  The estimate is
     S(xi)/epsilon + (r/2) ln epsilon + log_prefactor at xi = epsilon lambda.
+    A one-row view of the batched estimate of a table.
     """
     lam = _dominant_weight(problem.rs, lam)
-    if any(c == 0 for c in lam):
-        raise NonRegularError(f"lambda {lam} lies on a chamber wall")
-    rs = problem.rs
-    eps = problem.epsilon
-    xi = eps * np.array([float(v) for v in rs.root_coords(lam)])
-    rp = rate_point(problem, xi)
-    r = rs.rank
-    return rp.S / eps + 0.5 * r * math.log(eps) + rp.log_prefactor
+    _, est, status = _log_multiplicity_rows(problem, [lam])
+    _raise_row(status[0], lam)
+    return float(est[0])
 
 
 def hessian_at_origin(problem: TensorProblem) -> tuple[float, float]:

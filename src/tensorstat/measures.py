@@ -17,18 +17,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .charalg import CharacterPlan, DecompositionTable, Weight, weyl_dimension
+from .charalg import CharacterPlan, DecompositionTable, Weight, _dominant_weight, weyl_dimension
 from .errors import (
-    ConvergenceError,
     DomainError,
     GridCoverageError,
     InternalConsistencyError,
-    LegendreDomainError,
     NonRegularError,
 )
 from .legendre import (
     TensorProblem,
-    asymptotic_log_multiplicity,
+    _log_multiplicity_rows,
+    _raise_row,
+    _rows,
     f_eval,
     f_grad_hess,
     forward_dual,
@@ -133,13 +133,17 @@ def asymptotic_log_probability(problem: TensorProblem, lam, t=None) -> float:
     Phi0+ the positive roots it pairs to zero with and rho0 their half sum,
     that term is (lambda, t) + sum over Phi0+ of ln((lambda, alpha) /
     (rho0, alpha)) - ln D(t), D(t) = prod over the other positive roots of
-    1 - e^{-(alpha, t)}.  lambda must be strictly dominant.
+    1 - e^{-(alpha, t)}.  lambda must be strictly dominant.  A one-row view
+    of the batched estimate of a table.
     """
-    return _asymptotic_estimator(problem, t)(lam)
+    lam = _dominant_weight(problem.rs, lam)
+    est, status = _asymptotic_log_probabilities(problem, [lam], t)
+    _raise_row(status[0], lam)
+    return float(est[0])
 
 
-def _asymptotic_estimator(problem: TensorProblem, t):
-    """lam -> asymptotic_log_probability(problem, lam, t), the t-only terms computed once."""
+def _asymptotic_log_probabilities(problem: TensorProblem, lams, t) -> tuple[np.ndarray, np.ndarray]:
+    """asymptotic_log_probability at each dominant weight (NaN where a row fails), and each row's status."""
     rs = problem.rs
     t_dom, _, wall = reflect_to_chamber(rs, np.zeros(rs.rank) if t is None else t)
     in0 = stabilizer_roots(rs, wall)
@@ -148,14 +152,10 @@ def _asymptotic_estimator(problem: TensorProblem, t):
     # log(1 - e^{-p}) has no overflow at large p and no cancellation at small p
     log_den = float(np.sum(np.log(-np.expm1(-(rs.pos_pairing_f[~in0] @ t_dom)))))
     c = -f_eval(problem, t_dom) / problem.epsilon - float(np.sum(np.log(pairing0 @ rho0))) - log_den
-    t_pairing = rs.B_f @ t_dom
-
-    def estimate(lam) -> float:
-        log_m = asymptotic_log_multiplicity(problem, lam)
-        lam_root = np.array([float(v) for v in rs.root_coords(lam)])
-        return log_m + (float(t_pairing @ lam_root) + float(np.sum(np.log(pairing0 @ lam_root)))) + c
-
-    return estimate
+    lam_root, log_m, status = _log_multiplicity_rows(problem, lams)
+    with np.errstate(divide="ignore"):  # a wall row's log 0 meets its NaN log_m
+        log_pair = np.sum(np.log(_rows(pairing0, lam_root)), axis=1)
+    return log_m + (np.sum(lam_root * (rs.B_f @ t_dom), axis=1) + log_pair) + c, status
 
 
 @dataclass(frozen=True)
@@ -192,14 +192,8 @@ class MeasureTable:
         """
         if not any(n for _, n in self.problem):
             return (math.nan,) * len(self.rows)
-        estimate = _asymptotic_estimator(self._tensor_problem(), self.t)
-        out = []
-        for row in self.rows:
-            try:
-                out.append(estimate(row.weight))
-            except (NonRegularError, LegendreDomainError, ConvergenceError):
-                out.append(math.nan)
-        return tuple(out)
+        est, _ = _asymptotic_log_probabilities(self._tensor_problem(), [row.weight for row in self.rows], self.t)
+        return tuple(est.tolist())
 
     def to_csv(self) -> str:
         r = len(self.rows[0].weight) if self.rows else 0

@@ -1,18 +1,8 @@
-"""Small numeric helpers: stable log-sums and quadrature grids."""
+"""Small numeric helpers: quadrature grids."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def logsumexp(values) -> float:
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return -np.inf
-    m = np.max(v)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(v - m))))
 
 
 # most midpoints per cell axis cell_integrals refines to

@@ -19,22 +19,13 @@ import numpy as np
 
 from .charalg import character_value, weight_multiplicities
 from .errors import DomainError
-from .legendre import TensorProblem, rate_point, tensor_problem
+from .legendre import TensorProblem, _raise_row, _rate_rows, _rows, _xi_row, tensor_problem
 
 
 def _single_factor(problem: TensorProblem):
     if len(problem.factors) != 1:
         raise DomainError("rate-function PDE applies to single-factor problems")
     return problem.factors[0]
-
-
-def _problem_at_tau(problem: TensorProblem, tau: float) -> TensorProblem:
-    nu, n = _single_factor(problem)
-    return tensor_problem(problem.rs, [(nu, n)], epsilon=tau / n)
-
-
-def _rate_S(problem: TensorProblem, tau: float, xi: np.ndarray) -> float:
-    return rate_point(_problem_at_tau(problem, tau), xi).S
 
 
 @dataclass(frozen=True)
@@ -71,37 +62,35 @@ def pde_residual(problem: TensorProblem, xi, h: float = 1e-5) -> PdeReport:
     lhs exponentiates the analytic tau-partial ln chi(e^x); rhs sums
     d_mu exp(mu . (-grad S)) over the weights of the factor.  residual is
     |lhs - rhs| / lhs.  Central differences with step h fill the _fd
-    fields for both partials.
+    fields for both partials.  A one-row view of _pde_rows.
+    """
+    return _pde_rows(problem, _xi_row(problem.rs, xi), h)[0]
+
+
+def _pde_rows(problem: TensorProblem, xi: np.ndarray, h: float = 1e-5) -> list[PdeReport]:
+    """pde_residual at every row of xi: one batched rate-point solve per problem.
+
+    The problem itself takes the base points and their 2r xi-differences;
+    the problems at tau + h and tau - h take the base points.
     """
     rs = problem.rs
     nu, n = _single_factor(problem)
     tau = problem.epsilon * n
-    xi = np.asarray(xi, dtype=float)
-    rp = rate_point(problem, xi)
-    x = np.array(rp.x)
-    grad_S = np.array(rp.grad_S)
-
-    tau_partial, _ = character_value(rs, nu, x)
-    lhs = float(np.exp(tau_partial))
+    k, r = xi.shape
+    shifts = xi[:, None, :] + h * np.eye(r), xi[:, None, :] - h * np.eye(r)
+    base = _rate_rows(problem, np.concatenate([xi, *(s.reshape(-1, r) for s in shifts)]))
+    up, down = (_rate_rows(tensor_problem(rs, [(nu, n)], epsilon=(tau + d) / n), xi) for d in (h, -h))
+    _raise_row(max(rows.status.max(initial=0) for rows in (base, up, down)))
+    x = base.x[:k]
+    grad_S = -_rows(rs.B_f, x)
+    tau_partial = np.array([character_value(rs, nu, p)[0] for p in x])
+    lhs = np.exp(tau_partial)
 
     weights, d = zip(*sorted(weight_multiplicities(rs, nu).multiplicities.items()))
-    exponents = -(np.array(weights, dtype=float) @ rs.cartan_inv_f.T) @ grad_S
-    rhs = float(np.sum(np.array(d, dtype=float) * np.exp(exponents)))
-    residual = abs(lhs - rhs) / abs(lhs)
-
-    tau_fd = (_rate_S(problem, tau + h, xi) - _rate_S(problem, tau - h, xi)) / (2 * h)
-    xi_fd = []
-    for a in range(rs.rank):
-        step = np.zeros(rs.rank)
-        step[a] = h
-        xi_fd.append((rate_point(problem, xi + step).S - rate_point(problem, xi - step).S) / (2 * h))
-
-    return PdeReport(
-        lhs=lhs,
-        rhs=rhs,
-        residual=float(residual),
-        tau_partial=float(tau_partial),
-        tau_partial_fd=float(tau_fd),
-        xi_partials=tuple(float(g) for g in grad_S),
-        xi_partials_fd=tuple(float(g) for g in xi_fd),
-    )
+    exponents = _rows(-(np.array(weights, dtype=float) @ rs.cartan_inv_f.T), grad_S)
+    rhs = np.sum(np.array(d, dtype=float) * np.exp(exponents), axis=1)
+    tau_fd = (up.S - down.S) / (2 * h)
+    S_up, S_down = base.S[k:].reshape(2, k, r)
+    xi_fd = (S_up - S_down) / (2 * h)
+    scalars = zip(lhs, rhs, np.abs(lhs - rhs) / np.abs(lhs), tau_partial, tau_fd)
+    return [PdeReport(*map(float, v), tuple(g.tolist()), tuple(f.tolist())) for v, g, f in zip(scalars, grad_S, xi_fd)]

@@ -494,6 +494,37 @@ def test_measure_at_huge_t_rejects_float_rows_silently(capsys):
     )
 
 
+def _huge_t_run(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.splitlines()
+
+
+def test_measure_at_overflowing_t_is_a_domain_error(capsys):
+    # B t overflowed: a dozen warnings, then a table of NaN probabilities and exit 0
+    code, out, err = _huge_t_run(capsys, ["measure", "--no-cache", "--algebra", "A1", "--rep", "1", "--power", "4",
+                                          "--t", "1e308"])
+    assert (code, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("error: t is too large")
+
+
+def test_measure_at_huge_wall_t_is_a_domain_error(capsys):
+    # finite pairings near the float range once read "character measure sums to 2.0" (exit 3)
+    code, out, err = _huge_t_run(capsys, ["measure", "--no-cache", "--algebra", "A2", "--rep", "1,0", "--power", "3",
+                                          "--t", "1e306,-1e306"])
+    assert (code, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("error: t is too large")
+
+
+def test_sample_at_overflowing_t_is_a_domain_error(capsys):
+    code, out, err = _huge_t_run(capsys, ["sample", "--algebra", "A1", "--rep", "1", "--steps", "4", "--chains", "10",
+                                          "--t", "1e308"])
+    assert (code, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("error: t is too large")
+
+
 def test_limit_compare_names_an_unresolved_quadrature(capsys):
     # the Gaussian at t = 5 is narrower than the midpoint spacing; this read
     # "grid captures only 0.1187 of the limit mass", though the grid covers it

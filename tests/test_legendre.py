@@ -255,3 +255,146 @@ def test_limit_density_ends_are_plancherel_and_gaussian(name):
     gauss = np.exp(-0.5 * np.einsum("ij,jk,ik->i", pts, K, pts)) * math.sqrt(np.linalg.det(K) / (2 * math.pi) ** r)
     for u in (None, t):
         assert limit_density(rs, "gaussian", pts, K=K, u=u) == pytest.approx(gauss, rel=1e-12, abs=0)
+
+
+# -- the batched solve ------------------------------------------------------
+
+
+def test_one_row_views_are_rows_of_the_batch():
+    from tensorstat import asymptotic_log_probability, legendre, measures, pde, pde_residual
+
+    rs = build_root_system(AlgebraSpec.parse("G2"))
+    p = tensor_problem(rs, [((1, 0), 12)])
+    lams = [(1, 1), (2, 3), (5, 1), (3, 2), (7, 1)]
+    xi = p.epsilon * np.array([[float(v) for v in rs.root_coords(lam)] for lam in lams])
+    y, _, _, status = legendre._dual_rows(p, xi)
+    rows = legendre._rate_rows(p, xi)
+    _, log_m, _ = legendre._log_multiplicity_rows(p, lams)
+    log_p, _ = measures._asymptotic_log_probabilities(p, lams, [0.3, 0.1])
+    reports = pde._pde_rows(tensor_problem(rs, [((1, 0), 10)]), xi)
+    assert not status.any() and not rows.status.any()
+    for i, lam in enumerate(lams):
+        assert np.array_equal(legendre_dual(p, xi[i]), y[i])
+        rp = rate_point(p, xi[i])
+        assert rp.x == tuple(rows.x[i]) and rp.S == rows.S[i] and rp.log_prefactor == rows.log_prefactor[i]
+        assert rp.hess_f == tuple(map(tuple, rows.hess[i])) and rp.K == tuple(map(tuple, rows.K[i]))
+        assert asymptotic_log_multiplicity(p, lam) == log_m[i]
+        assert asymptotic_log_probability(p, lam, [0.3, 0.1]) == log_p[i]
+        assert pde_residual(tensor_problem(rs, [((1, 0), 10)]), xi[i]) == reports[i]
+
+
+def test_blocks_of_a_large_batch_match_one_block(monkeypatch):
+    from tensorstat import legendre
+
+    rs = build_root_system(AlgebraSpec.parse("B2"))
+    p = tensor_problem(rs, [((1, 0), 6)])
+    xi = np.random.default_rng(3).uniform(-0.4, 0.4, size=(50, 2))
+    whole = legendre._rate_rows(p, xi)
+    monkeypatch.setattr(legendre, "_BLOCK", 7)
+    blocked = legendre._rate_rows(p, xi)
+    for a, b in zip(whole, blocked):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_each_row_of_a_mixed_batch_keeps_its_own_status():
+    # interior, outside the hull [-1/2, 1/2] (as in the test above), and at
+    # its edge, where Hess f is singular to float precision
+    from tensorstat import ConvergenceError, legendre
+
+    p = _a1_problem()
+    xi = np.array([[0.3], [0.7], [-0.9], [1.4], [0.5], [-0.2]])
+    rows = legendre._rate_rows(p, xi)
+    assert rows.status.tolist() == [
+        0, legendre._DEGENERATE, legendre._DIVERGED, legendre._DEGENERATE, legendre._BOUNDARY, 0,
+    ]
+    for i in (0, 5):  # the bad rows leave their neighbours' bits alone
+        alone = legendre._rate_rows(p, xi[i : i + 1])
+        assert all(np.array_equal(a[0], b[i]) for a, b in zip(alone, rows))
+    for i in (1, 2, 3, 4):
+        assert np.isnan(rows.log_prefactor[i])
+        with pytest.raises(LegendreDomainError) as err:
+            rate_point(p, xi[i])
+        cls, message = legendre._ROW_ERRORS[rows.status[i]]
+        assert type(err.value) is cls and str(err.value) == message
+    # a stalled or unfinished solve is a ConvergenceError, in the view too
+    with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
+        legendre_dual(p, np.array([0.3]), max_iter=1)
+
+
+def test_conditioning_gate():
+    from tensorstat.legendre import precision_matrix
+
+    rs = build_root_system(AlgebraSpec.parse("A2"))
+    assert np.all(np.isfinite(precision_matrix(rs, np.diag([1.0, 2e-9]))))
+    with pytest.raises(LegendreDomainError, match="singular to float precision"):
+        precision_matrix(rs, np.diag([1.0, 5e-10]))
+    with pytest.raises(LegendreDomainError, match="singular to float precision"):
+        precision_matrix(rs, np.diag([5e-13, 1e-12]))  # a vertex: small in every direction
+
+
+def test_float_saturated_dual_points_are_nan():
+    # near the edge from (60, 0) to (0, 30) the dual point of these four rows
+    # runs out to x ~ (10, 17), where lambda_min / lambda_max of Hess f is
+    # about 1e-11; their estimates were not monotone in lambda
+    from tensorstat import legendre
+
+    rs = build_root_system(AlgebraSpec.parse("A2"))
+    p = tensor_problem(rs, [((1, 0), 60)])
+    saturated = [(52, 4), (54, 3), (56, 2), (58, 1)]
+    neighbours = [(49, 4), (51, 3), (52, 1), (53, 2), (55, 1)]
+    _, est, status = legendre._log_multiplicity_rows(p, saturated + neighbours)
+    assert np.all(np.isnan(est[:4])) and np.all(status[:4] == legendre._BOUNDARY)
+    assert np.all(np.isfinite(est[4:]))
+
+
+# ln m estimates of the asymptotic CSV, recorded before the batched solve
+_RECORDED = {
+    ("G2", (1, 0), 28): (84, [
+        ((0, 7), math.nan), ((1, 17), 55.31928923308706), ((2, 29), 41.50522144870736),
+        ((4, 4), 58.58940317496484), ((5, 20), 48.231639099074336), ((7, 4), 57.44642498478538),
+        ((8, 25), 31.807730307999478), ((10, 18), 39.22172399588368), ((12, 17), 34.71521890941905),
+        ((15, 0), math.nan), ((17, 14), 21.02961866559074), ((21, 7), 20.175723381370393),
+    ]),
+    ("A2", (1, 1), 34): (68, [
+        ((0, 21), math.nan), ((3, 24), 54.44326794335471), ((6, 33), 45.67810830911887),
+        ((9, 45), 23.80465183047594), ((13, 16), 55.8216218643264), ((16, 40), 25.199935026363125),
+        ((20, 26), 42.2680146951489), ((24, 18), 46.31940702244969), ((28, 19), 40.93467505067031),
+        ((32, 29), 19.6351924910904), ((37, 13), 34.669115683639156), ((44, 5), 30.5302580079602),
+    ]),
+}
+
+
+@pytest.mark.parametrize("key", list(_RECORDED), ids=["G2-28", "A2-34"])
+def test_asymptotic_column_matches_recorded_values(key):
+    from tensorstat import legendre
+
+    name, rep, n = key
+    rs = build_root_system(AlgebraSpec.parse(name))
+    weights = sorted(tensor_power_decompose(rs, [(rep, n)]).entries)
+    _, est, _ = legendre._log_multiplicity_rows(tensor_problem(rs, [(rep, n)]), weights)
+    n_nan, recorded = _RECORDED[key]
+    assert int(np.sum(np.isnan(est))) == n_nan
+    got = dict(zip(weights, est.tolist()))
+    for lam, value in recorded:
+        if math.isnan(value):
+            assert math.isnan(got[lam])
+        else:
+            assert abs(got[lam] - value) <= 1e-12 * max(1.0, abs(value))
+
+
+def test_batched_evaluations_do_not_grow_with_the_table(monkeypatch):
+    from tensorstat import legendre
+
+    rs = build_root_system(AlgebraSpec.parse("A2"))
+    calls = []
+    f_rows = legendre._f_rows
+    monkeypatch.setattr(legendre, "_f_rows", lambda p, y: calls.append(len(y)) or f_rows(p, y))
+    counts = {}
+    for n in (10, 34):
+        weights = sorted(tensor_power_decompose(rs, [((1, 1), n)]).entries)
+        calls.clear()
+        legendre._log_multiplicity_rows(tensor_problem(rs, [((1, 1), n)]), weights)
+        counts[n] = (len(weights), len(calls))
+    (small_rows, small_calls), (big_rows, big_calls) = counts[10], counts[34]
+    assert big_rows > 10 * small_rows
+    assert big_calls <= small_calls + 5 and big_calls < big_rows / 10

@@ -236,12 +236,14 @@ def test_asymptotic_log_probability_converges_at_the_mode(a1, t, final):
 
 def test_asymptotics_column_filled_at_a_wall(a2):
     # t pairs to zero with alpha_2: the column once was NaN on every row; now
-    # only rows on a chamber wall or at the edge of the Legendre domain are
+    # only rows on a chamber wall or at the edge of the Legendre domain are.
+    # (26, 2) and (28, 1) are at the edge: their dual points are float
+    # saturated, lambda_min / lambda_max of Hess f about 4e-12 and 7e-12
     m = character_measure(tensor_power_decompose(a2, [((1, 0), 30)]), t=[0.2, 0.1])
     errors = [
         abs(asym - math.log(row.probability))
         for row, asym in zip(m.rows, m.asymptotic_log_probabilities)
         if not math.isnan(asym)
     ]
-    assert len(m.rows) == 91 and len(errors) == 63
+    assert len(m.rows) == 91 and len(errors) == 61
     assert np.median(errors) < 0.3
