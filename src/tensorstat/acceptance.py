@@ -251,7 +251,7 @@ def criterion_7() -> CriterionResult:
     for name, rep, t in (("A1", (1,), [0.3]), ("A2", (1, 0), [0.3, 0.1]), ("B2", (0, 1), [0.2, 0.1])):
         rs = _rs(name)
         problem = tensor_problem(rs, [(rep, 40)])
-        K = precision_matrix(rs, f_grad_hess(problem, np.asarray(t, dtype=float))[2])
+        K = precision_matrix(rs, f_grad_hess(problem, np.asarray(t, dtype=float))[2], sum(problem.tau))
         cov = np.linalg.inv(K)
         bounds = [(-8 * math.sqrt(cov[a, a]), 8 * math.sqrt(cov[a, a])) for a in range(rs.rank)]
         pts, wts = box_quadrature(bounds, 120 if rs.rank == 1 else 80)

@@ -273,6 +273,22 @@ def _parabolic(spec, wall: tuple[bool, ...]) -> _Parabolic:
     )
 
 
+def _coset_terms(par: _Parabolic, q: np.ndarray, shifted: np.ndarray):
+    """x_w, the terms (P_w / P_1) e^{-x_w} and log P_1 of the coset sum at each row Lambda of shifted.
+
+    shifted holds weight coordinates and q = par.qmat @ pairings, so
+    x_w = (Lambda, t - w t); see CharacterPlan.
+    """
+    x = _rowdot(shifted, q)
+    terms = np.exp(-x)
+    log_p1 = np.zeros(len(shifted))
+    for poly, rho0 in zip(par.poly, par.rho0):
+        a = _rowdot(shifted, poly)
+        terms *= a / a[:, :1]
+        log_p1 += np.log(a[:, 0] / rho0)
+    return x, terms, log_p1
+
+
 class _Cosets(NamedTuple):
     """Per-(algebra, t) data of the coset sum; see CharacterPlan."""
 
@@ -422,14 +438,7 @@ class CharacterPlan:
         step = max(1, _BLOCK_ENTRIES // len(c.par.sign))
         for lo in range(0, len(lams), step):
             lam = lam_all[lo : lo + step]
-            shifted = lam + 1.0
-            x = _rowdot(shifted, c.q)
-            terms = np.exp(-x)
-            log_p1 = np.zeros(len(lam))
-            for j in range(n0):
-                a = _rowdot(shifted, c.par.poly[j])
-                terms *= a / a[:, :1]
-                log_p1 += np.log(a[:, 0] / c.par.rho0[j])
+            x, terms, log_p1 = _coset_terms(c.par, c.q, lam + 1.0)
             mags = np.abs(terms)
             err = np.sum(mags * ((r + 2) * x + (n0 + 2)), axis=1)
             lam_t = _rowdot(lam, c.cinv_t[None, :])[:, 0]

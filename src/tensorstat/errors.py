@@ -14,7 +14,7 @@ class InvalidAlgebraError(DomainError):
 
 
 class WeylGroupTooLargeError(DomainError):
-    """Weyl group enumeration would exceed the element cap."""
+    """Enumerating W, or a sum over it, would exceed the element cap."""
 
     def __init__(self, message: str, order: int):
         super().__init__(message)

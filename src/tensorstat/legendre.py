@@ -20,14 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .charalg import Weight, _dominant_weight, _factors, second_casimir, weight_multiplicities
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    LegendreDomainError,
-    NonRegularError,
-)
-from .rootsys import RootSystem, reflect_to_chamber, stabilizer_roots
+from .charalg import Weight, _coset_terms, _dominant_weight, _factors, _parabolic, second_casimir, weight_multiplicities
+from .errors import ConvergenceError, DomainError, LegendreDomainError, NonRegularError, WeylGroupTooLargeError
+from .rootsys import _MAX_WEYL_ORDER, RootSystem, reflect_to_chamber, stabilizer_roots, weyl_group_order
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,7 @@ def forward_dual(problem: TensorProblem, y) -> np.ndarray:
 
 # rows per batched solve: bounds the (rows, weights) softmax arrays of a large table
 _BLOCK = 1024
-# H = Hess f is rejected when lambda_min(H) < _MIN_EIGENVALUE or < _MIN_CONDITION lambda_max(H)
+# H = Hess f is rejected when lambda_min(H) < _MIN_EIGENVALUE s or < _MIN_CONDITION lambda_max(H)
 _MIN_EIGENVALUE = 1e-12
 _MIN_CONDITION = 1e-9
 # a row's status in the batched solves: 0 converged, else the error its one-row view raises
@@ -175,11 +170,12 @@ def _dual_rows(problem: TensorProblem, xi: np.ndarray, tol=1e-12, max_iter=200, 
 
     Returns y, f(y), Hess f(y) and each row's status.  A row leaves the
     active set when it converges, its Hessian is singular, its iterate
-    passes y_max or its line search stalls.
+    passes y_max or its line search stalls.  grad f is s = sum_k tau_k
+    times a mean weight, so the residual is measured against s.
     """
     n, r = xi.shape
     target = _rows(problem.rs.B_f, xi)
-    norm_target = np.maximum(1.0, np.linalg.norm(target, axis=1))
+    norm_target = np.maximum(sum(problem.tau), np.linalg.norm(target, axis=1))
     y = np.zeros((n, r))
     val, grad, hess = _f_rows(problem, y)
     status = np.full(n, _MAX_ITER)
@@ -270,28 +266,29 @@ class RatePoint:
         return cls(algebra=p["algebra"], S=p["S"], log_prefactor=p["log_prefactor"], **vectors, **matrices)
 
 
-def _precision_rows(rs: RootSystem, hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _precision_rows(rs: RootSystem, hess: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     """precision_matrix of each H in a stack, NaN where the gate rejects it, and the pass mask."""
     eig = np.linalg.eigvalsh(hess)
-    ok = (eig[:, 0] >= _MIN_EIGENVALUE) & (eig[:, 0] >= _MIN_CONDITION * eig[:, -1])
+    ok = (eig[:, 0] >= _MIN_EIGENVALUE * s) & (eig[:, 0] >= _MIN_CONDITION * eig[:, -1])
     K = np.full(hess.shape, np.nan)
     B = np.broadcast_to(rs.B_f, hess[ok].shape)
     K[ok] = rs.B_f @ np.linalg.solve(hess[ok], B)
     return 0.5 * (K + np.swapaxes(K, 1, 2)), ok
 
 
-def precision_matrix(rs: RootSystem, hess) -> np.ndarray:
+def precision_matrix(rs: RootSystem, hess, s: float = 1.0) -> np.ndarray:
     """K = B H^-1 B for H = Hess f at a point, symmetrized.
 
     Near the boundary of the Legendre domain the tilted weight distribution
     collapses onto a face and H degenerates exponentially; solves there
-    still "converge" by float saturation, so H is gated first.  At a
-    vertex H vanishes in every direction, and lambda_min(H) < 1e-12 is
-    rejected; on an edge or face it vanishes across it only, and
-    lambda_min(H) < 1e-9 lambda_max(H) is rejected.  That ratio does not
-    change when epsilon rescales H.
+    still "converge" by float saturation, so H is gated first.  H is s =
+    sum_k tau_k times a covariance of weights.  At a vertex H vanishes in
+    every direction, and lambda_min(H) < 1e-12 s is rejected; on an edge
+    or face it vanishes across it only, and lambda_min(H) < 1e-9
+    lambda_max(H) is rejected.  Neither test changes when epsilon rescales
+    H and s together.
     """
-    K, ok = _precision_rows(rs, np.asarray(hess, dtype=float)[None])
+    K, ok = _precision_rows(rs, np.asarray(hess, dtype=float)[None], s)
     if not ok[0]:
         _raise_row(_BOUNDARY)
     return K[0]
@@ -310,7 +307,7 @@ def _rate_rows(problem: TensorProblem, xi: np.ndarray) -> _RateRows:
     x, val, hess, status = _dual_rows(problem, xi)
     K = np.full(hess.shape, np.nan)
     good = np.flatnonzero(status == 0)
-    K[good], ok = _precision_rows(rs, hess[good])
+    K[good], ok = _precision_rows(rs, hess[good], sum(problem.tau))
     status[good[~ok]] = _BOUNDARY
     logdetK = np.full(len(xi), np.nan)
     # K = B H^-1 B is positive definite: the gate bounds the condition of H
@@ -412,9 +409,17 @@ def limit_density(
     W0-invariant, so a multiple of B on each simple factor of Phi0).  With
     no walls it is the Gaussian of precision K.  kind "plancherel" is its
     other end, K = B with every wall: the chamber law at t = 0.  kind
-    "intermediate" needs a regular u and interpolates between the two on
-    the chamber.  u is reflected into the dominant chamber first.  Returns
-    densities with respect to Lebesgue measure in root coordinates.
+    "intermediate" interpolates between the two on the chamber.  It is the
+    continuum limit of Weyl's character formula, b playing lambda + rho
+    and u playing t, so it is CharacterPlan's coset sum over W/W0 (Phi0+
+    now the roots u pairs to zero with):
+
+      p(b) = (2 pi)^{-r/2} det B^{1/2} prod over alpha > 0 of (alpha, b)
+             e^{(b, u) - |b|^2/2 - |u|^2/2} P_1(b) S(b) / prod over alpha > 0 outside Phi0 of (alpha, u)
+
+    on the open chamber and 0 on its walls; at u = 0 it is "plancherel".
+    u is reflected into the dominant chamber first.  Returns densities
+    with respect to Lebesgue measure in root coordinates.
     """
     single = np.ndim(points) == 1
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -449,25 +454,20 @@ def limit_density(
         out = np.prod(np.maximum(pair, 0.0) ** 2, axis=1) * np.exp(-log_z - 0.5 * quad)
         out = np.where(np.all(pair > -1e-12, axis=1), out, 0.0)
     else:
-        if np.any(wall):
-            raise NonRegularError("u must be off every chamber wall")
-        u_pair = rs.pos_pairing_f @ u
-        actions, parities = rs.weyl_actions
-        wu = actions @ u  # (|W|, r)
-        pair = pts @ rs.pos_pairing_f.T
-        quad_b = np.einsum("ij,jk,ik->i", pts, rs.B_f, pts)
-        quad_u = float(u @ rs.B_f @ u)
-        expo = (pts @ rs.B_f) @ wu.T  # (m, |W|), entries (b, w(u))
-        m0 = np.max(expo, axis=1, keepdims=True)
-        alt = np.sum(parities[None, :] * np.exp(expo - m0), axis=1)
-        sign, logdetB = np.linalg.slogdet(rs.B_f)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_pair = np.sum(np.log(np.maximum(pair, 1e-300)), axis=1)
-            log_main = 0.5 * logdetB - 0.5 * r * math.log(2.0 * math.pi) + log_pair - float(np.sum(np.log(u_pair)))
-            log_main = log_main + m0[:, 0] - 0.5 * quad_b - 0.5 * quad_u
-        # on chamber walls both the root product and the alternating sum
-        # vanish, so the continuous extension is zero there
-        interior = np.all(pair > 1e-12, axis=1)
-        out = np.where(interior, np.exp(log_main) * np.maximum(alt, 0.0), 0.0)
+        order = weyl_group_order(rs.spec)
+        if order > _MAX_WEYL_ORDER:
+            raise WeylGroupTooLargeError(f"Weyl group too large for the coset sum: |W| = {order}", order)
+        par = _parabolic(rs.spec, tuple(bool(w) for w in wall))
+        u_pair = np.where(wall, 0.0, rs.B_f @ u)
+        # on chamber walls of b the root product vanishes, so the density is zero there
+        interior = np.all(pts @ rs.pos_pairing_f.T > 1e-12, axis=1)
+        b = pts[interior]
+        _, terms, log_p1 = _coset_terms(par, par.qmat @ u_pair, b @ rs.cartan_f.T)
+        log_c = 0.5 * (np.linalg.slogdet(rs.B_f)[1] - r * math.log(2.0 * math.pi) - u @ u_pair)
+        log_c -= np.sum(np.log(par.outside @ u_pair))
+        log_b = np.sum(np.log(b @ rs.pos_pairing_f.T), axis=1) + b @ u_pair + log_p1
+        log_b -= 0.5 * np.einsum("ij,jk,ik->i", b, rs.B_f, b)
+        out = np.zeros(len(pts))
+        out[interior] = np.exp(log_c + log_b) * np.maximum(terms @ par.sign, 0.0)
 
     return out[0] if single else out

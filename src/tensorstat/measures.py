@@ -18,12 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .charalg import CharacterPlan, DecompositionTable, Weight, _dominant_weight, weyl_dimension
-from .errors import (
-    DomainError,
-    GridCoverageError,
-    InternalConsistencyError,
-    NonRegularError,
-)
+from .errors import DomainError, GridCoverageError, InternalConsistencyError
 from .legendre import (
     TensorProblem,
     _log_multiplicity_rows,
@@ -274,6 +269,8 @@ def lattice_aligned_edges(
 # cell_integrals refines each cell to at most MAX_SUBDIV^r midpoints; a
 # comparison grid may take at most this many (2^23 points of rank 2: 128 MiB an array)
 _MAX_GRID_POINTS = 2**23
+# a grid must capture all but this much of the limit mass
+_COVERAGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -288,8 +285,6 @@ def weak_convergence_distance(
     m: MeasureTable,
     kind: str,
     edges=None,
-    quad_tol: float = 1e-9,
-    coverage_tol: float = 1e-6,
 ) -> WeakConvergenceReport:
     """Total-variation distance between binned exact and limit measures.
 
@@ -304,7 +299,7 @@ def weak_convergence_distance(
     limit_density(rs, "gaussian", a, K, t), K = B Hess f(t)^-1 B and
     eta = B^-1 grad f(t), pulled back to the scaled coordinates by the
     affine map between the two.  "intermediate" is the chamber law with u
-    recovered from t, which must be regular.
+    recovered from t, on a chamber wall or off it.
 
     Without edges the grid is lattice aligned, two lattice columns per
     cell: highest weights of one problem differ by root-lattice vectors,
@@ -315,7 +310,7 @@ def weak_convergence_distance(
     + |u|_B + s for the intermediate law (a shifted Gaussian element of g
     in norm); Cauchy-Schwarz gives per-coordinate bounds.  A grid needing
     over _MAX_GRID_POINTS quadrature points is a DomainError.  A grid
-    capturing under 1 - coverage_tol of the limit mass is a
+    capturing under 1 - _COVERAGE_TOL of the limit mass is a
     GridCoverageError; when the cell quadrature did not converge, or its
     midpoints lie wider apart than the law's width, the error names that
     spacing and width.
@@ -331,8 +326,6 @@ def weak_convergence_distance(
     if (kind == "plancherel") != (m.t is None):
         raise DomainError(f"{kind} comparison needs {'t = 0' if kind == 'plancherel' else 'a nonzero t'}")
     if kind == "intermediate":
-        if np.any(wall):
-            raise NonRegularError("intermediate comparison needs a t off every chamber wall")
         scaling = bulk_scaling(problem)
         u = t_dom * math.sqrt(scaling.x_scalar / eps)
         radius = math.sqrt(rs.dim_g) + math.sqrt(float(u @ rs.B_f @ u)) + tail
@@ -345,7 +338,7 @@ def weak_convergence_distance(
     else:
         scaling = bulk_scaling(problem) if m.t is None else gaussian_scaling(problem, m.t)
         _, grad, hess = f_grad_hess(problem, t_dom)
-        K = precision_matrix(rs, hess)
+        K = precision_matrix(rs, hess, sum(problem.tau))
         in0 = stabilizer_roots(rs, wall)
         # a = scale * (scaled point) + shift
         scale = math.sqrt(eps) / scaling.spread
@@ -380,9 +373,9 @@ def weak_convergence_distance(
     P = np.histogramdd(scaled[inside], bins=edges, weights=pvals[inside])[0]
     p_in = float(pvals[inside].sum())
 
-    Q, converged = cell_integrals(density, edges, tol=quad_tol)
+    Q, converged = cell_integrals(density, edges)
     q_in = float(Q.sum())
-    if q_in < 1.0 - coverage_tol:
+    if q_in < 1.0 - _COVERAGE_TOL:
         # a law narrower than the midpoint spacing falls between the midpoints
         spacing = np.array([float(np.max(np.diff(e))) / MAX_SUBDIV for e in edges])
         ax = int(np.argmax(spacing / width))
@@ -392,6 +385,6 @@ def weak_convergence_distance(
                 f" lie {spacing[ax]:.3g} apart on axis {ax + 1}, against a limit law of width"
                 f" {width[ax]:.3g} there (it found {q_in:.4g} of the limit mass)"
             )
-        raise GridCoverageError(f"grid captures only {q_in} of the limit mass (tolerance {coverage_tol})")
+        raise GridCoverageError(f"grid captures only {q_in} of the limit mass (tolerance {_COVERAGE_TOL})")
     tv = 0.5 * (float(np.abs(P - Q).sum()) + (1.0 - p_in) + max(0.0, 1.0 - q_in))
     return WeakConvergenceReport(tv=float(tv), exact_mass_in_grid=p_in, limit_mass_in_grid=q_in, cells=shape)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 
-# most midpoints per cell axis cell_integrals refines to
+# most midpoints per cell axis cell_integrals refines to, and the cell change that stops it sooner
 MAX_SUBDIV = 16
+CELL_TOL = 1e-9
 
 
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -31,15 +32,15 @@ def box_quadrature(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
-def cell_integrals(f, edges, tol: float = 1e-9, max_subdiv: int = MAX_SUBDIV) -> tuple[np.ndarray, bool]:
+def cell_integrals(f, edges) -> tuple[np.ndarray, bool]:
     """Integrate a vectorized density over every cell of a rectangular grid.
 
     edges: list of 1-d increasing edge arrays, one per axis.  f maps an
     (m, r) array of points to m values.  Midpoint rule per cell, with the
     per-cell subdivision count doubled until no cell value moves by more
-    than tol, or until max_subdiv midpoints per cell axis.  Returns the
-    cell integrals, shape (len(e)-1 for e in edges), and whether they met
-    tol.
+    than CELL_TOL, or until MAX_SUBDIV midpoints per cell axis.  Returns
+    the cell integrals, shape (len(e)-1 for e in edges), and whether they
+    met CELL_TOL.
     """
     edges = [np.asarray(e, dtype=float) for e in edges]
     shape = tuple(len(e) - 1 for e in edges)
@@ -64,8 +65,8 @@ def cell_integrals(f, edges, tol: float = 1e-9, max_subdiv: int = MAX_SUBDIV) ->
             sl[ax] = slice(None)
             cellw = cellw * w[tuple(sl)]
         current = summed * cellw / (k ** len(shape))
-        converged = prev is not None and np.max(np.abs(current - prev)) <= tol
-        if converged or k >= max_subdiv:
+        converged = prev is not None and np.max(np.abs(current - prev)) <= CELL_TOL
+        if converged or k >= MAX_SUBDIV:
             return current, bool(converged)
         prev = current
         k *= 2

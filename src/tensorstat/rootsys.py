@@ -310,11 +310,6 @@ class RootSystem:
     def rho_root_f(self) -> np.ndarray:
         return np.array([float(x) for x in self.rho_root])
 
-    @cached_property
-    def weyl_actions(self) -> tuple[np.ndarray, np.ndarray]:
-        """enumerate_weyl_group, kept: every Weyl element's root-coordinate action and parity."""
-        return enumerate_weyl_group(self)
-
     def __repr__(self) -> str:
         return f"RootSystem({self.spec})"
 
@@ -519,8 +514,9 @@ def enumerate_weyl_group(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
     The minimal elements over the orbit of rho, which is regular, so each
     element appears once; row 0 is the identity.  The group order is known
     in closed form per family, so groups above _MAX_WEYL_ORDER are rejected
-    before any enumeration happens.  Not cached: RootSystem.weyl_actions
-    keeps the result.
+    before any enumeration happens.  Not cached, and nothing in the
+    package calls it: its sums over W run over the W/W0 coset
+    representatives of weyl_orbits instead.
     """
     order = weyl_group_order(rs.spec)
     if order > _MAX_WEYL_ORDER:

@@ -157,6 +157,8 @@ def test_limit_compare_report(capsys):
         ("G2", "1,0", 20, "plancherel", None, 0.0492),
         ("A2", "1,0", 30, "gaussian", "1,1", 0.2347),
         ("A2", "1,0", 30, "intermediate", "0.05,0.04", 0.1017),
+        # t pairs to zero with alpha_2: the W/W0 coset sum of the wall
+        ("A2", "1,0", 20, "intermediate", "1,0.5", 0.3312),
         # t pairs to zero with alpha_2: the Gaussian times (alpha_2, a)^2 on a
         # half space; the plain Gaussian read 0.52 here and grew with N
         ("A2", "1,0", 20, "gaussian", "1,0.5", 0.1513),
@@ -275,14 +277,11 @@ def test_extra_problem_arguments_are_domain_errors(capsys, argv):
          "--kind", "gaussian"],
         ["limit-compare", "--no-cache", "--algebra", "A2", "--rep", "1,0", "--power", "12", "--t", "300,200",
          "--kind", "gaussian"],
-        ["limit-compare", "--no-cache", "--algebra", "A2", "--rep", "1,0", "--power", "12", "--t", "1,0.5",
-         "--kind", "intermediate"],
     ],
     ids=[
         "criteria-14", "criteria-x", "grid-0", "grid-negative", "max-power-negative",
         "epsilon-inf", "zero-steps-epsilon-negative", "zero-steps-epsilon-inf", "gaussian-without-t",
         "gaussian-a1-t20", "gaussian-a1-t50", "gaussian-a2-adjoint-t300", "gaussian-a2-vector-t300",
-        "intermediate-at-a-wall",
     ],
 )
 def test_invalid_inputs_are_domain_errors(capsys, argv):

@@ -13,6 +13,7 @@ from tensorstat import (
     LegendreDomainError,
     asymptotic_log_multiplicity,
     build_root_system,
+    enumerate_weyl_group,
     f_eval,
     f_grad_hess,
     forward_dual,
@@ -250,11 +251,66 @@ def test_limit_density_ends_are_plancherel_and_gaussian(name):
     assert chamber.any() and not chamber.all()
     for dens in (limit_density(rs, "plancherel", pts), limit_density(rs, "gaussian", pts, K=rs.B_f, u=np.zeros(r))):
         assert dens == pytest.approx(closed, rel=1e-12, abs=0)
+    # the intermediate law's u = 0 end: one coset, W0 = W
+    inter = limit_density(rs, "intermediate", pts, u=np.zeros(r))
+    assert np.max(np.abs(inter - limit_density(rs, "plancherel", pts))) <= 1e-13
     # no walls: the Gaussian with precision K, at u = None and at a regular u
     _, K, _, t = _wall_law(name, (False,) * r)
     gauss = np.exp(-0.5 * np.einsum("ij,jk,ik->i", pts, K, pts)) * math.sqrt(np.linalg.det(K) / (2 * math.pi) ** r)
     for u in (None, t):
         assert limit_density(rs, "gaussian", pts, K=K, u=u) == pytest.approx(gauss, rel=1e-12, abs=0)
+
+
+def _with_pairings(rs, pairings):
+    """The root-coordinate vector whose simple-root pairings are these."""
+    return np.linalg.solve(rs.B_f, np.asarray(pairings, dtype=float))
+
+
+_WALL_U = pytest.mark.parametrize("pairings", [(0.0, 0.8), (0.8, 0.0)], ids=["alpha1-wall", "alpha2-wall"])
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@_WALL_U
+def test_intermediate_density_normalized_at_a_wall_u(name, pairings):
+    # in weight coordinates the chamber is the positive orthant and the
+    # integrand is smooth on it, so Gauss-Legendre converges spectrally
+    rs = build_root_system(AlgebraSpec.parse(name))
+    hi = float(np.max(np.sum(np.abs(rs.cartan_f), axis=1))) * 11.0
+    pts_w, wts = box_quadrature([(0.0, hi)] * 2, 140)
+    dens = limit_density(rs, "intermediate", pts_w @ rs.cartan_inv_f.T, u=_with_pairings(rs, pairings))
+    total = float(dens @ wts) * abs(np.linalg.det(rs.cartan_inv_f))
+    assert abs(1.0 - total) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@_WALL_U
+def test_intermediate_density_is_continuous_across_a_wall_u(name, pairings):
+    # the coset sum at a wall u is the limit of the full alternating sum at
+    # regular u: moving u by d off the wall moves the density by O(d)
+    rs = build_root_system(AlgebraSpec.parse(name))
+    pts = np.abs(np.random.default_rng(4).normal(size=(60, 2))) @ rs.cartan_inv_f.T
+    on = limit_density(rs, "intermediate", pts, u=_with_pairings(rs, pairings))
+    for d in (1e-3, 1e-5):
+        off = limit_density(rs, "intermediate", pts, u=_with_pairings(rs, np.where(pairings, pairings, d)))
+        assert 0.01 * d <= np.max(np.abs(on - off)) <= d
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+def test_intermediate_density_at_a_regular_u_is_the_alternating_sum_over_w(name):
+    # p(b) = (2 pi)^{-r/2} det B^{1/2} prod (alpha, b) sum_w eps(w) e^{(b, w u)}
+    #        e^{-|b|^2/2 - |u|^2/2} / prod (alpha, u), summed over all of W
+    rs = build_root_system(AlgebraSpec.parse(name))
+    r = rs.rank
+    u = _with_pairings(rs, np.linspace(0.3, 0.9, r))
+    pts = np.abs(np.random.default_rng(6).normal(size=(60, r))) @ rs.cartan_inv_f.T
+    actions, parities = enumerate_weyl_group(rs)
+    alt = np.exp(pts @ rs.B_f @ (actions @ u).T) @ parities
+    quad = np.einsum("ij,jk,ik->i", pts, rs.B_f, pts) + u @ rs.B_f @ u
+    full = (
+        np.prod(pts @ rs.pos_pairing_f.T, axis=1) * alt * np.exp(-0.5 * quad)
+        * math.sqrt(np.linalg.det(rs.B_f) / (2 * math.pi) ** r) / np.prod(rs.pos_pairing_f @ u)
+    )
+    assert limit_density(rs, "intermediate", pts, u=u) == pytest.approx(full, rel=1e-9, abs=0)
 
 
 # -- the batched solve ------------------------------------------------------
@@ -345,6 +401,23 @@ def test_float_saturated_dual_points_are_nan():
     _, est, status = legendre._log_multiplicity_rows(p, saturated + neighbours)
     assert np.all(np.isnan(est[:4])) and np.all(status[:4] == legendre._BOUNDARY)
     assert np.all(np.isfinite(est[4:]))
+
+
+def test_newton_tolerance_and_hessian_floor_follow_the_scale_of_f():
+    # f, grad f and Hess f scale with s = sum_k tau_k = 8 epsilon here; with
+    # an absolute tolerance and floor the float-saturated top weight (8) got
+    # an estimate (ratio 767 at epsilon 1e-6, 309556 at 1e3) and the other
+    # rows stopped short of the default-epsilon values by 4e-11
+    from tensorstat import legendre
+
+    rs = build_root_system(AlgebraSpec.parse("A1"))
+    weights = [(2,), (4,), (6,), (8,)]
+    _, ref, _ = legendre._log_multiplicity_rows(tensor_problem(rs, [((1,), 8)]), weights)
+    for eps in (1e-6, 1e3):
+        _, est, status = legendre._log_multiplicity_rows(tensor_problem(rs, [((1,), 8)], epsilon=eps), weights)
+        assert math.isnan(est[3]) and status[3] == legendre._BOUNDARY
+        assert est[:3] == pytest.approx(ref[:3], rel=1e-13, abs=0)
+    assert math.isnan(ref[3])
 
 
 # ln m estimates of the asymptotic CSV, recorded before the batched solve

@@ -15,7 +15,9 @@ from tensorstat import (
     bulk_scaling,
     character_measure,
     character_probabilities,
+    enumerate_weyl_group,
     gaussian_scaling,
+    hessian_at_origin,
     lattice_aligned_edges,
     plancherel_measure,
     tensor_power_decompose,
@@ -181,7 +183,7 @@ def test_scaling_and_tv_constant_on_weyl_orbit_of_t(name, rep, power, t_gauss, t
     # column and its distances to the limit laws are too
     rs = build_root_system(AlgebraSpec.parse(name))
     table = tensor_power_decompose(rs, [(rep, power)])
-    actions, _ = rs.weyl_actions
+    actions, _ = enumerate_weyl_group(rs)
     ref = None
     for w in actions:
         gauss = character_measure(table, t=w @ np.asarray(t_gauss))
@@ -199,6 +201,24 @@ def test_scaling_and_tv_constant_on_weyl_orbit_of_t(name, rep, power, t_gauss, t
         assert np.allclose(got[1], ref[1], rtol=0, atol=1e-12)
         assert got[2] == pytest.approx(ref[2], rel=1e-9)
         assert got[3] == pytest.approx(ref[3], rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name, rep, expected",
+    [("A2", (1, 0), [0.133, 0.103, 0.072, 0.053]), ("B2", (0, 1), [0.070, 0.037, 0.021, 0.010])],
+)
+def test_intermediate_tv_at_a_wall_u_falls_with_n(name, rep, expected):
+    # u pairs to zero with alpha_1: the law is the W/W0 coset sum, not a domain error
+    rs = build_root_system(AlgebraSpec.parse(name))
+    u = np.linalg.solve(rs.B_f, [0.0, 0.8])
+    tvs = []
+    for n in (20, 40, 80, 160):
+        table = tensor_power_decompose(rs, [(rep, n)])
+        x, _ = hessian_at_origin(tensor_problem(rs, table.problem))
+        m = character_measure(table, t=u * math.sqrt(1.0 / (n * x)))
+        tvs.append(weak_convergence_distance(m, "intermediate").tv)
+    assert tvs == pytest.approx(expected, abs=1e-3)
+    assert all(a > b for a, b in zip(tvs, tvs[1:]))
 
 
 def test_asymptotics_column_filled(a1):

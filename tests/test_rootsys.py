@@ -211,7 +211,7 @@ def test_weyl_orbit_size_is_index_of_stabilizer(name, data):
     mu = data.draw(st.lists(st.integers(min_value=0, max_value=3), min_size=rs.rank, max_size=rs.rank))
     points = weyl_orbits(rs, mu)
     m, adj = rs.cartan_inverse_int
-    actions, _ = rs.weyl_actions
+    actions, _ = enumerate_weyl_group(rs)
     stabilizer = np.count_nonzero((actions @ (adj @ mu) == adj @ mu).all(axis=1))
     assert len(points) == weyl_group_order(rs.spec) // stabilizer
     assert len({p.tobytes() for p in points}) == len(points)
