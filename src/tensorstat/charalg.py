@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -24,7 +25,7 @@ from .rootsys import (
     _MAX_WEYL_ORDER,
     RootSystem,
     build_root_system,
-    dominant_reflect,
+    dominant_reflect_rows,
     reflect_to_chamber,
     row_runs,
     stabilizer_roots,
@@ -132,53 +133,179 @@ def weight_multiplicities(rs: RootSystem, lam) -> WeightSystem:
     in ints throughout (k_alpha: RootSystem.posroot_pairing_int); the
     quotient must be exact and positive.  Only these dominant
     multiplicities are stored; sum m(mu) |W mu| over the cached orbits is
-    checked against Weyl's formula.
+    checked against Weyl's formula.  This is a batch of one of the
+    vectorized pass CharacterPlan runs over all its weight-sum rows at
+    once (_freudenthal); both read one LRU of 1024 weight systems.
     """
-    return _weight_system(rs.spec, _dominant_weight(rs, lam))
+    return _weight_systems(rs.spec, [_dominant_weight(rs, lam)])[0]
 
 
-@lru_cache(maxsize=1024)
-def _weight_system(spec, lam: Weight) -> WeightSystem:
+# weight systems by (algebra, highest weight), least recently used first
+_WEIGHT_SYSTEMS: OrderedDict[tuple, WeightSystem] = OrderedDict()
+_WEIGHT_SYSTEM_SLOTS = 1024
+# entries of one chunk of a descent or Freudenthal level: (nodes, roots, rank) or (node, root, k) terms
+_LEVEL_ENTRIES = 2**14
+# a Freudenthal pass runs in int64 when its a-priori bound stays below this, else in Python ints
+_INT64_LIMIT = 2**62
+
+
+def _weight_systems(spec, lams: list[Weight]) -> list[WeightSystem]:
+    """The weight system of V(lambda) for each dominant lambda in lams; the missing ones from one pass."""
+    cache = _WEIGHT_SYSTEMS
+    missing = [lam for lam in dict.fromkeys(lams) if (spec, lam) not in cache]
+    if missing:
+        cache.update(((spec, ws.highest), ws) for ws in _freudenthal(spec, missing))
+    out = []
+    for lam in lams:
+        cache.move_to_end((spec, lam))
+        out.append(cache[spec, lam])
+    while len(cache) > _WEIGHT_SYSTEM_SLOTS:
+        cache.popitem(last=False)
+    return out
+
+
+def _descent(rs: RootSystem, lam: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The dominant weights below each row of lam, one height at a time.
+
+    Returns one (rows, mu, c) triple per nonempty height h = sum(c): the
+    row of lam each mu is below, mu, and the root coordinates c of
+    lam[row] - mu, sorted by (row, mu); height 0 is lam itself.  Every mu
+    at height h is mu' - alpha for a dominant mu' at a smaller height, so a
+    height is complete once every smaller one has been stepped from.
+    """
+    pos_w = np.array(rs.positive_roots_weight, dtype=np.int64)
+    pos_c = np.array(rs.positive_roots, dtype=np.int64)
+    heights = pos_c.sum(axis=1)
+    block = max(1, _LEVEL_ENTRIES // pos_w.size)
+    levels = []
+    pending = {0: [(np.arange(len(lam)), lam, np.zeros_like(lam))]}
+    while pending:
+        h = min(pending)
+        rows, mu, c = (np.concatenate(part) for part in zip(*pending.pop(h)))
+        order, starts = row_runs(mu, major=rows)
+        first = order[starts]
+        rows, mu, c = rows[first], mu[first], c[first]
+        levels.append((rows, mu, c))
+        for lo in range(0, len(rows), block):
+            nu = mu[lo : lo + block, None, :] - pos_w
+            dominant = nu[:, :, 0] >= 0
+            for col in range(1, nu.shape[2]):
+                dominant &= nu[:, :, col] >= 0
+            i, a = np.nonzero(dominant)
+            step = heights[a]
+            for g in np.flatnonzero(np.bincount(step)).tolist():
+                at, root = i[step == g], a[step == g]
+                pending.setdefault(h + g, []).append((rows[lo + at], nu[at, root], c[lo + at] + pos_c[root]))
+    return levels
+
+
+def _freudenthal(spec, lams: list[Weight]) -> list[WeightSystem]:
+    """The weight systems of the distinct dominant lams, built together; see weight_multiplicities.
+
+    The recursion runs one height at a time across every system: height h
+    reads m only at the dominant representatives of mu + k alpha, which
+    lie higher.  k runs from 1 to the last k that keeps mu + k alpha below
+    lambda (c_i // alpha_i over alpha_i > 0) and inside the ball
+    |nu| <= |lambda| that holds every weight; each mu + k alpha is
+    reflected into the chamber and looked up among the sorted int64 keys
+    (row, weight) of all the systems, and a weight not found has m = 0.
+    A chunk of a height holds at most _LEVEL_ENTRIES terms, or one mu.
+    """
     rs = build_root_system(spec)
-    r = rs.rank
-    pos_w = rs.positive_roots_weight
-    steps = list(zip(pos_w, rs.positive_roots))
-    coords = {lam: (0,) * r}  # dominant mu -> root coordinates of lambda - mu
-    stack = [lam]
-    while stack:
-        mu = stack.pop()
-        for alpha_w, alpha in steps:
-            nu = tuple(x - y for x, y in zip(mu, alpha_w))
-            if min(nu) >= 0 and nu not in coords:
-                coords[nu] = tuple(x + y for x, y in zip(coords[mu], alpha))
-                stack.append(nu)
+    r, n = rs.rank, len(lams)
+    lam = np.array(lams, dtype=np.int64).reshape(n, r)
+    levels = _descent(rs, lam)
+    rows_all, mu_all, c_all = (np.concatenate(part) for part in zip(*levels))
 
+    # key = row * span + the mixed-radix digits of the weight; every dominant weight of a system is below span
+    base = mu_all.max(axis=0) + 1
+    span = math.prod(base.tolist())
+    if n * span >= 2**62:
+        raise DomainError(f"{n} weight systems are too large to index")
+    strides = np.array([math.prod(base[:i].tolist()) for i in range(r)], dtype=np.int64)
+    keys = rows_all * span + mu_all @ strides
+    key_order = np.lexsort([keys])
+    sorted_keys = keys[key_order]
+
+    pos_w = np.array(rs.positive_roots_weight, dtype=np.int64)
+    pos_c = np.array(rs.positive_roots, dtype=np.int64)
+    k_pair = np.array(rs.posroot_pairing_int, dtype=np.int64)
     den = math.lcm(*(x.denominator for x in rs.d))
-    dd = [int(den * x) for x in rs.d]
-    pos = list(zip(pos_w, rs.posroot_pairing_int))
-    dom_mult: dict[Weight, int] = {lam: 1}
-    for mu in sorted(coords, key=lambda mu: (sum(coords[mu]), mu))[1:]:
-        c = coords[mu]
-        denom = sum(c[a] * dd[a] * (lam[a] + mu[a] + 2) for a in range(r))
-        total = 0
-        for alpha, k in pos:
-            nu = mu
-            while True:
-                nu = tuple(x + y for x, y in zip(nu, alpha))
-                dom, _, _ = dominant_reflect(rs, nu)
-                m = dom_mult.get(dom, 0)
-                if m == 0:
-                    break
-                total += m * sum(x * y for x, y in zip(nu, k))
-        val, rem = divmod(2 * total, denom)
-        if rem or val <= 0:
-            raise InternalConsistencyError(f"Freudenthal gave multiplicity {2 * total}/{denom} at {mu}")
-        dom_mult[mu] = val
+    dd = np.array([int(den * x) for x in rs.d], dtype=np.int64)
+    # |nu . k_alpha| <= lambda . k_theta for every weight nu (theta, the highest root, comes
+    # last), m <= dim V(lambda), and a mu has at most n_pos * height terms
+    dims = [weyl_dimension(rs, x) for x in lams]
+    bound = 2 * max(dims) * int(np.max(lam @ k_pair[-1])) * len(pos_c) * int(np.max(c_all.sum(axis=1)))
+    mult = np.zeros(len(keys), dtype=np.int64 if bound < _INT64_LIMIT else object)
+    mult[:n] = 1
 
-    ws = WeightSystem(rs=rs, highest=lam, dominant_multiplicities=dom_mult)
-    if ws.dim != weyl_dimension(rs, lam):
-        raise InternalConsistencyError(f"weight system of {lam} sums to {ws.dim}, dimension formula disagrees")
-    return ws
+    def chunk(nodes: slice, kmax: np.ndarray, pair: np.ndarray) -> None:
+        """m at nodes from the Freudenthal sums over their (alpha, k) terms; pair[j, alpha] = mu_j . k_alpha."""
+        node, root = np.nonzero(kmax)  # node-major, so each node's terms are contiguous
+        reps = kmax[node, root]
+        k = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps) + 1
+        weight = np.repeat(pair[node, root], reps) + k * np.repeat(alpha_sq[root], reps)  # nu . k_alpha
+        c, mu, row = c_all[nodes], mu_all[nodes], rows_all[nodes]
+        nu = np.repeat(mu[node], reps, axis=0) + k[:, None] * np.repeat(pos_w[root], reps, axis=0)
+        dominant_reflect_rows(rs, nu)
+        key, inside = np.repeat(row[node] * span, reps), np.ones(len(k), dtype=bool)
+        for i in range(r):
+            key += nu[:, i] * strides[i]
+            inside &= nu[:, i] < base[i]
+        at = np.minimum(np.searchsorted(sorted_keys, key), len(keys) - 1)
+        hit = inside & (sorted_keys[at] == key)
+        terms = np.zeros(len(key), dtype=mult.dtype)
+        terms[hit] = mult[key_order[at[hit]]] * weight[hit]
+        # every mu below lambda has a term: mu + alpha_i is a weight for some simple alpha_i
+        counts = kmax.sum(axis=1)
+        total = 2 * np.add.reduceat(terms, np.cumsum(counts) - counts)
+        denom = (c * (lam[row] + mu + 2)) @ dd
+        val = total // denom
+        bad = (val * denom != total) | (val <= 0)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise InternalConsistencyError(
+                f"Freudenthal gave multiplicity {total[i]}/{denom[i]} at {tuple(mu[i].tolist())}"
+            )
+        mult[nodes] = val
+
+    support = [np.flatnonzero(col) for col in pos_c.T]
+    alpha_sq = np.sum(pos_w * k_pair, axis=1)  # den (alpha, alpha)
+    block = max(1, _LEVEL_ENTRIES // pos_w.size)
+    start = n
+    for rows, _, _ in levels[1:]:  # a height reads m only at smaller heights
+        stop = start + len(rows)
+        for lo in range(start, stop, block):
+            hi = min(lo + block, stop)
+            c, mu = c_all[lo:hi], mu_all[lo:hi]
+            # weights lie in the ball |nu| <= |lambda|:
+            # k^2 (alpha, alpha) + 2 k (mu, alpha) <= (lambda - mu, lambda + mu)
+            pair, room = mu @ k_pair.T, ((lam[rows_all[lo:hi]] + mu) * c) @ dd
+            room = room[:, None]
+            kmax = ((np.sqrt(pair * pair + alpha_sq * room) - pair) // alpha_sq).astype(np.int64)
+            kmax -= kmax * (kmax * alpha_sq + 2 * pair) > room  # one rounding step either way
+            kmax += (kmax + 1) * ((kmax + 1) * alpha_sq + 2 * pair) <= room
+            # and below lambda: k alpha_i <= c_i
+            for i, roots in enumerate(support):
+                kmax[:, roots] = np.minimum(kmax[:, roots], c[:, i, None] // pos_c[roots, i])
+            a, ends = 0, np.cumsum(kmax.sum(axis=1))
+            while a < hi - lo:  # nodes a:b hold at most _LEVEL_ENTRIES terms, or are one node
+                done = int(ends[a - 1]) if a else 0
+                b = max(a + 1, int(np.searchsorted(ends, done + _LEVEL_ENTRIES, side="right")))
+                chunk(slice(lo + a, lo + b), kmax[a:b], pair[a:b])
+                a = b
+        start = stop
+
+    order = np.lexsort([rows_all])  # stable: per system by height, then weight
+    cuts = np.searchsorted(rows_all[order], np.arange(n + 1)).tolist()
+    mus, ms = list(map(tuple, mu_all[order].tolist())), mult[order].tolist()
+    out = []
+    for x, dim, lo, hi in zip(lams, dims, cuts, cuts[1:]):
+        ws = WeightSystem(rs=rs, highest=x, dominant_multiplicities=dict(zip(mus[lo:hi], ms[lo:hi])))
+        if ws.dim != dim:
+            raise InternalConsistencyError(f"weight system of {x} sums to {ws.dim}, dimension formula disagrees")
+        out.append(ws)
+    return out
 
 
 def character_value(rs: RootSystem, lam, t, method: str = "auto") -> tuple[float, int]:
@@ -329,7 +456,10 @@ class CharacterPlan:
     - Freudenthal weight sum, for rows whose bound exceeds CHARACTER_BUDGET
       and for |W| > 10^6: sum over the dominant mu of V(lambda) of m(mu)
       O_mu(t), with O_mu(t) = sum over nu in W mu of e^{(nu, t)} from the
-      cached orbit, every term positive; rows share their O_mu.
+      cached orbit, every term positive; rows share their O_mu.  The
+      weight systems of a call's weight-sum rows come from the LRU that
+      weight_multiplicities reads, and the missing ones from one batched
+      Freudenthal pass.
 
     The bound is formed before the signed sum.  The weights of V(lambda)
     at the top of its Phi0-strings pair with t like lambda, so chi >= P_1
@@ -385,8 +515,9 @@ class CharacterPlan:
         cosets = None if method == "weight-sum" or n == 0 else self._cosets
         if cosets is not None:
             self._coset_rows(cosets, lams, values, bounds, weyl)
-        for i in np.flatnonzero(~weyl):
-            values[i] = self._weight_sum(weight_multiplicities(rs, lams[i]))
+        rest = np.flatnonzero(~weyl)
+        for i, ws in zip(rest, _weight_systems(rs.spec, [lams[i] for i in rest])):
+            values[i] = self._weight_sum(ws)
         return CharacterLogs(values, bounds, tuple("weyl" if w else "weight-sum" for w in weyl))
 
     def _weight_sum(self, ws: WeightSystem) -> float:
@@ -476,7 +607,6 @@ class Branching:
         weights = sorted(weight_multiplicities(rs, nu).multiplicities.items())
         self._shifts = np.array([mu for mu, _ in weights], dtype=np.int64) + 1  # mu + rho
         self._mults = np.array([d for _, d in weights], dtype=np.int64)
-        self._cartan_cols = np.array(rs.cartan, dtype=np.int64).T  # row a: C[i][a] over i
         self._rows: dict[Weight, dict[Weight, int]] = {}
 
     def _fold(self, keys: np.ndarray, values: np.ndarray, by_source: bool = False):
@@ -492,17 +622,7 @@ class Branching:
         n, k = len(keys), len(self._mults)
         x = (keys[:, None, :] + self._shifts).reshape(n * k, r)
         src = np.repeat(np.arange(n), k)
-        coef = np.tile(self._mults, n)
-        # dominant_reflect's word on every row at once: reflect at the first
-        # negative coordinate, flipping the sign each time
-        live = np.flatnonzero(x.min(axis=1) < 0)
-        while len(live):
-            y = x[live]
-            a = np.argmax(y < 0, axis=1)
-            y -= y[np.arange(len(live)), a, None] * self._cartan_cols[a]
-            x[live] = y
-            coef[live] *= -1
-            live = live[y.min(axis=1) < 0]
+        coef = np.tile(self._mults, n) * dominant_reflect_rows(self.rs, x)
         regular = np.flatnonzero(x.min(axis=1) > 0)  # singular terms cancel
         x, src, coef = x[regular], src[regular], coef[regular]
         if not len(x):

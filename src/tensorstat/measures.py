@@ -61,13 +61,44 @@ def character_probabilities(table: DecompositionTable, t=None) -> dict[Weight, f
     log_norm = 0.0
     for (_, n), lg in zip(table.problem, logs[len(entries) :].tolist()):
         log_norm += n * lg
-    probs = {}
-    for (lam, m), lg in zip(entries, logs.tolist()):
-        probs[lam] = math.exp(math.log(m) + lg - log_norm)
+    log_p = [math.log(m) + lg - log_norm for (_, m), lg in zip(entries, logs.tolist())]
+    top = [sum(n * nu[i] for nu, n in table.problem) for i in range(rs.rank)]
+    drift = _rounding_drift(rs, t, top, np.array(log_p))
+    if drift > _SUM_TOL:
+        raise DomainError(f"t is too large for float characters: their rounding may move the measure by {drift:.2g}")
+    probs = {lam: math.exp(lp) for (lam, _), lp in zip(entries, log_p)}
     total = sum(probs.values())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > _SUM_TOL:
         raise InternalConsistencyError(f"character measure sums to {total}, expected 1")
     return {lam: p / total for lam, p in probs.items()}
+
+
+# largest |sum of the character measure - 1| accepted, and largest a-priori rounding drift
+_SUM_TOL = 1e-9
+
+
+def _rounding_drift(rs, t: np.ndarray, top, log_p: np.ndarray) -> float:
+    """A-priori bound on the total variation distance rounding can move a character measure by.
+
+    log chi_lambda at t carries an absolute error of about
+    e_lambda = (r + 3) eps (lambda + rho, t) with t reflected into the
+    chamber (pairings of size |t| lose their low bits, and exp turns that
+    into a relative error of p_lambda); every summand lambda is below the
+    table's highest weight top, so e_lambda <= e_top.  The error of the
+    log chi_V is common to every row and cancels in p / total, so each row
+    is compared with the likeliest one, j: with s = 2 e_top and a = log
+    p_lambda - log p_j as computed, p_lambda / p_j <= e^{a + s} and moves
+    by a factor within e^{+-s}, so it moves by at most e^{a + s}
+    min(e^s - 1, 2).  Their sum over lambda != j bounds the distance of
+    the normalized measures; no distance exceeds 1.
+    """
+    dt = np.abs(reflect_to_chamber(rs, t)[0]) * np.array([float(x) for x in rs.d])
+    s = 2 * (rs.rank + 3) * float(np.finfo(float).eps) * float((np.array(top, dtype=float) + 1.0) @ dt)
+    j = int(np.argmax(log_p))
+    # the caps keep every factor finite; a capped row is past any tolerance anyway
+    rows = np.exp(np.minimum(log_p - log_p[j] + s, 300.0))
+    rows[j] = 0.0
+    return min(1.0, float(np.sum(rows)) * math.expm1(min(s, math.log(3.0))))
 
 
 @dataclass(frozen=True)

@@ -258,6 +258,13 @@ class RootSystem:
         return tuple(tuple(x * y for x, y in zip(kd, alpha)) for alpha in self.positive_roots)
 
     @cached_property
+    def cartan_int(self) -> np.ndarray:
+        """C as a read-only int64 array."""
+        C = np.array(self.cartan, dtype=np.int64)
+        C.flags.writeable = False
+        return C
+
+    @cached_property
     def cartan_inverse_int(self) -> tuple[int, np.ndarray]:
         """(m, m C^-1) with m the least integer making m C^-1 integral."""
         m = math.lcm(*(x.denominator for row in self.cartan_inverse for x in row))
@@ -413,6 +420,34 @@ def dominant_reflect(rs: RootSystem, coords) -> tuple[tuple[int, ...], int, bool
     return tuple(lam), parity, any(v == 0 for v in lam)
 
 
+def dominant_reflect_rows(rs: RootSystem, x: np.ndarray) -> np.ndarray:
+    """dominant_reflect's word on every row of the (n, r) int64 array x at once, in place.
+
+    Each pass reflects the rows still outside the chamber at their first
+    negative coordinate.  x ends as the dominant representatives; returns
+    the (n,) int64 parities of the words.  The first negative coordinate
+    is found column by column: NumPy's reductions along a short last axis
+    are an order of magnitude slower.
+    """
+    parity = np.ones(len(x), dtype=np.int64)
+    if not len(x) or x.min() >= 0:
+        return parity
+    cols = rs.cartan_int.T  # row a: C[i][a] over i
+    live, y = None, x
+    while True:
+        first = np.full(len(y), -1)
+        for i in range(rs.rank - 1, -1, -1):
+            first[y[:, i] < 0] = i
+        moving = np.flatnonzero(first >= 0)
+        if not len(moving):
+            return parity
+        live, a = (moving if live is None else live[moving]), first[moving]
+        y = x[live]
+        y -= y[np.arange(len(live)), a, None] * cols[a]
+        x[live] = y
+        parity[live] *= -1
+
+
 def reflect_to_chamber(rs: RootSystem, t) -> tuple[np.ndarray, float, np.ndarray]:
     """Weyl-reflect a root-coordinate vector into the closed dominant chamber.
 
@@ -485,7 +520,7 @@ def weyl_orbits(rs: RootSystem, mu, with_actions: bool = False):
     (n, r, r) int64 root-coordinate matrices of the minimal elements and
     their (n,) parities (-1)^level; the identity comes first.
     """
-    C = np.array(rs.cartan, dtype=np.int64)
+    C = rs.cartan_int
     level = np.array(mu, dtype=np.int64).reshape(1, rs.rank)
     action = np.eye(rs.rank, dtype=np.int64)[None] if with_actions else None
     levels = [(level, action)]

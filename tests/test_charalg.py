@@ -187,6 +187,98 @@ def test_weight_systems_are_pinned():
     assert digest == "ac5696f2e505d2798155e43f1c6c9bbb86b3d1a49364b08a3b1870b884ab6572"
 
 
+def _dominant_multiplicities_by_recursion(rs, lam):
+    """Freudenthal's recursion for one system, one dominant_reflect per string point: the batched pass's reference."""
+    r = rs.rank
+    steps = list(zip(rs.positive_roots_weight, rs.positive_roots))
+    coords = {lam: (0,) * r}  # dominant mu -> root coordinates of lambda - mu
+    stack = [lam]
+    while stack:
+        mu = stack.pop()
+        for alpha_w, alpha in steps:
+            nu = tuple(x - y for x, y in zip(mu, alpha_w))
+            if min(nu) >= 0 and nu not in coords:
+                coords[nu] = tuple(x + y for x, y in zip(coords[mu], alpha))
+                stack.append(nu)
+    den = math.lcm(*(x.denominator for x in rs.d))
+    dd = [int(den * x) for x in rs.d]
+    pos = list(zip(rs.positive_roots_weight, rs.posroot_pairing_int))
+    mult = {lam: 1}
+    for mu in sorted(coords, key=lambda mu: (sum(coords[mu]), mu))[1:]:
+        denom = sum(coords[mu][a] * dd[a] * (lam[a] + mu[a] + 2) for a in range(r))
+        total = 0
+        for alpha, k in pos:
+            nu = mu
+            while True:
+                nu = tuple(x + y for x, y in zip(nu, alpha))
+                m = mult.get(dominant_reflect(rs, nu)[0], 0)
+                if m == 0:
+                    break
+                total += m * sum(x * y for x, y in zip(nu, k))
+        val, rem = divmod(2 * total, denom)
+        assert rem == 0 and val > 0
+        mult[mu] = val
+    return mult
+
+
+# the summands of V^N, one batch per table: wall and small-t tables of weight-sum rows
+ORACLE_TABLES = [
+    ("G2", (1, 0), 14), ("B2", (0, 1), 30), ("F4", (0, 0, 0, 1), 6), ("E6", (1, 0, 0, 0, 0, 0), 5),
+    ("A2", (1, 0), 36), ("B3", (1, 0, 0), 10),
+]
+
+
+@pytest.mark.parametrize("algebra, nu, power", ORACLE_TABLES, ids=[f"{a}^{n}" for a, _, n in ORACLE_TABLES])
+def test_batched_weight_systems_match_the_recursion(algebra, nu, power):
+    rs = build_root_system(algebra)
+    lams = [lam for lam, _ in tensor_power_decompose(rs, [(nu, power)]).sorted_entries()]
+    systems = charalg._freudenthal(rs.spec, lams)
+    assert [ws.highest for ws in systems] == lams
+    for lam, ws in zip(lams, systems):
+        expect = _dominant_multiplicities_by_recursion(rs, lam)
+        assert ws.dominant_multiplicities == expect
+        assert list(ws.dominant_multiplicities) == list(expect)  # by height, then weight
+
+
+def test_weight_systems_in_python_ints_match_int64(monkeypatch):
+    # past the a-priori int64 bound the pass sums Python ints in object arrays
+    rs = build_root_system("G2")
+    lams = [lam for lam, _ in tensor_power_decompose(rs, [((1, 0), 8)]).sorted_entries()] + [(3, 2)]
+    fast = charalg._freudenthal(rs.spec, lams)
+    monkeypatch.setattr(charalg, "_INT64_LIMIT", 0)
+    exact = charalg._freudenthal(rs.spec, lams)
+    assert [ws.dominant_multiplicities for ws in exact] == [ws.dominant_multiplicities for ws in fast]
+    e8 = build_root_system("E8")
+    assert charalg._freudenthal(e8.spec, [(1,) + (0,) * 7])[0].dim == 3875
+
+
+def test_one_evaluate_builds_its_missing_systems_in_one_pass(monkeypatch):
+    rs = build_root_system("F4")
+    lams = [lam for lam, _ in tensor_power_decompose(rs, [((0, 0, 0, 1), 4)]).sorted_entries()]
+    t = _t_with_pairings(rs, (0.1, 0.1, 0.1, 0.1))
+    monkeypatch.setattr(charalg, "_WEIGHT_SYSTEMS", charalg.OrderedDict())
+    weight_multiplicities(rs, lams[0])
+    calls = []
+    build = charalg._freudenthal
+    monkeypatch.setattr(charalg, "_freudenthal", lambda spec, todo: calls.append(todo) or build(spec, todo))
+    got = CharacterPlan(rs, t).evaluate(lams + lams[:3])
+    assert got.paths == ("weight-sum",) * (len(lams) + 3)
+    assert calls == [lams[1:]]  # the distinct rows not cached, once each
+    CharacterPlan(rs, t).evaluate(lams)
+    assert len(calls) == 1
+
+
+def test_weight_system_cache_evicts_the_least_recently_used(monkeypatch):
+    rs = build_root_system("A2")
+    monkeypatch.setattr(charalg, "_WEIGHT_SYSTEMS", charalg.OrderedDict())
+    monkeypatch.setattr(charalg, "_WEIGHT_SYSTEM_SLOTS", 2)
+    a, b, c = (weight_multiplicities(rs, lam) for lam in [(1, 0), (0, 1), (1, 1)])
+    assert list(charalg._WEIGHT_SYSTEMS) == [(rs.spec, (0, 1)), (rs.spec, (1, 1))]
+    assert weight_multiplicities(rs, (1, 1)) is c
+    assert weight_multiplicities(rs, (1, 0)) is not a  # rebuilt
+    assert list(charalg._WEIGHT_SYSTEMS) == [(rs.spec, (1, 1)), (rs.spec, (1, 0))]
+
+
 def test_weight_system_27_of_a2():
     rs = build_root_system(AlgebraSpec.parse("A2"))
     ws = weight_multiplicities(rs, (2, 2))
@@ -508,7 +600,7 @@ def test_weight_sum_rows_share_cached_orbits(monkeypatch):
     # rows never build full weight dicts, and a second plan walks no orbit
     rs = build_root_system("F4")
     lams = [lam for lam, _ in tensor_power_decompose(rs, [((0, 0, 0, 1), 5)]).sorted_entries()]
-    charalg._weight_system.cache_clear()
+    charalg._WEIGHT_SYSTEMS.clear()
     charalg._orbit.cache_clear()
     got = CharacterPlan(rs, _t_with_pairings(rs, (0.1, 0.1, 0.1, 0.1))).evaluate(lams)
     assert got.paths == ("weight-sum",) * len(lams)

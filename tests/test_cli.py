@@ -517,6 +517,16 @@ def test_measure_at_huge_wall_t_is_a_domain_error(capsys):
     assert len(err) == 1 and err[0].startswith("error: t is too large")
 
 
+@pytest.mark.parametrize("t", ["1e8,-1e8", "1e16,-1e16"])
+def test_measure_at_a_wall_t_lost_to_rounding_is_a_domain_error(capsys, t):
+    # the rows along the wall kept pairings of 1e8 and more: "character measure sums to
+    # 0.9999999980953457" and "sums to 2.0" (exit 3)
+    code, out, err = _huge_t_run(capsys, ["measure", "--no-cache", "--algebra", "A2", "--rep", "1,0", "--power", "3",
+                                          "--t", t])
+    assert (code, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("error: t is too large for float characters")
+
+
 def test_sample_at_overflowing_t_is_a_domain_error(capsys):
     code, out, err = _huge_t_run(capsys, ["sample", "--algebra", "A1", "--rep", "1", "--steps", "4", "--chains", "10",
                                           "--t", "1e308"])

@@ -8,6 +8,7 @@ import pytest
 
 from tensorstat import (
     AlgebraSpec,
+    CharacterPlan,
     DomainError,
     GridCoverageError,
     asymptotic_log_probability,
@@ -24,6 +25,7 @@ from tensorstat import (
     tensor_problem,
     weak_convergence_distance,
 )
+from tensorstat import measures
 
 
 def test_plancherel_measure_exact_fractions(a1, a2):
@@ -267,3 +269,25 @@ def test_asymptotics_column_filled_at_a_wall(a2):
     ]
     assert len(m.rows) == 91 and len(errors) == 61
     assert np.median(errors) < 0.3
+
+
+def test_rounding_drift_bound_spares_moderate_t():
+    # the bound that refuses a wall t of 1e8 sits far below its tolerance at the
+    # pairings of 0.05 to 0.5 the benchmark and the tests use, and at 1e300 where
+    # one row carries the whole measure
+    for algebra, nu, power, pairings in [
+        ("A2", (1, 0), 36, (0.2, 0.0)), ("F4", (0, 0, 0, 1), 5, (0.45, 0.45, 0.0, 0.45)), ("G2", (1, 0), 9, (0.5, 0.5)),
+    ]:
+        rs = build_root_system(algebra)
+        table = tensor_power_decompose(rs, [(nu, power)])
+        t = np.linalg.solve(rs.B_f, np.array(pairings))
+        entries = table.sorted_entries()
+        logs = CharacterPlan(rs, t).evaluate([lam for lam, _ in entries] + [nu]).values
+        log_p = np.log([m for _, m in entries]) + logs[:-1] - power * logs[-1]
+        top = [power * c for c in nu]
+        assert measures._rounding_drift(rs, t, top, log_p) < 1e-12
+    a1 = build_root_system("A1")
+    assert character_probabilities(tensor_power_decompose(a1, [((1,), 4)]), [1e300])[(4,)] == 1.0
+    a2 = build_root_system("A2")
+    with pytest.raises(DomainError, match="rounding may move the measure by 1.3e-06"):
+        character_probabilities(tensor_power_decompose(a2, [((1, 0), 3)]), [1e8, -1e8])

@@ -19,7 +19,7 @@ from tensorstat import (
     enumerate_weyl_group,
     weyl_group_order,
 )
-from tensorstat.rootsys import row_runs, weyl_orbits
+from tensorstat.rootsys import dominant_reflect_rows, row_runs, weyl_orbits
 
 
 def test_spec_parse_roundtrip():
@@ -202,6 +202,17 @@ def test_dominant_reflect_properties(name, coords):
         assert singular2 == singular
         if not singular:
             assert parity2 == parity * w_parity
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "B3", "C3", "D4", "F4", "G2", "E6"])
+def test_dominant_reflect_rows_match_dominant_reflect(name):
+    rs = build_root_system(name)
+    x = np.random.default_rng(3).integers(-6, 7, size=(200, rs.rank))
+    expect = [dominant_reflect(rs, row) for row in x.tolist()]
+    parity = dominant_reflect_rows(rs, x)
+    assert [tuple(row) for row in x.tolist()] == [dom for dom, _, _ in expect]
+    assert parity.tolist() == [p for _, p, _ in expect]
+    assert len(dominant_reflect_rows(rs, x[:0])) == 0
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"])
