@@ -75,13 +75,10 @@ from .rootsys import (
 from .slnhook import (
     SlnClosedForm,
     hook_multiplicity,
-    kerov_density,
-    kerov_fluctuations,
     partition_from_weight,
     sigma_from_xi,
     sln_legendre_closed_form,
     sln_rate,
-    weight_from_partition,
 )
 
 __version__ = "0.1.0"

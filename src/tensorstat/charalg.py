@@ -597,9 +597,8 @@ class Branching:
     reflected to the dominant chamber; singular terms cancel, the rest
     contribute parity * d_mu to V(dom - rho).  One vectorized fold applies
     it to a whole batch of highest weights at once: decomposition steps
-    sum the terms of a table per target, kernel rows sum them per (source,
-    target).  Each row is built once and kept for the life of the
-    instance.
+    sum the terms of a table per target, the Markov kernel's rows sum them
+    per (source, target).  The instance keeps only the weights of V(nu).
     """
 
     def __init__(self, rs: RootSystem, nu):
@@ -607,9 +606,8 @@ class Branching:
         weights = sorted(weight_multiplicities(rs, nu).multiplicities.items())
         self._shifts = np.array([mu for mu, _ in weights], dtype=np.int64) + 1  # mu + rho
         self._mults = np.array([d for _, d in weights], dtype=np.int64)
-        self._rows: dict[Weight, dict[Weight, int]] = {}
 
-    def _fold(self, keys: np.ndarray, values: np.ndarray, by_source: bool = False):
+    def fold(self, keys: np.ndarray, values: np.ndarray, by_source: bool = False):
         """Klimyk's formula on sum_i values[i] V(keys[i]) (x) V(nu), summed per target.
 
         keys: (n, r) int64 dominant weights; values: (n,) ints, int64 or
@@ -642,32 +640,12 @@ class Branching:
             starts, sums = starts[positive], sums[positive]
         return (src[starts] if by_source else None), x[order[starts]] - 1, sums
 
-    def rows(self, lams) -> list[dict[Weight, int]]:
-        """row(lam) for each lam in lams; the rows not built yet come from one fold."""
-        todo = [lam for lam in dict.fromkeys(lams) if lam not in self._rows]
-        if todo:
-            keys = np.array(todo, dtype=np.int64).reshape(len(todo), self.rs.rank)
-            sources, targets, sums = self._fold(keys, np.ones(len(todo), dtype=np.int64), by_source=True)
-            built: list[dict[Weight, int]] = [{} for _ in todo]
-            for i, mu, b in zip(sources.tolist(), map(tuple, targets.tolist()), sums.tolist()):
-                built[i][mu] = b
-            self._rows.update(zip(todo, built))
-        return [self._rows[lam] for lam in lams]
-
-    def row(self, lam: Weight) -> dict[Weight, int]:
-        """Highest weight -> multiplicity in V(lam) (x) V(nu); exact, do not mutate."""
-        return self.rows([lam])[0]
-
-    def step(self, table: dict[Weight, int]) -> dict[Weight, int]:
-        """Decompose (sum_lam m_lam V(lam)) (x) V(nu): sum_lam m_lam row(lam)."""
-        keys = np.array(list(table), dtype=np.int64).reshape(len(table), self.rs.rank)
-        _, targets, sums = self._fold(keys, np.array(list(table.values()), dtype=object))
-        return dict(zip(map(tuple, targets.tolist()), sums.tolist()))
-
 
 def klimyk_tensor_step(rs: RootSystem, table: dict[Weight, int], nu) -> dict[Weight, int]:
     """Decompose (sum_lam m_lam V(lam)) tensor V(nu) exactly; see Branching."""
-    return Branching(rs, nu).step(table)
+    keys = np.array(list(table), dtype=np.int64).reshape(len(table), rs.rank)
+    _, targets, sums = Branching(rs, nu).fold(keys, np.array(list(table.values()), dtype=object))
+    return dict(zip(map(tuple, targets.tolist()), sums.tolist()))
 
 
 @dataclass(frozen=True)
@@ -736,10 +714,9 @@ def tensor_power_decompose(
 ) -> DecompositionTable:
     """Decompose a product of tensor powers of irreducibles, exactly.
 
-    factors: sequence of (highest weight, power) pairs.  One branching
-    step per applied factor, each reusing the rows of that factor's
-    Branching; the table never holds anything but exact highest weight
-    multiplicities.
+    factors: sequence of (highest weight, power) pairs.  One fold of
+    that factor's Branching per applied factor; the table never holds
+    anything but exact highest weight multiplicities.
     """
     problem = _factors(rs, factors)
     keys = np.zeros((1, rs.rank), dtype=np.int64)
@@ -747,7 +724,7 @@ def tensor_power_decompose(
     for nu, n in problem:
         branching = Branching(rs, nu)
         for _ in range(n):
-            _, keys, values = branching._fold(keys, values)
+            _, keys, values = branching.fold(keys, values)
             if len(keys) > entry_cap:
                 raise EntryCapExceededError(
                     f"decomposition support exceeded {entry_cap} entries"

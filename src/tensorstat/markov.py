@@ -31,7 +31,7 @@ import numpy as np
 from .charalg import Branching, CharacterPlan, Weight, _dominant_weight, _integers, weyl_dimension
 from .errors import DomainError, InternalConsistencyError
 from .legendre import _checked_epsilon, tensor_problem
-from .measures import MeasureRow, MeasureTable, Scaling, assemble_measure_table
+from .measures import _SUM_TOL, MeasureRow, MeasureTable, Scaling, _rounding_drift, assemble_measure_table
 from .rootsys import RootSystem
 
 # chains advanced together; bounds the uniform and path arrays held at once
@@ -107,8 +107,9 @@ class TransitionKernel:
     padded with -1), their probabilities, and their cumulative sums
     (padded with 2.0, above every uniform); an unbuilt row holds only
     pads.  Exact evolution, sampling and row() read these tables.  Rows
-    are built on demand from one Branching for V, the characters of one
-    call's new rows in one batch; the kernel is not thread-safe.
+    are made only by _build_row, on demand: one Branching fold per call
+    fills all its new rows, their characters evaluated in one batch.
+    The kernel is not thread-safe.
     """
 
     def __init__(self, rs: RootSystem, rep, t=None):
@@ -152,20 +153,6 @@ class TransitionKernel:
     def state(self, sid: int) -> Weight:
         return self._states[sid]
 
-    def _build_rows(self, sids: np.ndarray) -> None:
-        """Build the rows not built yet among the given state ids.
-
-        The characters of every source and target of these rows are
-        evaluated in one batch before the rows are filled.
-        """
-        todo = np.unique(sids[self._targets[sids, 0] < 0]).tolist()
-        sources = [self._states[sid] for sid in todo]
-        rows = self._branching.rows(sources)
-        if self._t_arr is not None:
-            self._log_chi_at([lam for src, row in zip(sources, rows) for lam in (src, *row)])
-        for sid in todo:
-            self._build_row(self._states[sid], sid)
-
     def _log_chi_at(self, lams) -> list[float]:
         """log chi(e^t) per weight; the unseen ones are evaluated in one batch."""
         missing = [lam for lam in dict.fromkeys(lams) if lam not in self._log_chi]
@@ -177,46 +164,82 @@ class TransitionKernel:
     def row(self, source) -> TransitionRow:
         source = _dominant_weight(self.rs, source)
         sid = self.state_id(source)
-        self._build_rows(np.array([sid]))
+        self._build_row(np.array([sid]))
         n = int(np.count_nonzero(self._targets[sid] >= 0))
         targets = [self._states[i] for i in self._targets[sid, :n].tolist()]
         return TransitionRow(source, tuple(zip(targets, self._probs[sid, :n].tolist())))
 
-    def _build_row(self, source: Weight, sid: int) -> None:
-        branches = self._branching.row(source)
-        targets = sorted(branches)
+    def _build_row(self, sids: np.ndarray) -> None:
+        """Build every row not built yet among the given state ids, from one fold.
+
+        The fold returns the branching numbers sorted by (source, target),
+        the order the tables keep, and the characters of every source and
+        target are evaluated in one batch.  At t = 0 the weighting by
+        dimension is exact: each row's b dim mu sum to dim lambda dim V,
+        and each probability is that int ratio, correctly rounded.  At
+        t != 0 the rows pass the a-priori rounding bound first.  Row sums
+        and cumulative sums run over the rows of one length at a time, so
+        each row gets the float operations it would get alone.
+        """
+        todo = np.zeros(len(self._states), dtype=bool)
+        todo[sids[self._targets[sids, 0] < 0]] = True
+        todo = np.flatnonzero(todo)
+        if not len(todo):
+            return
+        sources = [self._states[sid] for sid in todo.tolist()]
+        keys = np.array(sources, dtype=np.int64).reshape(len(sources), self.rs.rank)
+        src, targets, b = self._branching.fold(keys, np.ones(len(sources), dtype=np.int64), by_source=True)
+        targets = list(map(tuple, targets.tolist()))
+        lengths = np.bincount(src, minlength=len(sources))
+        starts = np.cumsum(lengths) - lengths
+        lams = sources + targets
         if self._t_arr is None:
-            # dimension weighting is exact; the row-sum identity is the
-            # dimension count of V_source (x) V
-            denom = weyl_dimension(self.rs, source) * self._dim_v
-            fracs = [Fraction(branches[mu] * weyl_dimension(self.rs, mu), denom) for mu in targets]
-            if sum(fracs) != 1:
+            dims = {lam: weyl_dimension(self.rs, lam) for lam in dict.fromkeys(lams)}
+            dim = np.array([dims[lam] for lam in lams], dtype=object)
+            weighted = b.astype(object) * dim[len(sources) :]
+            denom = dim[: len(sources)] * self._dim_v
+            sums = np.add.reduceat(weighted, starts)
+            off = sums != denom
+            if np.any(off):
+                i = int(np.argmax(off))
                 raise InternalConsistencyError(
-                    f"exact transition row from {source} sums to {sum(fracs)}"
+                    f"exact transition row from {sources[i]} sums to {Fraction(sums[i], denom[i])}"
                 )
-            probs = np.array([float(p) for p in fracs])
+            probs = (weighted / denom[src]).astype(float)
         else:
-            log_src, *log_targets = self._log_chi_at([source, *targets])
-            logs = np.array(
-                [
-                    math.log(branches[mu]) + lg - log_src - self._log_chi_v
-                    for mu, lg in zip(targets, log_targets)
-                ]
-            )
-            probs = np.exp(logs)
-            total = float(probs.sum())
-            if abs(total - 1.0) > 1e-9:
-                raise InternalConsistencyError(
-                    f"transition row from {source} sums to {total}, expected 1"
+            log_chi = np.array(self._log_chi_at(lams))
+            log_p = np.array(list(map(math.log, b.tolist()))) + log_chi[len(sources) :]
+            log_p -= log_chi[src]
+            log_p -= self._log_chi_v
+            tops = keys + np.array(self.rep, dtype=np.int64)
+            drift = _rounding_drift(self.rs, self._t_arr, tops, log_p, lengths)
+            if np.any(drift > _SUM_TOL):
+                i = int(np.argmax(drift))
+                raise DomainError(
+                    "t is too large for float characters: their rounding may move the transition"
+                    f" row from {sources[i]} by {drift[i]:.2g}"
                 )
-            probs = probs / total
+            probs = np.exp(log_p)
         # interning may grow the tables, so it precedes the writes
-        target_ids = [self.state_id(mu) for mu in targets]
-        n = len(target_ids)
-        self._targets[sid, :n] = target_ids
-        self._probs[sid, :n] = probs
-        self._cdf[sid, :n] = np.cumsum(probs)
-        self._cdf[sid, n - 1] = 1.0
+        target_ids = np.array([self.state_id(mu) for mu in targets], dtype=np.int64)
+        for n in np.flatnonzero(np.bincount(lengths)).tolist():
+            at = np.flatnonzero(lengths == n)
+            entries = starts[at, None] + np.arange(n)
+            rows = probs[entries]
+            if self._t_arr is not None:
+                totals = rows.sum(axis=1)
+                off = np.abs(totals - 1.0) > _SUM_TOL
+                if np.any(off):
+                    k = int(np.argmax(off))
+                    raise InternalConsistencyError(
+                        f"transition row from {sources[at[k]]} sums to {float(totals[k])}, expected 1"
+                    )
+                rows /= totals[:, None]
+            sid = todo[at]
+            self._targets[sid, :n] = target_ids[entries]
+            self._probs[sid, :n] = rows
+            self._cdf[sid, :n] = np.cumsum(rows, axis=1)
+            self._cdf[sid, n - 1] = 1.0
 
 
 def _endpoint_table(kernel: TransitionKernel, N: int, dist, epsilon) -> MeasureTable:
@@ -264,12 +287,12 @@ def _evolve(kernel: TransitionKernel, N: int, epsilon) -> MeasureTable:
     probs = np.ones(1)
     for _ in range(N):
         # one sparse mat-vec; a target reached with zero mass stays in the support
-        kernel._build_rows(sids)
+        kernel._build_row(sids)
         targets = kernel._targets[sids]
         reached = targets >= 0
         flat = targets[reached]
         mass = np.bincount(flat, weights=(probs[:, None] * kernel._probs[sids])[reached])
-        sids = np.unique(flat)
+        sids = np.flatnonzero(np.bincount(flat))
         probs = mass[sids]
     dist = dict(zip(map(kernel.state, sids.tolist()), probs.tolist()))
     return _endpoint_table(kernel, N, dist, epsilon)
@@ -345,7 +368,7 @@ def _run_block(kernel: TransitionKernel, seed: int, lo: int, hi: int, N: int, ke
     ids = np.full(hi - lo, start, dtype=np.int64)
     paths = np.full((hi - lo, N + 1), start, dtype=np.int64) if keep_paths else None
     for step in range(N):
-        kernel._build_rows(ids)
+        kernel._build_row(ids)
         # entries <= u: what searchsorted(cdf, u, side="right") counts; pads exceed u
         k = np.count_nonzero(kernel._cdf[ids] <= uniforms[:, step, None], axis=1)
         ids = kernel._targets[ids, k]

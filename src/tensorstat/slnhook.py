@@ -1,4 +1,4 @@
-"""Type-A closed forms: hook multiplicities, explicit rate function, Kerov density.
+"""Type-A closed forms: hook multiplicities and the explicit rate function.
 
 For sl(n+1) and the vector representation everything the generic modules
 compute numerically has a closed form through the variables
@@ -19,12 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, LegendreDomainError
-
-
-def weight_from_partition(n: int, parts) -> tuple[int, ...]:
-    """Dominant A_n weight lambda_a = l_a - l_{a+1} of a partition with <= n+1 rows."""
-    p = _validated_parts(n, parts)
-    return tuple(p[i] - p[i + 1] for i in range(n))
 
 
 def partition_from_weight(n: int, weight, total: int) -> tuple[int, ...]:
@@ -154,46 +148,3 @@ def sln_legendre_closed_form(n: int, tau: float, xi) -> SlnClosedForm:
         det_K=det_K,
         log_prefactor=float(log_prefactor),
     )
-
-
-def kerov_density(n: int, tau: float, a) -> float:
-    """Limiting density of scaled row fluctuations a (summing to zero).
-
-    Gaussian times squared Vandermonde on the hyperplane sum a = 0,
-    normalized so integrating over the SORTED sector a_1 >= ... >= a_{n+1},
-    parametrized by the first n coordinates, gives 1 (equivalently 1/(n+1)!
-    of the full hyperplane integral).
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (n + 1,):
-        raise DomainError(f"a must have shape ({n + 1},)")
-    if abs(float(a.sum())) > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
-        raise DomainError("a must sum to zero")
-    vand = 1.0
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            vand *= (a[i] - a[j]) ** 2
-    k_fact = math.prod(math.factorial(k) for k in range(1, n + 1))
-    m = n + 1
-    const = (
-        (2 * math.pi) ** (-0.5 * n)
-        / k_fact
-        * tau ** (0.5 * (1 - m * m))
-        * m ** (0.5 * m * m)
-    )
-    return float(const * vand * math.exp(-m / (2 * tau) * float(np.sum(a * a))))
-
-
-def kerov_fluctuations(n: int, tau: float, b) -> np.ndarray:
-    """Map chamber coordinates b (root basis) to row fluctuations a.
-
-    With x = tau/(n+1) the semiclassical constant of the vector rep,
-    a_i = sqrt(x) (b_i - b_{i-1}) (b_0 = b_{n+1} = 0).  The inverse
-    parametrized by the first n coordinates has Jacobian x^{-n/2}, so
-    kerov_density(a(b)) * x^{n/2} is the chamber-coordinate density.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise DomainError(f"b must have shape ({n},)")
-    padded = np.concatenate(([0.0], b, [0.0]))
-    return math.sqrt(tau / (n + 1)) * (padded[1:] - padded[:-1])

@@ -395,18 +395,28 @@ def test_negative_klimyk_total_is_a_consistency_error():
     branching = Branching(build_root_system(AlgebraSpec.parse("A1")), (1,))
     branching._mults = -branching._mults  # a corrupt weight system
     with pytest.raises(InternalConsistencyError, match="negative multiplicity"):
-        branching.step({(1,): 1})
+        branching.fold(np.array([[1]]), np.array([1], dtype=object))
+
+
+def _fold_rows(branching, sources):
+    """The row of V(lam) (x) V(nu) of each source, in the order of one fold by source."""
+    keys = np.array(sources, dtype=np.int64).reshape(len(sources), branching.rs.rank)
+    src, targets, sums = branching.fold(keys, np.ones(len(sources), dtype=np.int64), by_source=True)
+    rows = [{} for _ in sources]
+    for i, mu, b in zip(src.tolist(), map(tuple, targets.tolist()), sums.tolist()):
+        rows[i][mu] = b
+    assert src.tolist() == sorted(src.tolist())
+    return rows
 
 
 def test_branching_rows_of_one_batch_match_single_rows():
     rs = build_root_system(AlgebraSpec.parse("G2"))
     sources = [(0, 0), (1, 0), (0, 1), (2, 1), (0, 3), (1, 0)]
-    batch = Branching(rs, (1, 0))
-    rows = batch.rows(sources)
-    assert rows[1] is rows[5]
+    rows = _fold_rows(Branching(rs, (1, 0)), sources)
+    assert rows[1] == rows[5]
     for lam, row in zip(sources, rows):
-        assert row == Branching(rs, (1, 0)).row(lam)
-        assert batch.row(lam) is row  # kept from the batch
+        assert list(row) == sorted(row)  # targets sorted within each source
+        assert row == _fold_rows(Branching(rs, (1, 0)), [lam])[0]
 
 
 @pytest.mark.parametrize(
@@ -423,11 +433,10 @@ def test_branching_rows_of_one_batch_match_single_rows():
 )
 def test_branching_row_matches_naive(algebra, nu, sources):
     rs = build_root_system(AlgebraSpec.parse(algebra))
-    branching = Branching(rs, nu)
-    for lam in sources:
+    for lam, row in zip(sources, _fold_rows(Branching(rs, nu), sources)):
         expected = naive_tensor_decompose(rs, [(lam, 1), (nu, 1)]).entries
-        assert branching.row(lam) == expected
-        assert branching.row(lam) is branching.row(lam)  # built once
+        assert row == expected
+        assert klimyk_tensor_step(rs, {lam: 1}, nu) == expected
 
 
 def test_tensor_power_a1_oracles():

@@ -1,8 +1,13 @@
 """Command line surface: subcommands, formats, exit codes, cache behavior."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +18,7 @@ from tensorstat import (
     tensor_power_decompose,
     weak_convergence_distance,
 )
-from tensorstat import markov, measures
+from tensorstat import charalg, markov, measures
 from tensorstat.cli import main
 
 
@@ -527,6 +532,17 @@ def test_measure_at_a_wall_t_lost_to_rounding_is_a_domain_error(capsys, t):
     assert len(err) == 1 and err[0].startswith("error: t is too large for float characters")
 
 
+@pytest.mark.parametrize("t", ["1e6,-1e6", "1e8,-1e8", "1e16,-1e16"])
+def test_sample_at_a_wall_t_lost_to_rounding_is_a_domain_error(capsys, t):
+    # kernel rows take the measure's rounding bound: at 1e8 and 1e16 the row from
+    # (1, 0) read "sums to 0.9999999887145152" and "sums to 2.0" (exit 3), and at
+    # 1e6 its bound, 3.7e-09, is past the tolerance too (it exited 0)
+    code, out, err = _huge_t_run(capsys, ["sample", "--algebra", "A2", "--rep", "1,0", "--steps", "3", "--chains", "100",
+                                          "--t", t])
+    assert (code, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("error: t is too large for float characters")
+
+
 def test_sample_at_overflowing_t_is_a_domain_error(capsys):
     code, out, err = _huge_t_run(capsys, ["sample", "--algebra", "A1", "--rep", "1", "--steps", "4", "--chains", "10",
                                           "--t", "1e308"])
@@ -549,16 +565,43 @@ def test_limit_compare_names_an_unresolved_quadrature(capsys):
 
 
 def test_sample_builds_each_row_once(capsys, monkeypatch):
-    # exact evolution and sampling share one kernel
-    built = []
-    build_row = markov.TransitionKernel._build_row
+    # exact evolution and sampling share one kernel: each source is folded once
+    folded = []
+    fold = charalg.Branching.fold
 
-    def counting(self, source, sid):
-        built.append(source)
-        build_row(self, source, sid)
+    def counting(self, keys, values, by_source=False):
+        if by_source:
+            folded.extend(map(tuple, keys.tolist()))
+        return fold(self, keys, values, by_source)
 
-    monkeypatch.setattr(markov.TransitionKernel, "_build_row", counting)
+    monkeypatch.setattr(charalg.Branching, "fold", counting)
     code = main(["sample", "--algebra", "A2", "--rep", "1,0", "--t", "0.3,0.1", "--steps", "8", "--chains", "2000"])
     capsys.readouterr()
     assert code == 0
-    assert built and len(built) == len(set(built))
+    assert folded and len(folded) == len(set(folded))
+
+
+def test_sample_stdout_is_pinned(capsys):
+    # SHA-256 of the stdout measured before the kernel's rows came from one batched fold
+    code = main(["sample", "--algebra", "G2", "--rep", "0,1", "--t", "0.3,0.2", "--steps", "8", "--chains", "5000",
+                 "--seed", "7"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "7f5bbb4f9ab36b78db6503d38acd6807d7775bdfc9b74b1707ae89ce00d92e73"
+
+
+def test_sample_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 14 ms of every sample job
+    code = (
+        "import sys\n"
+        "from tensorstat.cli import main\n"
+        "for t in ([], ['--t', '0.3,0.1']):\n"
+        "    assert main(['sample', '--algebra', 'A2', '--rep', '1,0', '--steps', '8', '--chains', '500', *t]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -17,6 +17,7 @@ from tensorstat import (
     build_root_system,
     character_measure,
     evolve_exact,
+    klimyk_tensor_step,
     markov,
     sample_paths,
     tensor_power_decompose,
@@ -193,6 +194,43 @@ def test_evolve_exact_keeps_states_whose_mass_underflows(a1):
     walked = evolve_exact(a1, (1,), [800.0], 3).probabilities()
     direct = character_measure(tensor_power_decompose(a1, [((1,), 3)]), t=[800.0]).probabilities()
     assert walked == direct == {(1,): 0.0, (3,): 1.0}
+
+
+def _row_by_loop(kernel, lam):
+    """One kernel row as a per-row loop builds it: targets, then probabilities as floats."""
+    rs, branches = kernel.rs, klimyk_tensor_step(kernel.rs, {lam: 1}, kernel.rep)
+    targets = sorted(branches)
+    if kernel.t is None:
+        denom = weyl_dimension(rs, lam) * weyl_dimension(rs, kernel.rep)
+        return targets, np.array([float(Fraction(branches[mu] * weyl_dimension(rs, mu), denom)) for mu in targets])
+    log_chi = kernel._log_chi
+    probs = np.exp([math.log(branches[mu]) + log_chi[mu] - log_chi[lam] - kernel._log_chi_v for mu in targets])
+    return targets, probs / float(probs.sum())
+
+
+@pytest.mark.parametrize("t", [None, (0.3, 0.2)], ids=["t-zero", "regular-t"])
+@pytest.mark.parametrize("rep", [(1, 0), (0, 1)], ids=["1,0", "0,1"])
+def test_kernel_rows_of_one_batch_match_rows_built_alone(rep, t):
+    # G2 (1,0) has rows of 1 to 13 targets, (0,1) of 1 to 7; a batch groups its
+    # row sums by length, and each row must still get the bits it gets alone
+    g2 = build_root_system("G2")
+    batch = TransitionKernel(g2, rep, t)
+    markov._evolve(batch, 6, None)
+    built = np.flatnonzero(batch._targets[:, 0] >= 0)
+    alone = TransitionKernel(g2, rep, t)
+    for lam in batch._states:
+        alone.state_id(lam)
+    for sid in built.tolist():
+        alone._build_row(np.array([sid]))
+    widths = np.count_nonzero(batch._targets[built] >= 0, axis=1)
+    assert (widths.min(), widths.max()) == (1, batch._targets.shape[1])
+    for name in ("_targets", "_probs", "_cdf"):
+        assert getattr(batch, name).tobytes() == getattr(alone, name).tobytes(), name
+    for sid, n in zip(built.tolist(), widths.tolist()):
+        targets, probs = _row_by_loop(batch, batch.state(sid))
+        assert [batch.state(i) for i in batch._targets[sid, :n].tolist()] == targets
+        assert batch._probs[sid, :n].tobytes() == probs.tobytes()
+        assert batch._cdf[sid, : n - 1].tobytes() == np.cumsum(probs)[:-1].tobytes()
 
 
 def test_kernel_evaluates_characters_once_per_step(a2, monkeypatch):

@@ -21,13 +21,13 @@ PUBLIC = [
     "character_measure", "character_probabilities", "character_value", "charalg",
     "dominant_reflect", "enumerate_weyl_group", "errors", "evolve_exact", "f_eval",
     "f_grad_hess", "forward_dual", "gaussian_scaling", "hessian_at_origin",
-    "hook_multiplicity", "kerov_density", "kerov_fluctuations", "klimyk_tensor_step",
+    "hook_multiplicity", "klimyk_tensor_step",
     "lattice_aligned_edges", "legendre", "legendre_dual", "limit_density", "markov",
     "measures", "naive_tensor_decompose", "numerics", "partition_from_weight", "pde",
     "pde_residual", "plancherel_measure", "rate_point", "rootsys", "sample_paths",
     "second_casimir", "sigma_from_xi", "sln_legendre_closed_form", "sln_rate", "slnhook",
     "tensor_power_decompose", "tensor_problem", "trajectories_to_jsonl",
-    "weak_convergence_distance", "weight_from_partition", "weight_multiplicities",
+    "weak_convergence_distance", "weight_multiplicities",
     "weyl_dimension", "weyl_group_order",
 ]
 
