@@ -10,8 +10,6 @@ import argparse
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from tensorstat import (
     AlgebraSpec,
     asymptotic_log_multiplicity,
@@ -48,7 +46,7 @@ def run_case(case: SweepCase) -> None:
             print(f"{n:>6} {str(lam):>12} {'absent':>12}")
             continue
         problem = tensor_problem(rs, [(case.rep, n)])
-        xi = np.array([float(c) for c in rs.root_coords(lam)]) * problem.epsilon
+        xi = rs.root_points([lam])[0] * problem.epsilon
         exact = problem.epsilon * math.log(table.entries[lam])
         s_val = rate_point(problem, xi).S
         # full asymptotic including the prefactor, on the raw log scale

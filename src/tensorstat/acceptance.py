@@ -316,7 +316,7 @@ def criterion_9() -> CriterionResult:
         best = max(m.rows, key=lambda row: row.probability)
         problem = tensor_problem(rs, table.problem)
         eta = forward_dual(problem, np.asarray(t))
-        xi_mode = problem.epsilon * np.array([float(v) for v in rs.root_coords(best.weight)])
+        xi_mode = problem.epsilon * rs.root_points([best.weight])[0]
         if float(np.max(np.abs(xi_mode - eta))) > 2.0 / n_power:
             mode_ok = False
     trend = tvs[0] > tvs[1] > tvs[2] and tvs[2] <= 0.05

@@ -55,6 +55,8 @@ def _dominant_weight(rs: RootSystem, lam) -> Weight:
         raise DomainError(f"weight {lam} needs {rs.rank} coordinates")
     if any(c < 0 for c in lam):
         raise DomainError(f"weight {lam} is not dominant")
+    if any(c >= 2**63 for c in lam):
+        raise DomainError(f"weight {lam} has a coordinate past 2^63 - 1, more than the int64 tables hold")
     return lam
 
 
@@ -680,13 +682,9 @@ class DecompositionTable:
     def check_support_in_cone(self) -> bool:
         """Every highest weight lies under sum_k N_k nu_k in the root order."""
         rs = self.rs
-        if not self.entries:
-            return True
         top = [sum(n * nu[i] for nu, n in self.problem) for i in range(rs.rank)]
-        m, adj = rs.cartan_inverse_int
-        diff = np.array(top, dtype=np.int64) - np.array(list(self.entries), dtype=np.int64)
-        coords = diff @ adj.T  # m times the root coordinates of top - lam
-        return bool(np.all(coords >= 0) and np.all(coords % m == 0))
+        coords = rs.root_numerators([top]) - rs.root_numerators(list(self.entries))  # m times top - lam
+        return bool(np.all(coords >= 0) and np.all(coords % rs.cartan_inverse_int[0] == 0))
 
     def sorted_entries(self) -> list[tuple[Weight, int]]:
         return sorted(self.entries.items())
@@ -753,13 +751,12 @@ def naive_tensor_decompose(rs: RootSystem, factors) -> DecompositionTable:
                     nxt[key] = nxt.get(key, 0) + m1 * m2
             char = nxt
 
-    def height(w: Weight) -> Fraction:
-        return sum(rs.root_coords(w))
-
+    # m times the height, exact: every weight stripped below is one of these
+    height = dict(zip(char, rs.root_numerators(list(char)).sum(axis=1).tolist()))
     entries: dict[Weight, int] = {}
     remaining = {w: m for w, m in char.items() if m != 0}
     while remaining:
-        lam = max(remaining, key=lambda w: (height(w), w))
+        lam = max(remaining, key=lambda w: (height[w], w))
         m = remaining[lam]
         if m < 0 or any(c < 0 for c in lam):
             raise InternalConsistencyError(f"leading term {lam} with multiplicity {m}")

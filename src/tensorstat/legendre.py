@@ -126,6 +126,9 @@ _BLOCK = 1024
 # H = Hess f is rejected when lambda_min(H) < _MIN_EIGENVALUE s or < _MIN_CONDITION lambda_max(H)
 _MIN_EIGENVALUE = 1e-12
 _MIN_CONDITION = 1e-9
+# Newton residual tolerance, relative to s, and the |y| past which xi counts as outside the domain
+_DUAL_TOL = 1e-12
+_Y_MAX = 400.0
 # a row's status in the batched solves: 0 converged, else the error its one-row view raises
 _DEGENERATE, _DIVERGED, _STALLED, _MAX_ITER, _BOUNDARY, _WALL = range(1, 7)
 _ROW_ERRORS = {
@@ -165,12 +168,12 @@ def _newton_steps(hess: np.ndarray, resid: np.ndarray) -> np.ndarray:
         return out
 
 
-def _dual_rows(problem: TensorProblem, xi: np.ndarray, tol=1e-12, max_iter=200, y_max=400.0):
+def _dual_rows(problem: TensorProblem, xi: np.ndarray, max_iter=200):
     """Damped Newton for grad f(y) = B xi at every row of xi, all rows at once.
 
     Returns y, f(y), Hess f(y) and each row's status.  A row leaves the
     active set when it converges, its Hessian is singular, its iterate
-    passes y_max or its line search stalls.  grad f is s = sum_k tau_k
+    passes _Y_MAX or its line search stalls.  grad f is s = sum_k tau_k
     times a mean weight, so the residual is measured against s.
     """
     n, r = xi.shape
@@ -182,7 +185,7 @@ def _dual_rows(problem: TensorProblem, xi: np.ndarray, tol=1e-12, max_iter=200, 
     act = np.arange(n)
     for _ in range(max_iter):
         resid = grad[act] - target[act]
-        done = np.linalg.norm(resid, axis=1) <= tol * norm_target[act]
+        done = np.linalg.norm(resid, axis=1) <= _DUAL_TOL * norm_target[act]
         status[act[done]] = 0
         act, resid = act[~done], resid[~done]
         if not act.size:
@@ -216,28 +219,22 @@ def _dual_rows(problem: TensorProblem, xi: np.ndarray, tol=1e-12, max_iter=200, 
         moved = s >= 1e-12
         act, cand = act[moved], cand[moved]
         y[act], val[act], grad[act], hess[act] = cand, cval[moved], cgrad[moved], chess[moved]
-        far = np.linalg.norm(cand, axis=1) > y_max
+        far = np.linalg.norm(cand, axis=1) > _Y_MAX
         status[act[far]] = _DIVERGED
         act = act[~far]
     return y, val, hess, status
 
 
-def legendre_dual(
-    problem: TensorProblem,
-    xi,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-    y_max: float = 400.0,
-) -> np.ndarray:
+def legendre_dual(problem: TensorProblem, xi, max_iter: int = 200) -> np.ndarray:
     """Solve grad f(y) = B xi for y by damped Newton iteration.
 
     f is smooth and strictly convex, so the minimizer of f(y) - (y, xi) is
     unique when xi lies in the open domain (the interior of the mean-weight
     polytope).  Outside it the iterates run away; that is reported as a
-    domain error once |y| passes y_max.  This is a one-row view of the
+    domain error once |y| passes _Y_MAX.  This is a one-row view of the
     batched solve that rate points of a whole table share.
     """
-    y, _, _, status = _dual_rows(problem, _xi_row(problem.rs, xi), tol, max_iter, y_max)
+    y, _, _, status = _dual_rows(problem, _xi_row(problem.rs, xi), max_iter)
     _raise_row(status[0], max_iter=max_iter)
     return y[0]
 
@@ -344,16 +341,13 @@ def rate_point(problem: TensorProblem, xi) -> RatePoint:
 def _log_multiplicity_rows(problem: TensorProblem, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """asymptotic_log_multiplicity at each dominant weight, in one batched solve.
 
-    Returns the root coordinates of the weights (the integer m C^-1 over m,
-    so each is correctly rounded, as float(Fraction) is), the estimates (NaN
-    where a row fails) and each row's status.
+    Returns the root coordinates of the weights (rs.root_points), the
+    estimates (NaN where a row fails) and each row's status.
     """
     rs, eps = problem.rs, problem.epsilon
-    lams = np.array(lams, dtype=np.int64).reshape(-1, rs.rank)
-    m, inv = rs.cartan_inverse_int
-    lam_root = (lams @ inv.T) / m
-    status, est = np.full(len(lams), _WALL), np.full(len(lams), np.nan)
-    regular = np.all(lams > 0, axis=1)
+    lam_root = rs.root_points(lams)
+    status, est = np.full(len(lam_root), _WALL), np.full(len(lam_root), np.nan)
+    regular = np.all(np.reshape(lams, lam_root.shape) > 0, axis=1)
     rows = _rate_rows(problem, eps * lam_root[regular])
     status[regular] = rows.status
     est[regular] = np.where(rows.status == 0, rows.S / eps + 0.5 * rs.rank * math.log(eps) + rows.log_prefactor, np.nan)

@@ -254,17 +254,15 @@ def assemble_measure_table(problem: TensorProblem, probs: dict[Weight, float], t
     rs = problem.rs
     use_t = None if t is None or not np.any(np.asarray(t, dtype=float)) else np.asarray(t, dtype=float)
     scaling = bulk_scaling(problem) if use_t is None else gaussian_scaling(problem, use_t)
-    rows = []
-    for lam in sorted(probs):
-        lam_root = np.array([float(v) for v in rs.root_coords(lam)])
-        rows.append(MeasureRow(lam, probs[lam], tuple(float(v) for v in scaling.apply(lam_root))))
+    lams = sorted(probs)
+    scaled = scaling.apply(rs.root_points(lams)).tolist()
     return MeasureTable(
         algebra=str(rs.spec),
         problem=problem.factors,
         t=None if use_t is None else tuple(float(v) for v in use_t),
         epsilon=problem.epsilon,
         scaling=scaling,
-        rows=tuple(rows),
+        rows=tuple(MeasureRow(lam, probs[lam], tuple(a)) for lam, a in zip(lams, scaled)),
     )
 
 
@@ -274,13 +272,11 @@ def character_measure(table: DecompositionTable, t=None, epsilon: float | None =
     return assemble_measure_table(problem, character_probabilities(table, t), t)
 
 
-def lattice_aligned_edges(
-    scaled_points: np.ndarray, spacing: float, cells_per: int = 2, cover=None
-) -> list[np.ndarray]:
+def lattice_aligned_edges(scaled_points: np.ndarray, spacing: float, cover=None) -> list[np.ndarray]:
     """Grid edges aligned with the lattice of rescaled highest weights.
 
     The support lies on a translate of (spacing * Z)^r along each axis, so
-    cells holding exactly cells_per lattice columns, with lattice points
+    cells holding exactly _CELLS_PER lattice columns, with lattice points
     interior, avoid the binning combs a lattice-oblivious grid produces.
     cover, if given, lists per-axis (lo, hi) intervals the grid must also
     span (for limit-density tails extending past the exact support).
@@ -298,9 +294,9 @@ def lattice_aligned_edges(
             lo, hi = cover[ax]
             k_lo = min(k_lo, (lo - anchor) / spacing)
             k_hi = max(k_hi, (hi - anchor) / spacing)
-        j_lo = math.floor((k_lo + 0.5) / cells_per) - 1
-        j_hi = math.ceil((k_hi + 0.5) / cells_per) + 1
-        edges.append(anchor + (np.arange(j_lo, j_hi + 1) * cells_per - 0.5) * spacing)
+        j_lo = math.floor((k_lo + 0.5) / _CELLS_PER) - 1
+        j_hi = math.ceil((k_hi + 0.5) / _CELLS_PER) + 1
+        edges.append(anchor + (np.arange(j_lo, j_hi + 1) * _CELLS_PER - 0.5) * spacing)
     return edges
 
 
@@ -309,6 +305,7 @@ def lattice_aligned_edges(
 _MAX_GRID_POINTS = 2**23
 # a grid must capture all but this much of the limit mass
 _COVERAGE_TOL = 1e-6
+_CELLS_PER = 2  # lattice columns per cell of lattice_aligned_edges
 
 
 @dataclass(frozen=True)
@@ -392,7 +389,7 @@ def weak_convergence_distance(
             return scale**r * limit_density(rs, "gaussian", scale * pts + shift, K=K, u=t_dom)
 
     pvals = np.array([row.probability for row in m.rows])
-    scaled = scaling.apply([[float(v) for v in rs.root_coords(row.weight)] for row in m.rows])
+    scaled = scaling.apply(rs.root_points([row.weight for row in m.rows]))
 
     def check_size(shape):
         if math.prod(shape) * MAX_SUBDIV**r > _MAX_GRID_POINTS:
@@ -400,8 +397,8 @@ def weak_convergence_distance(
             raise DomainError(f"comparison grid of {cells} cells needs over {_MAX_GRID_POINTS} quadrature points")
 
     if edges is None:
-        check_size([(hi - lo) / (2 * scaling.spread) for lo, hi in cover])  # the cover alone, before any edge
-        edges = lattice_aligned_edges(scaled, scaling.spread, cells_per=2, cover=cover)
+        check_size([(hi - lo) / (_CELLS_PER * scaling.spread) for lo, hi in cover])  # the cover alone, before any edge
+        edges = lattice_aligned_edges(scaled, scaling.spread, cover=cover)
     edges = [np.asarray(e, dtype=float) for e in edges]
     shape = tuple(len(e) - 1 for e in edges)
     check_size(shape)

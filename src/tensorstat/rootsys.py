@@ -11,6 +11,8 @@ Conventions fixed here, used everywhere else in the package:
   The same vector in the simple-root basis is ``C^{-1} @ weight``.
 * Everything in this module is exact (int / Fraction).  Float views used by
   the numeric modules are cached on the instance (``*_f`` properties).
+* The one weight-to-root map is ``RootSystem.root_numerators`` (integer
+  weights to m C^{-1} weight, exact) with its float view ``root_points``.
 """
 
 from __future__ import annotations
@@ -269,6 +271,26 @@ class RootSystem:
         """(m, m C^-1) with m the least integer making m C^-1 integral."""
         m = math.lcm(*(x.denominator for row in self.cartan_inverse for x in row))
         return m, np.array([[int(m * x) for x in row] for row in self.cartan_inverse], dtype=np.int64)
+
+    def root_numerators(self, weights) -> np.ndarray:
+        """(n, r) integer weights to the int64 numerators m C^-1 weight, m from cartan_inverse_int.
+
+        An a-priori gate keeps every numerator within 2^53, so no product
+        wraps and each converts to float exactly; past it is a DomainError.
+        """
+        adj = self.cartan_inverse_int[1]
+        bound = 2**53 // int(np.abs(adj).sum(axis=1).max())
+        try:
+            lams = np.array(weights, dtype=np.int64).reshape(-1, self.rank)
+        except OverflowError:
+            lams = None
+        if lams is None or (len(lams) and (lams.max() > bound or lams.min() < -bound)):
+            raise DomainError(f"weight coordinates past {bound} leave the exact integer root-coordinate table")
+        return lams @ adj.T
+
+    def root_points(self, weights) -> np.ndarray:
+        """root_numerators over m: float root coordinates, each correctly rounded (bit-equal to float(Fraction))."""
+        return self.root_numerators(weights) / self.cartan_inverse_int[0]
 
     @cached_property
     def _weight_gram(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -453,6 +454,9 @@ def test_tensor_cube_a2():
     assert dict(t3.entries) == {(3, 0): 1, (1, 1): 2, (0, 0): 1}
     assert t3.check_dimension_identity()
     assert t3.check_support_in_cone()
+    # top - lam must be a nonnegative integer combination of simple roots
+    for entries, inside in (({}, True), ({(0, 3): 1}, False), ({(2, 0): 1}, False)):
+        assert replace(t3, entries=entries).check_support_in_cone() == inside
 
 
 def test_mixed_factors_match_naive():

@@ -282,11 +282,14 @@ def test_extra_problem_arguments_are_domain_errors(capsys, argv):
          "--kind", "gaussian"],
         ["limit-compare", "--no-cache", "--algebra", "A2", "--rep", "1,0", "--power", "12", "--t", "300,200",
          "--kind", "gaussian"],
+        # past int64: refused by the weight validator, not an OverflowError from NumPy
+        ["decompose", "--no-cache", "--algebra", "A1", "--rep", "99999999999999999999", "--power", "1"],
     ],
     ids=[
         "criteria-14", "criteria-x", "grid-0", "grid-negative", "max-power-negative",
         "epsilon-inf", "zero-steps-epsilon-negative", "zero-steps-epsilon-inf", "gaussian-without-t",
         "gaussian-a1-t20", "gaussian-a1-t50", "gaussian-a2-adjoint-t300", "gaussian-a2-vector-t300",
+        "rep-past-int64",
     ],
 )
 def test_invalid_inputs_are_domain_errors(capsys, argv):

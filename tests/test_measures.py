@@ -97,18 +97,29 @@ def test_measure_rows_sorted_and_scaled(a1):
     assert scaled == sorted(scaled)
 
 
+@pytest.mark.parametrize("name", ["A2", "G2"])
+@pytest.mark.parametrize("t", [None, (0.3, 0.2)], ids=["t0", "regular"])
+def test_scaled_column_is_the_exact_root_map(name, t):
+    rs = build_root_system(name)
+    m = character_measure(tensor_power_decompose(rs, [((1, 0), 12)]), t=t)
+    center, spread = np.array(m.scaling.center), m.scaling.spread
+    for row in m.rows:
+        exact = [float(sum(rs.cartan_inverse[a][b] * row.weight[b] for b in range(2))) for a in range(2)]
+        assert np.array(row.scaled).tobytes() == (spread * (np.array(exact) - center)).tobytes()
+
+
 def test_lattice_aligned_edges_properties():
     pts = (0.35 + 0.5 * np.arange(6))[:, None]
-    edges = lattice_aligned_edges(pts, 0.5, cells_per=2)
+    edges = lattice_aligned_edges(pts, 0.5)
     e = edges[0]
-    assert np.allclose(np.diff(e), 1.0)  # cells_per * spacing wide cells
+    assert np.allclose(np.diff(e), 1.0)  # two lattice columns (2 * spacing) a cell
     # every lattice point sits strictly inside a cell
     for x in pts[:, 0]:
         k = np.searchsorted(e, x)
         assert 0 < k < len(e)
         assert e[k - 1] < x < e[k]
     # cover extension
-    edges2 = lattice_aligned_edges(pts, 0.5, cells_per=2, cover=[(-3.0, 6.0)])
+    edges2 = lattice_aligned_edges(pts, 0.5, cover=[(-3.0, 6.0)])
     assert edges2[0][0] <= -3.0 and edges2[0][-1] >= 6.0
 
 
@@ -148,7 +159,7 @@ def test_weak_convergence_plancherel_trend(a1):
         m = character_measure(tensor_power_decompose(a1, [((1,), n)]))
         pts = np.array([r.scaled for r in m.rows])
         spacing = float(np.min(np.diff(np.unique(pts[:, 0]))))
-        edges = lattice_aligned_edges(pts, spacing, cells_per=2, cover=[(0.0, 5.0)])
+        edges = lattice_aligned_edges(pts, spacing, cover=[(0.0, 5.0)])
         rep = weak_convergence_distance(m, "plancherel", edges=edges)
         assert 0 <= rep.tv <= 1
         tvs.append(rep.tv)
@@ -169,7 +180,7 @@ def test_default_grid_matches_hand_aligned_grid(a1):
     pts = np.array([r.scaled for r in m.rows])
     spacing = float(np.min(np.diff(np.unique(pts[:, 0]))))
     assert spacing == pytest.approx(m.scaling.spread, rel=1e-9)
-    edges = lattice_aligned_edges(pts, spacing, cells_per=2, cover=[(0.0, 5.0)])
+    edges = lattice_aligned_edges(pts, spacing, cover=[(0.0, 5.0)])
     hand = weak_convergence_distance(m, "plancherel", edges=edges)
     rep = weak_convergence_distance(m, "plancherel")
     assert rep.tv == pytest.approx(hand.tv, rel=1e-9)

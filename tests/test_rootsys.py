@@ -151,6 +151,38 @@ def test_basis_conversion_roundtrip():
     assert rs.weight_coords(rc) == tuple(Fraction(c) for c in w)
 
 
+def _root_oracle(rs, lam) -> list[Fraction]:
+    """C^-1 lam in Fractions, straight from the exact inverse."""
+    return [sum(rs.cartan_inverse[a][b] * int(lam[b]) for b in range(rs.rank)) for a in range(rs.rank)]
+
+
+@pytest.mark.parametrize("name", ["A5", "B4", "C4", "D5", "E6", "E7", "E8", "F4", "G2"])
+def test_root_map_matches_the_fraction_oracle(name):
+    rs = build_root_system(name)
+    m, _ = rs.cartan_inverse_int
+    lams = np.random.default_rng(12).integers(0, 10**6 + 1, size=(60, rs.rank))
+    lams[0], lams[1] = 0, 10**6
+    numerators, points = rs.root_numerators(lams), rs.root_points(lams)
+    assert numerators.dtype == np.int64 and points.shape == lams.shape
+    for lam, num, pt in zip(lams, numerators.tolist(), points):
+        exact = _root_oracle(rs, lam)
+        assert num == [m * x for x in exact]
+        assert pt.tobytes() == np.array([float(x) for x in exact]).tobytes()
+    assert rs.root_points([]).shape == (0, rs.rank)
+
+
+@pytest.mark.parametrize("name", ["A1", "C3", "E8", "G2"])
+def test_root_map_gate(name):
+    rs = build_root_system(name)
+    m, adj = rs.cartan_inverse_int
+    bound = 2**53 // int(np.abs(adj).sum(axis=1).max())
+    at = [bound] * rs.rank
+    assert rs.root_numerators([at]).tolist() == [[m * x for x in _root_oracle(rs, at)]]
+    for past in (bound + 1, -(bound + 1), 2**62, 10**20):
+        with pytest.raises(DomainError):
+            rs.root_numerators([[past] + [0] * (rs.rank - 1)])
+
+
 def test_enumerate_weyl_a2():
     rs = build_root_system(AlgebraSpec.parse("A2"))
     actions, parities = enumerate_weyl_group(rs)
