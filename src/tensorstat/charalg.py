@@ -623,7 +623,11 @@ class Branching:
         x = (keys[:, None, :] + self._shifts).reshape(n * k, r)
         src = np.repeat(np.arange(n), k)
         coef = np.tile(self._mults, n) * dominant_reflect_rows(self.rs, x)
-        regular = np.flatnonzero(x.min(axis=1) > 0)  # singular terms cancel
+        # singular terms cancel; an AND over the columns, as a short-axis min is slow
+        regular = x[:, 0] > 0
+        for column in x.T[1:]:
+            regular &= column > 0
+        regular = np.flatnonzero(regular)
         x, src, coef = x[regular], src[regular], coef[regular]
         if not len(x):
             return (src if by_source else None), x, values[:0]

@@ -248,9 +248,9 @@ def _cmd_sample(args) -> int:
     # one kernel for both runs; evolving first keeps evolve_exact's state order
     kernel = markov.TransitionKernel(rs, rep, t)
     exact = markov._evolve(kernel, args.steps, args.epsilon)
-    empirical, trajectories = markov._sample(kernel, args.steps, args.chains, args.seed, args.epsilon, keep)
-    if keep:
-        Path(args.paths).write_text(markov.trajectories_to_jsonl(trajectories))
+    with open(args.paths, "w") if keep else contextlib.nullcontext() as stream:
+        on_paths = markov._paths_writer(stream, kernel, args.seed) if keep else None
+        empirical = markov._sample(kernel, args.steps, args.chains, args.seed, args.epsilon, on_paths)
     pe, pc = empirical.probabilities(), exact.probabilities()
     tv = 0.5 * sum(abs(pe.get(w, 0.0) - pc.get(w, 0.0)) for w in set(pe) | set(pc))
     payload = {

@@ -14,8 +14,13 @@ we keep the normalizable reading.
 
 Sampling runs in one thread.  It is reproducible by construction: chain
 c consumes only the counter-based stream keyed (seed, c).  The streams come
-from the package's own vectorized Philox4x64-10, one array pass per block
-of chains, which reproduces NumPy's Philox(key=[seed, c]) bit for bit.
+from the package's own vectorized Philox4x64-10, which reproduces NumPy's
+Philox(key=[seed, c]) bit for bit.  Its rounds run on grouped passes of
+(counter blocks, chains) arrays, into an (N, chains) array of uniforms, so
+each step reads one contiguous row.  A step finds each chain's target
+with one gather per column of the cumulative sums, summing the columns
+that are <= u.  Trajectories can be written as JSONL block by block from
+the (chains, N + 1) state-id paths, without Trajectory objects.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -38,12 +43,11 @@ from .rootsys import RootSystem
 _BLOCK = 8192
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-# SC'11): per multiplier, the word and its 32-bit halves; the two Weyl key
-# increments.  Every constant is a uint64 so no product is promoted to float.
-_PHILOX_M = tuple(
-    (np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
-    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-)
+# SC'11): the two multipliers, then per multiplier the word and its 32-bit
+# halves as uint64s; the two Weyl key increments.  Every array constant is a
+# uint64 so no product is promoted to float.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_U = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)) for m in _PHILOX_M)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -298,83 +302,111 @@ def _evolve(kernel: TransitionKernel, N: int, epsilon) -> MeasureTable:
     return _endpoint_table(kernel, N, dist, epsilon)
 
 
-def _mulhilo(x: np.ndarray, m, m_lo, m_hi) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products x * m, from 32-bit halves.
+def _mulhi(x: np.ndarray, m_lo, m_hi) -> np.ndarray:
+    """High words of the 128-bit products x * m, m = 2^32 m_hi + m_lo.
 
-    With x = 2^32 xh + xl and m = 2^32 mh + ml, the high word is
-    xh mh + (xl mh >> 32) + (xh ml >> 32) plus the carry of the middle
-    column, ((xl ml >> 32) + low32(xl mh) + low32(xh ml)) >> 32.  The high
-    words are written over x.  Wraparound is intended; the caller ignores
-    overflow.
+    Hacker's Delight mulhu on 32-bit halves: with x = 2^32 xh + xl, the
+    middle column t = xh m_lo + (xl m_lo >> 32) and w = xl m_hi + low32(t)
+    cannot overflow, and the high word is xh m_hi + (t >> 32) + (w >> 32).
     """
-    lo = x * m
-    x_lo = x & _LO32
-    x >>= _SHIFT32  # x holds the high halves
-    mid = x_lo * m_lo
-    mid >>= _SHIFT32
-    x_lo *= m_hi
-    mid += x_lo & _LO32
-    x_lo >>= _SHIFT32
-    cross = x * m_lo
-    x *= m_hi
-    x += x_lo
-    mid += cross & _LO32
-    cross >>= _SHIFT32
-    x += cross
-    mid >>= _SHIFT32
-    x += mid
-    return x, lo
+    xl = x & _LO32
+    xh = x >> _SHIFT32
+    t = xl * m_lo
+    t >>= _SHIFT32
+    w = xh * m_lo
+    w += t
+    np.right_shift(w, _SHIFT32, out=t)
+    w &= _LO32
+    xl *= m_hi
+    w += xl
+    w >>= _SHIFT32
+    xh *= m_hi
+    xh += t
+    xh += w
+    return xh
 
 
 def _philox_uniforms(seed: int, lo: int, hi: int, N: int) -> np.ndarray:
     """Row j: the first N doubles of NumPy's Generator(Philox(key=[seed, lo + j])).random.
 
-    Philox4x64-10 for all chains at once: key (seed, c), counter block
-    (b, 0, 0, 0) for b = 1, 2, ..., whose four words x0..x3 give four
-    doubles (x >> 11) * 2^-53 in order.
+    Philox4x64-10 with key (seed, c) and counter block (b, 0, 0, 0) for
+    b = 1, 2, ...; the block's four words x0..x3 give four doubles
+    (x >> 11) * 2^-53 in order.  Round 1 and the x0 half of round 2 do not
+    read c, so they run on Python ints; the rest runs on (blocks, chains)
+    arrays, as many counter blocks per pass as fit in _BLOCK words.  The
+    doubles fill an (N, chains) array, returned as its transpose, so one
+    step's uniforms for all chains are one contiguous row of the base.
     """
     chains, blocks = hi - lo, -(-N // 4)
-    out = np.empty((chains, N))
+    out = np.empty((blocks, 4, chains))
     c = np.arange(lo, hi, dtype=np.uint64)
-    # round r keys with (seed, c) bumped r times by the Weyl increments; the
-    # second key word, c + bump, is formed per round so only c is held
-    keys = [
-        (np.uint64((seed + r * _PHILOX_W[0]) % 2**64), np.uint64(r * _PHILOX_W[1] % 2**64))
-        for r in range(10)
-    ]
+    (m0, m0_lo, m0_hi), (m1, m1_lo, m1_hi) = _PHILOX_U
+    # round r's keys: (seed, c) bumped r times by the Weyl increments
+    k0 = [np.uint64((seed + r * _PHILOX_W[0]) % 2**64) for r in range(10)]
+    k1 = [c + np.uint64(r * _PHILOX_W[1] % 2**64) for r in range(10)]
+    # round 2's x0 half: the words of seed * M0
+    seed_hi, seed_lo = divmod(seed * _PHILOX_M[0], 2**64)
+    group = max(1, _BLOCK // chains)
     with np.errstate(over="ignore"):
-        for b in range(blocks):
-            x0 = np.full(chains, b + 1, dtype=np.uint64)
-            x1, x2, x3 = (np.zeros(chains, dtype=np.uint64) for _ in range(3))
-            for k0, bump in keys:
-                hi0, lo0 = _mulhilo(x0, *_PHILOX_M[0])
+        for b0 in range(0, blocks, group):
+            # round 1 maps the counter (b, 0, 0, 0) to (seed, 0, hi(b M0) ^ c, lo(b M0))
+            highs, lows = zip(*(divmod(b * _PHILOX_M[0], 2**64) for b in range(b0 + 1, min(b0 + group, blocks) + 1)))
+            x2 = np.array(highs, dtype=np.uint64)[:, None] ^ k1[0]
+            # round 2, with x1 = 0
+            x0 = _mulhi(x2, m1_lo, m1_hi)
+            x0 ^= k0[1]
+            x1 = x2 * m1
+            x2 = np.array([low ^ seed_hi for low in lows], dtype=np.uint64)[:, None] ^ k1[1]
+            x3 = np.uint64(seed_lo)
+            for r in range(2, 10):
+                hi0 = _mulhi(x0, m0_lo, m0_hi)
                 hi0 ^= x3
-                hi0 ^= c + bump
-                hi1, lo1 = _mulhilo(x2, *_PHILOX_M[1])
+                hi0 ^= k1[r]
+                hi1 = _mulhi(x2, m1_lo, m1_hi)
                 hi1 ^= x1
-                hi1 ^= k0
-                x0, x1, x2, x3 = hi1, lo1, hi0, lo0
-            for i, x in enumerate((x0, x1, x2, x3)[: N - 4 * b]):
+                hi1 ^= k0[r]
+                x0 *= m0  # the low words, in place
+                x2 *= m1
+                x0, x1, x2, x3 = hi1, x2, hi0, x0
+            for i, x in enumerate((x0, x1, x2, x3)):
                 x >>= _SHIFT11
-                out[:, 4 * b + i] = x
-    out *= 2.0**-53
-    return out
+                np.multiply(x, 2.0**-53, out=out[b0 : b0 + len(highs), i])
+    return out.reshape(4 * blocks, chains)[:N].T
 
 
 def _run_block(kernel: TransitionKernel, seed: int, lo: int, hi: int, N: int, keep_paths: bool):
+    """End state ids of chains lo..hi-1 after N steps, and their (chains, N + 1) id paths if keep_paths.
+
+    A step reads a contiguous copy of the cumulative sums, one column per
+    target slot, made again only after a chain reaches an unbuilt row.
+    """
     # chain lo + j draws from the Philox stream keyed (seed, lo + j)
-    uniforms = _philox_uniforms(seed, lo, hi, N)
-    start = kernel.state_id((0,) * kernel.rs.rank)
-    ids = np.full(hi - lo, start, dtype=np.int64)
-    paths = np.full((hi - lo, N + 1), start, dtype=np.int64) if keep_paths else None
-    for step in range(N):
-        kernel._build_row(ids)
-        # entries <= u: what searchsorted(cdf, u, side="right") counts; pads exceed u
-        k = np.count_nonzero(kernel._cdf[ids] <= uniforms[:, step, None], axis=1)
-        ids = kernel._targets[ids, k]
+    uniforms = _philox_uniforms(seed, lo, hi, N).T
+    ids = np.full(hi - lo, kernel.state_id((0,) * kernel.rs.rank), dtype=np.int64)
+    paths = np.empty((N + 1, hi - lo), dtype=np.int64) if keep_paths else None
+    width = kernel._targets.shape[1]
+
+    def tables():
+        n = len(kernel._states)
+        # the last slot holds 1.0 or a pad, never <= u
+        return kernel._targets[:n].ravel(), np.ascontiguousarray(kernel._cdf[:n, :-1].T)
+
+    targets, columns = tables()
+    for step, u in enumerate(uniforms):
         if keep_paths:
-            paths[:, step + 1] = ids
-    return lo, ids, paths
+            paths[step] = ids
+        index = ids * width
+        if np.any(targets.take(index) < 0):  # a chain reached an unbuilt row
+            kernel._build_row(ids)
+            targets, columns = tables()
+        # index + k, k the entries <= u: what searchsorted(cdf, u, side="right") counts
+        for column in columns:
+            index += column.take(ids) <= u
+        ids = targets.take(index)
+    if keep_paths:
+        paths[N] = ids
+        return ids, paths.T
+    return ids, None
 
 
 def sample_paths(
@@ -393,7 +425,16 @@ def sample_paths(
     aggregation is integer counting, so a seed fixes the result.
     """
     N, chains, seed = _check_sampling(N, chains, seed)
-    return _sample(TransitionKernel(rs, rep, t), N, chains, seed, epsilon, keep_paths)
+    kernel = TransitionKernel(rs, rep, t)
+    blocks = []
+    on_paths = (lambda lo, paths: blocks.append(paths)) if keep_paths else None
+    table = _sample(kernel, N, chains, seed, epsilon, on_paths)
+    states = kernel._states
+    trajectories = tuple(
+        Trajectory(seed=seed, chain=c, steps=tuple(map(states.__getitem__, path)))
+        for c, path in enumerate(chain.from_iterable(paths.tolist() for paths in blocks))
+    )
+    return table, trajectories
 
 
 def _check_sampling(N: int, chains: int, seed: int) -> tuple[int, int, int]:
@@ -408,21 +449,42 @@ def _check_sampling(N: int, chains: int, seed: int) -> tuple[int, int, int]:
     return N, chains, seed
 
 
-def _sample(kernel: TransitionKernel, N: int, chains: int, seed: int, epsilon, keep_paths):
-    """sample_paths on a given kernel; the arguments are already checked."""
-    results = [
-        _run_block(kernel, seed, lo, min(lo + _BLOCK, chains), N, keep_paths)
-        for lo in range(0, chains, _BLOCK)
-    ]
+def _sample(kernel: TransitionKernel, N: int, chains: int, seed: int, epsilon, on_paths=None) -> MeasureTable:
+    """sample_paths' endpoint table on a given kernel; the arguments are already checked.
 
-    counts = np.bincount(np.concatenate([ids for _, ids, _ in results]))
+    With on_paths, each block of chains lo.. passes on_paths(lo, paths),
+    its (chains, N + 1) state id paths, as soon as it is sampled.
+    """
+    ends = []
+    for lo in range(0, chains, _BLOCK):
+        ids, paths = _run_block(kernel, seed, lo, min(lo + _BLOCK, chains), N, on_paths is not None)
+        ends.append(ids)
+        if on_paths is not None:
+            on_paths(lo, paths)
+    counts = np.bincount(np.concatenate(ends))
     ends = np.flatnonzero(counts)
     probs = dict(zip(map(kernel.state, ends.tolist()), (counts[ends] / chains).tolist()))
-    states = kernel._states
-    trajectories = tuple(
-        Trajectory(seed=seed, chain=lo + j, steps=tuple(map(states.__getitem__, path.tolist())))
-        for lo, _, paths in results
-        if keep_paths
-        for j, path in enumerate(paths)
-    )
-    return _endpoint_table(kernel, N, probs, epsilon), trajectories
+    return _endpoint_table(kernel, N, probs, epsilon)
+
+
+def _paths_writer(stream, kernel: TransitionKernel, seed: int):
+    """An on_paths for _sample that writes each block to stream as JSONL.
+
+    The bytes are those of trajectories_to_jsonl on the same chains.  Each
+    state's text is encoded once; a block is one object grid of line
+    heads, "text, " and "text]}\n" pieces, joined and written at once.
+    """
+    text = _WeightText().__getitem__
+
+    def write(lo: int, paths: np.ndarray) -> None:
+        texts = list(map(text, kernel._states))
+        inner = np.array([s + ", " for s in texts], dtype=object)
+        last = np.array([s + "]}\n" for s in texts], dtype=object)
+        chains, length = paths.shape
+        grid = np.empty((chains, length + 1), dtype=object)
+        grid[:, 0] = [f'{{"seed": {seed}, "chain": {c}, "steps": [' for c in range(lo, lo + chains)]
+        grid[:, 1:-1] = inner.take(paths[:, :-1])
+        grid[:, -1] = last.take(paths[:, -1])
+        stream.write("".join(grid.ravel().tolist()))
+
+    return write

@@ -521,12 +521,14 @@ def row_runs(rows: np.ndarray, major: np.ndarray | None = None) -> tuple[np.ndar
     if major is not None:
         keys.append(major)
     order = np.lexsort(keys)
-    ordered = rows[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    columns = list(rows[order].T)
     if major is not None:
-        major = major[order]
-        new[1:] |= major[1:] != major[:-1]
+        columns.append(major[order])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    # an OR over the columns: NumPy reduces along a short last axis far more slowly
+    for column in columns:
+        new[1:] |= column[1:] != column[:-1]
     return order, np.flatnonzero(new)
 
 

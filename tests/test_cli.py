@@ -15,7 +15,9 @@ from tensorstat import (
     AlgebraSpec,
     build_root_system,
     character_measure,
+    sample_paths,
     tensor_power_decompose,
+    trajectories_to_jsonl,
     weak_convergence_distance,
 )
 from tensorstat import charalg, markov, measures
@@ -203,6 +205,32 @@ def test_sample_reports_tv_against_exact(capsys, tmp_path):
     assert len(lines) == 500
     rec = json.loads(lines[0])
     assert len(rec["steps"]) == 6
+
+
+@pytest.mark.parametrize("block", [8192, 7], ids=["one-block", "blocks-of-7"])
+@pytest.mark.parametrize(
+    "algebra, rep, t, steps",
+    [
+        ("A2", (1, 0), None, 6),
+        ("A2", (1, 0), (0.3, 0.1), 6),
+        ("A2", (1, 0), (0.3, 0.1), 0),
+        ("B2", (0, 1), None, 5),
+        ("B2", (0, 1), (0.3, 0.2), 5),
+        ("B2", (0, 1), None, 0),
+    ],
+)
+def test_sample_paths_file_is_trajectories_to_jsonl(capsys, tmp_path, monkeypatch, algebra, rep, t, steps, block):
+    # the CLI writes the file block by block from state ids, never through Trajectory objects
+    monkeypatch.setattr(markov, "_BLOCK", block)
+    paths_file = tmp_path / "walks.jsonl"
+    argv = ["sample", "--algebra", algebra, "--rep", ",".join(map(str, rep)), "--steps", str(steps),
+            "--chains", "40", "--seed", "11", "--paths", str(paths_file)]
+    if t is not None:
+        argv += ["--t", ",".join(map(repr, t))]
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _, trajectories = sample_paths(build_root_system(algebra), rep, t, steps, 40, 11)
+    assert paths_file.read_bytes() == trajectories_to_jsonl(trajectories).encode()
 
 
 def test_pde_check_grid(capsys):

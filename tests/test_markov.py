@@ -168,17 +168,25 @@ def test_sample_paths_trajectory_bytes_are_pinned(case, digest):
 
 @pytest.mark.parametrize(
     "seed, chains, n",
-    [(0, 1, 1), (3, 9, 9), (2**63, 13, 13), (7, 50, 100), (1, 8192, 30), (2**64 - 1, 5, 7), (5, 3, 0)],
+    [
+        (0, 1, 1), (3, 9, 9), (2**63, 13, 13), (7, 50, 100), (1, 8192, 30), (2**64 - 1, 5, 7), (5, 3, 0),
+        pytest.param(2**64 - 1, range(5, 12), 7, id="offset"),
+        # 300 chains x 30 counter blocks cross the 8192-word pass: 27 blocks, then 3
+        pytest.param(11, range(100, 400), 118, id="offset-two-passes"),
+        pytest.param(2**63 + 5, range(8000, 8003), 10925, id="offset-deep-counters"),
+    ],
 )
 def test_philox_uniforms_match_numpy_streams(seed, chains, n):
-    # chain c's stream is NumPy's Philox keyed (seed, c), bit for bit
+    # chain c's stream is NumPy's Philox keyed (seed, c), bit for bit; an int
+    # counts chains from 0, a range names them
+    chains = range(chains) if isinstance(chains, int) else chains
     expected = np.array(
         [
             np.random.Generator(np.random.Philox(key=np.array([seed, c], dtype=np.uint64))).random(n)
-            for c in range(chains)
+            for c in chains
         ]
-    ).reshape(chains, n)
-    assert np.array_equal(markov._philox_uniforms(seed, 0, chains, n), expected)
+    ).reshape(len(chains), n)
+    assert np.array_equal(markov._philox_uniforms(seed, chains.start, chains.stop, n), expected)
 
 
 def test_sample_paths_bytes_do_not_depend_on_block_size(a2, monkeypatch):
@@ -187,6 +195,24 @@ def test_sample_paths_bytes_do_not_depend_on_block_size(a2, monkeypatch):
     monkeypatch.setattr(markov, "_BLOCK", 7)
     blocked = trajectories_to_jsonl(sample_paths(a2, (1, 0), **kwargs)[1])
     assert blocked == whole
+
+
+def test_rows_built_while_sampling_match_rows_built_first(a2, monkeypatch):
+    # a fresh kernel builds rows inside the step loop; after _evolve every row
+    # exists and sampling builds none
+    t, n, chains, seed = np.array([0.3, 0.1]), 12, 300, 5
+    monkeypatch.setattr(markov, "_BLOCK", 128)
+    lazy, trajectories = sample_paths(a2, (1, 0), t, n, chains, seed)
+    kernel = TransitionKernel(a2, (1, 0), t)
+    markov._evolve(kernel, n, None)
+    built = []
+    monkeypatch.setattr(TransitionKernel, "_build_row", lambda self, sids: built.append(sids))
+    blocks = []
+    table = markov._sample(kernel, n, chains, seed, None, lambda lo, paths: blocks.append(paths))
+    assert not built
+    assert table.probabilities() == lazy.probabilities()
+    paths = [tuple(map(kernel.state, path)) for block in blocks for path in block.tolist()]
+    assert paths == [tr.steps for tr in trajectories]
 
 
 def test_evolve_exact_keeps_states_whose_mass_underflows(a1):
