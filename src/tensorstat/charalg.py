@@ -60,6 +60,23 @@ def _dominant_weight(rs: RootSystem, lam) -> Weight:
     return lam
 
 
+def _dominant_rows(rs: RootSystem, lams) -> np.ndarray:
+    """lams as an (n, r) int64 array of integer dominant weights, or _dominant_weight's DomainError.
+
+    One array check serves a whole batch; only a batch that fails it is
+    checked weight by weight, so the first bad weight names the error.
+    """
+    lams = list(lams)
+    n, r = len(lams), rs.rank
+    try:
+        arr = np.array(lams) if n else np.zeros((0, r), dtype=np.int64)
+    except ValueError:  # rows of different lengths
+        arr = None
+    if arr is None or arr.dtype.kind != "i" or arr.shape != (n, r) or (n and arr.min() < 0):
+        arr = np.array([_dominant_weight(rs, lam) for lam in lams], dtype=np.int64).reshape(n, r)
+    return arr.astype(np.int64, copy=False)
+
+
 def _factors(rs: RootSystem, factors) -> tuple[tuple[Weight, int], ...]:
     """(highest weight, power) pairs as dominant weights of rs and integer powers >= 0."""
     out = []
@@ -73,15 +90,23 @@ def _factors(rs: RootSystem, factors) -> tuple[tuple[Weight, int], ...]:
 
 def weyl_dimension(rs: RootSystem, lam) -> int:
     """dim V(lambda) by the product over positive roots, exact."""
-    lam = _dominant_weight(rs, lam)
-    num = den = 1
-    for k in rs.posroot_pairing_int:  # (lam + rho, alpha) and (rho, alpha), one common scale
-        num *= sum((c + 1) * x for c, x in zip(lam, k))
-        den *= sum(k)
-    val, rem = divmod(num, den)
-    if rem or val <= 0:
-        raise InternalConsistencyError(f"dimension formula gave {Fraction(num, den)} for {lam}")
-    return val
+    return _weyl_dimensions(rs, [lam])[0]
+
+
+def _weyl_dimensions(rs: RootSystem, lams) -> list[int]:
+    """dim V(lambda) for each dominant lambda in lams, exact: one pass over the positive roots."""
+    arr = _dominant_rows(rs, lams)
+    k = np.array(rs.posroot_pairing_int, dtype=np.int64)  # (lam + rho, alpha) and (rho, alpha), one common scale
+    den = math.prod(k.sum(axis=1).tolist())
+    fits = len(arr) == 0 or (int(arr.max()) + 1) * int(k.sum(axis=1).max()) < 2**63
+    pairs = (arr + 1) @ k.T if fits else (arr.astype(object) + 1) @ k.T.astype(object)
+    out = []
+    for lam, row in zip(arr.tolist(), pairs.tolist()):
+        val, rem = divmod(math.prod(row), den)
+        if rem or val <= 0:
+            raise InternalConsistencyError(f"dimension formula gave {Fraction(math.prod(row), den)} for {tuple(lam)}")
+        out.append(val)
+    return out
 
 
 def second_casimir(rs: RootSystem, lam) -> Fraction:
@@ -236,7 +261,7 @@ def _freudenthal(spec, lams: list[Weight]) -> list[WeightSystem]:
     dd = np.array([int(den * x) for x in rs.d], dtype=np.int64)
     # |nu . k_alpha| <= lambda . k_theta for every weight nu (theta, the highest root, comes
     # last), m <= dim V(lambda), and a mu has at most n_pos * height terms
-    dims = [weyl_dimension(rs, x) for x in lams]
+    dims = _weyl_dimensions(rs, lams)
     bound = 2 * max(dims) * int(np.max(lam @ k_pair[-1])) * len(pos_c) * int(np.max(c_all.sum(axis=1)))
     mult = np.zeros(len(keys), dtype=np.int64 if bound < _INT64_LIMIT else object)
     mult[:n] = 1
@@ -321,12 +346,17 @@ def character_value(rs: RootSystem, lam, t, method: str = "auto") -> tuple[float
     return float(CharacterPlan(rs, t).evaluate([lam], method).values[0]), 1
 
 
-# largest error |computed - exact| in log chi a float Weyl row may carry;
+# largest error |computed - exact| in log chi a coset-sum row may carry;
 # past it the row is a Freudenthal weight sum
 CHARACTER_BUDGET = 1e-11
 # entries of one rows x cosets block
 _BLOCK_ENTRIES = 2**20
 _EPS = float(np.finfo(float).eps)
+# eps of the extended coset sum; where long double is no wider than float
+# (as on Windows and macOS arm64) that tier is skipped
+_EPS_EXT = float(np.finfo(np.longdouble).eps)
+# CharacterLogs.paths by tier: weight sum, float coset sum, long-double coset sum
+_PATHS = ("weight-sum", "weyl", "weyl-extended")
 # largest |(w(lambda + rho), t)| evaluate accepts: its exp/log sites scale
 # pairings by factors far below the 2^20 left to the float range
 _PAIRING_MAX = float(np.finfo(float).max) / 2**20
@@ -336,11 +366,13 @@ class CharacterLogs(NamedTuple):
     """log chi_lambda(e^t) per highest weight, with the path each row took.
 
     paths[i] is "dimension" (t = 0: log of the exact dimension), "weyl"
-    (float coset sum) or "weight-sum" (Freudenthal weight system).
-    bounds[i] bounds |computed - exact| of the float coset sum: on "weyl"
-    rows it is the bound of the returned value; on "weight-sum" rows it is
-    the bound (or the t-only floor) that ruled the float sum out, or inf
-    where none was planned; on "dimension" rows it is 0.
+    (float coset sum), "weyl-extended" (the same terms summed in long
+    double) or "weight-sum" (Freudenthal weight system).  bounds[i] bounds
+    |computed - exact| of the coset sum: on "weyl" and "weyl-extended" rows
+    it is the bound of the returned value; on "weight-sum" rows it is the
+    tightest bound (or t-only floor) that ruled the coset sum out, the
+    extended one where that tier runs, or inf where none was planned; on
+    "dimension" rows it is 0.
     """
 
     values: np.ndarray
@@ -377,11 +409,18 @@ def _parabolic(spec, wall: tuple[bool, ...]) -> _Parabolic:
     # stabilizer is W0 (zero exactly on the walls); the identity comes first
     _, M, parities = weyl_orbits(rs, [0 if w else 1 for w in wall], with_actions=True)
 
-    # d * (t - w t) = diag(d) (1 - w) C^-1 diag(1/d) pairings: a matrix >= 0,
-    # exact up to one rounding per entry since m C^-1 is integral
+    # d * (t - w t) = diag(d) (1 - w) C^-1 diag(1/d) pairings: a matrix >= 0 of
+    # integers (t - w t is an integer combination of simple coroots when the
+    # pairings are), formed exactly from m C^-1; the long-double coset sum
+    # relies on every entry being exact
     m, adj = rs.cartan_inverse_int
-    factor = np.array([[float(d[i] / (d[j] * m)) for j in range(r)] for i in range(r)])
-    qmat = (np.eye(r, dtype=np.int64) - M) @ adj * factor
+    ratio = [[d[i] / (d[j] * m) for j in range(r)] for i in range(r)]
+    q_num = np.array([[x.numerator for x in row] for row in ratio], dtype=np.int64)
+    q_den = np.array([[x.denominator for x in row] for row in ratio], dtype=np.int64)
+    qint, rem = np.divmod((np.eye(r, dtype=np.int64) - M) @ adj * q_num, q_den)
+    if np.any(rem):
+        raise InternalConsistencyError(f"coset matrix of {spec} at walls {wall} is not integral")
+    qmat = qint.astype(float)
 
     in0 = stabilizer_roots(rs, wall)
     phi0 = [a for a, keep in zip(rs.positive_roots, in0) if keep]
@@ -406,22 +445,36 @@ def _coset_terms(par: _Parabolic, q: np.ndarray, shifted: np.ndarray):
     """x_w, the terms (P_w / P_1) e^{-x_w} and log P_1 of the coset sum at each row Lambda of shifted.
 
     shifted holds weight coordinates and q = par.qmat @ pairings, so
-    x_w = (Lambda, t - w t); see CharacterPlan.
+    x_w = (Lambda, t - w t); see CharacterPlan.  The terms are in long
+    double when q is (for integer Lambda the stabilizer factors a are
+    exact either way).  Long-double matmul runs without BLAS and, like
+    _rowdot, sums each x_w in coordinate order, whatever the batch.
     """
-    x = _rowdot(shifted, q)
+    x = _rowdot(shifted, q) if q.dtype == float else shifted @ q.T
     terms = np.exp(-x)
     log_p1 = np.zeros(len(shifted))
     for poly, rho0 in zip(par.poly, par.rho0):
         a = _rowdot(shifted, poly)
-        terms *= a / a[:, :1]
+        ratio = a.astype(x.dtype, copy=False)
+        terms *= ratio / ratio[:, :1]
         log_p1 += np.log(a[:, 0] / rho0)
     return x, terms, log_p1
+
+
+def _pairwise_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums of a in ceil(log2(columns)) levels of pairwise adds, so each rounds at most that often."""
+    while a.shape[1] > 1:
+        if a.shape[1] % 2:
+            a = np.concatenate([a, np.zeros_like(a[:, :1])], axis=1)  # adding 0 is exact
+        a = a[:, 0::2] + a[:, 1::2]
+    return a[:, 0]
 
 
 class _Cosets(NamedTuple):
     """Per-(algebra, t) data of the coset sum; see CharacterPlan."""
 
     par: _Parabolic
+    pair: np.ndarray  # (r,) >= 0: simple-root pairings of the t used, 0 on its walls
     q: np.ndarray  # (cosets, r) >= 0: x_w = Lambda . q[w], q[w] = d * (t - w t)
     cinv_t: np.ndarray  # (r,) >= 0: (lambda, t) = lambda . cinv_t
     log_den: float  # log D, D = prod over alpha > 0 outside Phi0 of (1 - e^{-(alpha, t)})
@@ -454,14 +507,16 @@ class CharacterPlan:
       Every x_w, (lambda, t) and (alpha, t) is a sum of nonnegative terms
       (t - w t is a nonnegative combination of the simple pairings), so
       each carries relative rounding of a few ulps and nothing cancels
-      before the signed sum.
-    - Freudenthal weight sum, for rows whose bound exceeds CHARACTER_BUDGET
-      and for |W| > 10^6: sum over the dominant mu of V(lambda) of m(mu)
-      O_mu(t), with O_mu(t) = sum over nu in W mu of e^{(nu, t)} from the
-      cached orbit, every term positive; rows share their O_mu.  The
-      weight systems of a call's weight-sum rows come from the LRU that
-      weight_multiplicities reads, and the missing ones from one batched
-      Freudenthal pass.
+      before the signed sum.  A row whose float bound exceeds
+      CHARACTER_BUDGET is summed again over the same terms in long double
+      ("weyl-extended"), where long double is wider than float.
+    - Freudenthal weight sum, for rows whose bounds in both precisions
+      exceed CHARACTER_BUDGET and for |W| > 10^6: sum over the dominant
+      mu of V(lambda) of m(mu) O_mu(t), with O_mu(t) = sum over nu in
+      W mu of e^{(nu, t)} from the cached orbit, every term positive;
+      rows share their O_mu.  The weight systems of a call's weight-sum
+      rows come from the LRU that weight_multiplicities reads, and the
+      missing ones from one batched Freudenthal pass.
 
     The bound is formed before the signed sum.  The weights of V(lambda)
     at the top of its Phi0-strings pair with t like lambda, so chi >= P_1
@@ -478,6 +533,20 @@ class CharacterPlan:
     the reflection and projection moved t.  The identity term alone gives
     the t-only floor eps (n0 + 2) / D: past the budget no row can pass,
     and the rows x cosets block is never formed.
+
+    The extended tier keeps that bound and changes only its term part.
+    qmat is exactly integral and Lambda, the pairings and poly are exact
+    in long double, so each term rounds as above with eps_ext =
+    np.finfo(np.longdouble).eps in place of eps (2^-63 for the x87 80-bit
+    format, 2048 times smaller).  Its signed sum runs in ceil(log2
+    cosets) levels of pairwise adds, each rounding by at most eps_ext
+    relative, so the term part becomes
+
+      eps_ext (sum_w |term_w| ((r + 2) x_w + n0 + 2 + depth)) / D,
+
+    while the rounding to float of S, of (lambda, t), log P_1, log D and
+    the final sum, and the eta part stay at float level.  Its t-only
+    floor is eps_ext (n0 + 2 + depth) / D.
     """
 
     def __init__(self, rs: RootSystem, t):
@@ -496,12 +565,12 @@ class CharacterPlan:
         sums every row over its weight system.
         """
         rs = self.rs
-        lams = [_dominant_weight(rs, lam) for lam in lams]
+        lams = list(map(tuple, _dominant_rows(rs, lams).tolist()))
         if method not in ("auto", "weight-sum"):
             raise ValueError(f"unknown method {method!r}")
         n = len(lams)
         if method == "auto" and not np.any(self.t):
-            values = np.array([math.log(weyl_dimension(rs, lam)) for lam in lams])
+            values = np.array([math.log(d) for d in _weyl_dimensions(rs, lams)])
             return CharacterLogs(values, np.zeros(n), ("dimension",) * n)
 
         # |(w(lambda + rho), t)| <= |lambda + rho| |t| over W, and the weight Gram matrix is
@@ -513,14 +582,14 @@ class CharacterPlan:
             raise DomainError(f"t is too large: its pairings with lambda + rho may pass {_PAIRING_MAX:.3g}")
         values = np.full(n, np.nan)
         bounds = np.full(n, np.inf)
-        weyl = np.zeros(n, dtype=bool)
+        tier = np.zeros(n, dtype=np.int8)  # index into _PATHS
         cosets = None if method == "weight-sum" or n == 0 else self._cosets
         if cosets is not None:
-            self._coset_rows(cosets, lams, values, bounds, weyl)
-        rest = np.flatnonzero(~weyl)
+            self._coset_rows(cosets, lams, values, bounds, tier)
+        rest = np.flatnonzero(tier == 0)
         for i, ws in zip(rest, _weight_systems(rs.spec, [lams[i] for i in rest])):
             values[i] = self._weight_sum(ws)
-        return CharacterLogs(values, bounds, tuple("weyl" if w else "weight-sum" for w in weyl))
+        return CharacterLogs(values, bounds, tuple(_PATHS[k] for k in tier.tolist()))
 
     def _weight_sum(self, ws: WeightSystem) -> float:
         """log sum over the dominant mu of ws of m(mu) O_mu(t); each O_mu is formed once per plan."""
@@ -551,6 +620,7 @@ class CharacterPlan:
         log_den = float(np.sum(log_terms))
         return _Cosets(
             par=par,
+            pair=pair,
             q=par.qmat @ pair,
             cinv_t=rs.cartan_inv_f.T @ pair,
             log_den=log_den,
@@ -559,11 +629,19 @@ class CharacterPlan:
             eta=eta,
         )
 
-    def _coset_rows(self, c: _Cosets, lams, values, bounds, weyl) -> None:
-        """Fill values and bounds of the rows the coset sum takes."""
+    @cached_property
+    def _q_ext(self) -> np.ndarray:
+        """q of the coset sum in long double, from the exact qmat and the float pairings."""
+        c = self._cosets
+        return c.par.qmat.astype(np.longdouble) @ c.pair.astype(np.longdouble)
+
+    def _coset_rows(self, c: _Cosets, lams, values, bounds, tier) -> None:
+        """Fill values, bounds and tiers of the rows the coset sum takes, in float or in long double."""
         r = self.rs.rank
         n0 = len(c.par.rho0)
-        floor = _EPS * (n0 + 2) * c.inv_den
+        depth = (len(c.par.sign) - 1).bit_length()  # levels of the extended tier's pairwise sum
+        eps_ext = _EPS_EXT if _EPS_EXT < _EPS else math.inf
+        floor = min(_EPS * (n0 + 2), eps_ext * (n0 + 2 + depth)) * c.inv_den
         if floor > CHARACTER_BUDGET:
             bounds[:] = floor
             return
@@ -575,21 +653,38 @@ class CharacterPlan:
             mags = np.abs(terms)
             err = np.sum(mags * ((r + 2) * x + (n0 + 2)), axis=1)
             lam_t = _rowdot(lam, c.cinv_t[None, :])[:, 0]
-            log_s = np.maximum(abs(c.log_den), np.log(np.sum(mags, axis=1)))
+            mag_sum = np.sum(mags, axis=1)
+            log_s = np.maximum(abs(c.log_den), np.log(mag_sum))
             size = lam_t + np.abs(log_p1) + log_s + abs(c.log_den)
             norm = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", lam, self.rs.weight_gram_f, lam), 0.0))
-            bound = (
-                _EPS * (1.0 + err * c.inv_den + (r + 1) * lam_t + (n0 + 1) * np.abs(log_p1) + 3 * size + 2 * n0)
+            rest = (
+                _EPS * (1.0 + (r + 1) * lam_t + (n0 + 1) * np.abs(log_p1) + 3 * size + 2 * n0)
                 + c.den_err
                 + np.expm1(np.minimum(norm * c.eta, 1.0))  # past 1 no row passes; the cap keeps expm1 finite
             )
+            bound = _EPS * err * c.inv_den + rest
             bounds[lo : lo + step] = bound
-            for i in np.flatnonzero(bound <= CHARACTER_BUDGET):
+            ok = np.flatnonzero(bound <= CHARACTER_BUDGET)
+            for i in ok:
                 total = math.fsum((c.par.sign * terms[i]).tolist())
                 if total <= 0.0:
                     raise InternalConsistencyError("character sign certificate failed")
                 values[lo + i] = lam_t[i] + log_p1[i] + math.log(total) - c.log_den
-                weyl[lo + i] = True
+            tier[lo + ok] = 1
+            if len(ok) == len(lam):
+                continue
+            # rows the float bound rejects: the same terms again in long double
+            miss = bound > CHARACTER_BUDGET
+            bound_ext = eps_ext * (err + depth * mag_sum) * c.inv_den + rest
+            bounds[lo : lo + step] = np.where(miss, np.minimum(bound, bound_ext), bound)
+            ext = np.flatnonzero(miss & (bound_ext <= CHARACTER_BUDGET))
+            if len(ext):
+                _, terms_ext, _ = _coset_terms(c.par, self._q_ext, lam[ext] + 1.0)
+                for i, total in zip(ext.tolist(), _pairwise_sums(c.par.sign * terms_ext).astype(float).tolist()):
+                    if total <= 0.0:
+                        raise InternalConsistencyError("character sign certificate failed")
+                    values[lo + i] = lam_t[i] + log_p1[i] + math.log(total) - c.log_den
+                tier[lo + ext] = 2
 
 
 class Branching:
@@ -674,14 +769,19 @@ class DecompositionTable:
     def total_power(self) -> int:
         return sum(n for _, n in self.problem)
 
+    @cached_property
+    def _dimension_weights(self) -> tuple[list[int], int]:
+        """(m_lam dim V(lam) per entry, in entries order; prod_k dim V(nu_k)^{N_k}), exact, from one pass."""
+        dims = _weyl_dimensions(self.rs, list(self.entries) + [nu for nu, _ in self.problem])
+        total = 1
+        for d, (_, n) in zip(dims[len(self.entries) :], self.problem):
+            total *= d**n
+        return [m * d for m, d in zip(self.entries.values(), dims)], total
+
     def check_dimension_identity(self) -> bool:
         """sum_lam m_lam dim V(lam) == prod_k dim V(nu_k)^{N_k}, exact."""
-        rs = self.rs
-        lhs = sum(m * weyl_dimension(rs, lam) for lam, m in self.entries.items())
-        rhs = 1
-        for nu, n in self.problem:
-            rhs *= weyl_dimension(rs, nu) ** n
-        return lhs == rhs
+        weights, total = self._dimension_weights
+        return sum(weights) == total
 
     def check_support_in_cone(self) -> bool:
         """Every highest weight lies under sum_k N_k nu_k in the root order."""

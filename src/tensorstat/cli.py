@@ -84,7 +84,8 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "tensorstat"
 
 
-def _cached_decompose(algebra: str, factors, use_cache: bool) -> DecompositionTable:
+def _cached_decompose(algebra: str, factors, use_cache: bool) -> tuple[DecompositionTable, str | None]:
+    """The decomposition of factors, and its JSON text when this call wrote it to the cache, else None."""
     rs = build_root_system(AlgebraSpec.parse(algebra))
     problem = tuple((tuple(nu), n) for nu, n in factors)
     key_src = json.dumps([algebra, sorted([list(f[0]), f[1]] for f in factors)])
@@ -93,11 +94,13 @@ def _cached_decompose(algebra: str, factors, use_cache: bool) -> DecompositionTa
     if use_cache:
         table = _load_cached(path, str(rs.spec), problem)
         if table is not None:
-            return table
+            return table, None
     table = tensor_power_decompose(rs, factors)
-    if use_cache:
-        _write_atomic(path, table.to_json())
-    return table
+    if not use_cache:
+        return table, None
+    text = table.to_json()
+    _write_atomic(path, text)
+    return table, text
 
 
 def _load_cached(path: Path, algebra: str, problem) -> DecompositionTable | None:
@@ -150,20 +153,20 @@ def _emit(text: str, args) -> None:
 
 
 def _cmd_decompose(args) -> int:
-    table = _cached_decompose(args.algebra, _build_factors(args), not args.no_cache)
+    table, text = _cached_decompose(args.algebra, _build_factors(args), not args.no_cache)
     if (args.format or "json") == "csv":
         lines = ["lambda,multiplicity"]
         for lam, mult in table.sorted_entries():
             lines.append(f"\"{','.join(str(c) for c in lam)}\",{mult}")
         _emit("\n".join(lines) + "\n", args)
     else:
-        _emit(table.to_json(), args)
+        _emit(text or table.to_json(), args)
     return 0
 
 
 def _cmd_measure(args) -> int:
     rs = build_root_system(AlgebraSpec.parse(args.algebra))
-    table = _cached_decompose(args.algebra, _build_factors(args), not args.no_cache)
+    table, _ = _cached_decompose(args.algebra, _build_factors(args), not args.no_cache)
     t = _resolve_t(rs, args)
     m = character_measure(table, t=t, epsilon=args.epsilon)
     if (args.format or "csv") == "json":
@@ -199,7 +202,7 @@ def _cmd_asymptotic(args) -> int:
         _emit(rate_point(problem, np.asarray(xi)).to_json(), args)
         return 0
     # per-weight comparison of exact multiplicities against the asymptotics
-    entries = _cached_decompose(args.algebra, factors, not args.no_cache).sorted_entries()
+    entries = _cached_decompose(args.algebra, factors, not args.no_cache)[0].sorted_entries()
     _, estimates, _ = _log_multiplicity_rows(problem, [lam for lam, _ in entries])
     lines = ["lambda,multiplicity,log_multiplicity_asymptotic,ratio"]
     for (lam, mult), est in zip(entries, estimates.tolist()):
@@ -213,7 +216,7 @@ def _cmd_asymptotic(args) -> int:
 
 def _cmd_limit_compare(args) -> int:
     rs = build_root_system(AlgebraSpec.parse(args.algebra))
-    table = _cached_decompose(args.algebra, _build_factors(args), not args.no_cache)
+    table, _ = _cached_decompose(args.algebra, _build_factors(args), not args.no_cache)
     t = _resolve_t(rs, args)
     m = character_measure(table, t=t, epsilon=args.epsilon)
     report = weak_convergence_distance(m, args.kind)

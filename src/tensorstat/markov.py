@@ -33,7 +33,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .charalg import Branching, CharacterPlan, Weight, _dominant_weight, _integers, weyl_dimension
+from .charalg import Branching, CharacterPlan, Weight, _dominant_weight, _integers, _weyl_dimensions, weyl_dimension
 from .errors import DomainError, InternalConsistencyError
 from .legendre import _checked_epsilon, tensor_problem
 from .measures import _SUM_TOL, MeasureRow, MeasureTable, Scaling, _rounding_drift, assemble_measure_table
@@ -198,8 +198,7 @@ class TransitionKernel:
         starts = np.cumsum(lengths) - lengths
         lams = sources + targets
         if self._t_arr is None:
-            dims = {lam: weyl_dimension(self.rs, lam) for lam in dict.fromkeys(lams)}
-            dim = np.array([dims[lam] for lam in lams], dtype=object)
+            dim = np.array(_weyl_dimensions(self.rs, lams), dtype=object)
             weighted = b.astype(object) * dim[len(sources) :]
             denom = dim[: len(sources)] * self._dim_v
             sums = np.add.reduceat(weighted, starts)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charalg import CharacterPlan, DecompositionTable, Weight, _dominant_weight, weyl_dimension
+from .charalg import CharacterPlan, DecompositionTable, Weight, _dominant_weight
 from .errors import DomainError, GridCoverageError, InternalConsistencyError
 from .legendre import (
     TensorProblem,
@@ -38,14 +38,16 @@ from .rootsys import build_root_system, reflect_to_chamber, stabilizer_roots
 
 def plancherel_measure(table: DecompositionTable) -> dict[Weight, Fraction]:
     """Exact dimension-weighted measure m_lam dim(lam) / dim(product)."""
-    rs = table.rs
-    total = 1
-    for nu, n in table.problem:
-        total *= weyl_dimension(rs, nu) ** n
-    probs = {lam: Fraction(m * weyl_dimension(rs, lam), total) for lam, m in table.entries.items()}
-    if sum(probs.values()) != 1:
+    weights, total = _dimension_weights(table)
+    return {lam: Fraction(w, total) for lam, w in zip(table.entries, weights)}
+
+
+def _dimension_weights(table: DecompositionTable) -> tuple[list[int], int]:
+    """(m_lam dim V(lam) per entry, dim of the product), checked to sum exactly."""
+    weights, total = table._dimension_weights
+    if sum(weights) != total:
         raise InternalConsistencyError("dimension-weighted measure does not sum to one")
-    return probs
+    return weights, total
 
 
 def character_probabilities(table: DecompositionTable, t=None) -> dict[Weight, float]:
@@ -54,7 +56,9 @@ def character_probabilities(table: DecompositionTable, t=None) -> dict[Weight, f
     if t is not None:
         t = np.asarray(t, dtype=float)
     if t is None or not np.any(t):
-        return {lam: float(p) for lam, p in plancherel_measure(table).items()}
+        # int / int is correctly rounded, so each value is float(Fraction(w, total))
+        weights, total = _dimension_weights(table)
+        return {lam: w / total for lam, w in zip(table.entries, weights)}
     # sorted order: a fresh table and its cached copy must sum alike
     entries = table.sorted_entries()
     logs = CharacterPlan(rs, t).evaluate([lam for lam, _ in entries] + [nu for nu, _ in table.problem]).values

@@ -570,7 +570,7 @@ def test_log_characters_match_weight_sum(algebra, kind):
         assert got.paths.count("weyl") >= len(lams) // 2
     for value, bound, path, expect, lam in zip(got.values, got.bounds, got.paths, ref.values, lams):
         assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect))
-        if path == "weyl":
+        if path in ("weyl", "weyl-extended"):
             assert bound <= CHARACTER_BUDGET
             assert abs(value - _exact_log_character(rs, lam, t)) <= bound
         else:
@@ -591,8 +591,9 @@ def test_log_characters_rows_do_not_depend_on_the_batch():
 
 
 def test_log_characters_f4_small_t_skips_the_coset_block(monkeypatch):
-    # with every simple pairing at 0.1 the identity term alone rules the
-    # float sum out, so no rows x |W| block may be formed
+    # with every simple pairing at 0.1 (1/D = 7.6e12) the identity term
+    # alone rules the coset sum out in float and in long double, so no
+    # rows x |W| block may be formed in either precision
     rs = build_root_system("F4")
     t = _t_with_pairings(rs, (0.1, 0.1, 0.1, 0.1))
 
@@ -600,6 +601,7 @@ def test_log_characters_f4_small_t_skips_the_coset_block(monkeypatch):
         raise AssertionError("rows x cosets block formed")
 
     monkeypatch.setattr(charalg, "_rowdot", no_block)
+    monkeypatch.setattr(charalg, "_coset_terms", no_block)
     lams = [(0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0)]
     got = CharacterPlan(rs, t).evaluate(lams)
     assert got.paths == ("weight-sum",) * 3
@@ -645,3 +647,107 @@ def test_e6_characters_take_the_coset_sum():
         ref = CharacterPlan(rs, t).evaluate(lams, method="weight-sum")
         assert got.paths == ("weyl",) * len(lams)
         assert np.all(np.abs(got.values - ref.values) <= 1e-12 * np.maximum(1.0, np.abs(ref.values)))
+
+
+# simple-root pairings of a session-like F4 (0, 0, 0, 1)^5 scan: every row's float
+# bound misses the budget, by a factor of 2 or more
+F4_EXTENDED_CASES = {
+    "wall": (0.41, 0.47, 0.0, 0.44),
+    "small": (0.43, 0.08, 0.46, 0.42),
+    "regular": (0.41, 0.45, 0.48, 0.43),
+}
+
+
+@pytest.fixture(scope="module")
+def f4_rows():
+    rs = build_root_system("F4")
+    return rs, [lam for lam, _ in tensor_power_decompose(rs, [((0, 0, 0, 1), 5)]).sorted_entries()]
+
+
+@pytest.mark.parametrize("kind", sorted(F4_EXTENDED_CASES))
+def test_f4_rows_take_the_long_double_coset_sum(monkeypatch, f4_rows, kind):
+    if not charalg._EPS_EXT < charalg._EPS:
+        pytest.skip("long double is no wider than float here")
+    rs, lams = f4_rows
+    t = _t_with_pairings(rs, F4_EXTENDED_CASES[kind])
+    calls = []
+    monkeypatch.setattr(charalg, "_freudenthal", lambda spec, todo: calls.append(todo))
+    got = CharacterPlan(rs, t).evaluate(lams)
+    monkeypatch.undo()
+    assert calls == []
+    assert got.paths == ("weyl-extended",) * len(lams)
+    for value, bound, lam in zip(got.values, got.bounds, lams):
+        assert bound <= CHARACTER_BUDGET
+        assert abs(value - _exact_log_character(rs, lam, t)) <= bound
+
+
+@pytest.mark.parametrize("kind", sorted(F4_EXTENDED_CASES))
+def test_f4_rows_fall_back_to_the_weight_sum_without_long_double(monkeypatch, f4_rows, kind):
+    # where long double is no wider than float the tier is skipped and the rows take the weight sum
+    rs, lams = f4_rows
+    t = _t_with_pairings(rs, F4_EXTENDED_CASES[kind])
+    monkeypatch.setattr(charalg, "_EPS_EXT", charalg._EPS)
+    got = CharacterPlan(rs, t).evaluate(lams)
+    ref = CharacterPlan(rs, t).evaluate(lams, method="weight-sum")
+    assert got.paths == ("weight-sum",) * len(lams)
+    assert np.all(got.bounds > CHARACTER_BUDGET)
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "algebra, factor, pairings",
+    [("B3", ((1, 0, 0), 10), (0.45, 0.1, 0.45)), ("G2", ((0, 1), 8), (0.2, 0.1))],
+)
+def test_float_rows_keep_their_bits_with_the_extended_tier(monkeypatch, algebra, factor, pairings):
+    rs = build_root_system(algebra)
+    lams = [lam for lam, _ in tensor_power_decompose(rs, [factor]).sorted_entries()]
+    t = _t_with_pairings(rs, pairings)
+    got = CharacterPlan(rs, t).evaluate(lams)
+    monkeypatch.setattr(charalg, "_EPS_EXT", charalg._EPS)
+    off = CharacterPlan(rs, t).evaluate(lams)
+    if charalg._EPS_EXT < charalg._EPS:
+        assert {"weyl", "weyl-extended"} <= set(got.paths)
+    assert set(off.paths) == {"weyl", "weight-sum"}
+    for path, value, bound, value_off, bound_off, path_off in zip(
+        got.paths, got.values, got.bounds, off.values, off.bounds, off.paths
+    ):
+        assert (path == "weyl") == (path_off == "weyl")
+        if path == "weyl":
+            assert value.tobytes() == value_off.tobytes()
+            assert bound.tobytes() == bound_off.tobytes()
+        else:
+            assert bound < bound_off  # the extended bound is the tighter one
+
+
+def test_pairwise_sums_stay_within_their_depth_bound():
+    # ceil(log2 width) levels, each rounding by at most eps relative to the magnitudes below it
+    rng = np.random.default_rng(3)
+    for width in [1, 2, 3, 5, 8, 1152]:
+        a = rng.standard_normal((4, width)) * np.exp(rng.uniform(-20, 20, (4, width)))
+        depth = (width - 1).bit_length()
+        for row, total in zip(a, charalg._pairwise_sums(a).tolist()):
+            assert abs(total - math.fsum(row.tolist())) <= depth * charalg._EPS * float(np.sum(np.abs(row)))
+
+
+def test_coset_matrices_are_integral():
+    for algebra in ["A3", "B3", "C3", "G2", "F4"]:
+        rs = build_root_system(algebra)
+        for wall in itertools.product([False, True], repeat=rs.rank):
+            if all(wall):
+                continue
+            qmat = charalg._parabolic(rs.spec, wall).qmat
+            assert np.all(qmat == np.round(qmat)) and np.all(qmat >= 0)
+
+
+def test_batched_dimensions_match_one_row_calls():
+    for algebra, rep, power in [("A2", (1, 1), 6), ("G2", (1, 0), 6), ("E6", (1, 0, 0, 0, 0, 0), 3)]:
+        rs = build_root_system(algebra)
+        lams = list(tensor_power_decompose(rs, [(rep, power)]).entries)
+        assert charalg._weyl_dimensions(rs, lams) == [weyl_dimension(rs, lam) for lam in lams]
+    rs = build_root_system("A2")
+    assert charalg._weyl_dimensions(rs, []) == []
+    big = 2**62
+    assert charalg._weyl_dimensions(rs, [(big, 0)]) == [(big + 1) * (big + 2) // 2]
+    for bad in [[(1, -1)], [(1, 0, 0)], [(1.5, 0)], [(2**63, 0)], [(1, 0), (1, 0, 0)]]:
+        with pytest.raises(DomainError):
+            charalg._weyl_dimensions(rs, bad)

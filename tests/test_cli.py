@@ -387,6 +387,18 @@ def test_cache_reuse_bit_identical(capsys, tmp_path, monkeypatch):
         assert (code1, out1) == (code3, out3)
 
 
+def test_decompose_miss_prints_the_cached_text_encoded_once(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(tmp_path))
+    encoded = []
+    to_json = charalg.DecompositionTable.to_json
+    monkeypatch.setattr(charalg.DecompositionTable, "to_json", lambda self: encoded.append(1) or to_json(self))
+    assert main(["decompose", "--algebra", "G2", "--rep", "1,0", "--power", "6"]) == 0
+    out = capsys.readouterr().out
+    (path,) = tmp_path.glob("*.json")
+    assert out.encode() == path.read_bytes() + b"\n"  # _emit ends stdout with a newline
+    assert len(encoded) == 1
+
+
 def test_tampered_cache_is_a_consistency_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(tmp_path))
     args = ["decompose", "--algebra", "A2", "--rep", "1,0", "--power", "4"]
@@ -613,12 +625,18 @@ def test_sample_builds_each_row_once(capsys, monkeypatch):
 
 
 def test_sample_stdout_is_pinned(capsys):
-    # SHA-256 of the stdout measured before the kernel's rows came from one batched fold
+    # the sampled endpoint block, unchanged since before the kernel's rows came from one batched fold
     code = main(["sample", "--algebra", "G2", "--rep", "0,1", "--t", "0.3,0.2", "--steps", "8", "--chains", "5000",
                  "--seed", "7"])
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == "7f5bbb4f9ab36b78db6503d38acd6807d7775bdfc9b74b1707ae89ce00d92e73"
+    endpoints = out[out.find('"endpoints"') :]
+    assert hashlib.sha256(endpoints.encode()).hexdigest() == (
+        "f69b9d6fc81d1a160464b46cc4ed386ab5363a87a67b99c23034ad8b95feb8a4"
+    )
+    # the whole stdout since every character row of this kernel takes the long-double coset sum
+    # (tv_empirical_vs_exact moved by 2e-17 from the weight-sum values)
+    assert hashlib.sha256(out.encode()).hexdigest() == "95481efccbe67ef4ca395f1df79bbcd4b26ef2f62fff657b5e15a511a5dde506"
 
 
 def test_sample_does_not_import_numpy_ma():

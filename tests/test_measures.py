@@ -9,8 +9,10 @@ import pytest
 from tensorstat import (
     AlgebraSpec,
     CharacterPlan,
+    DecompositionTable,
     DomainError,
     GridCoverageError,
+    InternalConsistencyError,
     asymptotic_log_probability,
     build_root_system,
     bulk_scaling,
@@ -47,6 +49,28 @@ def test_character_probabilities_t_zero_is_plancherel(a1):
     for lam, q in pm.items():
         assert cp[lam] == pytest.approx(float(q), rel=1e-14)
     assert sum(cp.values()) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("algebra, rep, power", [("A1", (1,), 1200), ("A2", (1, 0), 60), ("G2", (1, 0), 28)])
+def test_t_zero_floats_are_the_rounded_fractions(algebra, rep, power):
+    # one batched dimension pass serves both; num / total rounds like float(Fraction)
+    rs = build_root_system(algebra)
+    table = tensor_power_decompose(rs, [(rep, power)])
+    exact = plancherel_measure(table)
+    assert sum(exact.values()) == 1
+    floats = character_probabilities(table, None)
+    assert list(floats) == list(exact)
+    assert [floats[lam] for lam in exact] == [float(p) for p in exact.values()]
+
+
+def test_dimension_weights_sum_check_is_an_internal_error(a2):
+    table = tensor_power_decompose(a2, [((1, 0), 4)])
+    wrong = DecompositionTable(table.algebra, table.problem, {**table.entries, (0, 0): 7})
+    assert not wrong.check_dimension_identity()
+    with pytest.raises(InternalConsistencyError):
+        plancherel_measure(wrong)
+    with pytest.raises(InternalConsistencyError):
+        character_probabilities(wrong, None)
 
 
 def test_character_probabilities_a1_closed_form(a1):
