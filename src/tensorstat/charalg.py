@@ -355,7 +355,7 @@ _EPS = float(np.finfo(float).eps)
 # eps of the extended coset sum; where long double is no wider than float
 # (as on Windows and macOS arm64) that tier is skipped
 _EPS_EXT = float(np.finfo(np.longdouble).eps)
-# CharacterLogs.paths by tier: weight sum, float coset sum, long-double coset sum
+# CharacterLogs.paths by tier: weight sum, float coset sum, mixed-precision coset sum
 _PATHS = ("weight-sum", "weyl", "weyl-extended")
 # largest |(w(lambda + rho), t)| evaluate accepts: its exp/log sites scale
 # pairings by factors far below the 2^20 left to the float range
@@ -366,13 +366,13 @@ class CharacterLogs(NamedTuple):
     """log chi_lambda(e^t) per highest weight, with the path each row took.
 
     paths[i] is "dimension" (t = 0: log of the exact dimension), "weyl"
-    (float coset sum), "weyl-extended" (the same terms summed in long
-    double) or "weight-sum" (Freudenthal weight system).  bounds[i] bounds
-    |computed - exact| of the coset sum: on "weyl" and "weyl-extended" rows
-    it is the bound of the returned value; on "weight-sum" rows it is the
-    tightest bound (or t-only floor) that ruled the coset sum out, the
-    extended one where that tier runs, or inf where none was planned; on
-    "dimension" rows it is 0.
+    (float coset sum), "weyl-extended" (the same sum with the terms the
+    budget needs recomputed in long double) or "weight-sum" (Freudenthal
+    weight system).  bounds[i] bounds |computed - exact| of the coset sum:
+    on "weyl" and "weyl-extended" rows it is the bound of the returned
+    value; on "weight-sum" rows it is the tightest bound (or t-only floor)
+    that ruled the coset sum out, the all-long-double one where that tier
+    runs, or inf where none was planned; on "dimension" rows it is 0.
     """
 
     values: np.ndarray
@@ -383,8 +383,17 @@ class CharacterLogs(NamedTuple):
 def _rowdot(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """L @ Q.T, summed in a fixed coordinate order so a row's value never depends on its batch."""
     out = L[:, :1] * Q[:, 0]
+    term = np.empty_like(out)  # one product buffer: fresh rows x cosets temporaries are slow to allocate
     for i in range(1, L.shape[1]):
-        out += L[:, i : i + 1] * Q[:, i]
+        out += np.multiply(L[:, i : i + 1], Q[:, i], out=term)
+    return out
+
+
+def _pairdot(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The row-wise dot products of L and Q (or of L and Q's one row), summed in coordinate order like _rowdot."""
+    out = L[:, 0] * Q[:, 0]
+    for i in range(1, L.shape[1]):
+        out += L[:, i] * Q[:, i]
     return out
 
 
@@ -445,20 +454,32 @@ def _coset_terms(par: _Parabolic, q: np.ndarray, shifted: np.ndarray):
     """x_w, the terms (P_w / P_1) e^{-x_w} and log P_1 of the coset sum at each row Lambda of shifted.
 
     shifted holds weight coordinates and q = par.qmat @ pairings, so
-    x_w = (Lambda, t - w t); see CharacterPlan.  The terms are in long
-    double when q is (for integer Lambda the stabilizer factors a are
-    exact either way).  Long-double matmul runs without BLAS and, like
-    _rowdot, sums each x_w in coordinate order, whatever the batch.
+    x_w = (Lambda, t - w t); see CharacterPlan.
     """
-    x = _rowdot(shifted, q) if q.dtype == float else shifted @ q.T
-    terms = np.exp(-x)
+    x = _rowdot(shifted, q)
+    terms = np.negative(x)
+    np.exp(terms, out=terms)
     log_p1 = np.zeros(len(shifted))
     for poly, rho0 in zip(par.poly, par.rho0):
         a = _rowdot(shifted, poly)
-        ratio = a.astype(x.dtype, copy=False)
-        terms *= ratio / ratio[:, :1]
         log_p1 += np.log(a[:, 0] / rho0)
+        a /= a[:, :1].copy()
+        terms *= a
     return x, terms, log_p1
+
+
+def _coset_terms_at(par: _Parabolic, q: np.ndarray, shifted: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The terms (P_w / P_1) e^{-x_w} of _coset_terms at given pairs: row j of shifted with coset cols[j].
+
+    The terms take q's dtype, long double in CharacterPlan's mixed sums.
+    For integer Lambda the stabilizer factors are exact in float, so only
+    x_w, the exponential and the ratios round in q's precision.  Every
+    pairing is summed in coordinate order, as _rowdot sums it.
+    """
+    terms = np.exp(-_pairdot(shifted, q[cols]))
+    for poly in par.poly:
+        terms *= _pairdot(shifted, poly[cols]).astype(q.dtype) / _pairdot(shifted, poly[:1]).astype(q.dtype)
+    return terms
 
 
 def _pairwise_sums(a: np.ndarray) -> np.ndarray:
@@ -508,8 +529,9 @@ class CharacterPlan:
       (t - w t is a nonnegative combination of the simple pairings), so
       each carries relative rounding of a few ulps and nothing cancels
       before the signed sum.  A row whose float bound exceeds
-      CHARACTER_BUDGET is summed again over the same terms in long double
-      ("weyl-extended"), where long double is wider than float.
+      CHARACTER_BUDGET but whose bound with every term in long double
+      meets it takes the same sum in mixed precision ("weyl-extended"),
+      where long double is wider than float.
     - Freudenthal weight sum, for rows whose bounds in both precisions
       exceed CHARACTER_BUDGET and for |W| > 10^6: sum over the dominant
       mu of V(lambda) of m(mu) O_mu(t), with O_mu(t) = sum over nu in
@@ -536,17 +558,36 @@ class CharacterPlan:
 
     The extended tier keeps that bound and changes only its term part.
     qmat is exactly integral and Lambda, the pairings and poly are exact
-    in long double, so each term rounds as above with eps_ext =
-    np.finfo(np.longdouble).eps in place of eps (2^-63 for the x87 80-bit
-    format, 2048 times smaller).  Its signed sum runs in ceil(log2
-    cosets) levels of pairwise adds, each rounding by at most eps_ext
-    relative, so the term part becomes
+    in long double, so a term recomputed in long double rounds as above
+    with eps_ext = np.finfo(np.longdouble).eps in place of eps (2^-63 for
+    the x87 80-bit format, 2048 times smaller).  With every term in long
+    double and a signed sum in depth = ceil(log2 cosets) levels of
+    pairwise adds, each rounding by at most eps_ext relative, the term
+    part would be eps_ext (err + depth sum_w |term_w|) / D, err = sum_w
+    c_w, c_w = |term_w| ((r + 2) x_w + n0 + 2).  A row takes the tier
+    when that meets the budget: the slack
 
-      eps_ext (sum_w |term_w| ((r + 2) x_w + n0 + 2 + depth)) / D,
+      slack = (CHARACTER_BUDGET - rest) D - eps_ext (err + depth sum_w |term_w|) >= 0,
 
-    while the rounding to float of S, of (lambda, t), log P_1, log D and
-    the final sum, and the eta part stay at float level.  Its t-only
-    floor is eps_ext (n0 + 2 + depth) / D.
+    rest being the float-level part above.  Only the wide terms are
+    recomputed in long double: the identity term, and each w with
+
+      (c_w + depth |term_w|) cosets > slack / eps.
+
+    The others keep the float pass's values and are summed pairwise in
+    float; each carries at most eps (c_w + depth |term_w|) <= slack /
+    cosets, so together they carry at most slack.  The wide terms of a
+    row, in coset order, then that float sum S_F, are summed pairwise in
+    long double in levels = ceil(log2(wide + 1)) <= depth adds (ceil(log2
+    cosets) when every term is wide and S_F = 0).  The row's bound is
+
+      (eps err_F + eps_ext (err_L + levels (sum_L |term_w| + |S_F|))) / D + rest,
+
+    err_F = sum over the float terms of c_w + depth |term_w|, err_L and
+    sum_L over the wide ones of c_w and |term_w|, which is at most the
+    budget.  The rounding to float of S, of (lambda, t), log P_1, log D
+    and the final sum, and the eta part stay at float level.  The tier's
+    t-only floor is eps_ext (n0 + 2 + depth) / D.
     """
 
     def __init__(self, rs: RootSystem, t):
@@ -636,10 +677,10 @@ class CharacterPlan:
         return c.par.qmat.astype(np.longdouble) @ c.pair.astype(np.longdouble)
 
     def _coset_rows(self, c: _Cosets, lams, values, bounds, tier) -> None:
-        """Fill values, bounds and tiers of the rows the coset sum takes, in float or in long double."""
+        """Fill values, bounds and tiers of the rows the coset sum takes, in float or mixed precision."""
         r = self.rs.rank
         n0 = len(c.par.rho0)
-        depth = (len(c.par.sign) - 1).bit_length()  # levels of the extended tier's pairwise sum
+        depth = (len(c.par.sign) - 1).bit_length()  # levels of a pairwise sum over a row's terms
         eps_ext = _EPS_EXT if _EPS_EXT < _EPS else math.inf
         floor = min(_EPS * (n0 + 2), eps_ext * (n0 + 2 + depth)) * c.inv_den
         if floor > CHARACTER_BUDGET:
@@ -651,7 +692,11 @@ class CharacterPlan:
             lam = lam_all[lo : lo + step]
             x, terms, log_p1 = _coset_terms(c.par, c.q, lam + 1.0)
             mags = np.abs(terms)
-            err = np.sum(mags * ((r + 2) * x + (n0 + 2)), axis=1)
+            contrib = x  # each term's rounding in units of its eps, |term| ((r + 2) x_w + n0 + 2), in place
+            contrib *= r + 2
+            contrib += n0 + 2
+            contrib *= mags
+            err = np.sum(contrib, axis=1)
             lam_t = _rowdot(lam, c.cinv_t[None, :])[:, 0]
             mag_sum = np.sum(mags, axis=1)
             log_s = np.maximum(abs(c.log_den), np.log(mag_sum))
@@ -673,18 +718,58 @@ class CharacterPlan:
             tier[lo + ok] = 1
             if len(ok) == len(lam):
                 continue
-            # rows the float bound rejects: the same terms again in long double
+            # rows the float bound rejects but the all-long-double bound admits: mixed precision
             miss = bound > CHARACTER_BUDGET
             bound_ext = eps_ext * (err + depth * mag_sum) * c.inv_den + rest
             bounds[lo : lo + step] = np.where(miss, np.minimum(bound, bound_ext), bound)
             ext = np.flatnonzero(miss & (bound_ext <= CHARACTER_BUDGET))
             if len(ext):
-                _, terms_ext, _ = _coset_terms(c.par, self._q_ext, lam[ext] + 1.0)
-                for i, total in zip(ext.tolist(), _pairwise_sums(c.par.sign * terms_ext).astype(float).tolist()):
+                # what the budget leaves the float rounding of the terms kept in float
+                slack = (CHARACTER_BUDGET - rest[ext]) / c.inv_den - eps_ext * (err[ext] + depth * mag_sum[ext])
+                sel = ext if len(ext) < len(lam) else slice(None)  # a view when every row is mixed
+                totals, term_err = self._mixed_sums(c, lam[ext] + 1.0, terms[sel], mags[sel], contrib[sel], slack)
+                bounds[lo + ext] = term_err * c.inv_den + rest[ext]
+                for i, total in zip(ext.tolist(), totals.tolist()):
                     if total <= 0.0:
                         raise InternalConsistencyError("character sign certificate failed")
                     values[lo + i] = lam_t[i] + log_p1[i] + math.log(total) - c.log_den
                 tier[lo + ext] = 2
+
+    def _mixed_sums(self, c: _Cosets, shifted, terms, mags, contrib, slack) -> tuple[np.ndarray, np.ndarray]:
+        """S of rows the float bound rejects, with long double only for their wide terms; see the class.
+
+        terms, mags and contrib are the rows' float terms, |terms| and
+        |term| ((r + 2) x_w + n0 + 2); terms and mags are overwritten.
+        slack > 0 is what the budget leaves the rounding of the float
+        part.  Returns S in float and the bound on its rounding, times D.
+        """
+        sign = c.par.sign
+        n, cosets = terms.shape
+        depth = (cosets - 1).bit_length()
+        share = mags  # a float term's rounding, its pairwise sum's included, over eps
+        share *= depth
+        share += contrib
+        wide = share > (slack / (_EPS * cosets))[:, None]
+        wide[:, 0] = True  # the identity term
+        rows, cols = np.divmod(np.flatnonzero(wide), cosets)  # each row's wide terms in coset order
+        np.copyto(share, 0.0, where=wide)
+        err_float = np.sum(share, axis=1)
+        kept = terms
+        kept *= sign
+        np.copyto(kept, 0.0, where=wide)
+        s_float = _pairwise_sums(kept)
+        wide_terms = sign[cols] * _coset_terms_at(c.par, self._q_ext, shifted[rows], cols)
+        count = np.bincount(rows, minlength=n)
+        # per row: its wide terms, then its float part; a row's layout, and so its sum, is its own
+        block = np.zeros((n, int(count.max()) + 1), dtype=np.longdouble)
+        block[rows, np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)] = wide_terms
+        block[np.arange(n), count] = s_float
+        totals = _pairwise_sums(block).astype(float)
+        # levels that round: ceil(log2(count + 1)), or ceil(log2 count) when every term is wide and s_float = 0
+        levels = np.frexp(count - (count == cosets))[1]
+        err_wide = np.bincount(rows, weights=contrib[rows, cols], minlength=n)
+        mag_wide = np.bincount(rows, weights=np.abs(wide_terms).astype(float), minlength=n)
+        return totals, _EPS * err_float + _EPS_EXT * (err_wide + levels * (mag_wide + np.abs(s_float)))
 
 
 class Branching:

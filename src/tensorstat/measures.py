@@ -190,8 +190,10 @@ def _asymptotic_log_probabilities(problem: TensorProblem, lams, t) -> tuple[np.n
     log_den = float(np.sum(np.log(-np.expm1(-(rs.pos_pairing_f[~in0] @ t_dom)))))
     c = -f_eval(problem, t_dom) / problem.epsilon - float(np.sum(np.log(pairing0 @ rho0))) - log_den
     lam_root, log_m, status = _log_multiplicity_rows(problem, lams)
+    # (lambda, alpha) >= 0 for dominant lambda: a float pairing below 0 is an exact 0 rounded
+    pair0 = np.maximum(_rows(pairing0, lam_root), 0.0)
     with np.errstate(divide="ignore"):  # a wall row's log 0 meets its NaN log_m
-        log_pair = np.sum(np.log(_rows(pairing0, lam_root)), axis=1)
+        log_pair = np.sum(np.log(pair0), axis=1)
     return log_m + (np.sum(lam_root * (rs.B_f @ t_dom), axis=1) + log_pair) + c, status
 
 

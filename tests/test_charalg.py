@@ -549,6 +549,20 @@ EVALUATOR_CASES = {
 KINDS = ("wall", "small", "regular")
 # the rows are the summands of V^N: (V, N) per algebra, (1, 0, ..., 0)^6 by default
 EVALUATOR_FACTORS = {"E7": ((0,) * 6 + (1,), 2)}
+# CharacterLogs.paths, one letter a row
+PATH_CODES = {"weight-sum": "s", "weyl": "w", "weyl-extended": "x", "dimension": "d"}
+# the path of every row of EVALUATOR_CASES, per kind, as pinned when the long-double tier came in
+EVALUATOR_PATHS = {
+    "A2": ["w" * 7] * 3,
+    "B2": ["w" * 15] * 3,
+    "G2": ["w" * 36] * 3,
+    "B3": ["w" * 19] * 3,
+    "E7": ["s" * 4],
+}
+
+
+def _path_codes(paths) -> str:
+    return "".join(PATH_CODES[p] for p in paths)
 
 
 @pytest.mark.parametrize(
@@ -564,10 +578,7 @@ def test_log_characters_match_weight_sum(algebra, kind):
     got = CharacterPlan(rs, t).evaluate(lams)
     ref = CharacterPlan(rs, t).evaluate(lams, method="weight-sum")
     assert ref.paths == ("weight-sum",) * len(lams)
-    if algebra == "E7":
-        assert got.paths == ref.paths
-    else:
-        assert got.paths.count("weyl") >= len(lams) // 2
+    assert _path_codes(got.paths) == EVALUATOR_PATHS[algebra][kind]
     for value, bound, path, expect, lam in zip(got.values, got.bounds, got.paths, ref.values, lams):
         assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect))
         if path in ("weyl", "weyl-extended"):
@@ -582,12 +593,20 @@ def test_log_characters_match_weight_sum(algebra, kind):
 
 
 def test_log_characters_rows_do_not_depend_on_the_batch():
-    rs = build_root_system("G2")
-    t = _t_with_pairings(rs, (0.0, 0.45))
-    lams = [(0, 0), (1, 0), (0, 3), (2, 1), (5, 2)]
-    batch = CharacterPlan(rs, t).evaluate(lams).values
-    for lam, value in zip(lams, batch):
-        assert CharacterPlan(rs, t).evaluate([lam]).values[0] == value
+    cases = [
+        ("G2", (0.0, 0.45), [(0, 0), (1, 0), (0, 3), (2, 1), (5, 2)]),
+        # mixed-precision rows: which terms go wide, and the sum's layout, are each row's own
+        ("F4", (0.41, 0.47, 0.0, 0.44), [(0, 0, 0, 1), (2, 0, 0, 1), (0, 1, 0, 1), (0, 0, 0, 5), (1, 0, 1, 0)]),
+    ]
+    for algebra, pairings, lams in cases:
+        rs = build_root_system(algebra)
+        t = _t_with_pairings(rs, pairings)
+        batch = CharacterPlan(rs, t).evaluate(lams)
+        if algebra == "F4" and charalg._EPS_EXT < charalg._EPS:
+            assert set(batch.paths) == {"weyl-extended"}
+        for lam, value, bound, path in zip(lams, batch.values, batch.bounds, batch.paths):
+            one = CharacterPlan(rs, t).evaluate([lam])
+            assert (one.values[0], one.bounds[0], one.paths[0]) == (value, bound, path)
 
 
 def test_log_characters_f4_small_t_skips_the_coset_block(monkeypatch):
@@ -602,6 +621,7 @@ def test_log_characters_f4_small_t_skips_the_coset_block(monkeypatch):
 
     monkeypatch.setattr(charalg, "_rowdot", no_block)
     monkeypatch.setattr(charalg, "_coset_terms", no_block)
+    monkeypatch.setattr(charalg, "_coset_terms_at", no_block)
     lams = [(0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0)]
     got = CharacterPlan(rs, t).evaluate(lams)
     assert got.paths == ("weight-sum",) * 3
@@ -664,12 +684,23 @@ def f4_rows():
     return rs, [lam for lam, _ in tensor_power_decompose(rs, [((0, 0, 0, 1), 5)]).sorted_entries()]
 
 
-@pytest.mark.parametrize("kind", sorted(F4_EXTENDED_CASES))
-def test_f4_rows_take_the_long_double_coset_sum(monkeypatch, f4_rows, kind):
+# simple-root pairings of the five F4 measures of the benchmark's session-t-sweep at seed 0
+F4_SESSION_CASES = {
+    "session-wall-1": (0.411, 0.0, 0.471, 0.455),
+    "session-wall-2": (0.496, 0.46, 0.459, 0.0),
+    "session-small-1": (0.142, 0.424, 0.418, 0.482),
+    "session-small-2": (0.466, 0.189, 0.409, 0.476),
+    "session-regular": (0.484, 0.49, 0.492, 0.454),
+}
+
+
+@pytest.mark.parametrize("pairings", [*F4_EXTENDED_CASES.values(), *F4_SESSION_CASES.values()],
+                         ids=[*F4_EXTENDED_CASES, *F4_SESSION_CASES])
+def test_f4_rows_take_the_long_double_coset_sum(monkeypatch, f4_rows, pairings):
     if not charalg._EPS_EXT < charalg._EPS:
         pytest.skip("long double is no wider than float here")
     rs, lams = f4_rows
-    t = _t_with_pairings(rs, F4_EXTENDED_CASES[kind])
+    t = _t_with_pairings(rs, pairings)
     calls = []
     monkeypatch.setattr(charalg, "_freudenthal", lambda spec, todo: calls.append(todo))
     got = CharacterPlan(rs, t).evaluate(lams)
@@ -679,6 +710,41 @@ def test_f4_rows_take_the_long_double_coset_sum(monkeypatch, f4_rows, kind):
     for value, bound, lam in zip(got.values, got.bounds, lams):
         assert bound <= CHARACTER_BUDGET
         assert abs(value - _exact_log_character(rs, lam, t)) <= bound
+
+
+def test_f4_mixed_rows_recompute_few_terms_in_long_double(monkeypatch, f4_rows):
+    # the float pass's values stand for every term but the wide ones, which alone are recomputed
+    if not charalg._EPS_EXT < charalg._EPS:
+        pytest.skip("long double is no wider than float here")
+    rs, lams = f4_rows
+    wide, block = [], 0
+    terms_at = charalg._coset_terms_at
+    monkeypatch.setattr(charalg, "_coset_terms_at", lambda par, q, shifted, cols: wide.append(len(cols))
+                        or terms_at(par, q, shifted, cols))
+    for pairings in F4_EXTENDED_CASES.values():
+        plan = CharacterPlan(rs, _t_with_pairings(rs, pairings))
+        assert plan.evaluate(lams).paths == ("weyl-extended",) * len(lams)
+        block += len(lams) * len(plan._cosets.par.sign)
+    assert len(wide) == 3 and min(wide) >= len(lams)  # at least the identity term of every row
+    assert sum(wide) < block / 4
+
+
+def test_coset_terms_at_pairs_match_a_long_double_block(f4_rows):
+    # every (row, coset) pair of an F4 wall block against the whole block formed by matmuls in long double
+    rs, lams = f4_rows
+    plan = CharacterPlan(rs, _t_with_pairings(rs, F4_EXTENDED_CASES["wall"]))
+    par, q = plan._cosets.par, plan._q_ext
+    shifted = np.array(lams, dtype=float) + 1.0
+    rows, cols = np.divmod(np.arange(len(lams) * len(par.sign)), len(par.sign))
+    got = charalg._coset_terms_at(par, q, shifted[rows], cols).reshape(len(lams), -1)
+    lam_ld = shifted.astype(np.longdouble)
+    x = lam_ld @ q.T
+    ref = np.exp(-x)
+    for poly in par.poly:
+        a = lam_ld @ poly.T.astype(np.longdouble)
+        ref *= a / a[:, :1]
+    assert got.dtype == np.longdouble
+    assert np.all(np.abs(got - ref) <= 8 * charalg._EPS_EXT * (1 + x) * np.abs(ref))
 
 
 @pytest.mark.parametrize("kind", sorted(F4_EXTENDED_CASES))
@@ -694,6 +760,13 @@ def test_f4_rows_fall_back_to_the_weight_sum_without_long_double(monkeypatch, f4
     assert got.values.tobytes() == ref.values.tobytes()
 
 
+# the path of every row of the two cases below, as pinned when the long-double tier came in
+FLOAT_BITS_PATHS = {
+    "B3": "xxwwxxwxwwxwwwxxwwxwwxwwwxwwxwwwwwwxwwwwwwxwwwwwwwwwwwwwwwwww",
+    "G2": "xxxxxwwwwxxxwwwwxwwwwwwww",
+}
+
+
 @pytest.mark.parametrize(
     "algebra, factor, pairings",
     [("B3", ((1, 0, 0), 10), (0.45, 0.1, 0.45)), ("G2", ((0, 1), 8), (0.2, 0.1))],
@@ -706,7 +779,7 @@ def test_float_rows_keep_their_bits_with_the_extended_tier(monkeypatch, algebra,
     monkeypatch.setattr(charalg, "_EPS_EXT", charalg._EPS)
     off = CharacterPlan(rs, t).evaluate(lams)
     if charalg._EPS_EXT < charalg._EPS:
-        assert {"weyl", "weyl-extended"} <= set(got.paths)
+        assert _path_codes(got.paths) == FLOAT_BITS_PATHS[algebra]
     assert set(off.paths) == {"weyl", "weight-sum"}
     for path, value, bound, value_off, bound_off, path_off in zip(
         got.paths, got.values, got.bounds, off.values, off.bounds, off.paths
@@ -727,6 +800,9 @@ def test_pairwise_sums_stay_within_their_depth_bound():
         depth = (width - 1).bit_length()
         for row, total in zip(a, charalg._pairwise_sums(a).tolist()):
             assert abs(total - math.fsum(row.tolist())) <= depth * charalg._EPS * float(np.sum(np.abs(row)))
+        # trailing zero columns change no sum, so a mixed row's sum does not depend on its batch's width
+        sums = {charalg._pairwise_sums(np.pad(a, ((0, 0), (0, extra)))).tobytes() for extra in (0, 1, 3, 17)}
+        assert len(sums) == 1
 
 
 def test_coset_matrices_are_integral():

@@ -549,6 +549,21 @@ def _huge_t_run(capsys, argv):
     return code, captured.out, captured.err.splitlines()
 
 
+def test_measure_e6_at_a_three_wall_t_warns_nothing(capsys):
+    # this t reflects to a chamber point on three walls; the float pairings (lambda, alpha)
+    # over their roots once read -8.9e-16 where the exact value is 0, and the log of them
+    # warned "invalid value" (exit 3 under warnings as errors)
+    code, out, err = _huge_t_run(capsys, ["measure", "--no-cache", "--algebra", "E6", "--rep", "1,0,0,0,0,0",
+                                          "--power", "8", "--t", "0.5,0.4,0.6,0.9,0.7,0.4"])
+    assert (code, err) == (0, [])
+    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+    assert len(rows) == 82
+    assert math.fsum(float(row[6]) for row in rows) == pytest.approx(1.0)
+    for row in rows:
+        if "0" in row[:6]:  # a wall row has no asymptotic estimate
+            assert row[7] == "nan"
+
+
 def test_measure_at_overflowing_t_is_a_domain_error(capsys):
     # B t overflowed: a dozen warnings, then a table of NaN probabilities and exit 0
     code, out, err = _huge_t_run(capsys, ["measure", "--no-cache", "--algebra", "A1", "--rep", "1", "--power", "4",
