@@ -12,15 +12,29 @@ form B fixed in rootsys.
 from __future__ import annotations
 
 import contextlib
+import decimal
 import json
 import math
+import operator
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .charalg import Weight, _coset_terms, _dominant_weight, _factors, _parabolic, second_casimir, weight_multiplicities
+from .charalg import (
+    _EPS,
+    _EPS_EXT,
+    CHARACTER_BUDGET,
+    Weight,
+    _coset_terms,
+    _dominant_weight,
+    _factors,
+    _parabolic,
+    _rowdot,
+    second_casimir,
+    weight_multiplicities,
+)
 from .errors import ConvergenceError, DomainError, LegendreDomainError, NonRegularError, WeylGroupTooLargeError
 from .rootsys import _MAX_WEYL_ORDER, RootSystem, reflect_to_chamber, stabilizer_roots, weyl_group_order
 
@@ -383,6 +397,96 @@ def hessian_at_origin(problem: TensorProblem) -> tuple[float, float]:
     return x, resid
 
 
+# most coset terms one limit_density call sums in decimal, a few seconds' work
+_DECIMAL_TERMS = 2**17
+
+
+def _decimal_coset_sums(par, u_pair: np.ndarray, lams: np.ndarray, digits: int) -> list[float]:
+    """S of the coset sum at each row Lambda of lams, every operation rounded to the given decimal digits."""
+
+    def dot(row, vec):
+        return sum(map(operator.mul, row, vec))
+
+    def decimals(rows):
+        return [list(map(decimal.Decimal, row)) for row in rows]
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        (pair,) = decimals([u_pair.tolist()])
+        qs = [[dot(row, pair) for row in decimals(q)] for q in par.qmat.tolist()]
+        polys, out = [decimals(poly) for poly in par.poly.tolist()], []
+        for lam in decimals(lams.tolist()):
+            ones = [dot(poly[0], lam) for poly in polys]
+            total = decimal.Decimal(0)
+            for w, (sign, q) in enumerate(zip(par.sign.tolist(), qs)):
+                term = (-dot(q, lam)).exp() * math.prod(dot(poly[w], lam) / one for poly, one in zip(polys, ones))
+                total += term if sign > 0 else -term
+            out.append(float(total))
+        return out
+
+
+def _intermediate_density(rs: RootSystem, pts: np.ndarray, u: np.ndarray, wall) -> np.ndarray:
+    """limit_density's "intermediate" kind at dominant u, its coset sums certified like CharacterPlan's rows.
+
+    The pairings of u and Lambda = C b are taken as computed, a few ulps
+    from u and b like any rounded input.  Term w is at most M_w = e^{-x_w}
+    prod_k (|Lambda| . |poly_k,w|) / (Lambda . poly_k,1), and the identity
+    term is 1.  As each operation rounds by eps / 2 and exp by eps, term w
+    rounds by at most eps M_w ((2r - 1) |Lambda| . q_w + (r + 1/2) n0 + 1),
+    and the sum adds eps cosets / 2 sum_w M_w.  S is at least 1 - sum over
+    w != 1 of M_w, and, as the orbital integral I = pi(rho) e^{(b, u)} P_1
+    S / (pi(b) pi_out(u)) is an average of e^{(k b, u)} over the compact
+    group, I >= 1 (Jensen).  p = G_u pi(b) P_1 S / pi_out(u), G_u the unit
+    Gaussian centred at u, is certified to within CHARACTER_BUDGET of
+    max(p, G_u).  Rows past the budget in float are summed in long double,
+    and past it there in decimal at the digits the bound asks for; past
+    _DECIMAL_TERMS decimal terms the call raises DomainError.
+    """
+    order = weyl_group_order(rs.spec)
+    if order > _MAX_WEYL_ORDER:
+        raise WeylGroupTooLargeError(f"Weyl group too large for the coset sum: |W| = {order}", order)
+    r = rs.rank
+    par = _parabolic(rs.spec, tuple(bool(w) for w in wall))
+    n0, cosets = len(par.rho0), len(par.sign)
+    u_pair = np.where(wall, 0.0, rs.B_f @ u)
+    # on chamber walls of b the root product vanishes, so the density is zero there
+    interior = np.all(pts @ rs.pos_pairing_f.T > 1e-12, axis=1)
+    b = pts[interior]
+    shifted, q = b @ rs.cartan_f.T, par.qmat @ u_pair
+    x, terms, log_p1 = _coset_terms(par, q, shifted)
+    big = np.exp(-x)
+    for poly in par.poly:
+        big *= _rowdot(np.abs(shifted), np.abs(poly)) / _rowdot(shifted, poly[:1])
+    err = big * ((2 * r - 1) * _rowdot(np.abs(shifted), q) + (r + 0.5) * n0 + 1.0 + cosets / 2)
+    err[:, 0] = cosets / 2  # the identity term is exactly 1
+    log_pi_b, log_pi_u = np.sum(np.log(b @ rs.pos_pairing_f.T), axis=1), np.sum(np.log(par.outside @ u_pair))
+    log_low = np.maximum.reduce([
+        log_pi_b + log_pi_u - b @ u_pair - log_p1 - np.sum(np.log(rs.pos_pairing_f @ rs.rho_root_f)),
+        np.log(np.maximum(1.0 - np.sum(big[:, 1:] + _EPS * err[:, 1:], axis=1), 1e-300)),
+        log_pi_u - log_pi_b - log_p1,
+    ])
+    ratio = np.exp(np.minimum(np.log(np.sum(err, axis=1)) - log_low, 700.0))
+    sums = terms @ par.sign
+    ext = np.flatnonzero(_EPS * ratio > CHARACTER_BUDGET)
+    if len(ext):
+        ld = np.longdouble
+        _, terms, p1 = _coset_terms(par, par.qmat.astype(ld) @ u_pair.astype(ld), shifted[ext].astype(ld))
+        sums[ext], log_p1[ext] = terms @ par.sign.astype(ld), p1
+        wide = ext[(_EPS_EXT if _EPS_EXT < _EPS else math.inf) * ratio[ext] > CHARACTER_BUDGET]
+        if len(wide) * cosets > _DECIMAL_TERMS:
+            raise DomainError(f"the intermediate density needs {len(wide) * cosets} decimal coset terms here")
+        if len(wide):
+            digits = 2 + math.ceil(math.log10(float(np.max(ratio[wide])) / CHARACTER_BUDGET))
+            sums[wide] = _decimal_coset_sums(par, u_pair, shifted[wide], digits)
+    log_c = 0.5 * (np.linalg.slogdet(rs.B_f)[1] - r * math.log(2.0 * math.pi) - u @ u_pair)
+    log_c -= log_pi_u
+    log_b = log_pi_b + b @ u_pair + log_p1
+    log_b -= 0.5 * np.einsum("ij,jk,ik->i", b, rs.B_f, b)
+    out = np.zeros(len(pts))
+    out[interior] = np.exp(log_c + log_b) * np.maximum(sums, 0.0)
+    return out
+
+
 def limit_density(
     rs: RootSystem,
     kind: str,
@@ -412,6 +516,8 @@ def limit_density(
              e^{(b, u) - |b|^2/2 - |u|^2/2} P_1(b) S(b) / prod over alpha > 0 outside Phi0 of (alpha, u)
 
     on the open chamber and 0 on its walls; at u = 0 it is "plancherel".
+    Each value is within 1e-11 of max(p, G_u), G_u the unit Gaussian
+    centred at u, whatever S cancels (see _intermediate_density).
     u is reflected into the dominant chamber first.  Returns densities
     with respect to Lebesgue measure in root coordinates.
     """
@@ -448,20 +554,6 @@ def limit_density(
         out = np.prod(np.maximum(pair, 0.0) ** 2, axis=1) * np.exp(-log_z - 0.5 * quad)
         out = np.where(np.all(pair > -1e-12, axis=1), out, 0.0)
     else:
-        order = weyl_group_order(rs.spec)
-        if order > _MAX_WEYL_ORDER:
-            raise WeylGroupTooLargeError(f"Weyl group too large for the coset sum: |W| = {order}", order)
-        par = _parabolic(rs.spec, tuple(bool(w) for w in wall))
-        u_pair = np.where(wall, 0.0, rs.B_f @ u)
-        # on chamber walls of b the root product vanishes, so the density is zero there
-        interior = np.all(pts @ rs.pos_pairing_f.T > 1e-12, axis=1)
-        b = pts[interior]
-        _, terms, log_p1 = _coset_terms(par, par.qmat @ u_pair, b @ rs.cartan_f.T)
-        log_c = 0.5 * (np.linalg.slogdet(rs.B_f)[1] - r * math.log(2.0 * math.pi) - u @ u_pair)
-        log_c -= np.sum(np.log(par.outside @ u_pair))
-        log_b = np.sum(np.log(b @ rs.pos_pairing_f.T), axis=1) + b @ u_pair + log_p1
-        log_b -= 0.5 * np.einsum("ij,jk,ik->i", b, rs.B_f, b)
-        out = np.zeros(len(pts))
-        out[interior] = np.exp(log_c + log_b) * np.maximum(terms @ par.sign, 0.0)
+        out = _intermediate_density(rs, pts, u, wall)
 
     return out[0] if single else out

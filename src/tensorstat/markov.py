@@ -12,6 +12,12 @@ V^(x)N exactly (the chi factors telescope along each path).  Some
 references print the reciprocal chi ratio, which is not row-stochastic;
 we keep the normalizable reading.
 
+Exact evolution over N steps first builds every row such a walk reads:
+one Klimyk fold per level, then one character batch, one rounding bound
+and one table write per row length for all of them, and then runs N
+sparse mat-vecs.  A sampler on a fresh kernel builds only the rows its
+chains reach, a step at a time.
+
 Sampling runs in one thread.  It is reproducible by construction: chain
 c consumes only the counter-based stream keyed (seed, c).  The streams come
 from the package's own vectorized Philox4x64-10, which reproduces NumPy's
@@ -111,9 +117,12 @@ class TransitionKernel:
     padded with -1), their probabilities, and their cumulative sums
     (padded with 2.0, above every uniform); an unbuilt row holds only
     pads.  Exact evolution, sampling and row() read these tables.  Rows
-    are made only by _build_row, on demand: one Branching fold per call
-    fills all its new rows, their characters evaluated in one batch.
-    The kernel is not thread-safe.
+    are made only by _build_row: one Branching fold per level of the walk
+    it is asked for, then one pass that finishes every new row.
+    _build_to_depth(N) builds all rows a walk of N steps from the origin
+    reads and records N as the kernel's depth; below that depth the
+    sampler builds the rows its chains reach, as they reach them.  The
+    kernel is not thread-safe.
     """
 
     def __init__(self, rs: RootSystem, rep, t=None):
@@ -133,6 +142,7 @@ class TransitionKernel:
         self._probs = np.zeros(shape)
         self._cdf = np.full(shape, 2.0)
         self._log_chi: dict[Weight, float] = {}
+        self._depth = 0  # every row a walk of this many steps from the origin reads is built
         self._dim_v = weyl_dimension(rs, self.rep)
         if t_arr is None:
             self._log_chi_v = math.log(int(self._dim_v))
@@ -173,34 +183,58 @@ class TransitionKernel:
         targets = [self._states[i] for i in self._targets[sid, :n].tolist()]
         return TransitionRow(source, tuple(zip(targets, self._probs[sid, :n].tolist())))
 
-    def _build_row(self, sids: np.ndarray) -> None:
-        """Build every row not built yet among the given state ids, from one fold.
+    def _build_to_depth(self, N: int) -> None:
+        """Build every row a walk of N steps from the origin reads; the kernel is then complete to depth N."""
+        if N > self._depth:
+            self._build_row(np.array([self.state_id((0,) * self.rs.rank)]), N)
+            self._depth = N
 
-        The fold returns the branching numbers sorted by (source, target),
-        the order the tables keep, and the characters of every source and
-        target are evaluated in one batch.  At t = 0 the weighting by
-        dimension is exact: each row's b dim mu sum to dim lambda dim V,
-        and each probability is that int ratio, correctly rounded.  At
-        t != 0 the rows pass the a-priori rounding bound first.  Row sums
-        and cumulative sums run over the rows of one length at a time, so
-        each row gets the float operations it would get alone.
+    def _build_row(self, sids: np.ndarray, levels: int = 1) -> None:
+        """Build every row not built yet that a walk of fewer than levels steps from sids reads.
+
+        Level by level, as _evolve walks them, the unbuilt rows among the
+        states the walk stands on, sorted by id, get one fold, which
+        returns the branching numbers sorted by (source, target), the order
+        the tables keep; the targets are interned in that order.  The new
+        rows of every level are then finished at once: one batch of
+        characters of their sources and targets, one rounding bound, and
+        one write per row length.  At t = 0 the weighting by dimension is
+        exact: each row's b dim mu sum to dim lambda dim V, and each
+        probability is that int ratio, correctly rounded.  At t != 0 the
+        rows pass the a-priori rounding bound first.  Row sums and
+        cumulative sums run over the rows of one length at a time, so each
+        row gets the float operations it would get alone.
         """
-        todo = np.zeros(len(self._states), dtype=bool)
-        todo[sids[self._targets[sids, 0] < 0]] = True
-        todo = np.flatnonzero(todo)
-        if not len(todo):
+        folds = []
+        for level in range(levels):
+            if level:  # the states the next step stands on; this call's targets stand in the table till the end
+                reached = self._targets[sids]
+                sids = np.flatnonzero(np.bincount(reached[reached >= 0]))
+            todo = np.zeros(len(self._states), dtype=bool)
+            todo[sids[self._targets[sids, 0] < 0]] = True
+            todo = np.flatnonzero(todo)
+            if len(todo):
+                keys = np.array([self._states[i] for i in todo.tolist()], dtype=np.int64).reshape(len(todo), -1)
+                src, targets, b = self._branching.fold(keys, np.ones(len(todo), dtype=np.int64), by_source=True)
+                target_ids = np.array([self.state_id(mu) for mu in map(tuple, targets.tolist())], dtype=np.int64)
+                lengths = np.bincount(src, minlength=len(todo))
+                self._targets[todo[src], np.arange(len(src)) - (np.cumsum(lengths) - lengths)[src]] = target_ids
+                folds.append((todo, lengths, target_ids, b))
+        if not folds:
             return
-        sources = [self._states[sid] for sid in todo.tolist()]
-        keys = np.array(sources, dtype=np.int64).reshape(len(sources), self.rs.rank)
-        src, targets, b = self._branching.fold(keys, np.ones(len(sources), dtype=np.int64), by_source=True)
-        targets = list(map(tuple, targets.tolist()))
-        lengths = np.bincount(src, minlength=len(sources))
+        todo, lengths, target_ids, b = map(np.concatenate, zip(*folds))
+        self._targets[todo] = -1  # unbuilt again until every check below passes
+        src = np.repeat(np.arange(len(todo)), lengths)
         starts = np.cumsum(lengths) - lengths
-        lams = sources + targets
+        sources = [self._states[sid] for sid in todo.tolist()]
         if self._t_arr is None:
-            dim = np.array(_weyl_dimensions(self.rs, lams), dtype=object)
-            weighted = b.astype(object) * dim[len(sources) :]
-            denom = dim[: len(sources)] * self._dim_v
+            # one dimension per state: a state is the target of several rows
+            dim = np.zeros(len(self._states), dtype=object)
+            dim[todo] = dim[target_ids] = 1
+            ids = np.flatnonzero(dim)
+            dim[ids] = _weyl_dimensions(self.rs, [self._states[sid] for sid in ids.tolist()])
+            weighted = b.astype(object) * dim[target_ids]
+            denom = dim[todo] * self._dim_v
             sums = np.add.reduceat(weighted, starts)
             off = sums != denom
             if np.any(off):
@@ -210,11 +244,11 @@ class TransitionKernel:
                 )
             probs = (weighted / denom[src]).astype(float)
         else:
-            log_chi = np.array(self._log_chi_at(lams))
+            log_chi = np.array(self._log_chi_at(sources + [self._states[sid] for sid in target_ids.tolist()]))
             log_p = np.array(list(map(math.log, b.tolist()))) + log_chi[len(sources) :]
             log_p -= log_chi[src]
             log_p -= self._log_chi_v
-            tops = keys + np.array(self.rep, dtype=np.int64)
+            tops = np.array(sources, dtype=np.int64) + np.array(self.rep, dtype=np.int64)
             drift = _rounding_drift(self.rs, self._t_arr, tops, log_p, lengths)
             if np.any(drift > _SUM_TOL):
                 i = int(np.argmax(drift))
@@ -223,8 +257,6 @@ class TransitionKernel:
                     f" row from {sources[i]} by {drift[i]:.2g}"
                 )
             probs = np.exp(log_p)
-        # interning may grow the tables, so it precedes the writes
-        target_ids = np.array([self.state_id(mu) for mu in targets], dtype=np.int64)
         for n in np.flatnonzero(np.bincount(lengths)).tolist():
             at = np.flatnonzero(lengths == n)
             entries = starts[at, None] + np.arange(n)
@@ -286,11 +318,11 @@ def evolve_exact(
 
 def _evolve(kernel: TransitionKernel, N: int, epsilon) -> MeasureTable:
     """evolve_exact on a given kernel; N is already checked."""
+    kernel._build_to_depth(N)
     sids = np.array([kernel.state_id((0,) * kernel.rs.rank)])
     probs = np.ones(1)
     for _ in range(N):
         # one sparse mat-vec; a target reached with zero mass stays in the support
-        kernel._build_row(sids)
         targets = kernel._targets[sids]
         reached = targets >= 0
         flat = targets[reached]
@@ -377,7 +409,9 @@ def _run_block(kernel: TransitionKernel, seed: int, lo: int, hi: int, N: int, ke
     """End state ids of chains lo..hi-1 after N steps, and their (chains, N + 1) id paths if keep_paths.
 
     A step reads a contiguous copy of the cumulative sums, one column per
-    target slot, made again only after a chain reaches an unbuilt row.
+    target slot.  On a kernel built to depth N every row is there; below
+    it, a step whose chains reach unbuilt rows builds them and copies
+    again.
     """
     # chain lo + j draws from the Philox stream keyed (seed, lo + j)
     uniforms = _philox_uniforms(seed, lo, hi, N).T
@@ -395,7 +429,7 @@ def _run_block(kernel: TransitionKernel, seed: int, lo: int, hi: int, N: int, ke
         if keep_paths:
             paths[step] = ids
         index = ids * width
-        if np.any(targets.take(index) < 0):  # a chain reached an unbuilt row
+        if kernel._depth < N and np.any(targets.take(index) < 0):  # a chain reached an unbuilt row
             kernel._build_row(ids)
             targets, columns = tables()
         # index + k, k the entries <= u: what searchsorted(cdf, u, side="right") counts

@@ -639,6 +639,35 @@ def test_sample_builds_each_row_once(capsys, monkeypatch):
     assert folded and len(folded) == len(set(folded))
 
 
+def test_sample_builds_its_kernel_in_one_batch(capsys, monkeypatch):
+    # the exact evolution builds the kernel to depth --steps: one fold per level, then
+    # one character batch after chi_V; sampling on that kernel builds nothing
+    kernels, plans, folds = [], [], []
+    init, evaluate, fold = markov.TransitionKernel.__init__, charalg.CharacterPlan.evaluate, charalg.Branching.fold
+
+    def spy_init(self, *args):
+        kernels.append(self)
+        init(self, *args)
+
+    def spy_evaluate(self, lams, method="auto"):
+        plans.append(self)
+        return evaluate(self, lams, method)
+
+    def spy_fold(self, keys, values, by_source=False):
+        folds.append(by_source)
+        return fold(self, keys, values, by_source)
+
+    monkeypatch.setattr(markov.TransitionKernel, "__init__", spy_init)
+    monkeypatch.setattr(charalg.CharacterPlan, "evaluate", spy_evaluate)
+    monkeypatch.setattr(charalg.Branching, "fold", spy_fold)
+    code = main(["sample", "--algebra", "A2", "--rep", "1,0", "--t", "0.3,0.1", "--steps", "8", "--chains", "2000"])
+    capsys.readouterr()
+    assert code == 0
+    (kernel,) = kernels
+    assert sum(plan is kernel._characters for plan in plans) == 2
+    assert folds.count(True) == 8
+
+
 def test_sample_stdout_is_pinned(capsys):
     # the sampled endpoint block, unchanged since before the kernel's rows came from one batched fold
     code = main(["sample", "--algebra", "G2", "--rep", "0,1", "--t", "0.3,0.2", "--steps", "8", "--chains", "5000",

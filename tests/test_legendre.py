@@ -18,6 +18,7 @@ from tensorstat import (
     f_grad_hess,
     forward_dual,
     hessian_at_origin,
+    legendre,
     legendre_dual,
     limit_density,
     rate_point,
@@ -192,6 +193,45 @@ def test_limit_density_intermediate_endpoints():
     small = limit_density(rs, "intermediate", pts, u=np.array([1e-7]))
     planch = limit_density(rs, "plancherel", pts)
     assert small == pytest.approx(planch, rel=1e-5)
+
+
+def _e6_points(rs):
+    """Three chamber points with |N(0,1)| simple pairings (seed 1)."""
+    return np.linalg.solve(rs.B_f, np.abs(np.random.default_rng(1).standard_normal((6, 5)))).T[1:4]
+
+
+@pytest.mark.parametrize(
+    "name, points, u_pairings",
+    [
+        # the 6480-term float coset sum cancels by up to 1e39: it read 1.8e3, 9.4e9 and 1.8e10 here
+        ("E6", _e6_points, (0, 0, 0.1, 0.1, 0, 0.2)),
+        # a limit-compare point of G2 (1,0)^16 at t = (0.05, 0.04): S = 1.2e-7 from twelve terms near 1
+        # carried a float error of 5.6e-10, past the long-double bound too
+        ("G2", lambda rs: np.array([[2.6457513110645907, 4.630064794363033]]), (0.03023716, 0.04031621)),
+    ],
+    ids=["E6", "G2"],
+)
+def test_intermediate_density_at_small_u_is_certified(monkeypatch, name, points, u_pairings):
+    rs = build_root_system(AlgebraSpec.parse(name))
+    pts, u = points(rs), _with_pairings(rs, u_pairings)
+    decimal_sums, digits = legendre._decimal_coset_sums, []
+
+    def wider_sums(par, pair, lams, n):  # the digits the bound asks for, then 30 more on the second call
+        digits.append(n)
+        return decimal_sums(par, pair, lams, n + 30 * (len(digits) > 1))
+
+    monkeypatch.setattr(legendre, "_decimal_coset_sums", wider_sums)
+    dens = limit_density(rs, "intermediate", pts, u=u)
+    assert digits, "the float and long-double bounds admit every point"
+    # 1 <= I(b, u) <= e^{(b, u)} for the orbital integral I = p e^{|u|^2/2} / (Plancherel density)
+    low = limit_density(rs, "plancherel", pts) * math.exp(-0.5 * float(u @ rs.B_f @ u))
+    assert np.all(low <= dens * (1 + 1e-10)) and np.all(dens <= low * np.exp(pts @ rs.B_f @ u) * (1 + 1e-10))
+    # 30 more digits move no value past the budget of max(p, G_u), G_u the unit Gaussian centred at u
+    wider = limit_density(rs, "intermediate", pts, u=u)
+    d = pts - u
+    g_u = np.exp(-0.5 * np.einsum("ij,jk,ik->i", d, rs.B_f, d))
+    g_u *= math.sqrt(np.linalg.det(rs.B_f) / (2 * math.pi) ** rs.rank)
+    assert np.all(np.abs(dens - wider) <= 2e-11 * np.maximum(wider, g_u))
 
 
 def test_limit_density_input_validation():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorstat import (
@@ -16,6 +16,7 @@ from tensorstat import (
     TransitionKernel,
     build_root_system,
     character_measure,
+    charalg,
     evolve_exact,
     klimyk_tensor_step,
     markov,
@@ -260,7 +261,7 @@ def test_kernel_rows_of_one_batch_match_rows_built_alone(rep, t):
 
 
 def test_kernel_evaluates_characters_once_per_step(a2, monkeypatch):
-    # the characters of the sources and targets of every row a step builds
+    # the characters of the sources and targets of every row a build makes
     # go to CharacterPlan.evaluate in one batch
     calls = []
     evaluate = CharacterPlan.evaluate
@@ -272,10 +273,80 @@ def test_kernel_evaluates_characters_once_per_step(a2, monkeypatch):
     monkeypatch.setattr(CharacterPlan, "evaluate", counted)
     t, n = np.array([0.3, 0.1]), 12
     evolve_exact(a2, (1, 0), t, n)
-    assert len(calls) <= 1 + n  # chi_V, then at most one batch per step
+    assert len(calls) == 2  # chi_V, then one batch for the rows of every level
     calls.clear()
     sample_paths(a2, (1, 0), t, n, 500, seed=3, keep_paths=False)
-    assert len(calls) <= 1 + n
+    assert len(calls) <= 1 + n  # a fresh kernel builds lazily: at most one batch per step
+
+
+def _build_level_by_level(kernel, n):
+    """The rows _evolve reads for n steps, one _build_row call per level."""
+    sids = np.array([kernel.state_id((0,) * kernel.rs.rank)])
+    for _ in range(n):
+        kernel._build_row(sids)
+        targets = kernel._targets[sids]
+        sids = np.flatnonzero(np.bincount(targets[targets >= 0]))
+
+
+@pytest.mark.parametrize("t", [None, "wall", "regular"])
+@pytest.mark.parametrize("name, rep, n", [("A2", (1, 0), 14), ("B2", (0, 1), 12), ("G2", (1, 0), 8)])
+def test_batched_build_matches_level_by_level(name, rep, n, t):
+    rs = build_root_system(name)
+    t = {None: None, "wall": np.linalg.solve(rs.B_f, [0.0, 0.4]), "regular": np.array([0.3, 0.1])}[t]
+    batch, levels = TransitionKernel(rs, rep, t), TransitionKernel(rs, rep, t)
+    batch._build_to_depth(n)
+    _build_level_by_level(levels, n)
+    assert batch._states == levels._states
+    for table in ("_targets", "_probs", "_cdf"):
+        assert getattr(batch, table).tobytes() == getattr(levels, table).tobytes(), table
+    batch._build_to_depth(n - 1)
+    assert (batch._depth, levels._depth) == (n, 0)
+
+
+_PROPERTY_REPS = {"A1": [(1,), (2,)], "A2": [(1, 0), (0, 1)], "B2": [(1, 0), (0, 1)], "G2": [(1, 0), (0, 1)]}
+
+
+@st.composite
+def _walks(draw):
+    name = draw(st.sampled_from(sorted(_PROPERTY_REPS)))
+    rs = build_root_system(name)
+    rep = draw(st.sampled_from(_PROPERTY_REPS[name]))
+    kind = draw(st.sampled_from(["zero", "wall", "small-regular", "regular"]))
+    scale = {"zero": 0.0, "wall": 1.0, "small-regular": 1e-3, "regular": 1.0}[kind]
+    pairings = [draw(st.floats(0.05, 1.0)) * scale for _ in range(rs.rank)]
+    if kind == "wall":
+        pairings[draw(st.integers(0, rs.rank - 1))] = 0.0
+    t = None if kind == "zero" else np.linalg.solve(rs.B_f, pairings)
+    return rs, rep, t, draw(st.integers(1, 8))
+
+
+@settings(max_examples=50)
+@given(walk=_walks())
+def test_evolve_exact_is_the_character_measure(walk):
+    rs, rep, t, n = walk
+    walked = evolve_exact(rs, rep, t, n).probabilities()
+    direct = character_measure(tensor_power_decompose(rs, [(rep, n)]), t=t).probabilities()
+    assert set(walked) == set(direct)
+    assert max(abs(walked[lam] - direct[lam]) for lam in direct) <= 1e-12
+    kernel = TransitionKernel(rs, rep, t)
+    markov._evolve(kernel, n, None)
+    rows = kernel._probs[kernel._targets[:, 0] >= 0]
+    assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
+
+
+def test_sample_paths_builds_only_the_rows_its_chains_reach(a2, monkeypatch):
+    # a fresh kernel stays lazy: three chains of 200 steps fold at most 600 sources,
+    # where building to depth 200 would fold every state within 199 steps
+    folded = []
+    fold = charalg.Branching.fold
+
+    def counting(self, keys, values, by_source=False):
+        folded.append(len(keys))
+        return fold(self, keys, values, by_source)
+
+    monkeypatch.setattr(charalg.Branching, "fold", counting)
+    sample_paths(a2, (1, 0), (0.3, 0.1), 200, 3, seed=4, keep_paths=False)
+    assert 200 <= sum(folded) <= 3 * 200
 
 
 def test_sample_paths_seed_sensitivity(a1):
