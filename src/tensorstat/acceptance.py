@@ -3,13 +3,16 @@
 Each criterion function re-derives its expected values from an
 independent code path (naive character arithmetic, closed forms, exact
 rational measures, quadrature) and compares against the production
-pipeline at fixed tolerances.  `run` executes a subset and prints one
-PASS/FAIL line per criterion; the CLI `selftest` subcommand and the test
-suite both call into this module so there is a single source of truth.
+pipeline at fixed tolerances, and returns (passed, detail); `_criterion`
+registers it in ALL_CRITERIA under its number and name, timed.  `run`
+executes a subset and prints one PASS/FAIL line per criterion; the CLI
+`selftest` subcommand and the test suite both call into this module so
+there is a single source of truth.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -65,6 +68,26 @@ class CriterionResult:
         return f"{status} criterion {self.index:2d} [{self.seconds:6.1f}s] {self.name}: {self.detail}"
 
 
+# index -> criterion; each call runs it and returns its CriterionResult
+ALL_CRITERIA = {}
+
+
+def _criterion(index: int, name: str):
+    """Register a check returning (passed, detail) as criterion index; the registered callable times it."""
+
+    def register(check):
+        @functools.wraps(check)
+        def criterion() -> CriterionResult:
+            start = time.time()
+            passed, detail = check()
+            return CriterionResult(index, name, passed, detail, time.time() - start)
+
+        ALL_CRITERIA[index] = criterion
+        return criterion
+
+    return register
+
+
 def _rs(name: str):
     return build_root_system(AlgebraSpec.parse(name))
 
@@ -81,9 +104,9 @@ def _small_reps(rs, max_dim: int = 14):
     return sorted(reps, key=lambda w: (weyl_dimension(rs, w), w))
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "Klimyk vs naive decomposition")
+def criterion_1() -> tuple[bool, str]:
     """Klimyk pipeline equals naive character multiplication, exactly."""
-    start = time.time()
     checked = 0
     worst = ""
     for name in ("A1", "A2", "B2", "G2"):
@@ -104,9 +127,7 @@ def criterion_1() -> CriterionResult:
                 break
         if worst:
             break
-    passed = not worst
-    detail = worst or f"{checked} problems, exact equality"
-    return CriterionResult(1, "Klimyk vs naive decomposition", passed, detail, time.time() - start)
+    return not worst, worst or f"{checked} problems, exact equality"
 
 
 def hook_sweep(max_power: int):
@@ -124,29 +145,25 @@ def hook_sweep(max_power: int):
                 yield f"A{n}", big_n, lam, hook_multiplicity(n, partition_from_weight(n, lam, big_n)) == mult
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "Schur-Weyl hook multiplicities")
+def criterion_2() -> tuple[bool, str]:
     """Tensor powers of the A_n vector rep match hook-length multiplicities."""
-    start = time.time()
     checked = 0
     for name, big_n, lam, matches in hook_sweep(12):
         if not matches:
-            return CriterionResult(
-                2, "Schur-Weyl hook multiplicities", False, f"{name} N={big_n} lambda={lam}", time.time() - start
-            )
+            return False, f"{name} N={big_n} lambda={lam}"
         checked += 1
-    return CriterionResult(
-        2, "Schur-Weyl hook multiplicities", True, f"{checked} multiplicities, exact", time.time() - start
-    )
+    return True, f"{checked} multiplicities, exact"
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "multiplicity asymptotics convergence")
+def criterion_3() -> tuple[bool, str]:
     """Multiplicity asymptotics converge to exact values along growing N.
 
     A1 holds xi = 0.1 fixed; A2 uses the closest xi to (0.1, 0.05) whose
     weight N*xi is on the weight lattice at both N (second coordinate
     1/15, since (0.1, 0.05) itself maps to a non-integral wall weight).
     """
-    start = time.time()
     errors = []
     rs = _rs("A1")
     for n_power in (50, 100, 200, 400):
@@ -167,16 +184,12 @@ def criterion_3() -> CriterionResult:
         errors2.append(abs(math.exp(est - math.log(table.entries[lam])) - 1.0))
     a2_ok = errors2[1] < errors2[0]
 
-    passed = a1_ok and a2_ok
-    detail = (
-        f"A1 errors {['%.4f' % e for e in errors]}, A2 errors {['%.4f' % e for e in errors2]}"
-    )
-    return CriterionResult(3, "multiplicity asymptotics convergence", passed, detail, time.time() - start)
+    return a1_ok and a2_ok, f"A1 errors {['%.4f' % e for e in errors]}, A2 errors {['%.4f' % e for e in errors2]}"
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "closed-form Legendre match (A_n)")
+def criterion_4() -> tuple[bool, str]:
     """Generic Legendre pipeline matches type-A closed forms."""
-    start = time.time()
     rng = np.random.default_rng(20240401)
     worst = dict(S=0.0, x=0.0, detK=0.0, pref=0.0)
     for n in (1, 2, 3):
@@ -192,16 +205,13 @@ def criterion_4() -> CriterionResult:
             worst["x"] = max(worst["x"], float(np.max(np.abs(np.array(rp.x) - np.array(cf.x)))))
             worst["detK"] = max(worst["detK"], abs(float(np.linalg.det(np.array(rp.K))) - cf.det_K))
             worst["pref"] = max(worst["pref"], abs(rp.log_prefactor - cf.log_prefactor))
-    passed = (
-        worst["S"] <= 1e-9 and worst["detK"] <= 1e-8 and worst["x"] <= 1e-10 and worst["pref"] <= 1e-6
-    )
-    detail = ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
-    return CriterionResult(4, "closed-form Legendre match (A_n)", passed, detail, time.time() - start)
+    passed = worst["S"] <= 1e-9 and worst["detK"] <= 1e-8 and worst["x"] <= 1e-10 and worst["pref"] <= 1e-6
+    return passed, ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "isotropic Hessian at the origin")
+def criterion_5() -> tuple[bool, str]:
     """Hessian of ln chi at the origin is the scalar x times B."""
-    start = time.time()
     worst = 0.0
     pairs = []
     for name in ("A1", "A2", "A3", "B2", "C3", "G2"):
@@ -217,15 +227,12 @@ def criterion_5() -> CriterionResult:
             _, resid = hessian_at_origin(problem)
             worst = max(worst, resid)
             pairs.append((name, rep))
-    passed = worst <= 1e-10
-    return CriterionResult(
-        5, "isotropic Hessian at the origin", passed, f"{len(pairs)} pairs, max residual {worst:.2e}", time.time() - start
-    )
+    return worst <= 1e-10, f"{len(pairs)} pairs, max residual {worst:.2e}"
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "rate-function PDE residual")
+def criterion_6() -> tuple[bool, str]:
     """Rate function solves its PDE on interior grids; FD partials agree."""
-    start = time.time()
     worst_res, worst_dev = 0.0, 0.0
     grid = np.linspace(-1.0, 1.0, 10)
     for name, rep in (("A1", (1,)), ("A2", (1, 0)), ("B2", (0, 1))):
@@ -237,14 +244,12 @@ def criterion_6() -> CriterionResult:
             for report in _pde_rows(problem, np.array(xis)):
                 worst_res = max(worst_res, report.residual)
                 worst_dev = max(worst_dev, report.derivatives.max_deviation)
-    passed = worst_res <= 1e-9 and worst_dev <= 1e-6
-    detail = f"max residual {worst_res:.2e}, max FD deviation {worst_dev:.2e}"
-    return CriterionResult(6, "rate-function PDE residual", passed, detail, time.time() - start)
+    return worst_res <= 1e-9 and worst_dev <= 1e-6, f"max residual {worst_res:.2e}, max FD deviation {worst_dev:.2e}"
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "limit-density normalizations")
+def criterion_7() -> tuple[bool, str]:
     """Limit densities integrate to one by quadrature (rank <= 2)."""
-    start = time.time()
     deviations = []
 
     # gaussian: precision matrices from three problems at regular t
@@ -279,10 +284,7 @@ def criterion_7() -> CriterionResult:
         deviations.append(abs(total - 1.0))
 
     worst = max(deviations)
-    passed = worst <= 1e-6
-    return CriterionResult(
-        7, "limit-density normalizations", passed, f"9 integrals, worst |1-I| = {worst:.2e}", time.time() - start
-    )
+    return worst <= 1e-6, f"9 integrals, worst |1-I| = {worst:.2e}"
 
 
 def _chambered_tv(rs, rep, n_power, kind, t=None) -> float:
@@ -291,20 +293,20 @@ def _chambered_tv(rs, rep, n_power, kind, t=None) -> float:
     return weak_convergence_distance(m, kind).tv
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "Plancherel weak convergence")
+def criterion_8() -> tuple[bool, str]:
     """Scaled Plancherel measures converge to the chambered limit density."""
-    start = time.time()
     a1 = [_chambered_tv(_rs("A1"), (1,), n, "plancherel") for n in (100, 200, 400)]
     a2 = [_chambered_tv(_rs("A2"), (1, 0), n, "plancherel") for n in (30, 60)]
     a1_ok = a1[0] > a1[1] > a1[2] and a1[2] <= 0.05
     a2_ok = a2[1] < a2[0] and a2[1] <= 0.12
     detail = f"A1 TV {['%.4f' % v for v in a1]}, A2 TV {['%.4f' % v for v in a2]}"
-    return CriterionResult(8, "Plancherel weak convergence", a1_ok and a2_ok, detail, time.time() - start)
+    return a1_ok and a2_ok, detail
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "Gaussian weak convergence")
+def criterion_9() -> tuple[bool, str]:
     """Character measure at regular t converges to its Gaussian fluctuation law."""
-    start = time.time()
     rs = _rs("A1")
     t = [0.5]
     tvs, mode_ok = [], True
@@ -321,12 +323,12 @@ def criterion_9() -> CriterionResult:
             mode_ok = False
     trend = tvs[0] > tvs[1] > tvs[2] and tvs[2] <= 0.05
     detail = f"TV {['%.4f' % v for v in tvs]}, mode within 2/N: {mode_ok}"
-    return CriterionResult(9, "Gaussian weak convergence", trend and mode_ok, detail, time.time() - start)
+    return trend and mode_ok, detail
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "intermediate-regime weak convergence")
+def criterion_10() -> tuple[bool, str]:
     """Intermediate scaling t = sqrt(eps/x) u: TV decay plus the u -> 0 limit."""
-    start = time.time()
     rs = _rs("A1")
     u = 0.7
     tvs = []
@@ -346,14 +348,12 @@ def criterion_10() -> CriterionResult:
             )
         )
     )
-    passed = trend and gap <= 1e-6
-    detail = f"TV {['%.4f' % v for v in tvs]}, u->0 gap {gap:.2e}"
-    return CriterionResult(10, "intermediate-regime weak convergence", passed, detail, time.time() - start)
+    return trend and gap <= 1e-6, f"TV {['%.4f' % v for v in tvs]}, u->0 gap {gap:.2e}"
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "Markov chain exactness and sampling")
+def criterion_11() -> tuple[bool, str]:
     """Markov evolution: exactness, Monte Carlo error decay, determinism."""
-    start = time.time()
     worst = 0.0
     for name, rep, t_list in (("A1", (1,), [None, [0.4]]), ("A2", (1, 0), [None, [0.3, 0.1]])):
         rs = _rs(name)
@@ -387,12 +387,12 @@ def criterion_11() -> CriterionResult:
         f"evolve gap {worst:.1e}, TV by chains {['%.4f' % v for v in tvs]}, "
         f"9000-chain prefix identical: {prefix_ok}, same-seed repeat identical: {repeat_ok}"
     )
-    return CriterionResult(11, "Markov chain exactness and sampling", passed, detail, time.time() - start)
+    return passed, detail
 
 
-def criterion_12() -> CriterionResult:
+@_criterion(12, "conservation laws")
+def criterion_12() -> tuple[bool, str]:
     """Measures sum to one; decompositions preserve dimension and stay in the support cone."""
-    start = time.time()
     worst = 0.0
     count = 0
     cases = [
@@ -405,24 +405,21 @@ def criterion_12() -> CriterionResult:
         rs = _rs(name)
         table = tensor_power_decompose(rs, factors)
         if not (table.check_dimension_identity() and table.check_support_in_cone()):
-            return CriterionResult(
-                12, "conservation laws", False, f"{name} dimension identity or support cone", time.time() - start
-            )
+            return False, f"{name} dimension identity or support cone"
         exact = plancherel_measure(table)
         if sum(exact.values()) != Fraction(1):
-            return CriterionResult(12, "conservation laws", False, f"{name} exact sum", time.time() - start)
+            return False, f"{name} exact sum"
         for t in t_values:
             probs = character_probabilities(table, t)
             worst = max(worst, abs(sum(probs.values()) - 1.0))
             count += 1
-    passed = worst <= 1e-12
     detail = f"{count} measures, worst |1-sum| = {worst:.1e}; dimension identities exact, support in cone"
-    return CriterionResult(12, "conservation laws", passed, detail, time.time() - start)
+    return worst <= 1e-12, detail
 
 
-def criterion_13() -> CriterionResult:
+@_criterion(13, "wall-t weak and pointwise convergence")
+def criterion_13() -> tuple[bool, str]:
     """At t on the alpha_2 wall: TV to the wall law and the pointwise error at the mode fall with N."""
-    start = time.time()
     parts, passed = [], True
     for name, rep, t, tv_bound, mode_powers, mode_bound in (
         ("A2", (1, 0), [1.0, 0.5], 0.07, (40, 80, 160), 0.2),
@@ -439,24 +436,7 @@ def criterion_13() -> CriterionResult:
             errors.append(abs(est - math.log(probs[mode])))
         passed &= tvs[0] > tvs[1] > tvs[2] and tvs[2] <= tv_bound and errors[0] > errors[1] > errors[2] < mode_bound
         parts.append(f"{name} TV {['%.4f' % v for v in tvs]}, mode errors {['%.4f' % v for v in errors]}")
-    return CriterionResult(13, "wall-t weak and pointwise convergence", passed, "; ".join(parts), time.time() - start)
-
-
-ALL_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-    13: criterion_13,
-}
+    return passed, "; ".join(parts)
 
 
 def run(indices=None, stream=None) -> list[CriterionResult]:

@@ -2,6 +2,8 @@
 
 Subcommands map one-to-one onto library operations: decompose, measure,
 asymptotic, limit-compare, sample, pde-check, hook-check, selftest.
+Each takes only the flags it reads (_COMMANDS); any other flag is a
+usage error, which like every failure prints one error: line.
 Outputs go to stdout or --output; identical invocations produce
 bit-identical bytes (fixed seeds, counter-based sampling streams,
 sorted rows).  Decompositions are cached as JSON under TENSORSTAT_CACHE_DIR
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, markov
+from . import markov
 from .charalg import DecompositionTable, tensor_power_decompose
 from .errors import (
     ConvergenceError,
@@ -61,7 +63,7 @@ def _resolve_t(rs, args) -> tuple[float, ...] | None:
     t = _parse_float_vector(args.t)
     if len(t) != rs.rank:
         raise DomainError(f"t must have {rs.rank} coordinates")
-    if getattr(args, "t_basis", "root") == "weight":
+    if args.t_basis == "weight":
         # convert fundamental-weight coordinates to the root basis
         t = tuple(float(v) for v in np.asarray(t) @ rs.cartan_inv_f.T)
     if not any(t):
@@ -144,7 +146,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _emit(text: str, args) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
@@ -243,19 +245,21 @@ def _single_rep(args) -> tuple[int, ...]:
 def _cmd_sample(args) -> int:
     rs = build_root_system(AlgebraSpec.parse(args.algebra))
     rep = _single_rep(args)
-    if args.power:
-        raise DomainError("sample takes no --power; the walk length is --steps")
     t = _resolve_t(rs, args)
     keep = args.paths is not None
     markov._check_sampling(args.steps, args.chains, args.seed)
     # one kernel for both runs; evolving first keeps evolve_exact's state order
     kernel = markov.TransitionKernel(rs, rep, t)
-    exact = markov._evolve(kernel, args.steps, args.epsilon)
+    sids, exact = markov._evolve(kernel, args.steps)
     with open(args.paths, "w") if keep else contextlib.nullcontext() as stream:
         on_paths = markov._paths_writer(stream, kernel, args.seed) if keep else None
-        empirical = markov._sample(kernel, args.steps, args.chains, args.seed, args.epsilon, on_paths)
-    pe, pc = empirical.probabilities(), exact.probabilities()
-    tv = 0.5 * sum(abs(pe.get(w, 0.0) - pc.get(w, 0.0)) for w in set(pe) | set(pc))
+        counts = markov._sample(kernel, args.steps, args.chains, args.seed, on_paths)
+    # the two laws on state ids; the TV sums |empirical - exact| over every state
+    empirical = counts / args.chains
+    gap = empirical.copy()
+    gap[sids] -= exact
+    ends = np.flatnonzero(counts)
+    endpoints = sorted(zip(map(kernel.state, ends.tolist()), empirical[ends].tolist()))
     payload = {
         "algebra": args.algebra,
         "rep": list(rep),
@@ -263,10 +267,8 @@ def _cmd_sample(args) -> int:
         "steps": args.steps,
         "chains": args.chains,
         "seed": args.seed,
-        "tv_empirical_vs_exact": tv,
-        "endpoints": {
-            ",".join(str(c) for c in w): p for w, p in sorted(pe.items())
-        },
+        "tv_empirical_vs_exact": 0.5 * math.fsum(np.abs(gap).tolist()),
+        "endpoints": {",".join(str(c) for c in w): p for w, p in endpoints},
     }
     _emit(json.dumps(payload, indent=1), args)
     return 0
@@ -300,6 +302,8 @@ def _cmd_pde_check(args) -> int:
 
 
 def _cmd_hook_check(args) -> int:
+    from . import acceptance  # only hook-check and selftest load the acceptance suite
+
     if args.max_power < 1:
         raise DomainError(f"--max-power must be at least 1, got {args.max_power}")
     matches = [ok for *_, ok in acceptance.hook_sweep(args.max_power)]
@@ -311,6 +315,8 @@ def _cmd_hook_check(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance
+
     indices = None
     if args.criteria:
         indices = _parse_int_vector(args.criteria)
@@ -323,109 +329,75 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else CONSISTENCY_ERROR
 
 
-def _add_problem_arguments(sub) -> None:
-    sub.add_argument("--algebra", required=True, help="family plus rank, e.g. A2, B2, G2")
-    sub.add_argument(
-        "--rep",
-        action="append",
-        required=True,
-        help="fundamental-weight coordinates, e.g. 1,0,2; repeat for multiple factors",
-    )
-    sub.add_argument(
-        "--power",
-        action="append",
-        type=int,
-        help="tensor power for the matching --rep (default 1 each)",
-    )
-    sub.add_argument("--epsilon", type=float, default=None, help="scale parameter (default 1/sum of powers)")
-    sub.add_argument("--no-cache", action="store_true", help="bypass the decomposition cache")
+# every flag of the CLI, with its argparse keywords
+_FLAGS = {
+    "--algebra": dict(required=True, help="family plus rank, e.g. A2, B2, G2"),
+    "--rep": dict(action="append", required=True, help="fundamental-weight coordinates, e.g. 1,0,2; repeat per factor"),
+    "--power": dict(action="append", type=int, help="tensor power for the matching --rep (default 1 each)"),
+    "--epsilon": dict(type=float, help="scale parameter (default 1/sum of powers)"),
+    "--no-cache": dict(action="store_true", help="bypass the decomposition cache"),
+    "--t": dict(help="temperature, comma-separated root-basis reals"),
+    "--t-basis": dict(choices=("root", "weight"), default="root"),
+    "--xi": dict(help="scaled weight, comma-separated root-basis reals"),
+    "--kind": dict(choices=("gaussian", "plancherel", "intermediate"), required=True),
+    "--steps": dict(type=int, required=True),
+    "--chains": dict(type=int, required=True),
+    "--seed": dict(type=int, default=0),
+    "--threads": dict(type=int, default=1, help="accepted and ignored; sampling runs in one thread"),
+    "--paths": dict(help="write trajectories to this JSONL file"),
+    "--grid": dict(type=int, default=10),
+    "--max-power": dict(type=int, default=10),
+    "--criteria": dict(help="comma-separated subset, e.g. 1,4,12"),
+    "--format": dict(choices=("csv", "json"), help="report format (default: json for decompose, csv for measure)"),
+    "--output": dict(help="write the report to a file instead of stdout"),
+}
+_PROBLEM, _T = ("--algebra", "--rep", "--power"), ("--t", "--t-basis")
+
+# each subcommand: the function that runs it, its help line, and the flags it reads, no others
+_COMMANDS = {
+    "decompose": (_cmd_decompose, "exact decomposition table", (*_PROBLEM, "--no-cache", "--format", "--output")),
+    "measure": (_cmd_measure, "character measure with asymptotics",
+                (*_PROBLEM, "--epsilon", "--no-cache", *_T, "--format", "--output")),
+    "asymptotic": (_cmd_asymptotic, "rate point at --xi, or per-weight comparison CSV",
+                   (*_PROBLEM, "--epsilon", "--no-cache", "--xi", "--output")),
+    "limit-compare": (_cmd_limit_compare, "TV distance between scaled measure and limit law",
+                      (*_PROBLEM, "--epsilon", "--no-cache", *_T, "--kind", "--output")),
+    "sample": (_cmd_sample, "Markov chain Monte Carlo endpoint measure",
+               ("--algebra", "--rep", *_T, "--steps", "--chains", "--seed", "--threads", "--paths", "--output")),
+    "pde-check": (_cmd_pde_check, "rate-function PDE residual grid", (*_PROBLEM, "--epsilon", "--grid", "--output")),
+    "hook-check": (_cmd_hook_check, "type-A hook-multiplicity oracle sweep", ("--max-power", "--output")),
+    "selftest": (_cmd_selftest, "run acceptance criteria", ("--criteria", "--output")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors end as every failure does: one error: line, exit 1."""
+
+    def error(self, message):
+        sys.exit(_fail(f"{self.prog}: {message}", USAGE_ERROR))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tensorstat",
         description="Exact tensor product decompositions and their large-N asymptotics",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", help="write the report to a file instead of stdout")
-    common.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default=None,
-        help="report format (default: csv for tables, json for records)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", parents=[common], help="exact decomposition table")
-    _add_problem_arguments(p)
-
-    p = sub.add_parser("measure", parents=[common], help="character measure with asymptotics")
-    _add_problem_arguments(p)
-    p.add_argument("--t", help="temperature, comma-separated root-basis reals")
-    p.add_argument("--t-basis", choices=("root", "weight"), default="root")
-
-    p = sub.add_parser(
-        "asymptotic", parents=[common], help="rate point at --xi, or per-weight comparison CSV"
-    )
-    _add_problem_arguments(p)
-    p.add_argument("--xi", help="scaled weight, comma-separated root-basis reals")
-
-    p = sub.add_parser(
-        "limit-compare", parents=[common], help="TV distance between scaled measure and limit law"
-    )
-    _add_problem_arguments(p)
-    p.add_argument("--t", help="temperature, comma-separated root-basis reals")
-    p.add_argument("--t-basis", choices=("root", "weight"), default="root")
-    p.add_argument("--kind", choices=("gaussian", "plancherel", "intermediate"), required=True)
-
-    p = sub.add_parser("sample", parents=[common], help="Markov chain Monte Carlo endpoint measure")
-    _add_problem_arguments(p)
-    p.add_argument("--t", help="temperature, comma-separated root-basis reals")
-    p.add_argument("--t-basis", choices=("root", "weight"), default="root")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--chains", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--threads", type=int, default=1, help="accepted and ignored; sampling runs in one thread"
-    )
-    p.add_argument("--paths", help="write trajectories to this JSONL file")
-
-    p = sub.add_parser("pde-check", parents=[common], help="rate-function PDE residual grid")
-    _add_problem_arguments(p)
-    p.add_argument("--grid", type=int, default=10)
-
-    p = sub.add_parser(
-        "hook-check", parents=[common], help="type-A hook-multiplicity oracle sweep"
-    )
-    p.add_argument("--max-power", type=int, default=10)
-
-    p = sub.add_parser("selftest", parents=[common], help="run acceptance criteria")
-    p.add_argument("--criteria", help="comma-separated subset, e.g. 1,4,12")
-
+    for command, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-_COMMANDS = {
-    "decompose": _cmd_decompose,
-    "measure": _cmd_measure,
-    "asymptotic": _cmd_asymptotic,
-    "limit-compare": _cmd_limit_compare,
-    "sample": _cmd_sample,
-    "pde-check": _cmd_pde_check,
-    "hook-check": _cmd_hook_check,
-    "selftest": _cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage problems; the contract says 1
-        return 0 if exc.code == 0 else USAGE_ERROR
+    except SystemExit as exc:  # --help (0), or a usage error _Parser has reported (1)
+        return exc.code
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (InternalConsistencyError, ConvergenceError) as exc:
         return _fail(str(exc), CONSISTENCY_ERROR)
     except TensorstatError as exc:

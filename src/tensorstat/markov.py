@@ -16,7 +16,11 @@ Exact evolution over N steps first builds every row such a walk reads:
 one Klimyk fold per level, then one character batch, one rounding bound
 and one table write per row length for all of them, and then runs N
 sparse mat-vecs.  A sampler on a fresh kernel builds only the rows its
-chains reach, a step at a time.
+chains reach, a step at a time.  Both work on state ids: _evolve returns
+the endpoint law as (state ids, masses) and _sample the chain count per
+state id, so a caller that compares the two, as the CLI's `sample` does,
+needs no MeasureTable; evolve_exact and sample_paths build theirs from
+these arrays.
 
 Sampling runs in one thread.  It is reproducible by construction: chain
 c consumes only the counter-based stream keyed (seed, c).  The streams come
@@ -42,7 +46,9 @@ import numpy as np
 from .charalg import Branching, CharacterPlan, Weight, _dominant_weight, _integers, _weyl_dimensions, weyl_dimension
 from .errors import DomainError, InternalConsistencyError
 from .legendre import _checked_epsilon, tensor_problem
-from .measures import _SUM_TOL, MeasureRow, MeasureTable, Scaling, _rounding_drift, assemble_measure_table
+from .measures import (
+    _SUM_TOL, MeasureRow, MeasureTable, Scaling, _log_chi_error, _rounding_drift, assemble_measure_table
+)
 from .rootsys import RootSystem
 
 # chains advanced together; bounds the uniform and path arrays held at once
@@ -201,7 +207,9 @@ class TransitionKernel:
         one write per row length.  At t = 0 the weighting by dimension is
         exact: each row's b dim mu sum to dim lambda dim V, and each
         probability is that int ratio, correctly rounded.  At t != 0 the
-        rows pass the a-priori rounding bound first.  Row sums and
+        rows pass the a-priori rounding bound first; a row whose float sum
+        misses 1 by no more than the rounding of its common log chi_lambda
+        + log chi_V explains is normalized in logs.  Row sums and
         cumulative sums run over the rows of one length at a time, so each
         row gets the float operations it would get alone.
         """
@@ -256,19 +264,31 @@ class TransitionKernel:
                     "t is too large for float characters: their rounding may move the transition"
                     f" row from {sources[i]} by {drift[i]:.2g}"
                 )
-            probs = np.exp(log_p)
+            with np.errstate(over="ignore"):  # a row that overflows fails the sum check below
+                probs = np.exp(log_p)
         for n in np.flatnonzero(np.bincount(lengths)).tolist():
             at = np.flatnonzero(lengths == n)
             entries = starts[at, None] + np.arange(n)
             rows = probs[entries]
             if self._t_arr is not None:
                 totals = rows.sum(axis=1)
-                off = np.abs(totals - 1.0) > _SUM_TOL
-                if np.any(off):
-                    k = int(np.argmax(off))
-                    raise InternalConsistencyError(
-                        f"transition row from {sources[at[k]]} sums to {float(totals[k])}, expected 1"
-                    )
+                off = np.flatnonzero(np.abs(totals - 1.0) > _SUM_TOL)
+                if len(off):
+                    # the rounding of log chi_lambda + log chi_V is common to a row and cancels in p / total;
+                    # a row whose total it explains (3 e_top, the entries' share included) is normalized in logs
+                    logs = log_p[entries[off]]
+                    top = logs.max(axis=1)
+                    shifted = np.exp(logs - top[:, None])
+                    log_totals = top + np.log(shifted.sum(axis=1))
+                    bound = math.log1p(_SUM_TOL) + 3 * _log_chi_error(self.rs, self._t_arr, tops[at[off]])
+                    bad = ~(np.abs(log_totals) <= bound)  # a NaN total is never explained
+                    if np.any(bad):
+                        k = off[int(np.argmax(bad))]
+                        raise InternalConsistencyError(
+                            f"transition row from {sources[at[k]]} sums to {float(totals[k])}, expected 1"
+                        )
+                    rows[off] = shifted
+                    totals[off] = shifted.sum(axis=1)
                 rows /= totals[:, None]
             sid = todo[at]
             self._targets[sid, :n] = target_ids[entries]
@@ -277,10 +297,11 @@ class TransitionKernel:
             self._cdf[sid, n - 1] = 1.0
 
 
-def _endpoint_table(kernel: TransitionKernel, N: int, dist, epsilon) -> MeasureTable:
-    """Measure table of the law dist (weight -> probability) after N steps."""
+def _endpoint_table(kernel: TransitionKernel, N: int, sids: np.ndarray, probs: np.ndarray, epsilon) -> MeasureTable:
+    """Measure table of the law after N steps that puts probs[i] on state sids[i]."""
     if N > 0:
         problem = tensor_problem(kernel.rs, [(kernel.rep, N)], epsilon)
+        dist = dict(zip(map(kernel.state, sids.tolist()), probs.tolist()))
         return assemble_measure_table(problem, dist, kernel.t)
     # zero tensor factors: the chain has not moved, no rescaling applies
     rank = kernel.rs.rank
@@ -313,24 +334,27 @@ def evolve_exact(
     (N,) = _integers((N,), "step counts")
     if N < 0:
         raise DomainError("step count must be nonnegative")
-    return _evolve(TransitionKernel(rs, rep, t), N, epsilon)
+    kernel = TransitionKernel(rs, rep, t)
+    return _endpoint_table(kernel, N, *_evolve(kernel, N), epsilon)
 
 
-def _evolve(kernel: TransitionKernel, N: int, epsilon) -> MeasureTable:
-    """evolve_exact on a given kernel; N is already checked."""
+def _evolve(kernel: TransitionKernel, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law after N steps on a given kernel, N already checked: state ids, ascending, and their masses.
+
+    A state reached with zero mass stays in the support.
+    """
     kernel._build_to_depth(N)
     sids = np.array([kernel.state_id((0,) * kernel.rs.rank)])
     probs = np.ones(1)
     for _ in range(N):
-        # one sparse mat-vec; a target reached with zero mass stays in the support
+        # one sparse mat-vec
         targets = kernel._targets[sids]
         reached = targets >= 0
         flat = targets[reached]
         mass = np.bincount(flat, weights=(probs[:, None] * kernel._probs[sids])[reached])
         sids = np.flatnonzero(np.bincount(flat))
         probs = mass[sids]
-    dist = dict(zip(map(kernel.state, sids.tolist()), probs.tolist()))
-    return _endpoint_table(kernel, N, dist, epsilon)
+    return sids, probs
 
 
 def _mulhi(x: np.ndarray, m_lo, m_hi) -> np.ndarray:
@@ -461,7 +485,9 @@ def sample_paths(
     kernel = TransitionKernel(rs, rep, t)
     blocks = []
     on_paths = (lambda lo, paths: blocks.append(paths)) if keep_paths else None
-    table = _sample(kernel, N, chains, seed, epsilon, on_paths)
+    counts = _sample(kernel, N, chains, seed, on_paths)
+    ends = np.flatnonzero(counts)
+    table = _endpoint_table(kernel, N, ends, counts[ends] / chains, epsilon)
     states = kernel._states
     trajectories = tuple(
         Trajectory(seed=seed, chain=c, steps=tuple(map(states.__getitem__, path)))
@@ -482,8 +508,8 @@ def _check_sampling(N: int, chains: int, seed: int) -> tuple[int, int, int]:
     return N, chains, seed
 
 
-def _sample(kernel: TransitionKernel, N: int, chains: int, seed: int, epsilon, on_paths=None) -> MeasureTable:
-    """sample_paths' endpoint table on a given kernel; the arguments are already checked.
+def _sample(kernel: TransitionKernel, N: int, chains: int, seed: int, on_paths=None) -> np.ndarray:
+    """The chain count per state id after N steps on a given kernel; the arguments are already checked.
 
     With on_paths, each block of chains lo.. passes on_paths(lo, paths),
     its (chains, N + 1) state id paths, as soon as it is sampled.
@@ -494,10 +520,7 @@ def _sample(kernel: TransitionKernel, N: int, chains: int, seed: int, epsilon, o
         ends.append(ids)
         if on_paths is not None:
             on_paths(lo, paths)
-    counts = np.bincount(np.concatenate(ends))
-    ends = np.flatnonzero(counts)
-    probs = dict(zip(map(kernel.state, ends.tolist()), (counts[ends] / chains).tolist()))
-    return _endpoint_table(kernel, N, probs, epsilon)
+    return np.bincount(np.concatenate(ends), minlength=len(kernel._states))
 
 
 def _paths_writer(stream, kernel: TransitionKernel, seed: int):

@@ -81,6 +81,12 @@ def character_probabilities(table: DecompositionTable, t=None) -> dict[Weight, f
 _SUM_TOL = 1e-9
 
 
+def _log_chi_error(rs, t: np.ndarray, tops) -> np.ndarray:
+    """e_top = (r + 3) eps (top + rho, t), t reflected into the chamber: the rounding of log chi_top at t, per top."""
+    dt = np.abs(reflect_to_chamber(rs, t)[0]) * np.array([float(x) for x in rs.d])
+    return (rs.rank + 3) * float(np.finfo(float).eps) * ((np.asarray(tops, dtype=float) + 1.0) @ dt)
+
+
 def _rounding_drift(rs, t: np.ndarray, tops, log_p: np.ndarray, lengths) -> np.ndarray:
     """A-priori bounds on the total variation distance rounding can move character measures by.
 
@@ -101,8 +107,7 @@ def _rounding_drift(rs, t: np.ndarray, tops, log_p: np.ndarray, lengths) -> np.n
     difference rounds by about 1e-16, far below any tolerance); no
     distance exceeds 1.
     """
-    dt = np.abs(reflect_to_chamber(rs, t)[0]) * np.array([float(x) for x in rs.d])
-    s = 2 * (rs.rank + 3) * float(np.finfo(float).eps) * ((np.asarray(tops, dtype=float) + 1.0) @ dt)
+    s = 2 * _log_chi_error(rs, t, tops)
     lengths = np.asarray(lengths)
     starts = np.cumsum(lengths) - lengths
     seg = np.repeat(np.arange(len(s)), lengths)

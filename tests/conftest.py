@@ -1,7 +1,10 @@
+import argparse
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from tensorstat import AlgebraSpec, build_root_system
+from tensorstat.cli import build_parser
 
 settings.register_profile(
     "suite",
@@ -36,3 +39,13 @@ def b2():
 @pytest.fixture(scope="session")
 def g2():
     return build_root_system(AlgebraSpec.parse("G2"))
+
+
+@pytest.fixture(scope="session")
+def cli_flags():
+    """command -> the set of flags build_parser gives it, --help aside."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        command: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        for command, parser in commands.choices.items()
+    }

@@ -1,6 +1,8 @@
 """Command line surface: subcommands, formats, exit codes, cache behavior."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,19 +11,23 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from tensorstat import (
     AlgebraSpec,
     build_root_system,
     character_measure,
+    evolve_exact,
     sample_paths,
     tensor_power_decompose,
     trajectories_to_jsonl,
     weak_convergence_distance,
 )
-from tensorstat import charalg, markov, measures
-from tensorstat.cli import main
+from tensorstat import charalg, cli, markov, measures
+from tensorstat.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -272,19 +278,19 @@ def test_selftest_output_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
-        ["sample", "--rep", "1,0", "--rep", "0,1", "--steps", "5", "--chains", "10"],
-        ["sample", "--rep", "1,0", "--power", "5", "--steps", "5", "--chains", "10"],
-        ["pde-check", "--rep", "1,0", "--rep", "0,1", "--grid", "2"],
-        ["pde-check", "--rep", "1,0", "--power", "4", "--power", "5", "--grid", "2"],
+        (["sample", "--rep", "1,0", "--rep", "0,1", "--steps", "5", "--chains", "10"], 2),
+        # sample has no --power flag (its walk length is --steps): a usage error
+        (["sample", "--rep", "1,0", "--power", "5", "--steps", "5", "--chains", "10"], 1),
+        (["pde-check", "--rep", "1,0", "--rep", "0,1", "--grid", "2"], 2),
+        (["pde-check", "--rep", "1,0", "--power", "4", "--power", "5", "--grid", "2"], 2),
     ],
     ids=["sample-two-reps", "sample-power", "pde-check-two-reps", "pde-check-two-powers"],
 )
-def test_extra_problem_arguments_are_domain_errors(capsys, argv):
-    code = main([argv[0], "--algebra", "A2", *argv[1:]])
+def test_extra_problem_arguments_are_domain_errors(capsys, argv, code):
+    assert main([argv[0], "--algebra", "A2", *argv[1:]]) == code
     captured = capsys.readouterr()
-    assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
@@ -298,7 +304,7 @@ def test_extra_problem_arguments_are_domain_errors(capsys, argv):
         ["pde-check", "--algebra", "A1", "--rep", "1", "--grid", "-1"],
         ["hook-check", "--max-power", "-2"],
         ["measure", "--algebra", "A1", "--rep", "1", "--power", "4", "--epsilon", "inf"],
-        # zero steps build no tensor problem, yet epsilon is checked alike
+        # sample has no --epsilon flag: its report does not depend on a scale (usage errors, exit 1)
         ["sample", "--algebra", "A1", "--rep", "1", "--steps", "0", "--chains", "3", "--epsilon", "-1"],
         ["sample", "--algebra", "A1", "--rep", "1", "--steps", "0", "--chains", "3", "--epsilon", "inf"],
         # the Gaussian fluctuation law does not hold at t = 0
@@ -323,7 +329,7 @@ def test_extra_problem_arguments_are_domain_errors(capsys, argv):
 def test_invalid_inputs_are_domain_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == (1 if argv[0] == "sample" else 2)
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
@@ -353,6 +359,163 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+# the flags of each command: those it reads, and no others
+COMMAND_FLAGS = {
+    "decompose": {"--algebra", "--rep", "--power", "--no-cache", "--format", "--output"},
+    "measure": {"--algebra", "--rep", "--power", "--epsilon", "--no-cache", "--t", "--t-basis", "--format", "--output"},
+    "asymptotic": {"--algebra", "--rep", "--power", "--epsilon", "--no-cache", "--xi", "--output"},
+    "limit-compare": {
+        "--algebra", "--rep", "--power", "--epsilon", "--no-cache", "--t", "--t-basis", "--kind", "--output",
+    },
+    "sample": {
+        "--algebra", "--rep", "--t", "--t-basis", "--steps", "--chains", "--seed", "--threads", "--paths", "--output",
+    },
+    "pde-check": {"--algebra", "--rep", "--power", "--epsilon", "--grid", "--output"},
+    "hook-check": {"--max-power", "--output"},
+    "selftest": {"--criteria", "--output"},
+}
+
+# flags these commands once accepted and ignored or only validated
+REMOVED_FLAGS = [
+    *((command, "--format") for command in ("asymptotic", "limit-compare", "sample", "pde-check", "hook-check",
+                                            "selftest")),
+    ("decompose", "--epsilon"),
+    ("sample", "--epsilon"),
+    ("sample", "--no-cache"),
+    ("pde-check", "--no-cache"),
+    ("sample", "--power"),
+]
+
+# a call of each command that parses
+VALID_ARGV = {
+    "decompose": ["decompose", "--algebra", "A1", "--rep", "1", "--power", "2"],
+    "asymptotic": ["asymptotic", "--algebra", "A1", "--rep", "1", "--power", "4"],
+    "limit-compare": ["limit-compare", "--algebra", "A1", "--rep", "1", "--power", "8", "--kind", "plancherel"],
+    "sample": ["sample", "--algebra", "A1", "--rep", "1", "--steps", "2", "--chains", "3"],
+    "pde-check": ["pde-check", "--algebra", "A1", "--rep", "1", "--grid", "2"],
+    "hook-check": ["hook-check", "--max-power", "2"],
+    "selftest": ["selftest", "--criteria", "12"],
+}
+
+
+def _flag_argv(flag):
+    """The flag with a value, unless it takes none."""
+    return [flag] if cli._FLAGS[flag].get("action") == "store_true" else [flag, "1"]
+
+
+def test_each_command_takes_only_the_flags_it_reads(cli_flags):
+    assert cli_flags == COMMAND_FLAGS
+    assert sum(map(len, cli_flags.values())) == 51
+    for command, flag in REMOVED_FLAGS:
+        assert flag not in cli_flags[command] and flag in cli._FLAGS
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
+def test_removed_flags_are_usage_errors(capsys, command, flag):
+    argv = VALID_ARGV[command]
+    build_parser().parse_args(argv)  # valid without the flag
+    assert main([*argv, *_flag_argv(flag)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tensorstat: unrecognized arguments: {' '.join(_flag_argv(flag))}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit-compare", "--algebra", "A2", "--rep", "1,0", "--power", "8", "--kind", "plancherel", "--format", "csv"],
+        ["decompose", "--algebra", "A1"],
+        ["no-such-command"],
+        [],
+    ],
+    ids=["removed-flag", "missing-rep", "unknown-command", "no-command"],
+)
+def test_usage_errors_print_one_error_line(capsys, argv):
+    # argparse's own report was a usage block and a "tensorstat: error:" line
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tensorstat") and captured.err.count("\n") == 1
+
+
+def test_help_goes_to_stdout(capsys):
+    assert main(["sample", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: tensorstat sample") and "--steps" in captured.out
+    assert captured.err == ""
+
+
+# the reps the CLI property test draws, per algebra
+_PROPERTY_REPS = {"A1": ["1", "2"], "A2": ["1,0", "0,1"], "B2": ["1,0", "0,1"], "G2": ["1,0", "0,1"],
+                  "E6": ["1,0,0,0,0,0"]}
+
+
+@st.composite
+def _cli_calls(draw):
+    """(argv, whether it carries a flag of another command, (root system, rep, N, t, chains, seed))."""
+    command = draw(st.sampled_from(["measure", "sample"]))
+    algebra = draw(st.sampled_from(sorted(_PROPERTY_REPS)))
+    rs = build_root_system(algebra)
+    rep = draw(st.sampled_from(_PROPERTY_REPS[algebra]))
+    n = draw(st.integers(0 if command == "sample" else 1, 3 if algebra == "E6" else 8))
+    # the scale of t's pairings with the simple roots
+    kind = draw(st.sampled_from(["zero", "wall", "tiny", "regular", "huge"]))
+    scale = {"zero": 0.0, "tiny": 1e-9, "huge": 10.0 ** draw(st.integers(2, 300))}.get(kind, 1.0)
+    pairings = [draw(st.floats(0.05, 1.0)) * scale for _ in range(rs.rank)]
+    if kind == "wall":
+        pairings[draw(st.integers(0, rs.rank - 1))] = 0.0
+    t = None if kind == "zero" else tuple(np.linalg.solve(rs.B_f, pairings).tolist())
+    chains, seed = draw(st.integers(1, 300)), draw(st.integers(0, 2**64 - 1))
+    argv = [command, "--algebra", algebra, "--rep", rep]
+    if t is not None:
+        argv += ["--t", ",".join(map(repr, t))]
+    if command == "measure":
+        argv += ["--power", str(n)]
+    else:
+        argv += ["--steps", str(n), "--chains", str(chains), "--seed", str(seed)]
+    foreign = draw(st.integers(0, 3)) == 0
+    if foreign:
+        argv += _flag_argv(draw(st.sampled_from(sorted(set(cli._FLAGS) - set(cli._COMMANDS[command][2])))))
+    return argv, foreign, (rs, tuple(int(c) for c in rep.split(",")), n, t, chains, seed)
+
+
+def _tv_by_weight(empirical, exact):
+    """The TV between two laws given as weight -> probability dicts, summed over their union in set order."""
+    return 0.5 * sum(abs(empirical.get(w, 0.0) - exact.get(w, 0.0)) for w in set(empirical) | set(exact))
+
+
+@settings(max_examples=100)
+@given(call=_cli_calls())
+def test_cli_answers_correctly_or_fails_in_one_line(call):
+    argv, foreign, (rs, rep, n, t, chains, seed) = call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"{argv[0]} exit {code}")
+    if foreign:
+        assert code == 1
+    if code:
+        assert code in (1, 2) and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert err == ""
+    exact = evolve_exact(rs, rep, t, n).probabilities()
+    if argv[0] == "measure":
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        probs = {tuple(map(int, row[: rs.rank])): float(row[rs.rank]) for row in rows}
+        assert math.fsum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+        assert set(probs) == set(exact)
+        assert max(abs(probs[lam] - exact[lam]) for lam in exact) <= 1e-12
+    else:
+        payload = json.loads(out)
+        empirical = sample_paths(rs, rep, t, n, chains, seed, keep_paths=False)[0].probabilities()
+        assert payload["endpoints"] == {",".join(map(str, w)): p for w, p in sorted(empirical.items())}
+        tv = payload["tv_empirical_vs_exact"]
+        assert 0.0 <= tv <= 1.0
+        assert abs(tv - _tv_by_weight(empirical, exact)) <= 1e-15
 
 
 def test_domain_error_exit_code(capsys):
@@ -601,6 +764,17 @@ def test_sample_at_a_wall_t_lost_to_rounding_is_a_domain_error(capsys, t):
     assert len(err) == 1 and err[0].startswith("error: t is too large for float characters")
 
 
+@pytest.mark.parametrize("t", ["1.0000000000000001e+23,1.0000000000000001e+23", "1e25,1e25"])
+def test_sample_at_a_huge_regular_t_answers(capsys, t):
+    # the rounding of log chi_lambda + log chi_V, common to a kernel row, once reached its sum check:
+    # "transition row from (2, 0) sums to 0.0", and at 1e25 an overflow in exp, then "sums to inf" (exit 3)
+    code, out, err = _huge_t_run(capsys, ["sample", "--algebra", "A2", "--rep", "1,0", "--steps", "3", "--chains", "10",
+                                          "--t", t])
+    assert (code, err) == (0, [])
+    payload = json.loads(out)
+    assert payload["endpoints"] == {"3,0": 1.0} and payload["tv_empirical_vs_exact"] == 0.0
+
+
 def test_sample_at_overflowing_t_is_a_domain_error(capsys):
     code, out, err = _huge_t_run(capsys, ["sample", "--algebra", "A1", "--rep", "1", "--steps", "4", "--chains", "10",
                                           "--t", "1e308"])
@@ -683,6 +857,16 @@ def test_sample_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "95481efccbe67ef4ca395f1df79bbcd4b26ef2f62fff657b5e15a511a5dde506"
 
 
+def _last_line_of(code: str) -> str:
+    """Run code in a fresh interpreter on this checkout's package; the last line it prints."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_sample_does_not_import_numpy_ma():
     # np.unique imports numpy.ma on its first call, about 14 ms of every sample job
     code = (
@@ -692,9 +876,16 @@ def test_sample_does_not_import_numpy_ma():
         "    assert main(['sample', '--algebra', 'A2', '--rep', '1,0', '--steps', '8', '--chains', '500', *t]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert _last_line_of(code) == "False"
+
+
+def test_decompose_and_sample_do_not_load_the_acceptance_suite():
+    # only hook-check and selftest read tensorstat.acceptance; without bytecode, compiling it took 8 ms of each call
+    code = (
+        "import sys\n"
+        "from tensorstat.cli import main\n"
+        "assert main(['decompose', '--algebra', 'A2', '--rep', '1,0', '--power', '4', '--no-cache']) == 0\n"
+        "assert main(['sample', '--algebra', 'A2', '--rep', '1,0', '--steps', '4', '--chains', '50']) == 0\n"
+        "print('tensorstat.acceptance' in sys.modules)\n"
+    )
+    assert _last_line_of(code) == "False"

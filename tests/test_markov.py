@@ -205,13 +205,14 @@ def test_rows_built_while_sampling_match_rows_built_first(a2, monkeypatch):
     monkeypatch.setattr(markov, "_BLOCK", 128)
     lazy, trajectories = sample_paths(a2, (1, 0), t, n, chains, seed)
     kernel = TransitionKernel(a2, (1, 0), t)
-    markov._evolve(kernel, n, None)
+    markov._evolve(kernel, n)
     built = []
     monkeypatch.setattr(TransitionKernel, "_build_row", lambda self, sids: built.append(sids))
     blocks = []
-    table = markov._sample(kernel, n, chains, seed, None, lambda lo, paths: blocks.append(paths))
+    counts = markov._sample(kernel, n, chains, seed, lambda lo, paths: blocks.append(paths))
     assert not built
-    assert table.probabilities() == lazy.probabilities()
+    ends = np.flatnonzero(counts)
+    assert dict(zip(map(kernel.state, ends.tolist()), (counts[ends] / chains).tolist())) == lazy.probabilities()
     paths = [tuple(map(kernel.state, path)) for block in blocks for path in block.tolist()]
     assert paths == [tr.steps for tr in trajectories]
 
@@ -221,6 +222,24 @@ def test_evolve_exact_keeps_states_whose_mass_underflows(a1):
     walked = evolve_exact(a1, (1,), [800.0], 3).probabilities()
     direct = character_measure(tensor_power_decompose(a1, [((1,), 3)]), t=[800.0]).probabilities()
     assert walked == direct == {(1,): 0.0, (3,): 1.0}
+
+
+@pytest.mark.parametrize(
+    "name, rep, t",
+    [
+        ("A2", (1, 0), (1e25, 1e25)),
+        ("A2", (1, 0), (1.0000000000000001e23, 1.0000000000000001e23)),
+        ("G2", (1, 0), (1090000000000.0002, 1890000000000.0005)),
+    ],
+)
+def test_kernel_rows_at_a_huge_t_cancel_their_common_rounding(name, rep, t):
+    # log chi_lambda + log chi_V round alike for a whole row; the row sums read inf, 0.0 and
+    # 1.0001220777633837 (InternalConsistencyError) before the row was normalized in logs
+    rs = build_root_system(name)
+    walked = evolve_exact(rs, rep, t, 4).probabilities()
+    direct = character_measure(tensor_power_decompose(rs, [(rep, 4)]), t=t).probabilities()
+    assert set(walked) == set(direct)
+    assert max(abs(walked[lam] - direct[lam]) for lam in direct) <= 1e-12
 
 
 def _row_by_loop(kernel, lam):
@@ -242,7 +261,7 @@ def test_kernel_rows_of_one_batch_match_rows_built_alone(rep, t):
     # row sums by length, and each row must still get the bits it gets alone
     g2 = build_root_system("G2")
     batch = TransitionKernel(g2, rep, t)
-    markov._evolve(batch, 6, None)
+    markov._evolve(batch, 6)
     built = np.flatnonzero(batch._targets[:, 0] >= 0)
     alone = TransitionKernel(g2, rep, t)
     for lam in batch._states:
@@ -329,7 +348,7 @@ def test_evolve_exact_is_the_character_measure(walk):
     assert set(walked) == set(direct)
     assert max(abs(walked[lam] - direct[lam]) for lam in direct) <= 1e-12
     kernel = TransitionKernel(rs, rep, t)
-    markov._evolve(kernel, n, None)
+    markov._evolve(kernel, n)
     rows = kernel._probs[kernel._targets[:, 0] >= 0]
     assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
 

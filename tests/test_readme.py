@@ -48,3 +48,11 @@ def test_readme_measure_block_is_the_cli_output(capsys):
     block = text[start : text.index("\n\n", start) + 1]
     assert main(command.split()[2:]) == 0
     assert capsys.readouterr().out == block
+
+
+def test_readme_flag_table_is_the_parser(cli_flags):
+    # the "Flags" table lists, per command, exactly the flags build_parser gives it
+    text = README.read_text()
+    start = text.index("### Flags")
+    rows = re.findall(r"^\| `([a-z-]+)` \| ((?:`--[a-z-]+` ?)+) \|$", text[start : text.index("\n### ", start)], re.M)
+    assert {command: set(re.findall(r"`(--[a-z-]+)`", flags)) for command, flags in rows} == cli_flags
