@@ -13,14 +13,14 @@ references print the reciprocal chi ratio, which is not row-stochastic;
 we keep the normalizable reading.
 
 Exact evolution over N steps first builds every row such a walk reads:
-one Klimyk fold per level, then one character batch, one rounding bound
-and one table write per row length for all of them, and then runs N
-sparse mat-vecs.  A sampler on a fresh kernel builds only the rows its
-chains reach, a step at a time.  Both work on state ids: _evolve returns
-the endpoint law as (state ids, masses) and _sample the chain count per
-state id, so a caller that compares the two, as the CLI's `sample` does,
-needs no MeasureTable; evolve_exact and sample_paths build theirs from
-these arrays.
+one Klimyk fold per level, then one character batch, one call of the
+package's one normalizer (measures._segment_laws) and one table write
+for all of them, and then runs N sparse mat-vecs.  A sampler on a fresh
+kernel builds only the rows its chains reach, a step at a time.  Both
+work on state ids: _evolve returns the endpoint law as (state ids,
+masses) and _sample the chain count per state id, so a caller that
+compares the two, as the CLI's `sample` does, needs no MeasureTable;
+evolve_exact and sample_paths build theirs from these arrays.
 
 Sampling runs in one thread.  It is reproducible by construction: chain
 c consumes only the counter-based stream keyed (seed, c).  The streams come
@@ -38,17 +38,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, islice
 
 import numpy as np
 
 from .charalg import Branching, CharacterPlan, Weight, _dominant_weight, _integers, _weyl_dimensions, weyl_dimension
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError
 from .legendre import _checked_epsilon, tensor_problem
-from .measures import (
-    _SUM_TOL, MeasureRow, MeasureTable, Scaling, _log_chi_error, _rounding_drift, assemble_measure_table
-)
+from .measures import MeasureRow, MeasureTable, Scaling, _log_chi_error, _segment_laws, assemble_measure_table
 from .rootsys import RootSystem
 
 # chains advanced together; bounds the uniform and path arrays held at once
@@ -150,9 +147,7 @@ class TransitionKernel:
         self._log_chi: dict[Weight, float] = {}
         self._depth = 0  # every row a walk of this many steps from the origin reads is built
         self._dim_v = weyl_dimension(rs, self.rep)
-        if t_arr is None:
-            self._log_chi_v = math.log(int(self._dim_v))
-        else:
+        if t_arr is not None:
             self._characters = CharacterPlan(rs, t_arr)
             self._log_chi_v = self._log_chi_at([self.rep])[0]
 
@@ -201,17 +196,11 @@ class TransitionKernel:
         Level by level, as _evolve walks them, the unbuilt rows among the
         states the walk stands on, sorted by id, get one fold, which
         returns the branching numbers sorted by (source, target), the order
-        the tables keep; the targets are interned in that order.  The new
-        rows of every level are then finished at once: one batch of
-        characters of their sources and targets, one rounding bound, and
-        one write per row length.  At t = 0 the weighting by dimension is
-        exact: each row's b dim mu sum to dim lambda dim V, and each
-        probability is that int ratio, correctly rounded.  At t != 0 the
-        rows pass the a-priori rounding bound first; a row whose float sum
-        misses 1 by no more than the rounding of its common log chi_lambda
-        + log chi_V explains is normalized in logs.  Row sums and
-        cumulative sums run over the rows of one length at a time, so each
-        row gets the float operations it would get alone.
+        the tables keep; the targets are interned in that order.  Then one
+        character batch, one _segment_laws call (a segment per row: its
+        b dim mu at t = 0, else its logs of b chi_mu / (chi_lambda chi_V),
+        whose common log chi_lambda + log chi_V errs by at most 2 e_top) and
+        one table write finish every new row.
         """
         folds = []
         for level in range(levels):
@@ -226,75 +215,38 @@ class TransitionKernel:
                 src, targets, b = self._branching.fold(keys, np.ones(len(todo), dtype=np.int64), by_source=True)
                 target_ids = np.array([self.state_id(mu) for mu in map(tuple, targets.tolist())], dtype=np.int64)
                 lengths = np.bincount(src, minlength=len(todo))
-                self._targets[todo[src], np.arange(len(src)) - (np.cumsum(lengths) - lengths)[src]] = target_ids
-                folds.append((todo, lengths, target_ids, b))
+                rows, cols = todo[src], np.arange(len(src)) - (np.cumsum(lengths) - lengths)[src]
+                self._targets[rows, cols] = target_ids
+                folds.append((todo, lengths, rows, cols, target_ids, b))
         if not folds:
             return
-        todo, lengths, target_ids, b = map(np.concatenate, zip(*folds))
-        self._targets[todo] = -1  # unbuilt again until every check below passes
-        src = np.repeat(np.arange(len(todo)), lengths)
-        starts = np.cumsum(lengths) - lengths
+        todo, lengths, rows, cols, target_ids, b = map(np.concatenate, zip(*folds))
+        self._targets[todo] = -1  # unbuilt again until the rows are normalized
+        src = np.repeat(np.arange(len(todo)), lengths)  # each entry's row in todo
         sources = [self._states[sid] for sid in todo.tolist()]
+
+        def label(k):
+            return f"transition row from {sources[k]}"
+
         if self._t_arr is None:
             # one dimension per state: a state is the target of several rows
             dim = np.zeros(len(self._states), dtype=object)
             dim[todo] = dim[target_ids] = 1
             ids = np.flatnonzero(dim)
             dim[ids] = _weyl_dimensions(self.rs, [self._states[sid] for sid in ids.tolist()])
-            weighted = b.astype(object) * dim[target_ids]
-            denom = dim[todo] * self._dim_v
-            sums = np.add.reduceat(weighted, starts)
-            off = sums != denom
-            if np.any(off):
-                i = int(np.argmax(off))
-                raise InternalConsistencyError(
-                    f"exact transition row from {sources[i]} sums to {Fraction(sums[i], denom[i])}"
-                )
-            probs = (weighted / denom[src]).astype(float)
+            probs = _segment_laws(b.astype(object) * dim[target_ids], lengths, label, dim[todo] * self._dim_v)
         else:
             log_chi = np.array(self._log_chi_at(sources + [self._states[sid] for sid in target_ids.tolist()]))
             log_p = np.array(list(map(math.log, b.tolist()))) + log_chi[len(sources) :]
             log_p -= log_chi[src]
             log_p -= self._log_chi_v
-            tops = np.array(sources, dtype=np.int64) + np.array(self.rep, dtype=np.int64)
-            drift = _rounding_drift(self.rs, self._t_arr, tops, log_p, lengths)
-            if np.any(drift > _SUM_TOL):
-                i = int(np.argmax(drift))
-                raise DomainError(
-                    "t is too large for float characters: their rounding may move the transition"
-                    f" row from {sources[i]} by {drift[i]:.2g}"
-                )
-            with np.errstate(over="ignore"):  # a row that overflows fails the sum check below
-                probs = np.exp(log_p)
-        for n in np.flatnonzero(np.bincount(lengths)).tolist():
-            at = np.flatnonzero(lengths == n)
-            entries = starts[at, None] + np.arange(n)
-            rows = probs[entries]
-            if self._t_arr is not None:
-                totals = rows.sum(axis=1)
-                off = np.flatnonzero(np.abs(totals - 1.0) > _SUM_TOL)
-                if len(off):
-                    # the rounding of log chi_lambda + log chi_V is common to a row and cancels in p / total;
-                    # a row whose total it explains (3 e_top, the entries' share included) is normalized in logs
-                    logs = log_p[entries[off]]
-                    top = logs.max(axis=1)
-                    shifted = np.exp(logs - top[:, None])
-                    log_totals = top + np.log(shifted.sum(axis=1))
-                    bound = math.log1p(_SUM_TOL) + 3 * _log_chi_error(self.rs, self._t_arr, tops[at[off]])
-                    bad = ~(np.abs(log_totals) <= bound)  # a NaN total is never explained
-                    if np.any(bad):
-                        k = off[int(np.argmax(bad))]
-                        raise InternalConsistencyError(
-                            f"transition row from {sources[at[k]]} sums to {float(totals[k])}, expected 1"
-                        )
-                    rows[off] = shifted
-                    totals[off] = shifted.sum(axis=1)
-                rows /= totals[:, None]
-            sid = todo[at]
-            self._targets[sid, :n] = target_ids[entries]
-            self._probs[sid, :n] = rows
-            self._cdf[sid, :n] = np.cumsum(rows, axis=1)
-            self._cdf[sid, n - 1] = 1.0
+            errors = _log_chi_error(self.rs, self._t_arr, np.array(sources) + self.rep)  # e_top, top = lambda + V
+            probs = _segment_laws(log_p, lengths, label, errors=errors, common=lambda ks: 2 * errors[ks])
+        self._targets[rows, cols] = target_ids
+        self._probs[rows, cols] = probs
+        # cumulative sums run along each row alone, so a row gets the bits it would get built by itself
+        self._cdf[rows, cols] = np.cumsum(self._probs[todo], axis=1)[src, cols]
+        self._cdf[todo, lengths - 1] = 1.0
 
 
 def _endpoint_table(kernel: TransitionKernel, N: int, sids: np.ndarray, probs: np.ndarray, epsilon) -> MeasureTable:
@@ -308,14 +260,7 @@ def _endpoint_table(kernel: TransitionKernel, N: int, sids: np.ndarray, probs: n
     eps = _checked_epsilon(epsilon, 1.0)
     scaling = Scaling(epsilon=eps, x_scalar=None, center=(0.0,) * rank, spread=1.0)
     row = MeasureRow((0,) * rank, 1.0, (0.0,) * rank)
-    return MeasureTable(
-        algebra=str(kernel.rs.spec),
-        problem=((kernel.rep, 0),),
-        t=None,
-        epsilon=eps,
-        scaling=scaling,
-        rows=(row,),
-    )
+    return MeasureTable(str(kernel.rs.spec), ((kernel.rep, 0),), t=None, epsilon=eps, scaling=scaling, rows=(row,))
 
 
 def evolve_exact(

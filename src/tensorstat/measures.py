@@ -38,47 +38,98 @@ from .rootsys import build_root_system, reflect_to_chamber, stabilizer_roots
 
 def plancherel_measure(table: DecompositionTable) -> dict[Weight, Fraction]:
     """Exact dimension-weighted measure m_lam dim(lam) / dim(product)."""
-    weights, total = _dimension_weights(table)
-    return {lam: Fraction(w, total) for lam, w in zip(table.entries, weights)}
-
-
-def _dimension_weights(table: DecompositionTable) -> tuple[list[int], int]:
-    """(m_lam dim V(lam) per entry, dim of the product), checked to sum exactly."""
     weights, total = table._dimension_weights
     if sum(weights) != total:
         raise InternalConsistencyError("dimension-weighted measure does not sum to one")
-    return weights, total
+    return {lam: Fraction(w, total) for lam, w in zip(table.entries, weights)}
 
 
 def character_probabilities(table: DecompositionTable, t=None) -> dict[Weight, float]:
-    """Character measure as floats; t = None or 0 means dimension weighting."""
+    """Character measure as floats; t = None or 0 means dimension weighting.
+
+    One segment of _segment_laws: at t = 0 the exact m_lam dim V(lam), else
+    log m_lam + log chi_lam - sum_k N_k log chi_{nu_k} in sorted order (a
+    fresh table and its cached copy must sum alike).  Each log chi_lam is
+    off by at most e_top, top = sum_k N_k nu_k, and the last term, common
+    to every entry, by sum_k N_k e_{nu_k} (e as in _log_chi_error).
+    """
     rs = table.rs
-    if t is not None:
-        t = np.asarray(t, dtype=float)
+    t = None if t is None else np.asarray(t, dtype=float)
     if t is None or not np.any(t):
-        # int / int is correctly rounded, so each value is float(Fraction(w, total))
-        weights, total = _dimension_weights(table)
-        return {lam: w / total for lam, w in zip(table.entries, weights)}
-    # sorted order: a fresh table and its cached copy must sum alike
+        weights, total = table._dimension_weights
+        weights, totals = np.array(weights, dtype=object), np.array([total], dtype=object)
+        return dict(zip(table.entries, _segment_laws(weights, [len(weights)], lambda _: "measure", totals).tolist()))
     entries = table.sorted_entries()
+    n = len(entries)
     logs = CharacterPlan(rs, t).evaluate([lam for lam, _ in entries] + [nu for nu, _ in table.problem]).values
     log_norm = 0.0
-    for (_, n), lg in zip(table.problem, logs[len(entries) :].tolist()):
-        log_norm += n * lg
-    log_p = [math.log(m) + lg - log_norm for (_, m), lg in zip(entries, logs.tolist())]
-    top = [sum(n * nu[i] for nu, n in table.problem) for i in range(rs.rank)]
-    drift = float(_rounding_drift(rs, t, [top], np.array(log_p), [len(log_p)])[0])
-    if drift > _SUM_TOL:
-        raise DomainError(f"t is too large for float characters: their rounding may move the measure by {drift:.2g}")
-    probs = {lam: math.exp(lp) for (lam, _), lp in zip(entries, log_p)}
-    total = sum(probs.values())
-    if abs(total - 1.0) > _SUM_TOL:
-        raise InternalConsistencyError(f"character measure sums to {total}, expected 1")
-    return {lam: p / total for lam, p in probs.items()}
+    for (_, power), lg in zip(table.problem, logs[n:].tolist()):
+        log_norm += power * lg
+    log_p = np.array([math.log(m) for _, m in entries]) + logs[:n]
+    log_p -= log_norm
+    top = [sum(power * nu[i] for nu, power in table.problem) for i in range(rs.rank)]
+    errors = _log_chi_error(rs, t, [top] + [nu for nu, _ in table.problem])
+    powers = np.array([float(power) for _, power in table.problem])
+    probs = _segment_laws(log_p, [n], lambda _: "measure", errors=errors[:1], common=lambda _: errors[1:] @ powers)
+    return dict(zip([lam for lam, _ in entries], probs.tolist()))
 
 
-# largest |sum of the character measure - 1| accepted, and largest a-priori rounding drift
+# largest |sum of a law - 1| accepted, and largest a-priori rounding drift
 _SUM_TOL = 1e-9
+
+
+def _segment_laws(weights, lengths, label, totals=None, *, errors=None, common=None) -> np.ndarray:
+    """Normalize consecutive segments of weights into laws, returned as one float array.
+
+    Segment k, a measure or a kernel row, is lengths[k] entries; label(k)
+    names it in error messages.  With totals (t = 0) the weights are exact
+    ints, segment k must sum to totals[k] exactly, and each probability is
+    the int ratio, correctly rounded.  Else they are float logs of a law at
+    t: each entry of segment k errs by at most errors[k] on its own and by
+    at most common(k) in a part all of them share.  A _rounding_drift past
+    _SUM_TOL is a DomainError.  The segments of one length are summed
+    together, so none depends on the others; a sum that misses 1 by more
+    than _SUM_TOL, but by at most log1p(_SUM_TOL) + errors[k] + common(k)
+    in the log, is redone in logs (common is asked only then), and a larger
+    miss is an InternalConsistencyError.
+    """
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    if totals is not None:
+        sums = np.add.reduceat(weights, starts)
+        off = sums != totals
+        if np.any(off):
+            k = int(np.argmax(off))
+            raise InternalConsistencyError(f"exact {label(k)} sums to {Fraction(sums[k], totals[k])}")
+        return (weights / np.repeat(totals, lengths)).astype(float)
+    drift = _rounding_drift(errors, weights, lengths)
+    if np.any(drift > _SUM_TOL):
+        k = int(np.argmax(drift))
+        raise DomainError(
+            f"t is too large for float characters: their rounding may move the {label(k)} by {drift[k]:.2g}"
+        )
+    with np.errstate(over="ignore"):  # a segment that overflows fails the sum check below
+        probs = np.exp(weights)
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
+        at = np.flatnonzero(lengths == n)
+        entries = starts[at, None] + np.arange(n)
+        rows = probs[entries]
+        sums = rows.sum(axis=1)
+        off = np.flatnonzero(np.abs(sums - 1.0) > _SUM_TOL)
+        if len(off):
+            logs = weights[entries[off]]
+            top = logs.max(axis=1)
+            shifted = np.exp(logs - top[:, None])
+            log_sums = top + np.log(shifted.sum(axis=1))
+            bound = math.log1p(_SUM_TOL) + (errors[at[off]] + common(at[off]))
+            bad = ~(np.abs(log_sums) <= bound)  # a NaN sum is never explained
+            if np.any(bad):
+                k = off[int(np.argmax(bad))]
+                raise InternalConsistencyError(f"{label(at[k])} sums to {float(sums[k])}, expected 1")
+            rows[off] = shifted
+            sums[off] = shifted.sum(axis=1)
+        probs[entries] = rows / sums[:, None]
+    return probs
 
 
 def _log_chi_error(rs, t: np.ndarray, tops) -> np.ndarray:
@@ -87,18 +138,18 @@ def _log_chi_error(rs, t: np.ndarray, tops) -> np.ndarray:
     return (rs.rank + 3) * float(np.finfo(float).eps) * ((np.asarray(tops, dtype=float) + 1.0) @ dt)
 
 
-def _rounding_drift(rs, t: np.ndarray, tops, log_p: np.ndarray, lengths) -> np.ndarray:
+def _rounding_drift(errors: np.ndarray, log_p: np.ndarray, lengths) -> np.ndarray:
     """A-priori bounds on the total variation distance rounding can move character measures by.
 
     log_p holds one or more measures in consecutive segments, measure k
-    in lengths[k] entries under the highest weight tops[k]; one bound is
+    in lengths[k] entries, each off by at most errors[k]; one bound is
     returned per measure.  log chi_lambda at t carries an absolute error
     of about e_lambda = (r + 3) eps (lambda + rho, t) with t reflected into
     the chamber (pairings of size |t| lose their low bits, and exp turns
     that into a relative error of p_lambda); every summand lambda is below
-    its measure's highest weight top, so e_lambda <= e_top.  An error
-    common to every entry of a measure (log chi_V, or a kernel row's log
-    chi of its source) cancels in p / total, so each entry is compared
+    its measure's highest weight top, so e_lambda <= e_top = errors[k].  An
+    error common to every entry of a measure (log chi_V, or a kernel row's
+    log chi of its source) cancels in p / total, so each entry is compared
     with the measure's likeliest one, j: with s = 2 e_top and a = log
     p_lambda - log p_j as computed, p_lambda / p_j <= e^{a + s} and moves
     by a factor within e^{+-s}, so it moves by at most e^{a + s}
@@ -107,7 +158,7 @@ def _rounding_drift(rs, t: np.ndarray, tops, log_p: np.ndarray, lengths) -> np.n
     difference rounds by about 1e-16, far below any tolerance); no
     distance exceeds 1.
     """
-    s = 2 * _log_chi_error(rs, t, tops)
+    s = 2 * errors
     lengths = np.asarray(lengths)
     starts = np.cumsum(lengths) - lengths
     seg = np.repeat(np.arange(len(s)), lengths)
@@ -374,7 +425,9 @@ def weak_convergence_distance(
     if kind == "intermediate":
         scaling = bulk_scaling(problem)
         u = t_dom * math.sqrt(scaling.x_scalar / eps)
-        radius = math.sqrt(rs.dim_g) + math.sqrt(float(u @ rs.B_f @ u)) + tail
+        # u B u overflows from |t| of about 1e154; scaling u by a power of two first keeps every bit
+        scale = 2.0 ** math.frexp(float(np.max(np.abs(u))))[1]
+        radius = math.sqrt(rs.dim_g) + scale * math.sqrt(float((u / scale) @ rs.B_f @ (u / scale))) + tail
         width = np.sqrt(np.diag(np.linalg.inv(rs.B_f)))  # per-axis spread of a unit Gaussian in g
         cover = [(0.0, h) for h in radius * width]
 
@@ -403,8 +456,9 @@ def weak_convergence_distance(
     scaled = scaling.apply(rs.root_points([row.weight for row in m.rows]))
 
     def check_size(shape):
-        if math.prod(shape) * MAX_SUBDIV**r > _MAX_GRID_POINTS:
-            cells = " x ".join(f"{n:.0f}" for n in shape)
+        # a product of Python floats past the float range is inf, with no overflow warning
+        if math.prod(map(float, shape)) * MAX_SUBDIV**r > _MAX_GRID_POINTS:
+            cells = " x ".join(f"{n:.0f}" if n < 1e9 else f"{n:.3g}" for n in shape)
             raise DomainError(f"comparison grid of {cells} cells needs over {_MAX_GRID_POINTS} quadrature points")
 
     if edges is None:

@@ -1,5 +1,6 @@
 """Command line surface: subcommands, formats, exit codes, cache behavior."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -447,30 +448,43 @@ def test_help_goes_to_stdout(capsys):
     assert captured.err == ""
 
 
-# the reps the CLI property test draws, per algebra
+# the reps the CLI property test draws, per algebra, and a non-minuscule one per rank-2 algebra drawn at N <= 3
 _PROPERTY_REPS = {"A1": ["1", "2"], "A2": ["1,0", "0,1"], "B2": ["1,0", "0,1"], "G2": ["1,0", "0,1"],
                   "E6": ["1,0,0,0,0,0"]}
+_PROPERTY_LARGE_REPS = {"A2": "1,1", "B2": "1,1", "G2": "1,1"}
 
 
 @st.composite
 def _cli_calls(draw):
-    """(argv, whether it carries a flag of another command, (root system, rep, N, t, chains, seed))."""
+    """(argv, whether it carries a flag of another command, (root system, rep, N, t, chains, seed)).
+
+    t lies in any Weyl chamber and is written --t=..., so a negative first
+    coordinate parses; a third of the calls give it in the weight basis.
+    """
     command = draw(st.sampled_from(["measure", "sample"]))
     algebra = draw(st.sampled_from(sorted(_PROPERTY_REPS)))
     rs = build_root_system(algebra)
-    rep = draw(st.sampled_from(_PROPERTY_REPS[algebra]))
-    n = draw(st.integers(0 if command == "sample" else 1, 3 if algebra == "E6" else 8))
+    large = algebra in _PROPERTY_LARGE_REPS and draw(st.integers(0, 4)) == 0
+    rep = _PROPERTY_LARGE_REPS[algebra] if large else draw(st.sampled_from(_PROPERTY_REPS[algebra]))
+    n = draw(st.integers(0 if command == "sample" else 1, 3 if algebra == "E6" or large else 8))
     # the scale of t's pairings with the simple roots
     kind = draw(st.sampled_from(["zero", "wall", "tiny", "regular", "huge"]))
     scale = {"zero": 0.0, "tiny": 1e-9, "huge": 10.0 ** draw(st.integers(2, 300))}.get(kind, 1.0)
     pairings = [draw(st.floats(0.05, 1.0)) * scale for _ in range(rs.rank)]
     if kind == "wall":
         pairings[draw(st.integers(0, rs.rank - 1))] = 0.0
-    t = None if kind == "zero" else tuple(np.linalg.solve(rs.B_f, pairings).tolist())
-    chains, seed = draw(st.integers(1, 300)), draw(st.integers(0, 2**64 - 1))
     argv = [command, "--algebra", algebra, "--rep", rep]
-    if t is not None:
-        argv += ["--t", ",".join(map(repr, t))]
+    t = None
+    if kind != "zero":
+        t_root = np.linalg.solve(rs.B_f, pairings)
+        # a word of simple reflections reaches every chamber; E6's 51840 elements are never listed
+        for a in draw(st.lists(st.integers(0, rs.rank - 1), max_size=len(rs.positive_roots))):
+            t_root[a] -= (rs.B_f[a] @ t_root) / float(rs.d[a])
+        basis = draw(st.sampled_from(["root", "root", "weight"]))
+        text = ",".join(map(repr, (t_root if basis == "root" else rs.cartan_f @ t_root).tolist()))
+        argv += [f"--t={text}"] + (["--t-basis", "weight"] if basis == "weight" else [])
+        t = cli._resolve_t(rs, argparse.Namespace(t=text, t_basis=basis))  # the t the CLI reads from them
+    chains, seed = draw(st.integers(1, 300)), draw(st.integers(0, 2**64 - 1))
     if command == "measure":
         argv += ["--power", str(n)]
     else:
@@ -773,6 +787,51 @@ def test_sample_at_a_huge_regular_t_answers(capsys, t):
     assert (code, err) == (0, [])
     payload = json.loads(out)
     assert payload["endpoints"] == {"3,0": 1.0} and payload["tv_empirical_vs_exact"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "algebra, rep, power, t, top",
+    [
+        ("A2", (1, 1), 3, "5075844.685551487,3148857.19302005", (3, 3)),
+        ("B2", (1, 0), 6, "1.994071159905269e+153,6.1882972608904264e+153", (6, 0)),
+        ("G2", (1, 0), 3, "3.69212470673322e+43,1.7113742699801328e+43", (3, 0)),
+    ],
+    ids=["A2", "B2", "G2"],
+)
+def test_measure_at_a_huge_regular_t_answers(capsys, algebra, rep, power, t, top):
+    # the rounding of sum_k N_k log chi_nu_k, common to the whole measure, once reached its sum check:
+    # "character measure sums to 1.0000000037252903", "sums to 0.0" and "OverflowError: math range error" (exit 3)
+    rep_text = ",".join(map(str, rep))
+    code, out, err = _huge_t_run(capsys, ["measure", "--no-cache", "--algebra", algebra, "--rep", rep_text, "--power",
+                                          str(power), f"--t={t}"])
+    assert (code, err) == (0, [])
+    probs = {tuple(map(int, row[:2])): float(row[2]) for row in (line.split(",") for line in out.splitlines()[1:])}
+    exact = evolve_exact(build_root_system(algebra), rep, [float(v) for v in t.split(",")], power).probabilities()
+    assert set(probs) == set(exact)
+    assert max(abs(probs[lam] - exact[lam]) for lam in exact) <= 1e-12
+    assert probs[top] == 1.0
+
+
+def test_limit_compare_at_a_huge_regular_t_reaches_the_domain_boundary(capsys):
+    # the measure it compares once failed its sum check, "sums to 1.0000000037252903" (exit 3); it is a
+    # point mass, so its mean weight lies on the boundary of the Legendre domain
+    code, out, err = _huge_t_run(capsys, ["limit-compare", "--no-cache", "--algebra", "A2", "--rep", "1,1", "--power",
+                                          "3", "--t=5075844.685551487,3148857.19302005", "--kind", "gaussian"])
+    assert (code, out) == (2, "")
+    assert err == ["error: Hess f is singular to float precision: the mean weight is at the domain boundary"]
+
+
+@pytest.mark.parametrize(
+    "algebra, power, t", [("A2", 4, "1e160,1e160"), ("B2", 6, "1.994071159905269e+153,6.1882972608904264e+153")],
+    ids=["A2", "B2"],
+)
+def test_limit_compare_at_a_huge_t_refuses_its_grid_without_overflow(capsys, algebra, power, t):
+    # u B u of the intermediate law's radius, and the product of the grid's cell counts, once overflowed:
+    # "RuntimeWarning: overflow encountered" with its source line before the error line (exit 3 under -W error)
+    code, out, err = _huge_t_run(capsys, ["limit-compare", "--no-cache", "--algebra", algebra, "--rep", "1,0",
+                                          "--power", str(power), f"--t={t}", "--kind", "intermediate"])
+    assert (code, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("error: comparison grid of ")
 
 
 def test_sample_at_overflowing_t_is_a_domain_error(capsys):

@@ -320,7 +320,7 @@ def test_rounding_drift_bound_spares_moderate_t():
         logs = CharacterPlan(rs, t).evaluate([lam for lam, _ in entries] + [nu]).values
         log_p = np.log([m for _, m in entries]) + logs[:-1] - power * logs[-1]
         top = [power * c for c in nu]
-        assert measures._rounding_drift(rs, t, [top], log_p, [len(log_p)])[0] < 1e-12
+        assert measures._rounding_drift(measures._log_chi_error(rs, t, [top]), log_p, [len(log_p)])[0] < 1e-12
     a1 = build_root_system("A1")
     assert character_probabilities(tensor_power_decompose(a1, [((1,), 4)]), [1e300])[(4,)] == 1.0
     a2 = build_root_system("A2")
