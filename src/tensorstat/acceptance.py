@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .charalg import (
+    Branching,
     naive_tensor_decompose,
     tensor_power_decompose,
     weyl_dimension,
@@ -135,13 +136,15 @@ def hook_sweep(max_power: int):
 
     Yields (algebra, N, lambda, matches) per highest weight, where matches
     says whether the Klimyk multiplicity equals the hook-length formula.
+    Each algebra folds one chain: power N is power N - 1 times V, one
+    fold per power, its highest weights in the sorted order of the fold.
     """
     for n in (1, 2, 3):
-        rs = _rs(f"A{n}")
-        rep = (1,) + (0,) * (n - 1)
+        branching = Branching(_rs(f"A{n}"), (1,) + (0,) * (n - 1))
+        keys, values = np.zeros((1, n), dtype=np.int64), np.array([1], dtype=object)
         for big_n in range(1, max_power + 1):
-            table = tensor_power_decompose(rs, [(rep, big_n)])
-            for lam, mult in table.entries.items():
+            _, keys, values = branching.fold(keys, values)
+            for lam, mult in zip(map(tuple, keys.tolist()), values.tolist()):
                 yield f"A{n}", big_n, lam, hook_multiplicity(n, partition_from_weight(n, lam, big_n)) == mult
 
 

@@ -780,55 +780,77 @@ class Branching:
     contribute parity * d_mu to V(dom - rho).  One vectorized fold applies
     it to a whole batch of highest weights at once: decomposition steps
     sum the terms of a table per target, the Markov kernel's rows sum them
-    per (source, target).  The instance keeps only the weights of V(nu).
+    per (source, target).  The instance keeps only the weights of V(nu),
+    those with a coordinate below -1 first: only their terms can leave the
+    dominant chamber, as lam + mu + rho >= 0 wherever mu >= -1.
     """
 
     def __init__(self, rs: RootSystem, nu):
         self.rs = rs
-        weights = sorted(weight_multiplicities(rs, nu).multiplicities.items())
-        self._shifts = np.array([mu for mu, _ in weights], dtype=np.int64) + 1  # mu + rho
+        weights = sorted(weight_multiplicities(rs, nu).multiplicities.items(), key=lambda w: (min(w[0]) >= -1, w[0]))
+        # (r, weights): mu + rho per column
+        self._shifts = np.array([mu for mu, _ in weights], dtype=np.int64).reshape(len(weights), rs.rank).T + 1
         self._mults = np.array([d for _, d in weights], dtype=np.int64)
+        self._reflecting = sum(min(mu) < -1 for mu, _ in weights)  # the weights whose terms may reflect
 
     def fold(self, keys: np.ndarray, values: np.ndarray, by_source: bool = False):
         """Klimyk's formula on sum_i values[i] V(keys[i]) (x) V(nu), summed per target.
 
-        keys: (n, r) int64 dominant weights; values: (n,) ints, int64 or
-        Python ints in an object array (kept exact).  Returns (sources,
-        targets, sums): the nonzero sums, sorted by target; with by_source
-        they are summed per (source index, target) and sorted by both,
-        else sources is None.
+        keys: (n, r) int64 dominant weights; values: (n,) positive ints,
+        int64 or Python ints in an object array (kept exact).  Returns
+        (sources, targets, sums): the nonzero sums, sorted by target; with
+        by_source they are summed per (source index, target) and sorted by
+        both, else sources is None.
+
+        The terms are laid out weight-major, term p = j n + i pairing
+        weight j with source i, so the terms of one weight come in the
+        order of keys: sorted keys leave one sorted run per weight for the
+        stable sort of row_runs to merge.  Only the block of weights that
+        may reflect is reflected.  When every coefficient the fold uses is
+        positive, no sum of positive values can fall to 0 or below, and the
+        check for a negative multiplicity is skipped; it runs otherwise.
         """
         r = self.rs.rank
-        n, k = len(keys), len(self._mults)
-        x = (keys[:, None, :] + self._shifts).reshape(n * k, r)
-        src = np.repeat(np.arange(n), k)
-        coef = np.tile(self._mults, n) * dominant_reflect_rows(self.rs, x)
-        # singular terms cancel; an AND over the columns, as a short-axis min is slow
-        regular = x[:, 0] > 0
-        for column in x.T[1:]:
+        n, mults = len(keys), self._mults
+        # (r, terms), column-major throughout: NumPy loops over a short last axis slowly
+        xt = (np.ascontiguousarray(keys.T)[:, None] + self._shifts[:, :, None]).reshape(r, len(mults) * n)
+        reflected = n * self._reflecting
+        if reflected:
+            parity = dominant_reflect_rows(self.rs, xt[:, :reflected].T)  # in place, on a view
+        # singular terms cancel
+        regular = xt[0] > 0
+        for column in xt[1:]:
             regular &= column > 0
-        regular = np.flatnonzero(regular)
-        x, src, coef = x[regular], src[regular], coef[regular]
-        if not len(x):
-            return (src if by_source else None), x, values[:0]
-        order, starts = row_runs(x, src if by_source else None)
-        src, coef = src[order], coef[order]
+        pos = np.flatnonzero(regular)
+        if not len(pos):
+            return (pos if by_source else None), xt[:, :0].T, values[:0]
+        order, starts = row_runs(np.take(xt, pos, axis=1).T, pos % n if by_source else None)
+        pos = pos[order]
+        src = pos % n
         terms = values[src]
-        scaled = coef != 1  # most terms are unreflected weights of multiplicity 1
-        terms[scaled] *= coef[scaled]
+        d = mults.tolist()  # read at each fold: the sign check follows the multiplicities in use
+        checked = reflected or min(d) <= 0
+        if checked or max(d) != 1:
+            coef = np.repeat(mults, n)
+            if reflected:
+                coef[:reflected] *= parity
+            coef = coef[pos]
+            scaled = np.flatnonzero(coef != 1)  # most terms are unreflected weights of multiplicity 1
+            terms[scaled] *= coef[scaled]
         sums = np.add.reduceat(terms, starts)
-        positive = sums > 0
-        if not positive.all():
-            if np.any(sums < 0):
-                i = int(np.argmax(sums < 0))
-                target = tuple((x[order[starts[i]]] - 1).tolist())
-                raise InternalConsistencyError(f"negative multiplicity {sums[i]} at {target}")
-            starts, sums = starts[positive], sums[positive]
-        return (src[starts] if by_source else None), x[order[starts]] - 1, sums
+        if checked:
+            positive = sums > 0
+            if not positive.all():
+                if np.any(sums < 0):
+                    i = int(np.argmax(sums < 0))
+                    target = tuple((xt[:, pos[starts[i]]] - 1).tolist())
+                    raise InternalConsistencyError(f"negative multiplicity {sums[i]} at {target}")
+                starts, sums = starts[positive], sums[positive]
+        return (src[starts] if by_source else None), np.take(xt, pos[starts], axis=1).T - 1, sums
 
 
 def klimyk_tensor_step(rs: RootSystem, table: dict[Weight, int], nu) -> dict[Weight, int]:
-    """Decompose (sum_lam m_lam V(lam)) tensor V(nu) exactly; see Branching."""
+    """Decompose (sum_lam m_lam V(lam)) tensor V(nu) exactly, for multiplicities m_lam > 0; see Branching."""
     keys = np.array(list(table), dtype=np.int64).reshape(len(table), rs.rank)
     _, targets, sums = Branching(rs, nu).fold(keys, np.array(list(table.values()), dtype=object))
     return dict(zip(map(tuple, targets.tolist()), sums.tolist()))

@@ -516,18 +516,44 @@ def row_runs(rows: np.ndarray, major: np.ndarray | None = None) -> tuple[np.ndar
     (by major first, when given) and the positions in it where each run of
     equal rows (and equal major) begins.  rows[order[starts]] are the
     distinct rows, sorted, each at its first occurrence.
+
+    Each row is ranked by one int64 key, the mixed-radix number whose
+    digits are its entries (less their column minima when a column goes
+    below 0), major the most significant digit and column 0 next; a
+    stable argsort orders the keys and one comparison finds the runs.
+    Where the key's range reaches 2^63 a lexsort over the columns takes
+    its place.  Both sorts are stable, so both give the same order.
     """
-    keys = [rows[:, i] for i in range(rows.shape[1] - 1, -1, -1)]
+    if not len(rows):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    rows = np.asfortranarray(rows, dtype=np.int64)  # contiguous columns: NumPy reduces across a short axis slowly
+    columns = [rows[:, i] for i in range(rows.shape[1])]
+    top, low = rows.max(axis=0).tolist(), rows.min(axis=0).tolist()
     if major is not None:
-        keys.append(major)
-    order = np.lexsort(keys)
-    columns = list(rows[order].T)
-    if major is not None:
-        columns.append(major[order])
+        major = major.astype(np.int64, copy=False)
+        columns.insert(0, major)
+        top.insert(0, int(major.max()))
+        low.insert(0, int(major.min()))
+    low = [min(lo, 0) for lo in low]
+    radix = [hi - lo + 1 for hi, lo in zip(top, low)]
+    if math.prod(radix) < 2**63:
+        key = columns[-1] - low[-1] if low[-1] else columns[-1]
+        stride = 1
+        for column, lo, base in zip(columns[-2::-1], low[-2::-1], radix[:0:-1]):
+            stride *= base
+            key = key + (column - lo if lo else column) * stride
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        return order, np.flatnonzero(new)
+    order = np.lexsort(columns[::-1])
     new = np.zeros(len(order), dtype=bool)
     new[:1] = True
     # an OR over the columns: NumPy reduces along a short last axis far more slowly
     for column in columns:
+        column = column[order]
         new[1:] |= column[1:] != column[:-1]
     return order, np.flatnonzero(new)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -55,20 +54,18 @@ def hook_multiplicity(n: int, parts) -> int:
     of the A_n vector representation, as an exact integer.
 
     Evaluated via the factorial form of the hook length formula on the
-    shifted rows l_i + (n+1) - i.
+    shifted rows l_i + (n+1) - i, as one exact integer quotient.
     """
     p = _validated_parts(n, parts)
-    big_n = sum(p)
     shifted = [p[i] + n - i for i in range(n + 1)]
-    value = Fraction(math.factorial(big_n))
+    num = math.factorial(sum(p))
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            value *= shifted[i] - shifted[j]
-    for li in shifted:
-        value /= math.factorial(li)
-    if value.denominator != 1:
+            num *= shifted[i] - shifted[j]
+    value, rem = divmod(num, math.prod(map(math.factorial, shifted)))
+    if rem:
         raise DomainError(f"hook formula is not integral on {parts}")
-    return int(value)
+    return value
 
 
 def sigma_from_xi(n: int, tau: float, xi) -> np.ndarray:

@@ -385,6 +385,11 @@ def test_klimyk_step_matches_termwise_reflection(data):
         ("B2", (0, 1), 30, "ebaaa061682e3a1cb4c0fb258a2e2f133c8efaf1681c23a3af0527afbada1560"),
         ("G2", (1, 0), 28, "a7bf19daabfa4c6be6db0decebf081c91190dffd01cdc6570594f1bf6267304b"),
         ("B3", (0, 1, 0), 8, "b4b1defdd4752405713eb2da1579b11c2620fe86612c34167efd6e14a287f8e7"),
+        # no weight of these V pairs below -1 with a simple coroot, so no term ever reflects and the
+        # fold skips reflection, coefficients and the sign check; taken from the lexsort fold
+        ("A1", (1,), 1200, "bc99015fd1ce9a729c3fff05ca930f0e09caf0e8b7df4705a450911bd3a62b6c"),
+        ("A2", (1, 0), 60, "d8ac36baf6354c6cf774c36b54dd9d5136a0b7335d64a4088e6fec2357a93142"),
+        ("A3", (1, 0, 0), 12, "321047dc9323c88b285eb3c12e1b1e3a9ee7a728b51f3fb009643a418e6f2101"),
     ],
 )
 def test_tensor_powers_are_pinned(algebra, nu, power, digest):
@@ -399,15 +404,36 @@ def test_negative_klimyk_total_is_a_consistency_error():
         branching.fold(np.array([[1]]), np.array([1], dtype=object))
 
 
-def _fold_rows(branching, sources):
-    """The row of V(lam) (x) V(nu) of each source, in the order of one fold by source."""
+def test_negative_klimyk_total_by_source_is_a_consistency_error():
+    branching = Branching(build_root_system(AlgebraSpec.parse("A1")), (1,))
+    branching._mults = -branching._mults  # a corrupt weight system
+    with pytest.raises(InternalConsistencyError, match="negative multiplicity"):
+        branching.fold(np.array([[1]]), np.ones(1, dtype=np.int64), by_source=True)
+
+
+def _fold_rows(branching, sources, values=None):
+    """The row of V(lam) (x) V(nu) of each source, in the order of one fold by source; values default to 1."""
     keys = np.array(sources, dtype=np.int64).reshape(len(sources), branching.rs.rank)
-    src, targets, sums = branching.fold(keys, np.ones(len(sources), dtype=np.int64), by_source=True)
+    values = np.ones(len(sources), dtype=np.int64) if values is None else np.array(values, dtype=object)
+    src, targets, sums = branching.fold(keys, values, by_source=True)
     rows = [{} for _ in sources]
     for i, mu, b in zip(src.tolist(), map(tuple, targets.tolist()), sums.tolist()):
         rows[i][mu] = b
     assert src.tolist() == sorted(src.tolist())
     return rows
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_fold_rows_by_source_match_termwise_reflection(data):
+    # V whose terms reflect, with values past int64
+    for algebra, nu in [("A1", (3,)), ("B2", (1, 0)), ("G2", (1, 0))]:
+        rs = build_root_system(AlgebraSpec.parse(algebra))
+        sources = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * rs.rank), min_size=1, max_size=6), label=algebra)
+        values = data.draw(st.lists(st.integers(1, 10**40), min_size=len(sources), max_size=len(sources)))
+        for lam, m, row in zip(sources, values, _fold_rows(Branching(rs, nu), sources, values)):
+            assert list(row) == sorted(row)
+            assert row == _klimyk_by_reflection(rs, {lam: m}, nu)
 
 
 def test_branching_rows_of_one_batch_match_single_rows():

@@ -282,9 +282,13 @@ def test_invalid_rank_zero():
 @given(
     rows=st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=40),
     major=st.lists(st.integers(0, 2), min_size=40, max_size=40),
+    scale=st.sampled_from([1, 5, 2**21 + 1, 2**40]),
+    offset=st.sampled_from([0, -(2**62), 2**62]),
 )
-def test_row_runs_match_unique(rows, major):
-    x = np.array(rows, dtype=np.int64)
+def test_row_runs_match_unique(rows, major, scale, offset):
+    # the int64 key takes scales 1 and 5 at offsets 0 and -2^62; the lexsort takes offset 2^62
+    # (positive columns keep their entries as digits) and scales from 2^21 + 1 (three spans past 2^24)
+    x = np.array(rows, dtype=np.int64) * scale + offset
     order, starts = row_runs(x)
     unique, first = np.unique(x, axis=0, return_index=True)
     assert np.array_equal(x[order[starts]], unique)
