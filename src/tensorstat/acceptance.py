@@ -23,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from .charalg import (
-    Branching,
     naive_tensor_decompose,
     tensor_power_decompose,
     weyl_dimension,
@@ -49,11 +48,7 @@ from .measures import (
 from .numerics import box_quadrature
 from .pde import _pde_rows
 from .rootsys import AlgebraSpec, build_root_system
-from .slnhook import (
-    hook_multiplicity,
-    partition_from_weight,
-    sln_legendre_closed_form,
-)
+from .slnhook import hook_sweep, sln_legendre_closed_form
 
 
 @dataclass(frozen=True)
@@ -129,23 +124,6 @@ def criterion_1() -> tuple[bool, str]:
         if worst:
             break
     return not worst, worst or f"{checked} problems, exact equality"
-
-
-def hook_sweep(max_power: int):
-    """Check each multiplicity of the A1-A3 vector rep's powers 1..max_power.
-
-    Yields (algebra, N, lambda, matches) per highest weight, where matches
-    says whether the Klimyk multiplicity equals the hook-length formula.
-    Each algebra folds one chain: power N is power N - 1 times V, one
-    fold per power, its highest weights in the sorted order of the fold.
-    """
-    for n in (1, 2, 3):
-        branching = Branching(_rs(f"A{n}"), (1,) + (0,) * (n - 1))
-        keys, values = np.zeros((1, n), dtype=np.int64), np.array([1], dtype=object)
-        for big_n in range(1, max_power + 1):
-            _, keys, values = branching.fold(keys, values)
-            for lam, mult in zip(map(tuple, keys.tolist()), values.tolist()):
-                yield f"A{n}", big_n, lam, hook_multiplicity(n, partition_from_weight(n, lam, big_n)) == mult
 
 
 @_criterion(2, "Schur-Weyl hook multiplicities")

@@ -174,6 +174,8 @@ _WEIGHT_SYSTEM_SLOTS = 1024
 _LEVEL_ENTRIES = 2**14
 # a Freudenthal pass runs in int64 when its a-priori bound stays below this, else in Python ints
 _INT64_LIMIT = 2**62
+# the largest height of a highest weight whose weight system is built: A1 (8000), height 4000, takes 1.5 s
+_MAX_HEIGHT = 4096
 
 
 def _weight_systems(spec, lams: list[Weight]) -> list[WeightSystem]:
@@ -237,9 +239,19 @@ def _freudenthal(spec, lams: list[Weight]) -> list[WeightSystem]:
     reflected into the chamber and looked up among the sorted int64 keys
     (row, weight) of all the systems, and a weight not found has m = 0.
     A chunk of a height holds at most _LEVEL_ENTRIES terms, or one mu.
+    A lambda of height (sum of root coordinates) above _MAX_HEIGHT is
+    refused before any level is built.
     """
     rs = build_root_system(spec)
     r, n = rs.rank, len(lams)
+    m, adj = rs.cartan_inverse_int
+    per_coord = adj.sum(axis=0).tolist()  # m times the height of each fundamental weight
+    height, top = max((sum(a * b for a, b in zip(per_coord, x)), x) for x in lams)  # m times the height
+    if height > _MAX_HEIGHT * m:
+        raise DomainError(
+            f"V{top} has height {height / m:g}, past {_MAX_HEIGHT}: its weight system is built one height "
+            "level at a time, and height 4000 already takes 1.5 s at rank 1 and far longer at higher rank"
+        )
     lam = np.array(lams, dtype=np.int64).reshape(n, r)
     levels = _descent(rs, lam)
     rows_all, mu_all, c_all = (np.concatenate(part) for part in zip(*levels))
@@ -783,6 +795,16 @@ class Branching:
     per (source, target).  The instance keeps only the weights of V(nu),
     those with a coordinate below -1 first: only their terms can leave the
     dominant chamber, as lam + mu + rho >= 0 wherever mu >= -1.
+
+    A fold refuses a source coordinate past _key_limit, before any int64
+    sum can wrap.  A term x = lam + mu + rho has |x_j| <= max(lam) + S,
+    S = max |mu_j + 1|.  Each coordinate of a W-image of x, every step of
+    its reflection included, is (x, beta^vee) for a coroot beta^vee,
+    whose coefficients sum to at most h - 1 in absolute value
+    (h = 2 |Phi+| / r, the Coxeter number); a reflection step also forms
+    a coordinate times a Cartan entry.  So (max(lam) + S) (h - 1) max|C|
+    < 2^63 keeps every value exact, and without reflection
+    max(lam) + S < 2^63 does.
     """
 
     def __init__(self, rs: RootSystem, nu):
@@ -792,6 +814,11 @@ class Branching:
         self._shifts = np.array([mu for mu, _ in weights], dtype=np.int64).reshape(len(weights), rs.rank).T + 1
         self._mults = np.array([d for _, d in weights], dtype=np.int64)
         self._reflecting = sum(min(mu) < -1 for mu, _ in weights)  # the weights whose terms may reflect
+        reach = 1
+        if self._reflecting:
+            coxeter = 2 * rs.n_positive // rs.rank
+            reach = (coxeter - 1) * int(np.abs(rs.cartan_int).max())
+        self._key_limit = (2**63 - 1) // reach - int(np.abs(self._shifts).max())
 
     def fold(self, keys: np.ndarray, values: np.ndarray, by_source: bool = False):
         """Klimyk's formula on sum_i values[i] V(keys[i]) (x) V(nu), summed per target.
@@ -812,6 +839,11 @@ class Branching:
         """
         r = self.rs.rank
         n, mults = len(keys), self._mults
+        if n and keys.max() > self._key_limit:
+            raise DomainError(
+                f"weight coordinate {int(keys.max())} is past {self._key_limit}: "
+                "the terms of this fold or their reflections could leave int64"
+            )
         # (r, terms), column-major throughout: NumPy loops over a short last axis slowly
         xt = (np.ascontiguousarray(keys.T)[:, None] + self._shifts[:, :, None]).reshape(r, len(mults) * n)
         reflected = n * self._reflecting
@@ -901,12 +933,24 @@ class DecompositionTable:
         return sorted(self.entries.items())
 
     def to_json(self) -> str:
-        payload = {
-            "algebra": self.algebra,
-            "problem": [[list(nu), n] for nu, n in self.problem],
-            "entries": [[list(lam), str(m)] for lam, m in self.sorted_entries()],
-        }
-        return json.dumps(payload, indent=1)
+        """The table as {"algebra", "problem": [[nu, N], ...], "entries": [[lambda, "m"], ...]}.
+
+        The text is json.dumps(payload, indent=1) byte for byte, written
+        directly: with any indent json.dumps runs its pure-Python encoder,
+        three times slower on the A1 (1)^1200 table.
+        """
+
+        def pairs(rows) -> str:
+            # a list of [weight, value] pairs at depth 1 of an indent=1 layout
+            if not rows:
+                return "[]"
+            sep = ",\n    "
+            items = (f"  [\n   [\n    {sep.join(map(str, w))}\n   ],\n   {v}\n  ]" for w, v in rows)
+            return "[\n" + ",\n".join(items) + "\n ]"
+
+        problem = pairs(self.problem)
+        entries = pairs([(lam, f'"{m}"') for lam, m in self.sorted_entries()])
+        return f'{{\n "algebra": {json.dumps(self.algebra)},\n "problem": {problem},\n "entries": {entries}\n}}'
 
     @classmethod
     def from_json(cls, text: str) -> "DecompositionTable":

@@ -37,6 +37,7 @@ from .legendre import _log_multiplicity_rows, forward_dual, rate_point, tensor_p
 from .measures import character_measure, weak_convergence_distance
 from .pde import _pde_rows
 from .rootsys import AlgebraSpec, build_root_system
+from .slnhook import hook_sweep
 
 USAGE_ERROR = 1
 DOMAIN_ERROR = 2
@@ -302,11 +303,9 @@ def _cmd_pde_check(args) -> int:
 
 
 def _cmd_hook_check(args) -> int:
-    from . import acceptance  # only hook-check and selftest load the acceptance suite
-
     if args.max_power < 1:
         raise DomainError(f"--max-power must be at least 1, got {args.max_power}")
-    matches = [ok for *_, ok in acceptance.hook_sweep(args.max_power)]
+    matches = [ok for *_, ok in hook_sweep(args.max_power)]
     failures = matches.count(False)
     _emit(f"hook-check: {len(matches)} multiplicities, {failures} mismatches\n", args)
     if failures:
@@ -315,7 +314,7 @@ def _cmd_hook_check(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from . import acceptance
+    from . import acceptance  # only selftest loads the acceptance suite
 
     indices = None
     if args.criteria:
@@ -377,21 +376,25 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_fail(f"{self.prog}: {message}", USAGE_ERROR))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with the subparser of command only, or with all of them when command is None."""
     parser = _Parser(
         prog="tensorstat",
         description="Exact tensor product decompositions and their large-N asymptotics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_line, flags) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            for flag in flags:
+                p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call builds the subparser it runs; --help, an unknown command or none at all needs every one
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help (0), or a usage error _Parser has reported (1)

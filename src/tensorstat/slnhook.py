@@ -8,6 +8,8 @@ compute numerically has a closed form through the variables
 which are the scaled row lengths of the underlying partition.  These
 functions are kept deliberately independent of the generic code paths
 (no Legendre solves, no Weyl sums) so they can serve as oracles.
+hook_sweep is where the oracle meets the generic Klimyk fold; the CLI's
+hook-check runs it without loading the acceptance suite.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charalg import Branching
 from .errors import DomainError, LegendreDomainError
+from .rootsys import build_root_system
 
 
 def partition_from_weight(n: int, weight, total: int) -> tuple[int, ...]:
@@ -66,6 +70,23 @@ def hook_multiplicity(n: int, parts) -> int:
     if rem:
         raise DomainError(f"hook formula is not integral on {parts}")
     return value
+
+
+def hook_sweep(max_power: int):
+    """Check each multiplicity of the A1-A3 vector rep's powers 1..max_power.
+
+    Yields (algebra, N, lambda, matches) per highest weight, where matches
+    says whether the Klimyk multiplicity equals the hook-length formula.
+    Each algebra folds one chain: power N is power N - 1 times V, one
+    fold per power, its highest weights in the sorted order of the fold.
+    """
+    for n in (1, 2, 3):
+        branching = Branching(build_root_system(f"A{n}"), (1,) + (0,) * (n - 1))
+        keys, values = np.zeros((1, n), dtype=np.int64), np.array([1], dtype=object)
+        for big_n in range(1, max_power + 1):
+            _, keys, values = branching.fold(keys, values)
+            for lam, mult in zip(map(tuple, keys.tolist()), values.tolist()):
+                yield f"A{n}", big_n, lam, hook_multiplicity(n, partition_from_weight(n, lam, big_n)) == mult
 
 
 def sigma_from_xi(n: int, tau: float, xi) -> np.ndarray:

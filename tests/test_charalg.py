@@ -280,6 +280,24 @@ def test_weight_system_cache_evicts_the_least_recently_used(monkeypatch):
     assert list(charalg._WEIGHT_SYSTEMS) == [(rs.spec, (1, 1)), (rs.spec, (1, 0))]
 
 
+def test_weight_systems_past_the_height_gate_are_refused(monkeypatch):
+    a1, a2 = build_root_system(AlgebraSpec.parse("A1")), build_root_system(AlgebraSpec.parse("A2"))
+    # refused before any level is built: A1 (100000), height 50000, ran for over a minute
+    for lam in [(2 * charalg._MAX_HEIGHT + 1,), (100000,), (2**63 - 1,)]:
+        with pytest.raises(DomainError, match=f"past {charalg._MAX_HEIGHT}"):
+            weight_multiplicities(a1, lam)
+    monkeypatch.setattr(charalg, "_MAX_HEIGHT", 10)
+    monkeypatch.setattr(charalg, "_WEIGHT_SYSTEMS", charalg.OrderedDict())
+    assert weight_multiplicities(a1, (20,)).dim == 21  # height 10
+    assert weight_multiplicities(a2, (6, 4)).dim == weyl_dimension(a2, (6, 4))  # height 8 + 2
+    for rs, lam, height in [(a1, (21,), "10.5"), (a2, (7, 4), "11")]:
+        with pytest.raises(DomainError, match=f"height {height}, past 10"):
+            weight_multiplicities(rs, lam)
+    # the gate reads every system of a batch
+    with pytest.raises(DomainError, match="height 10.5"):
+        charalg._weight_systems(a1.spec, [(2,), (21,)])
+
+
 def test_weight_system_27_of_a2():
     rs = build_root_system(AlgebraSpec.parse("A2"))
     ws = weight_multiplicities(rs, (2, 2))
@@ -411,6 +429,32 @@ def test_negative_klimyk_total_by_source_is_a_consistency_error():
         branching.fold(np.array([[1]]), np.ones(1, dtype=np.int64), by_source=True)
 
 
+def test_fold_refuses_a_source_whose_top_term_wraps_past_int64():
+    # lam + mu + rho = 2^63 + 1 wrapped negative, and the fold dropped the target 2^63 without a word
+    a1 = build_root_system(AlgebraSpec.parse("A1"))
+    with pytest.raises(DomainError, match="int64"):
+        klimyk_tensor_step(a1, {(2**63 - 1,): 1}, (1,))
+
+
+def test_fold_refuses_a_source_whose_top_target_is_int64_max():
+    # lam + mu + rho = 2^63 wrapped, and the fold dropped the target 2^63 - 1, which int64 holds
+    a1 = build_root_system(AlgebraSpec.parse("A1"))
+    with pytest.raises(DomainError, match="int64"):
+        klimyk_tensor_step(a1, {(2**63 - 2,): 1}, (1,))
+
+
+@pytest.mark.parametrize("algebra, nu", [("A1", (1,)), ("A1", (3,)), ("B2", (1, 0)), ("G2", (1, 0)), ("A2", (1, 1))])
+def test_fold_is_exact_up_to_its_key_limit(algebra, nu):
+    rs = build_root_system(AlgebraSpec.parse(algebra))
+    limit = Branching(rs, nu)._key_limit
+    assert limit > 2**58  # far above any weight a decomposition can reach
+    for lam in [(limit,) * rs.rank, (limit,) + (0,) * (rs.rank - 1), (0,) * (rs.rank - 1) + (limit,)]:
+        table = {lam: 3, (1,) * rs.rank: 2}
+        assert klimyk_tensor_step(rs, table, nu) == _klimyk_by_reflection(rs, table, nu)
+    with pytest.raises(DomainError, match="int64"):
+        klimyk_tensor_step(rs, {(limit + 1,) + (0,) * (rs.rank - 1): 1}, nu)
+
+
 def _fold_rows(branching, sources, values=None):
     """The row of V(lam) (x) V(nu) of each source, in the order of one fold by source; values default to 1."""
     keys = np.array(sources, dtype=np.int64).reshape(len(sources), branching.rs.rank)
@@ -535,6 +579,28 @@ def test_decomposition_json_roundtrip():
     assert back.problem == table.problem
     payload = json.loads(text)
     assert payload["algebra"] == "G2"
+
+
+@pytest.mark.parametrize(
+    "algebra, factors",
+    [
+        ("A1", [((1,), 300)]),
+        ("G2", [((0, 1), 6)]),
+        ("B3", [((1, 0, 0), 3), ((0, 0, 1), 2)]),
+        ("A2", [((1, 1), 0)]),
+        ("A2", []),
+    ],
+    ids=["A1-big-ints", "G2", "B3-two-factors", "power-0", "no-factors"],
+)
+def test_to_json_is_the_indent_1_json_layout(algebra, factors):
+    # to_json writes the layout itself; json.dumps with an indent runs its pure-Python encoder
+    table = tensor_power_decompose(build_root_system(AlgebraSpec.parse(algebra)), factors)
+    payload = {
+        "algebra": table.algebra,
+        "problem": [[list(nu), n] for nu, n in table.problem],
+        "entries": [[list(lam), str(m)] for lam, m in table.sorted_entries()],
+    }
+    assert table.to_json() == json.dumps(payload, indent=1)
 
 
 def test_dimension_identity_totals():

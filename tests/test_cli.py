@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -439,6 +440,70 @@ def test_usage_errors_print_one_error_line(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: tensorstat") and captured.err.count("\n") == 1
+
+
+_A1 = ["--algebra", "A1"]
+# the calls that end while parsing, with the first 16 hex digits of the SHA-256 of
+# json.dumps([stdout, stderr, exit code]) at COLUMNS=80 under Python 3.11, taken when every call
+# built all eight subparsers
+USAGE_CASES = {
+    "help": (["--help"], "38cb5ab5e0602f40"),
+    "decompose-help": (["decompose", "--help"], "25c9ff9ca7e5c575"),
+    "measure-help": (["measure", "--help"], "1663b314dcf40c47"),
+    "asymptotic-help": (["asymptotic", "--help"], "f7771ce89e06b74b"),
+    "limit-compare-help": (["limit-compare", "--help"], "ea7ff3d70af9ee2b"),
+    "sample-help": (["sample", "--help"], "ddf99a9d801478d3"),
+    "pde-check-help": (["pde-check", "--help"], "9dde5a3d7f4fb415"),
+    "hook-check-help": (["hook-check", "--help"], "1290f6b8970ef9aa"),
+    "selftest-help": (["selftest", "--help"], "02756e8c14a8a8fd"),
+    "no-arguments": ([], "2fb9a6d91ab48e18"),
+    "unknown-command": (["no-such-command"], "e4a40f0c1c3441e1"),
+    "unknown-command-help": (["no-such-command", "--help"], "e4a40f0c1c3441e1"),
+    "decompose-missing": (["decompose", *_A1], "2cd9a018107a3f7c"),
+    "measure-missing": (["measure", *_A1], "bff1b1a398e166ff"),
+    "asymptotic-missing": (["asymptotic", *_A1], "c02322a7cb245871"),
+    "limit-compare-missing": (["limit-compare", *_A1], "ff2e8c7d9fca20c4"),
+    "sample-missing": (["sample", *_A1], "43a90b19457c98eb"),
+    "pde-check-missing": (["pde-check", *_A1], "3c63e56434b39d22"),
+    "decompose-foreign": (["decompose", *_A1, "--rep", "1", "--t", "1"], "3ce4ab85e207b171"),
+    "measure-foreign": (["measure", *_A1, "--rep", "1", "--kind", "gaussian"], "2e09a08ad3762bd3"),
+    "asymptotic-foreign": (["asymptotic", *_A1, "--rep", "1", "--format", "csv"], "65381cf60e7d985f"),
+    "limit-compare-foreign": (["limit-compare", *_A1, "--rep", "1", "--kind", "plancherel", "--grid", "3"],
+                              "da232cb06fa067ef"),
+    "sample-foreign": (["sample", *_A1, "--rep", "1", "--steps", "2", "--chains", "3", "--power", "2"],
+                       "b0d990ba69762864"),
+    "pde-check-foreign": (["pde-check", *_A1, "--rep", "1", "--no-cache"], "7903962a642778dc"),
+    "hook-check-foreign": (["hook-check", "--criteria", "1"], "db185d3c1adeff1a"),
+    "selftest-foreign": (["selftest", "--max-power", "2"], "195f5d73923d99d3"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_CASES))
+def test_one_subparser_leaves_help_and_usage_errors_unchanged(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, digest = USAGE_CASES[case]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    try:  # the parser of every command gives the reference
+        build_parser().parse_args(argv)
+        reference_code = None
+    except SystemExit as exc:
+        reference_code = exc.code
+    reference = capsys.readouterr()
+    assert (out, err, code) == (reference.out, reference.err, reference_code)
+    if sys.version_info[:2] == (3, 11):  # argparse lays out help differently in other versions
+        assert hashlib.sha256(json.dumps([out, err, code]).encode()).hexdigest()[:16] == digest
+
+
+def _subcommands(parser):
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(commands.choices)
+
+
+def test_build_parser_builds_the_subparser_of_its_command_only():
+    assert _subcommands(build_parser()) == list(cli._COMMANDS)
+    for command in cli._COMMANDS:
+        assert _subcommands(build_parser(command)) == [command]
 
 
 def test_help_goes_to_stdout(capsys):
@@ -948,3 +1013,27 @@ def test_decompose_and_sample_do_not_load_the_acceptance_suite():
         "print('tensorstat.acceptance' in sys.modules)\n"
     )
     assert _last_line_of(code) == "False"
+
+
+def test_hook_check_does_not_load_the_acceptance_suite():
+    # hook_sweep lives in slnhook; only selftest reads tensorstat.acceptance
+    code = (
+        "import sys\n"
+        "from tensorstat.cli import main\n"
+        "assert main(['hook-check', '--max-power', '3']) == 0\n"
+        "print('tensorstat.acceptance' in sys.modules)\n"
+    )
+    assert _last_line_of(code) == "False"
+
+
+@pytest.mark.parametrize("rep", ["9223372036854775807", "100000"])
+def test_a_huge_highest_weight_exits_2_at_once(capsys, rep):
+    # A1 (100000) once ran for over a minute, A1 (2^63 - 1) grew past 1.9 GiB
+    start = time.perf_counter()
+    code = main(["decompose", "--algebra", "A1", "--rep", rep, "--power", "1", "--no-cache"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "past 4096" in captured.err
+    assert elapsed < 1.0

@@ -22,6 +22,7 @@ from tensorstat import (
     tensor_power_decompose,
     tensor_problem,
 )
+from tensorstat import acceptance, slnhook
 
 
 def weight_from_partition(n, parts):
@@ -77,6 +78,16 @@ def test_hook_matches_decomposition_sl4():
     for lam, mult in table.entries.items():
         parts = partition_from_weight(3, lam, n_power)
         assert hook_multiplicity(3, parts) == mult
+
+
+def test_hook_sweep_checks_each_power_of_one_chain():
+    rows = list(slnhook.hook_sweep(3))
+    assert [(name, big_n) for name, big_n, _, _ in rows] == sorted((name, big_n) for name, big_n, _, _ in rows)
+    assert len(rows) == 17 and all(ok for *_, ok in rows)
+    # the highest weights of each power in sorted order: (1); (0), (2); (1), (3)
+    assert [lam for name, big_n, lam, _ in rows if name == "A1"] == [(1,), (0,), (2,), (1,), (3,)]
+    # acceptance criterion 2 runs this sweep, not a copy of it
+    assert acceptance.hook_sweep is slnhook.hook_sweep
 
 
 def test_partition_weight_roundtrip_oracle():
