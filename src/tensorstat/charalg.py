@@ -176,6 +176,8 @@ _LEVEL_ENTRIES = 2**14
 _INT64_LIMIT = 2**62
 # the largest height of a highest weight whose weight system is built: A1 (8000), height 4000, takes 1.5 s
 _MAX_HEIGHT = 4096
+# the most dominant weights a built weight system may have: near 4096, A2, B2 and G2 take 0.4-0.9 s
+_MAX_DOMINANT = 4096
 
 
 def _weight_systems(spec, lams: list[Weight]) -> list[WeightSystem]:
@@ -200,13 +202,15 @@ def _descent(rs: RootSystem, lam: np.ndarray) -> list[tuple[np.ndarray, np.ndarr
     row of lam each mu is below, mu, and the root coordinates c of
     lam[row] - mu, sorted by (row, mu); height 0 is lam itself.  Every mu
     at height h is mu' - alpha for a dominant mu' at a smaller height, so a
-    height is complete once every smaller one has been stepped from.
+    height is complete once every smaller one has been stepped from.  A
+    system found to have more than _MAX_DOMINANT dominant weights is
+    refused at that height, before the rest of the descent is built.
     """
     pos_w = np.array(rs.positive_roots_weight, dtype=np.int64)
     pos_c = np.array(rs.positive_roots, dtype=np.int64)
     heights = pos_c.sum(axis=1)
     block = max(1, _LEVEL_ENTRIES // pos_w.size)
-    levels = []
+    levels, counts = [], np.zeros(len(lam), dtype=np.int64)
     pending = {0: [(np.arange(len(lam)), lam, np.zeros_like(lam))]}
     while pending:
         h = min(pending)
@@ -215,6 +219,13 @@ def _descent(rs: RootSystem, lam: np.ndarray) -> list[tuple[np.ndarray, np.ndarr
         first = order[starts]
         rows, mu, c = rows[first], mu[first], c[first]
         levels.append((rows, mu, c))
+        counts += np.bincount(rows, minlength=len(lam))
+        if counts.max() > _MAX_DOMINANT:
+            top = tuple(lam[int(np.argmax(counts))].tolist())
+            raise DomainError(
+                f"V{top} has more than {_MAX_DOMINANT} dominant weights: its Freudenthal recursion grows with "
+                f"their count, and {_MAX_DOMINANT} already take about a second at rank 2"
+            )
         for lo in range(0, len(rows), block):
             nu = mu[lo : lo + block, None, :] - pos_w
             dominant = nu[:, :, 0] >= 0
@@ -240,7 +251,9 @@ def _freudenthal(spec, lams: list[Weight]) -> list[WeightSystem]:
     (row, weight) of all the systems, and a weight not found has m = 0.
     A chunk of a height holds at most _LEVEL_ENTRIES terms, or one mu.
     A lambda of height (sum of root coordinates) above _MAX_HEIGHT is
-    refused before any level is built.
+    refused before any level is built, and one with more than
+    _MAX_DOMINANT dominant weights during the descent, before the
+    recursion starts.
     """
     rs = build_root_system(spec)
     r, n = rs.rank, len(lams)

@@ -188,7 +188,11 @@ def _dual_rows(problem: TensorProblem, xi: np.ndarray, max_iter=200):
     Returns y, f(y), Hess f(y) and each row's status.  A row leaves the
     active set when it converges, its Hessian is singular, its iterate
     passes _Y_MAX or its line search stalls.  grad f is s = sum_k tau_k
-    times a mean weight, so the residual is measured against s.
+    times a mean weight, so the residual is measured against s.  A row on
+    the domain boundary leaves only after running out toward the
+    recession cone; table rows on a wall or face never get here
+    (_log_multiplicity_rows), so that run-out is paid by off-lattice xi
+    only (rate_point, legendre_dual, pde).
     """
     n, r = xi.shape
     target = _rows(problem.rs.B_f, xi)
@@ -356,15 +360,33 @@ def _log_multiplicity_rows(problem: TensorProblem, lams) -> tuple[np.ndarray, np
     """asymptotic_log_multiplicity at each dominant weight, in one batched solve.
 
     Returns the root coordinates of the weights (rs.root_points), the
-    estimates (NaN where a row fails) and each row's status.
+    estimates (NaN where a row fails) and each row's status.  The rows are
+    lattice weights, so the two ways a row can sit on the boundary of the
+    open domain are decided exactly, before the solve: on a chamber wall
+    (_WALL), or on a face of the product's weight polytope conv(W top),
+    top = sum_k N_k nu_k (_BOUNDARY).  As top - w top is a sum of positive
+    roots, no point of conv(W top) has a root coordinate above top's, so
+    each of these bounds is a supporting hyperplane, and a dominant lambda
+    below top lies on a face exactly when a root coordinate of top - lambda
+    is 0; so does xi = epsilon lambda, for every epsilon.  Only the other
+    rows reach the batched solve, whose rows are independent.
     """
     rs, eps = problem.rs, problem.epsilon
-    lam_root = rs.root_points(lams)
+    m, adj = rs.cartan_inverse_int
+    numerators = rs.root_numerators(lams)
+    lam_root = numerators / m  # rs.root_points, bit for bit
     status, est = np.full(len(lam_root), _WALL), np.full(len(lam_root), np.nan)
     regular = np.all(np.reshape(lams, lam_root.shape) > 0, axis=1)
-    rows = _rate_rows(problem, eps * lam_root[regular])
-    status[regular] = rows.status
-    est[regular] = np.where(rows.status == 0, rows.S / eps + 0.5 * rs.rank * math.log(eps) + rows.log_prefactor, np.nan)
+    top = [sum(n * nu[i] for nu, n in problem.factors) for i in range(rs.rank)]
+    # m times top's root coordinates, in ints: a row's are below 2^53, so clipping at 2^62 decides the same
+    top_numerators = [min(sum(map(operator.mul, row, top)), 2**62) for row in adj.tolist()]
+    below = np.array(top_numerators, dtype=np.int64) - numerators  # m times the root coordinates of top - lambda
+    face = regular & np.all(below >= 0, axis=1) & np.any(below == 0, axis=1)
+    status[face] = _BOUNDARY
+    solve = regular & ~face
+    rows = _rate_rows(problem, eps * lam_root[solve])
+    status[solve] = rows.status
+    est[solve] = np.where(rows.status == 0, rows.S / eps + 0.5 * rs.rank * math.log(eps) + rows.log_prefactor, np.nan)
     return lam_root, est, status
 
 

@@ -283,7 +283,10 @@ class MeasureTable:
 
         NaN where the formula does not apply: weights on a chamber wall,
         scaled weights on the boundary of the Legendre domain, and every row
-        of a table of no tensor factors.
+        of a table of no tensor factors.  The first two are decided exactly
+        on the lattice, before the batched solve: a weight lies on the
+        boundary when a root coordinate of top - lambda is 0, top = sum_k
+        N_k nu_k (see legendre._log_multiplicity_rows).
         """
         if not any(n for _, n in self.problem):
             return (math.nan,) * len(self.rows)

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -296,6 +297,24 @@ def test_weight_systems_past_the_height_gate_are_refused(monkeypatch):
     # the gate reads every system of a batch
     with pytest.raises(DomainError, match="height 10.5"):
         charalg._weight_systems(a1.spec, [(2,), (21,)])
+
+
+def test_weight_systems_past_the_dominant_weight_gate_are_refused(monkeypatch):
+    a2, g2 = build_root_system(AlgebraSpec.parse("A2")), build_root_system(AlgebraSpec.parse("G2"))
+    counts = {lam: len(weight_multiplicities(a2, lam).dominant_multiplicities) for lam in [(12, 0), (6, 6)]}
+    assert counts == {(12, 0): 19, (6, 6): 25}
+    monkeypatch.setattr(charalg, "_WEIGHT_SYSTEMS", charalg.OrderedDict())
+    monkeypatch.setattr(charalg, "_MAX_DOMINANT", 19)
+    assert weight_multiplicities(a2, (12, 0)).dim == weyl_dimension(a2, (12, 0))
+    # the limit is per system: a batch of 19 + 19 is built
+    assert len(charalg._weight_systems(a2.spec, [(0, 12), (12, 0)])) == 2
+    # and checked before the recursion starts, which reflects every string point into the chamber
+    monkeypatch.setattr(charalg, "dominant_reflect_rows", None)
+    for rs, lam in [(a2, (6, 6)), (a2, (200, 0)), (g2, (200, 0))]:
+        with pytest.raises(DomainError, match=re.escape(f"V{lam} has more than 19 dominant weights")):
+            weight_multiplicities(rs, lam)
+    with pytest.raises(DomainError, match=re.escape("V(6, 6) has more than 19")):
+        charalg._weight_systems(a2.spec, [(1, 1), (6, 6)])
 
 
 def test_weight_system_27_of_a2():

@@ -20,13 +20,17 @@ from hypothesis import strategies as st
 
 from tensorstat import (
     AlgebraSpec,
+    asymptotic_log_multiplicity,
     build_root_system,
     character_measure,
     evolve_exact,
+    naive_tensor_decompose,
     sample_paths,
     tensor_power_decompose,
+    tensor_problem,
     trajectories_to_jsonl,
     weak_convergence_distance,
+    weyl_dimension,
 )
 from tensorstat import charalg, cli, markov, measures
 from tensorstat.cli import build_parser, main
@@ -135,6 +139,15 @@ def test_asymptotic_per_weight_table(capsys):
     lines = out.strip().splitlines()
     assert "multiplicity" in lines[0]
     assert len(lines) == 1 + 7  # weights 12, 10, ..., 0
+
+
+def test_asymptotic_prints_nan_at_the_top_vertex_of_an_a1_power(capsys):
+    # lambda = 6 is a vertex of the weight polytope: it once printed 12.645..., ratio 310470, for multiplicity 1
+    code, out = run_cli(
+        capsys, "asymptotic", "--algebra", "A1", "--rep", "3", "--power", "2", "--epsilon", "0.5", "--no-cache",
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == '"6",1,nan,nan'
 
 
 def _check_limit_compare(capsys, algebra, rep, power, kind, t=None):
@@ -597,6 +610,87 @@ def test_cli_answers_correctly_or_fails_in_one_line(call):
         assert abs(tv - _tv_by_weight(empirical, exact)) <= 1e-15
 
 
+@st.composite
+def _exact_cli_calls(draw):
+    """(argv, the exit code it must end with, (root system, factors, epsilon)) of a decompose or asymptotic call.
+
+    One or two factors, each drawn as in _cli_calls, with powers from 0;
+    --epsilon 0 and a problem of zero powers are domain errors of asymptotic.
+    """
+    command = draw(st.sampled_from(["decompose", "asymptotic"]))
+    algebra = draw(st.sampled_from(sorted(_PROPERTY_REPS)))
+    rs = build_root_system(algebra)
+    factors = []
+    for _ in range(draw(st.integers(1, 2))):
+        large = algebra in _PROPERTY_LARGE_REPS and draw(st.integers(0, 4)) == 0
+        rep = _PROPERTY_LARGE_REPS[algebra] if large else draw(st.sampled_from(_PROPERTY_REPS[algebra]))
+        factors.append((tuple(int(c) for c in rep.split(",")), draw(st.integers(0, 2 if algebra == "E6" or large else 6))))
+    argv = [command, "--algebra", algebra]
+    for rep, _ in factors:
+        argv += ["--rep", ",".join(map(str, rep))]
+    for _, n in factors:
+        argv += ["--power", str(n)]
+    epsilon, code = None, 0
+    if command == "decompose":
+        argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]))
+    else:
+        epsilon = draw(st.sampled_from([None, 0.5, 0.01, 0.0]))
+        argv += [] if epsilon is None else ["--epsilon", repr(epsilon)]
+        code = 2 if epsilon == 0.0 or not any(n for _, n in factors) else 0
+    argv += draw(st.sampled_from([[], ["--no-cache"]]))
+    if draw(st.integers(0, 3)) == 0:
+        argv += _flag_argv(draw(st.sampled_from(sorted(set(cli._FLAGS) - set(cli._COMMANDS[command][2])))))
+        code = 1
+    return argv, code, (rs, factors, epsilon)
+
+
+def _on_the_domain_boundary(rs, factors, lam) -> bool:
+    """lambda on a chamber wall, or on a face of conv(W top), top = sum_k N_k nu_k: in Fractions."""
+    top = [sum(n * nu[j] for nu, n in factors) for j in range(rs.rank)]
+    c = [sum(row[j] * (top[j] - lam[j]) for j in range(rs.rank)) for row in rs.cartan_inverse]
+    return min(lam) == 0 or min(c) == 0
+
+
+@settings(max_examples=150)
+@given(call=_exact_cli_calls())
+def test_decompose_and_asymptotic_answer_correctly_or_fail_in_one_line(call):
+    argv, expected, (rs, factors, epsilon) = call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"{argv[0]} exit {code}")
+    assert code == expected
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert err == ""
+    if argv[0] == "decompose":
+        if "csv" in argv:
+            rows = [line.rsplit(",", 1) for line in out.splitlines()[1:]]
+            entries = {tuple(map(int, lam.strip('"').split(","))): int(m) for lam, m in rows}
+        else:
+            entries = {tuple(lam): int(m) for lam, m in json.loads(out)["entries"]}
+        dims = math.prod(weyl_dimension(rs, nu) ** n for nu, n in factors)
+        assert sum(m * weyl_dimension(rs, lam) for lam, m in entries.items()) == dims
+        if dims <= 4096:
+            assert entries == naive_tensor_decompose(rs, factors).entries
+        return
+    lines = out.splitlines()
+    assert lines[0] == "lambda,multiplicity,log_multiplicity_asymptotic,ratio"
+    rows = [line.rsplit(",", 3) for line in lines[1:]]
+    lams = [tuple(map(int, row[0].strip('"').split(","))) for row in rows]
+    assert lams == sorted(lams)
+    assert dict(zip(lams, (int(row[1]) for row in rows))) == tensor_power_decompose(rs, factors).entries
+    for lam, (_, _, est, ratio) in zip(lams, rows):
+        assert (est == "nan") == (ratio == "nan") == _on_the_domain_boundary(rs, factors, lam)
+    # a sample of the finite rows against the one-row estimate, bit for bit
+    finite = [(lam, float(row[2])) for lam, row in zip(lams, rows) if row[2] != "nan"]
+    problem = tensor_problem(rs, factors, epsilon)
+    for lam, est in finite[:: max(1, len(finite) // 6)]:
+        assert est == asymptotic_log_multiplicity(problem, lam)
+
+
 def test_domain_error_exit_code(capsys):
     assert main(["decompose", "--algebra", "Q9", "--rep", "1"]) == 2
     capsys.readouterr()
@@ -1036,4 +1130,17 @@ def test_a_huge_highest_weight_exits_2_at_once(capsys, rep):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "past 4096" in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("algebra, rep", [("A2", "800,0"), ("B2", "0,400"), ("G2", "200,0")])
+def test_a_rank_2_weight_system_past_the_dominant_weight_gate_exits_2_at_once(capsys, algebra, rep):
+    # under the height gate, these built their weight systems in 9.8, 5.5 and 13.6 s
+    start = time.perf_counter()
+    code = main(["decompose", "--algebra", algebra, "--rep", rep, "--power", "1", "--no-cache"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "more than 4096 dominant weights" in captured.err
     assert elapsed < 1.0

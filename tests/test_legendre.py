@@ -429,9 +429,10 @@ def test_conditioning_gate():
 
 
 def test_float_saturated_dual_points_are_nan():
-    # near the edge from (60, 0) to (0, 30) the dual point of these four rows
-    # runs out to x ~ (10, 17), where lambda_min / lambda_max of Hess f is
-    # about 1e-11; their estimates were not monotone in lambda
+    # on the edge from (60, 0) to (0, 30) the solve ran the dual point of these
+    # four rows out to x ~ (10, 17), where lambda_min / lambda_max of Hess f is
+    # about 1e-11, and their estimates were not monotone in lambda; the edge
+    # is now found on the lattice, and its neighbours inside stay finite
     from tensorstat import legendre
 
     rs = build_root_system(AlgebraSpec.parse("A2"))
@@ -454,10 +455,88 @@ def test_newton_tolerance_and_hessian_floor_follow_the_scale_of_f():
     weights = [(2,), (4,), (6,), (8,)]
     _, ref, _ = legendre._log_multiplicity_rows(tensor_problem(rs, [((1,), 8)]), weights)
     for eps in (1e-6, 1e3):
-        _, est, status = legendre._log_multiplicity_rows(tensor_problem(rs, [((1,), 8)], epsilon=eps), weights)
+        p = tensor_problem(rs, [((1,), 8)], epsilon=eps)
+        _, est, status = legendre._log_multiplicity_rows(p, weights)
         assert math.isnan(est[3]) and status[3] == legendre._BOUNDARY
         assert est[:3] == pytest.approx(ref[:3], rel=1e-13, abs=0)
+        # the top weight is decided on the lattice now; the solve's own floor still rejects it
+        assert legendre._rate_rows(p, np.array([[4.0 * eps]])).status[0] == legendre._BOUNDARY
     assert math.isnan(ref[3])
+
+
+def _reference_rows(p, weights):
+    """_log_multiplicity_rows as it was before the lattice face test: every regular row through _rate_rows."""
+    rs, eps = p.rs, p.epsilon
+    lam_root = rs.root_points(weights)
+    status, est = np.full(len(weights), legendre._WALL), np.full(len(weights), np.nan)
+    regular = np.all(np.array(weights) > 0, axis=1)
+    rows = legendre._rate_rows(p, eps * lam_root[regular])
+    status[regular] = rows.status
+    log_m = rows.S / eps + 0.5 * rs.rank * math.log(eps) + rows.log_prefactor
+    est[regular] = np.where(rows.status == 0, log_m, np.nan)
+    return est, status
+
+
+def _on_a_face(rs, factors, lam) -> bool:
+    """lambda regular, below top = sum_k N_k nu_k, with a root coordinate of top - lambda equal to 0, in Fractions."""
+    top = [sum(n * nu[j] for nu, n in factors) for j in range(rs.rank)]
+    c = [sum(row[j] * (top[j] - lam[j]) for j in range(rs.rank)) for row in rs.cartan_inverse]
+    return min(lam) > 0 and min(c) == 0
+
+
+_FACE_PROBLEMS = [
+    *(("A1", [((nu,), n)]) for nu in (1, 2, 3, 4) for n in (1, 2, 5)),
+    ("A2", [((1, 0), 6)]), ("A2", [((1, 1), 4)]), ("A3", [((1, 0, 1), 3)]), ("B2", [((0, 1), 6)]),
+    ("B3", [((1, 0, 1), 3)]), ("C3", [((1, 0, 1), 3)]), ("D4", [((1, 0, 1, 1), 3)]), ("G2", [((1, 0), 5)]),
+    ("B2", [((0, 1), 5), ((1, 0), 3)]),
+]
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.5, 0.01], ids=["default", "0.5", "0.01"])
+def test_face_rows_are_decided_on_the_lattice(monkeypatch, epsilon):
+    # against the solve run on every regular row: the same bits and statuses,
+    # except at the A1 top vertices N nu, nu >= 2, which the solve "converged"
+    # by float saturation (estimates near 12-13 where ln m = 0)
+    solved = []
+    dual_rows = legendre._dual_rows
+    monkeypatch.setattr(legendre, "_dual_rows", lambda p, xi, *a: solved.append(xi.copy()) or dual_rows(p, xi, *a))
+    for name, factors in _FACE_PROBLEMS:
+        rs = build_root_system(AlgebraSpec.parse(name))
+        p = tensor_problem(rs, factors, epsilon)
+        # and top + alpha_i (column i of C): past the polytope, some on a supporting hyperplane; these stay with the solve
+        top = np.sum([n * np.array(nu) for nu, n in factors], axis=0)
+        beyond = [tuple((top + alpha).tolist()) for alpha in np.array(rs.cartan).T if min(top + alpha) > 0]
+        weights = sorted(tensor_power_decompose(rs, factors).entries) + beyond
+        ref, ref_status = _reference_rows(p, weights)
+        solved.clear()
+        lam_root, est, status = legendre._log_multiplicity_rows(p, weights)
+        face = np.array([_on_a_face(rs, factors, lam) for lam in weights])
+        ((nu, n), *_) = factors
+        moved = np.array([name == "A1" and nu[0] >= 2 and lam == (n * nu[0],) for lam in weights])
+        assert face.any() and np.all(face[moved])
+        assert np.all(status[face] == legendre._BOUNDARY) and np.all(np.isnan(est[face]))
+        assert np.array_equal(status[~moved], ref_status[~moved])
+        assert np.all(ref_status[moved] == 0) and np.all(np.isfinite(ref[moved]))
+        assert np.array_equal(est[~moved], ref[~moved], equal_nan=True)
+        # no face row reaches the solve, and every other regular row does
+        xi = np.concatenate(solved) if solved else np.zeros((0, rs.rank))
+        regular = np.all(np.array(weights) > 0, axis=1)
+        assert np.array_equal(xi, p.epsilon * lam_root[regular & ~face])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("nu", [2, 3, 4])
+def test_the_top_vertex_of_an_a1_power_is_on_the_domain_boundary(nu, n):
+    # these rows once returned 11.6-12.8: A1 (3)^2 at lambda = 6, whose multiplicity is 1, gave 12.65
+    from tensorstat import asymptotic_log_probability
+
+    rs = build_root_system(AlgebraSpec.parse("A1"))
+    p = tensor_problem(rs, [((nu,), n)])
+    cls, message = legendre._ROW_ERRORS[legendre._BOUNDARY]
+    for estimate in (asymptotic_log_multiplicity, asymptotic_log_probability):
+        with pytest.raises(cls) as err:
+            estimate(p, (n * nu,))
+        assert type(err.value) is LegendreDomainError and str(err.value) == message
 
 
 # ln m estimates of the asymptotic CSV, recorded before the batched solve
