@@ -17,8 +17,8 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ from .rootsys import AlgebraSpec, build_root_system
 from .slnhook import hook_sweep, sln_legendre_closed_form
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     index: int
     name: str
     passed: bool

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -24,6 +23,7 @@ from .errors import (
 from .rootsys import (
     _MAX_WEYL_ORDER,
     RootSystem,
+    _read_only,
     build_root_system,
     dominant_reflect_rows,
     reflect_to_chamber,
@@ -124,13 +124,16 @@ def _orbit(spec, mu: Weight) -> np.ndarray:
     return points
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """The dominant weights of an irreducible module with their multiplicities; the rest are W-images."""
-
+class _WeightSystemFields(NamedTuple):
     rs: RootSystem
     highest: Weight
     dominant_multiplicities: dict[Weight, int]
+
+
+class WeightSystem(_WeightSystemFields):
+    """The dominant weights of an irreducible module with their multiplicities; the rest are W-images."""
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def dim(self) -> int:
@@ -901,17 +904,20 @@ def klimyk_tensor_step(rs: RootSystem, table: dict[Weight, int], nu) -> dict[Wei
     return dict(zip(map(tuple, targets.tolist()), sums.tolist()))
 
 
-@dataclass(frozen=True)
-class DecompositionTable:
+class _DecompositionTableFields(NamedTuple):
+    algebra: str
+    problem: tuple[tuple[Weight, int], ...]
+    entries: dict[Weight, int]
+
+
+class DecompositionTable(_DecompositionTableFields):
     """Exact decomposition of a tensor product of irreducibles.
 
     problem: tuple of (highest weight, power) factor pairs.
     entries: highest weight -> multiplicity, all positive ints.
     """
 
-    algebra: str
-    problem: tuple[tuple[Weight, int], ...]
-    entries: dict[Weight, int]
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def rs(self) -> RootSystem:

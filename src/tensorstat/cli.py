@@ -7,8 +7,8 @@ usage error, which like every failure prints one error: line.
 Outputs go to stdout or --output; identical invocations produce
 bit-identical bytes (fixed seeds, counter-based sampling streams,
 sorted rows).  Decompositions are cached as JSON under TENSORSTAT_CACHE_DIR
-(default ~/.cache/tensorstat), one file per problem keyed by a hash of
-its canonical description (factor order does not matter), written
+(default ~/.cache/tensorstat), one file per problem named by the CRC-32
+of its canonical description (factor order does not matter), written
 atomically and validated when read.
 """
 
@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import math
 import os
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -88,12 +88,18 @@ def _cache_dir() -> Path:
 
 
 def _cached_decompose(algebra: str, factors, use_cache: bool) -> tuple[DecompositionTable, str | None]:
-    """The decomposition of factors, and its JSON text when this call wrote it to the cache, else None."""
+    """The decomposition of factors, and its JSON text when this call wrote it to the cache, else None.
+
+    The cache file is <algebra>-<crc32>.json, the CRC-32 (zlib, 8 hex
+    digits) of the canonical JSON [algebra, sorted [nu, N] pairs].  Two
+    problems that share a name overwrite each other's file: _load_cached
+    compares the stored problem, so a collision is a miss, never a wrong
+    table.
+    """
     rs = build_root_system(AlgebraSpec.parse(algebra))
     problem = tuple((tuple(nu), n) for nu, n in factors)
     key_src = json.dumps([algebra, sorted([list(f[0]), f[1]] for f in factors)])
-    key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
-    path = _cache_dir() / f"{algebra}-{key}.json"
+    path = _cache_dir() / f"{algebra}-{zlib.crc32(key_src.encode()):08x}.json"
     if use_cache:
         table = _load_cached(path, str(rs.spec), problem)
         if table is not None:
@@ -109,10 +115,11 @@ def _cached_decompose(algebra: str, factors, use_cache: bool) -> tuple[Decomposi
 def _load_cached(path: Path, algebra: str, problem) -> DecompositionTable | None:
     """The cached table of `problem` (in its factor order), or None on a miss.
 
-    A missing, truncated or malformed file, or one holding another problem,
-    is a miss: the caller recomputes and rewrites it.  A file that parses
-    but fails the dimension identity or the support cone is corrupt, and
-    raises InternalConsistencyError.
+    A missing, truncated or malformed file, or one holding another problem
+    (a CRC-32 collision of the two problems' keys), is a miss: the caller
+    recomputes and rewrites it.  A file that parses but fails the
+    dimension identity or the support cone is corrupt, and raises
+    InternalConsistencyError.
     """
     try:
         cached = DecompositionTable.from_json(path.read_text())

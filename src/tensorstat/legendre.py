@@ -17,8 +17,8 @@ import json
 import math
 import operator
 from collections import namedtuple
-from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,20 +36,23 @@ from .charalg import (
     weight_multiplicities,
 )
 from .errors import ConvergenceError, DomainError, LegendreDomainError, NonRegularError, WeylGroupTooLargeError
-from .rootsys import _MAX_WEYL_ORDER, RootSystem, reflect_to_chamber, stabilizer_roots, weyl_group_order
+from .rootsys import _MAX_WEYL_ORDER, RootSystem, _read_only, reflect_to_chamber, stabilizer_roots, weyl_group_order
 
 
-@dataclass(frozen=True)
-class TensorProblem:
+class _TensorProblemFields(NamedTuple):
+    rs: RootSystem
+    factors: tuple[tuple[Weight, int], ...]
+    epsilon: float
+
+
+class TensorProblem(_TensorProblemFields):
     """A tensor product problem in its scaled form.
 
     factors pair a dominant highest weight with its power N_k; epsilon is
     the semiclassical parameter, so tau_k = epsilon N_k.
     """
 
-    rs: RootSystem
-    factors: tuple[tuple[Weight, int], ...]
-    epsilon: float
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def tau(self) -> tuple[float, ...]:
@@ -144,7 +147,7 @@ _MIN_CONDITION = 1e-9
 _DUAL_TOL = 1e-12
 _Y_MAX = 400.0
 # a row's status in the batched solves: 0 converged, else the error its one-row view raises
-_DEGENERATE, _DIVERGED, _STALLED, _MAX_ITER, _BOUNDARY, _WALL = range(1, 7)
+_DEGENERATE, _DIVERGED, _STALLED, _MAX_ITER, _BOUNDARY, _WALL, _FACE = range(1, 8)
 _ROW_ERRORS = {
     _DEGENERATE: (LegendreDomainError, "xi outside Legendre domain: dual Hessian degenerates"),
     _DIVERGED: (LegendreDomainError, "xi outside Legendre domain: dual iterates diverge"),
@@ -152,6 +155,7 @@ _ROW_ERRORS = {
     _MAX_ITER: (ConvergenceError, "legendre_dual did not converge in {max_iter} iterations"),
     _BOUNDARY: (LegendreDomainError, "Hess f is singular to float precision: the mean weight is at the domain boundary"),
     _WALL: (NonRegularError, "lambda {lam} lies on a chamber wall"),
+    _FACE: (LegendreDomainError, "lambda {lam} lies on a face of the product's weight polytope"),
 }
 
 
@@ -192,7 +196,10 @@ def _dual_rows(problem: TensorProblem, xi: np.ndarray, max_iter=200):
     the domain boundary leaves only after running out toward the
     recession cone; table rows on a wall or face never get here
     (_log_multiplicity_rows), so that run-out is paid by off-lattice xi
-    only (rate_point, legendre_dual, pde).
+    only (rate_point, legendre_dual, pde).  A row whose target is nonzero
+    but within the tolerance at y = 0 (|xi| below about 1e-12 s) still
+    takes one step: y = 0 pairs to 0 with every root, and the prefactor's
+    log |Delta(x)| would read log 0.
     """
     n, r = xi.shape
     target = _rows(problem.rs.B_f, xi)
@@ -201,9 +208,11 @@ def _dual_rows(problem: TensorProblem, xi: np.ndarray, max_iter=200):
     val, grad, hess = _f_rows(problem, y)
     status = np.full(n, _MAX_ITER)
     act = np.arange(n)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         resid = grad[act] - target[act]
         done = np.linalg.norm(resid, axis=1) <= _DUAL_TOL * norm_target[act]
+        if it == 0:
+            done &= ~np.any(target[act], axis=1)
         status[act[done]] = 0
         act, resid = act[~done], resid[~done]
         if not act.size:
@@ -257,8 +266,7 @@ def legendre_dual(problem: TensorProblem, xi, max_iter: int = 200) -> np.ndarray
     return y[0]
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(NamedTuple):
     """Rate function data at one point xi (all vectors in root coordinates)."""
 
     algebra: str
@@ -271,7 +279,7 @@ class RatePoint:
     log_prefactor: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1)
+        return json.dumps(self._asdict(), indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "RatePoint":
@@ -364,7 +372,7 @@ def _log_multiplicity_rows(problem: TensorProblem, lams) -> tuple[np.ndarray, np
     lattice weights, so the two ways a row can sit on the boundary of the
     open domain are decided exactly, before the solve: on a chamber wall
     (_WALL), or on a face of the product's weight polytope conv(W top),
-    top = sum_k N_k nu_k (_BOUNDARY).  As top - w top is a sum of positive
+    top = sum_k N_k nu_k (_FACE).  As top - w top is a sum of positive
     roots, no point of conv(W top) has a root coordinate above top's, so
     each of these bounds is a supporting hyperplane, and a dominant lambda
     below top lies on a face exactly when a root coordinate of top - lambda
@@ -382,7 +390,7 @@ def _log_multiplicity_rows(problem: TensorProblem, lams) -> tuple[np.ndarray, np
     top_numerators = [min(sum(map(operator.mul, row, top)), 2**62) for row in adj.tolist()]
     below = np.array(top_numerators, dtype=np.int64) - numerators  # m times the root coordinates of top - lambda
     face = regular & np.all(below >= 0, axis=1) & np.any(below == 0, axis=1)
-    status[face] = _BOUNDARY
+    status[face] = _FACE
     solve = regular & ~face
     rows = _rate_rows(problem, eps * lam_root[solve])
     status[solve] = rows.status

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 
 
-@dataclass(frozen=True)
-class TransitionRow:
+class TransitionRow(NamedTuple):
     """One kernel row: targets sorted by weight, probabilities summing to 1."""
 
     source: Weight
@@ -77,8 +76,7 @@ class TransitionRow:
         return 0.0
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     seed: int
     chain: int
     steps: tuple[Weight, ...]

@@ -11,9 +11,9 @@ densities on rectangular grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .legendre import (
     tensor_problem,
 )
 from .numerics import MAX_SUBDIV, cell_integrals
-from .rootsys import build_root_system, reflect_to_chamber, stabilizer_roots
+from .rootsys import _read_only, build_root_system, reflect_to_chamber, stabilizer_roots
 
 
 def plancherel_measure(table: DecompositionTable) -> dict[Weight, Fraction]:
@@ -168,8 +168,7 @@ def _rounding_drift(errors: np.ndarray, log_p: np.ndarray, lengths) -> np.ndarra
     return np.fmin(1.0, others * np.expm1(np.minimum(s, math.log(3.0))))
 
 
-@dataclass(frozen=True)
-class Scaling:
+class Scaling(NamedTuple):
     """Affine map a = spread * (lambda_root - center) onto limit-law coordinates.
 
     x_scalar is the Hess f(0) = x B constant for bulk scalings and None for
@@ -253,23 +252,25 @@ def _asymptotic_log_probabilities(problem: TensorProblem, lams, t) -> tuple[np.n
     return log_m + (np.sum(lam_root * (rs.B_f @ t_dom), axis=1) + log_pair) + c, status
 
 
-@dataclass(frozen=True)
-class MeasureRow:
+class MeasureRow(NamedTuple):
     weight: Weight
     probability: float
     scaled: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class MeasureTable:
-    """Character measure of one decomposition, with rescaled positions."""
-
+class _MeasureTableFields(NamedTuple):
     algebra: str
     problem: tuple[tuple[Weight, int], ...]
     t: tuple[float, ...] | None
     epsilon: float
     scaling: Scaling
     rows: tuple[MeasureRow, ...]
+
+
+class MeasureTable(_MeasureTableFields):
+    """Character measure of one decomposition, with rescaled positions."""
+
+    __setattr__ = __delattr__ = _read_only
 
     def probabilities(self) -> dict[Weight, float]:
         return {row.weight: row.probability for row in self.rows}
@@ -373,8 +374,7 @@ _COVERAGE_TOL = 1e-6
 _CELLS_PER = 2  # lattice columns per cell of lattice_aligned_edges
 
 
-@dataclass(frozen=True)
-class WeakConvergenceReport:
+class WeakConvergenceReport(NamedTuple):
     tv: float
     exact_mass_in_grid: float
     limit_mass_in_grid: float

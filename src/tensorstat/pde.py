@@ -13,7 +13,7 @@ Finite-difference versions of both partials back the analytic ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ def _single_factor(problem: TensorProblem):
     return problem.factors[0]
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
+class DerivativeReport(NamedTuple):
     xi_deviation: float
     tau_deviation: float
 
@@ -38,8 +37,7 @@ class DerivativeReport:
         return max(self.xi_deviation, self.tau_deviation)
 
 
-@dataclass(frozen=True)
-class PdeReport:
+class PdeReport(NamedTuple):
     lhs: float
     rhs: float
     residual: float

@@ -18,9 +18,9 @@ Conventions fixed here, used everywhere else in the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,20 +46,34 @@ _RANK_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """A simple Lie algebra named by Cartan family and rank."""
+def _read_only(self, name, *value):
+    """__setattr__ and __delattr__ of a record subclass: its __dict__ holds cached_property values only."""
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
 
+
+class _AlgebraSpecFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        rule = _RANK_RULES.get(self.family)
-        if rule is None or not isinstance(self.rank, int) or not rule(self.rank):
+
+class AlgebraSpec(_AlgebraSpecFields):
+    """A simple Lie algebra named by Cartan family and rank."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        rule = _RANK_RULES.get(family)
+        if rule is None or not isinstance(rank, int) or not rule(rank):
             raise InvalidAlgebraError(
-                f"no simple Lie algebra {self.family}{self.rank}; "
+                f"no simple Lie algebra {family}{rank}; "
                 f"families A(r>=1) B(r>=2) C(r>=2) D(r>=3) E(6,7,8) F4 G2"
             )
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, iterable) -> "AlgebraSpec":
+        # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, name: str) -> "AlgebraSpec":
@@ -208,10 +222,7 @@ def _positive_roots(C: list[list[int]]) -> list[tuple[int, ...]]:
     return sorted(known, key=lambda v: (sum(v), v))
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """Immutable root-system data; build with :func:`build_root_system`."""
-
+class _RootSystemFields(NamedTuple):
     spec: AlgebraSpec
     cartan: tuple[tuple[int, ...], ...]
     d: tuple[Fraction, ...]
@@ -221,6 +232,12 @@ class RootSystem:
     rho_weight: tuple[int, ...]
     rho_root: tuple[Fraction, ...]
     dim_g: int
+
+
+class RootSystem(_RootSystemFields):
+    """Immutable root-system data; build with :func:`build_root_system`."""
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def rank(self) -> int:

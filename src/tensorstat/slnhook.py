@@ -15,7 +15,7 @@ hook-check runs it without loading the acceptance suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +108,7 @@ def sln_rate(tau: float, sigma) -> float:
     return float(tau * math.log(tau) - np.sum(sigma * np.log(sigma)))
 
 
-@dataclass(frozen=True)
-class SlnClosedForm:
+class SlnClosedForm(NamedTuple):
     """Closed-form Legendre data for the A_n vector representation at (tau, xi)."""
 
     n: int

@@ -440,7 +440,7 @@ def test_float_saturated_dual_points_are_nan():
     saturated = [(52, 4), (54, 3), (56, 2), (58, 1)]
     neighbours = [(49, 4), (51, 3), (52, 1), (53, 2), (55, 1)]
     _, est, status = legendre._log_multiplicity_rows(p, saturated + neighbours)
-    assert np.all(np.isnan(est[:4])) and np.all(status[:4] == legendre._BOUNDARY)
+    assert np.all(np.isnan(est[:4])) and np.all(status[:4] == legendre._FACE)
     assert np.all(np.isfinite(est[4:]))
 
 
@@ -457,11 +457,25 @@ def test_newton_tolerance_and_hessian_floor_follow_the_scale_of_f():
     for eps in (1e-6, 1e3):
         p = tensor_problem(rs, [((1,), 8)], epsilon=eps)
         _, est, status = legendre._log_multiplicity_rows(p, weights)
-        assert math.isnan(est[3]) and status[3] == legendre._BOUNDARY
+        assert math.isnan(est[3]) and status[3] == legendre._FACE
         assert est[:3] == pytest.approx(ref[:3], rel=1e-13, abs=0)
         # the top weight is decided on the lattice now; the solve's own floor still rejects it
         assert legendre._rate_rows(p, np.array([[4.0 * eps]])).status[0] == legendre._BOUNDARY
     assert math.isnan(ref[3])
+
+
+@pytest.mark.parametrize("n", [10**13, 10**16])
+def test_a_weight_near_the_origin_of_a_huge_power_is_finite(n):
+    # epsilon lambda within the Newton tolerance of 0 was accepted at y = 0, whose
+    # pairings are 0, and the estimate read log 0 = -inf
+    rs = build_root_system(AlgebraSpec.parse("A1"))
+    p = tensor_problem(rs, [((1,), n)])
+    for lam in (2, 4, 100, 10_000):
+        k = (n - lam) // 2  # ln(C(n, k) - C(n, k - 1)) = ln C(n, k) + ln((lam + 1) / (n - k + 1))
+        exact = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + math.log((lam + 1) / (n - k + 1))
+        assert asymptotic_log_multiplicity(p, (lam,)) == pytest.approx(exact, rel=1e-12, abs=0)
+    # xi = 0 itself is still its own dual point, on every wall
+    assert rate_point(p, [0.0]).x == (0.0,) and rate_point(p, [0.0]).log_prefactor == -math.inf
 
 
 def _reference_rows(p, weights):
@@ -514,8 +528,10 @@ def test_face_rows_are_decided_on_the_lattice(monkeypatch, epsilon):
         ((nu, n), *_) = factors
         moved = np.array([name == "A1" and nu[0] >= 2 and lam == (n * nu[0],) for lam in weights])
         assert face.any() and np.all(face[moved])
-        assert np.all(status[face] == legendre._BOUNDARY) and np.all(np.isnan(est[face]))
-        assert np.array_equal(status[~moved], ref_status[~moved])
+        assert np.all(status[face] == legendre._FACE) and np.all(np.isnan(est[face]))
+        # the solve's Hessian gate rejected every other face row
+        assert np.array_equal(status[~face], ref_status[~face])
+        assert np.all(ref_status[face & ~moved] == legendre._BOUNDARY)
         assert np.all(ref_status[moved] == 0) and np.all(np.isfinite(ref[moved]))
         assert np.array_equal(est[~moved], ref[~moved], equal_nan=True)
         # no face row reaches the solve, and every other regular row does
@@ -532,11 +548,11 @@ def test_the_top_vertex_of_an_a1_power_is_on_the_domain_boundary(nu, n):
 
     rs = build_root_system(AlgebraSpec.parse("A1"))
     p = tensor_problem(rs, [((nu,), n)])
-    cls, message = legendre._ROW_ERRORS[legendre._BOUNDARY]
     for estimate in (asymptotic_log_multiplicity, asymptotic_log_probability):
-        with pytest.raises(cls) as err:
+        with pytest.raises(LegendreDomainError) as err:
             estimate(p, (n * nu,))
-        assert type(err.value) is LegendreDomainError and str(err.value) == message
+        assert type(err.value) is LegendreDomainError
+        assert str(err.value) == f"lambda ({n * nu},) lies on a face of the product's weight polytope"
 
 
 # ln m estimates of the asymptotic CSV, recorded before the batched solve
