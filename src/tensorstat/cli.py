@@ -3,7 +3,11 @@
 Subcommands map one-to-one onto library operations: decompose, measure,
 asymptotic, limit-compare, sample, pde-check, hook-check, selftest.
 Each takes only the flags it reads (_COMMANDS); any other flag is a
-usage error, which like every failure prints one error: line.
+usage error, which like every failure prints one error: line.  A call in
+the canonical form COMMAND (--flag VALUE | --switch)... is read straight
+from the flag table (_read_argv) and never loads argparse; --help and
+every other form (abbreviations, --flag=value, values starting with "-",
+usage errors) go to build_parser, which renders help and errors.
 Outputs go to stdout or --output; identical invocations produce
 bit-identical bytes (fixed seeds, counter-based sampling streams,
 sorted rows).  Decompositions are cached as JSON under TENSORSTAT_CACHE_DIR
@@ -14,7 +18,6 @@ atomically and validated when read.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
@@ -22,6 +25,8 @@ import os
 import sys
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,6 +43,9 @@ from .measures import character_measure, weak_convergence_distance
 from .pde import _pde_rows
 from .rootsys import AlgebraSpec, build_root_system
 from .slnhook import hook_sweep
+
+if TYPE_CHECKING:
+    import argparse
 
 USAGE_ERROR = 1
 DOMAIN_ERROR = 2
@@ -376,15 +384,16 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors end as every failure does: one error: line, exit 1."""
-
-    def error(self, message):
-        sys.exit(_fail(f"{self.prog}: {message}", USAGE_ERROR))
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser with the subparser of command only, or with all of them when command is None."""
+    import argparse  # only --help and usage errors reach argparse; _read_argv reads every other call
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser whose usage errors end as every failure does: one error: line, exit 1."""
+
+        def error(self, message):
+            sys.exit(_fail(f"{self.prog}: {message}", USAGE_ERROR))
+
     parser = _Parser(
         prog="tensorstat",
         description="Exact tensor product decompositions and their large-N asymptotics",
@@ -398,14 +407,65 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """argv read from the flag table when it is COMMAND (--flag VALUE | --switch)..., else None.
+
+    The namespace is the one build_parser().parse_args(argv) gives.  Only
+    the command's own flags, spelled in full, are read, each with the
+    type, choices, default, required and append of its _FLAGS entry, and
+    only values that do not start with "-": argparse reads every such token
+    as a value and every such flag as that flag, so the two readings agree.
+    Anything else, valid or not, is None and left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _COMMANDS[argv[0]][2]
+    args = SimpleNamespace(command=argv[0])
+    for flag in flags:
+        store_true = _FLAGS[flag].get("action") == "store_true"
+        setattr(args, _dest(flag), _FLAGS[flag].get("default", False if store_true else None))
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags:
+            return None
+        spec, dest = _FLAGS[flag], _dest(flag)
+        seen.add(flag)
+        if spec.get("action") == "store_true":
+            setattr(args, dest, True)
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        if spec.get("action") == "append":
+            value = [*(getattr(args, dest) or ()), value]
+        setattr(args, dest, value)
+    if any(_FLAGS[flag].get("required") for flag in set(flags) - seen):
+        return None
+    return args
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores a flag under: --t-basis -> t_basis."""
+    return flag.lstrip("-").replace("-", "_")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a call builds the subparser it runs; --help, an unknown command or none at all needs every one
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help (0), or a usage error _Parser has reported (1)
-        return exc.code
+    args = _read_argv(argv)
+    if args is None:
+        # argparse builds the subparser of the command; --help, an unknown command or none at all needs every one
+        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help (0), or a usage error _Parser has reported (1)
+            return exc.code
     try:
         return _COMMANDS[args.command][0](args)
     except (InternalConsistencyError, ConvergenceError) as exc:

@@ -50,6 +50,8 @@ from .rootsys import RootSystem
 
 # chains advanced together; bounds the uniform and path arrays held at once
 _BLOCK = 8192
+# chains whose --paths lines are joined into one string; bounds the object grid and text held at once
+_PATHS_SLICE = 1024
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 # SC'11): the two multipliers, then per multiplier the word and its 32-bit
@@ -470,8 +472,10 @@ def _paths_writer(stream, kernel: TransitionKernel, seed: int):
     """An on_paths for _sample that writes each block to stream as JSONL.
 
     The bytes are those of trajectories_to_jsonl on the same chains.  Each
-    state's text is encoded once; a block is one object grid of line
-    heads, "text, " and "text]}\n" pieces, joined and written at once.
+    state's text is encoded once per block; each slice of _PATHS_SLICE
+    chains is one object grid of line heads, "text, " and "text]}\n"
+    pieces, joined and written at once, so the grid and its text stay
+    small while a block holds up to _BLOCK chains.
     """
     text = _WeightText().__getitem__
 
@@ -479,11 +483,14 @@ def _paths_writer(stream, kernel: TransitionKernel, seed: int):
         texts = list(map(text, kernel._states))
         inner = np.array([s + ", " for s in texts], dtype=object)
         last = np.array([s + "]}\n" for s in texts], dtype=object)
-        chains, length = paths.shape
-        grid = np.empty((chains, length + 1), dtype=object)
-        grid[:, 0] = [f'{{"seed": {seed}, "chain": {c}, "steps": [' for c in range(lo, lo + chains)]
-        grid[:, 1:-1] = inner.take(paths[:, :-1])
-        grid[:, -1] = last.take(paths[:, -1])
-        stream.write("".join(grid.ravel().tolist()))
+        for start in range(0, len(paths), _PATHS_SLICE):
+            part = paths[start : start + _PATHS_SLICE]
+            chains, length = part.shape
+            first = lo + start
+            grid = np.empty((chains, length + 1), dtype=object)
+            grid[:, 0] = [f'{{"seed": {seed}, "chain": {c}, "steps": [' for c in range(first, first + chains)]
+            grid[:, 1:-1] = inner.take(part[:, :-1])
+            grid[:, -1] = last.take(part[:, -1])
+            stream.write("".join(grid.ravel().tolist()))
 
     return write

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -24,6 +25,7 @@ from tensorstat import (
     build_root_system,
     character_measure,
     evolve_exact,
+    forward_dual,
     naive_tensor_decompose,
     sample_paths,
     tensor_power_decompose,
@@ -32,7 +34,7 @@ from tensorstat import (
     weak_convergence_distance,
     weyl_dimension,
 )
-from tensorstat import charalg, cli, markov, measures
+from tensorstat import acceptance, charalg, cli, markov, measures
 from tensorstat.cli import build_parser, main
 
 
@@ -228,7 +230,13 @@ def test_sample_reports_tv_against_exact(capsys, tmp_path):
     assert len(rec["steps"]) == 6
 
 
-@pytest.mark.parametrize("block", [8192, 7], ids=["one-block", "blocks-of-7"])
+# slices of 3 chains: 14 in one block of 40, or 3, 3, 1 in each block of 7
+@pytest.mark.parametrize("block, paths_slice", [
+    pytest.param(8192, 1024, id="one-block"),
+    pytest.param(7, 1024, id="blocks-of-7"),
+    pytest.param(8192, 3, id="one-block-slices-of-3"),
+    pytest.param(7, 3, id="blocks-of-7-slices-of-3"),
+])
 @pytest.mark.parametrize(
     "algebra, rep, t, steps",
     [
@@ -240,9 +248,11 @@ def test_sample_reports_tv_against_exact(capsys, tmp_path):
         ("B2", (0, 1), None, 0),
     ],
 )
-def test_sample_paths_file_is_trajectories_to_jsonl(capsys, tmp_path, monkeypatch, algebra, rep, t, steps, block):
-    # the CLI writes the file block by block from state ids, never through Trajectory objects
+def test_sample_paths_file_is_trajectories_to_jsonl(capsys, tmp_path, monkeypatch, algebra, rep, t, steps, block,
+                                                    paths_slice):
+    # the CLI writes the file block by block and slice by slice from state ids, never through Trajectory objects
     monkeypatch.setattr(markov, "_BLOCK", block)
+    monkeypatch.setattr(markov, "_PATHS_SLICE", paths_slice)
     paths_file = tmp_path / "walks.jsonl"
     argv = ["sample", "--algebra", algebra, "--rep", ",".join(map(str, rep)), "--steps", str(steps),
             "--chains", "40", "--seed", "11", "--paths", str(paths_file)]
@@ -526,51 +536,263 @@ def test_help_goes_to_stdout(capsys):
     assert captured.err == ""
 
 
+def _flag_values(spec):
+    """(values of a flag in the reader's form, values the reader leaves to argparse).
+
+    The second are refused by the flag's type or choices, or start with
+    "-": argparse reads -1 as a value and -0.5,1 as an unknown flag.
+    """
+    if "choices" in spec:
+        return list(spec["choices"]), ["bad", "-1"]
+    return {
+        int: (["1", "4", "0"], ["-1", "2.5", "x"]),
+        float: (["0.5", "1e-3"], ["-0.5", "x"]),
+    }.get(spec.get("type"), (["1,0", "A2", "1", ""], ["-1", "-0.5,1"]))
+
+
+@st.composite
+def _argv_around_the_flag_tables(draw):
+    """(argv, whether it is in the form COMMAND (--flag VALUE | --switch)... with the command's own flags).
+
+    A call of the command's required flags and up to three more of its own,
+    repeats allowed, with values it reads; then, in six calls of seven, one
+    change: a flag dropped (required or not), a foreign flag, a prefix such
+    as --alg, the --flag=value form, a value the reader leaves to argparse
+    (a bad int or choice, -1, -0.5,1), -h, --help, a stray positional or "--".
+    """
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    own = cli._COMMANDS[command][2]
+    flags = [flag for flag in own if cli._FLAGS[flag].get("required")]
+    flags += draw(st.lists(st.sampled_from(own), max_size=3))
+    groups = [
+        [flag] if cli._FLAGS[flag].get("action") == "store_true"
+        else [flag, draw(st.sampled_from(_flag_values(cli._FLAGS[flag])[0]))]
+        for flag in flags
+    ]
+    change = draw(st.sampled_from([None, "drop", "foreign", "prefix", "equals", "refused", "stray"]))
+    valued = [group for group in groups if len(group) == 2]
+    if change == "drop" and groups:
+        groups.pop(draw(st.integers(0, len(groups) - 1)))
+    elif change == "foreign":
+        groups.append(_foreign_flag(draw, command))
+    elif change == "prefix" and groups:
+        group = draw(st.sampled_from(groups))
+        group[0] = group[0][: draw(st.integers(3, len(group[0])))]
+    elif change == "equals" and groups:
+        group = draw(st.sampled_from(groups))
+        group[:] = [f"{group[0]}={group[1] if len(group) == 2 else ''}"]
+    elif change == "refused" and valued:
+        group = draw(st.sampled_from(valued))
+        group[1] = draw(st.sampled_from(_flag_values(cli._FLAGS[group[0]])[1]))
+    elif change == "stray":
+        groups.insert(draw(st.integers(0, len(groups))), [draw(st.sampled_from(["-h", "--help", "extra", "--"]))])
+
+    def in_form(group):
+        if group[0] not in own:
+            return False
+        if cli._FLAGS[group[0]].get("action") == "store_true":
+            return len(group) == 1
+        return len(group) == 2 and not group[1].startswith("-")
+
+    canonical = all(map(in_form, groups))
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)], canonical
+
+
+@settings(max_examples=300)
+@given(call=_argv_around_the_flag_tables())
+def test_the_flag_table_reader_agrees_with_argparse(call):
+    argv, canonical = call
+    args = cli._read_argv(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        expected = None
+    event(f"reader {'reads' if args else 'declines'}, argparse {'parses' if expected else 'exits'}")
+    if args is not None:
+        assert vars(args) == expected
+    if expected is None:
+        assert args is None
+    # the fast path is not idle: it reads every call in its form that argparse accepts
+    assert (args is not None) == (canonical and expected is not None)
+
+
 # the reps the CLI property test draws, per algebra, and a non-minuscule one per rank-2 algebra drawn at N <= 3
 _PROPERTY_REPS = {"A1": ["1", "2"], "A2": ["1,0", "0,1"], "B2": ["1,0", "0,1"], "G2": ["1,0", "0,1"],
                   "E6": ["1,0,0,0,0,0"]}
 _PROPERTY_LARGE_REPS = {"A2": "1,1", "B2": "1,1", "G2": "1,1"}
 
 
+def _foreign_flag(draw, command):
+    """A flag of another command, with a value unless it takes none: a usage error (exit 1)."""
+    return _flag_argv(draw(st.sampled_from(sorted(set(cli._FLAGS) - set(cli._COMMANDS[command][2])))))
+
+
+def _dominant_margin(rs, top, xi) -> float:
+    """The least root coordinate of top - xi+, xi+ the dominant W-image of xi, over max |top|.
+
+    Below 0 exactly when xi lies off the polytope conv(W top); all vectors
+    in root coordinates.
+    """
+    xi = np.array(xi, dtype=float)
+    # a pairing within rounding of 0 counts as on the wall: reflecting it could swap signs with a neighbour forever
+    wall = 1e-12 * np.max(np.abs(xi))
+    # |positive roots| reflections reach it in exact arithmetic; rounding at a wall may take a few more
+    for _ in range(4 * len(rs.positive_roots) + 1):
+        pairings = rs.B_f @ xi
+        a = int(np.argmin(pairings))
+        if pairings[a] >= -wall:
+            return float(np.min(top - xi) / np.max(np.abs(top)))
+        xi[a] -= pairings[a] / float(rs.d[a])
+    raise AssertionError(f"no dominant W-image of {xi} found")
+
+
+def _measure_or_sample(draw, command, rs, rep, t, n):
+    """The argv tail and oracle of a measure or sample call."""
+    if command == "measure":
+        tail = ["--power", str(n)]
+    else:
+        chains, seed = draw(st.integers(1, 300)), draw(st.integers(0, 2**64 - 1))
+        tail = ["--steps", str(n), "--chains", str(chains), "--seed", str(seed)]
+
+    def oracle(out):
+        exact = evolve_exact(rs, rep, t, n).probabilities()
+        if command == "measure":
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            probs = {tuple(map(int, row[: rs.rank])): float(row[rs.rank]) for row in rows}
+            assert math.fsum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+            assert set(probs) == set(exact)
+            assert max(abs(probs[lam] - exact[lam]) for lam in exact) <= 1e-12
+            return
+        payload = json.loads(out)
+        empirical = sample_paths(rs, rep, t, n, chains, seed, keep_paths=False)[0].probabilities()
+        assert payload["endpoints"] == {",".join(map(str, w)): p for w, p in sorted(empirical.items())}
+        tv = payload["tv_empirical_vs_exact"]
+        assert 0.0 <= tv <= 1.0
+        assert abs(tv - _tv_by_weight(empirical, exact)) <= 1e-15
+
+    return tail, oracle
+
+
+def _asymptotic_xi(draw, rs, rep, n):
+    """The argv tail, exit codes and oracle of an asymptotic --xi call.
+
+    xi is drawn in a box around the weight polytope, next to a vertex at a
+    relative distance 10^-k inside or outside, or huge.  A point inside by
+    a margin of 1e-9 must answer; one off the polytope is a domain error,
+    or exit 3 where the dual solve stalls before it diverges (a fault,
+    open under the ROADMAP's item 10: it should be a domain error too).
+    """
+    top = rs.cartan_inv_f @ np.array(rep, dtype=float)  # scaled top eps N nu = nu at the default epsilon
+    kind = draw(st.sampled_from(["box", "box", "vertex", "huge"]))
+    if kind == "box":
+        scale = draw(st.sampled_from([0.3, 1.0, 3.0])) * np.max(np.abs(top))
+        xi = np.array([draw(st.floats(-1.0, 1.0)) * scale for _ in range(rs.rank)])
+    elif kind == "vertex":
+        xi = top * (1.0 - draw(st.sampled_from([1.0, -1.0])) * 10.0 ** -draw(st.integers(1, 15)))
+        for a in draw(st.lists(st.integers(0, rs.rank - 1), max_size=len(rs.positive_roots))):
+            xi[a] -= (rs.B_f[a] @ xi) / float(rs.d[a])
+    else:
+        # one coordinate is +-10^k: off the polytope, whose points have root coordinates within max |top| < 100
+        xi = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(rs.rank)])
+        xi[draw(st.integers(0, rs.rank - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+        xi *= 10.0 ** draw(st.integers(2, 300))
+    margin = -math.inf if kind == "huge" else _dominant_margin(rs, top, xi)
+    codes = {0} if margin >= 1e-9 else {0, 2} if margin >= 0 else {2, 3}
+    event(f"asymptotic --xi {kind}, {'inside' if margin >= 0 else 'outside'}")
+
+    def oracle(out):
+        payload = json.loads(out)
+        assert payload["xi"] == xi.tolist()
+        problem = tensor_problem(rs, [(rep, n)])
+        assert np.max(np.abs(forward_dual(problem, np.array(payload["x"])) - xi)) <= 1e-9 * np.max(np.abs(top))
+
+    return [f"--xi={','.join(map(repr, xi.tolist()))}"], codes, oracle
+
+
+def _pde_check(draw, rs, n):
+    """The argv tail, exit codes and oracle of a pde-check call: --grid <= 3 (<= 2 at E6, 729 points take 1.2 s)."""
+    grid = draw(st.sampled_from([1, 2, 3, 0] if rs.rank < 6 else [1, 2, 0]))
+    power = draw(st.sampled_from([n, 10 ** draw(st.integers(2, 18))]))
+
+    def oracle(out):
+        lines = out.splitlines()
+        assert lines[0] == "y,xi,residual,fd_deviation"
+        rows = list(csv.reader(lines[1:-1]))
+        axis = np.linspace(-1.0, 1.0, grid).tolist()
+        assert [row[0] for row in rows] == [",".join(repr(axis[i]) for i in p) for p in np.ndindex(*[grid] * rs.rank)]
+        residuals, deviations = ([float(row[k]) for row in rows] for k in (2, 3))
+        assert lines[-1] == f"# worst residual {max(residuals)!r}, worst fd deviation {max(deviations)!r}"
+        assert max(residuals) <= 1e-12 and max(deviations) <= 1e-6
+
+    return ["--power", str(power), "--grid", str(grid)], {0 if grid else 2}, oracle
+
+
+def _hook_check_oracle(out):
+    count, mismatches = out.removeprefix("hook-check: ").removesuffix(" mismatches\n").split(" multiplicities, ")
+    assert int(count) > 0 and mismatches == "0"
+
+
 @st.composite
 def _cli_calls(draw):
-    """(argv, whether it carries a flag of another command, (root system, rep, N, t, chains, seed)).
+    """(argv, the exit codes it may end with, the oracle of its stdout on exit 0).
 
-    t lies in any Weyl chamber and is written --t=..., so a negative first
-    coordinate parses; a third of the calls give it in the weight basis.
+    measure and sample take t in any Weyl chamber, written --t=..., so a
+    negative first coordinate parses; a third of the calls give it in the
+    weight basis.  selftest is drawn only with a foreign flag or a
+    --criteria entry that names no criterion, so no criterion runs.  A
+    quarter of the other calls carry a flag of another command: exit 1.
     """
-    command = draw(st.sampled_from(["measure", "sample"]))
-    algebra = draw(st.sampled_from(sorted(_PROPERTY_REPS)))
-    rs = build_root_system(algebra)
-    large = algebra in _PROPERTY_LARGE_REPS and draw(st.integers(0, 4)) == 0
-    rep = _PROPERTY_LARGE_REPS[algebra] if large else draw(st.sampled_from(_PROPERTY_REPS[algebra]))
-    n = draw(st.integers(0 if command == "sample" else 1, 3 if algebra == "E6" or large else 8))
-    # the scale of t's pairings with the simple roots
-    kind = draw(st.sampled_from(["zero", "wall", "tiny", "regular", "huge"]))
-    scale = {"zero": 0.0, "tiny": 1e-9, "huge": 10.0 ** draw(st.integers(2, 300))}.get(kind, 1.0)
-    pairings = [draw(st.floats(0.05, 1.0)) * scale for _ in range(rs.rank)]
-    if kind == "wall":
-        pairings[draw(st.integers(0, rs.rank - 1))] = 0.0
-    argv = [command, "--algebra", algebra, "--rep", rep]
-    t = None
-    if kind != "zero":
-        t_root = np.linalg.solve(rs.B_f, pairings)
-        # a word of simple reflections reaches every chamber; E6's 51840 elements are never listed
-        for a in draw(st.lists(st.integers(0, rs.rank - 1), max_size=len(rs.positive_roots))):
-            t_root[a] -= (rs.B_f[a] @ t_root) / float(rs.d[a])
-        basis = draw(st.sampled_from(["root", "root", "weight"]))
-        text = ",".join(map(repr, (t_root if basis == "root" else rs.cartan_f @ t_root).tolist()))
-        argv += [f"--t={text}"] + (["--t-basis", "weight"] if basis == "weight" else [])
-        t = cli._resolve_t(rs, argparse.Namespace(t=text, t_basis=basis))  # the t the CLI reads from them
-    chains, seed = draw(st.integers(1, 300)), draw(st.integers(0, 2**64 - 1))
-    if command == "measure":
-        argv += ["--power", str(n)]
+    command = draw(st.sampled_from(["measure", "sample", "asymptotic", "pde-check", "hook-check", "selftest"]))
+    if command == "selftest":
+        known = sorted(acceptance.ALL_CRITERIA)
+        entries = draw(st.lists(st.sampled_from(known), max_size=3))
+        entries.insert(draw(st.integers(0, len(entries))), draw(st.sampled_from([0, known[-1] + 1, 99, -2])))
+        text = ",".join(map(str, entries))
+        argv = ["selftest", "--criteria", text]
+        if draw(st.booleans()):
+            return [*argv[: draw(st.sampled_from([1, 3]))], *_foreign_flag(draw, command)], {1}, None
+        # argparse reads "-2" as a value but "-2,5" as a flag, which leaves --criteria without one
+        return argv, {1 if text.startswith("-") and "," in text else 2}, None
+    if command == "hook-check":
+        max_power = draw(st.sampled_from([1, 2, 3, 4, 0, -1]))
+        argv, codes, oracle = ["hook-check", "--max-power", str(max_power)], {0} if max_power >= 1 else {2}, _hook_check_oracle
     else:
-        argv += ["--steps", str(n), "--chains", str(chains), "--seed", str(seed)]
-    foreign = draw(st.integers(0, 3)) == 0
-    if foreign:
-        argv += _flag_argv(draw(st.sampled_from(sorted(set(cli._FLAGS) - set(cli._COMMANDS[command][2])))))
-    return argv, foreign, (rs, tuple(int(c) for c in rep.split(",")), n, t, chains, seed)
+        algebra = draw(st.sampled_from(sorted(_PROPERTY_REPS)))
+        rs = build_root_system(algebra)
+        large = algebra in _PROPERTY_LARGE_REPS and draw(st.integers(0, 4)) == 0
+        text = _PROPERTY_LARGE_REPS[algebra] if large else draw(st.sampled_from(_PROPERTY_REPS[algebra]))
+        rep = tuple(int(c) for c in text.split(","))
+        n = draw(st.integers(0 if command == "sample" else 1, 3 if algebra == "E6" or large else 8))
+        argv, codes = [command, "--algebra", algebra, "--rep", text], {0, 1, 2}
+        if command == "asymptotic":
+            tail, codes, oracle = _asymptotic_xi(draw, rs, rep, n)
+            argv += ["--power", str(n), *tail]
+        elif command == "pde-check":
+            tail, codes, oracle = _pde_check(draw, rs, n)
+            argv += tail
+        else:
+            # the scale of t's pairings with the simple roots
+            kind = draw(st.sampled_from(["zero", "wall", "tiny", "regular", "huge"]))
+            scale = {"zero": 0.0, "tiny": 1e-9, "huge": 10.0 ** draw(st.integers(2, 300))}.get(kind, 1.0)
+            pairings = [draw(st.floats(0.05, 1.0)) * scale for _ in range(rs.rank)]
+            if kind == "wall":
+                pairings[draw(st.integers(0, rs.rank - 1))] = 0.0
+            t = None
+            if kind != "zero":
+                t_root = np.linalg.solve(rs.B_f, pairings)
+                # a word of simple reflections reaches every chamber; E6's 51840 elements are never listed
+                for a in draw(st.lists(st.integers(0, rs.rank - 1), max_size=len(rs.positive_roots))):
+                    t_root[a] -= (rs.B_f[a] @ t_root) / float(rs.d[a])
+                basis = draw(st.sampled_from(["root", "root", "weight"]))
+                t_text = ",".join(map(repr, (t_root if basis == "root" else rs.cartan_f @ t_root).tolist()))
+                argv += [f"--t={t_text}"] + (["--t-basis", "weight"] if basis == "weight" else [])
+                t = cli._resolve_t(rs, argparse.Namespace(t=t_text, t_basis=basis))  # the t the CLI reads from them
+            tail, oracle = _measure_or_sample(draw, command, rs, rep, t, n)
+            argv += tail
+    if draw(st.integers(0, 3)) == 0:
+        return [*argv, *_foreign_flag(draw, command)], {1}, oracle
+    return argv, codes, oracle
 
 
 def _tv_by_weight(empirical, exact):
@@ -581,33 +803,19 @@ def _tv_by_weight(empirical, exact):
 @settings(max_examples=100)
 @given(call=_cli_calls())
 def test_cli_answers_correctly_or_fails_in_one_line(call):
-    argv, foreign, (rs, rep, n, t, chains, seed) = call
+    argv, codes, oracle = call
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     event(f"{argv[0]} exit {code}")
-    if foreign:
-        assert code == 1
+    assert code in codes, (code, err)
     if code:
-        assert code in (1, 2) and out == ""
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         return
     assert err == ""
-    exact = evolve_exact(rs, rep, t, n).probabilities()
-    if argv[0] == "measure":
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        probs = {tuple(map(int, row[: rs.rank])): float(row[rs.rank]) for row in rows}
-        assert math.fsum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-        assert set(probs) == set(exact)
-        assert max(abs(probs[lam] - exact[lam]) for lam in exact) <= 1e-12
-    else:
-        payload = json.loads(out)
-        empirical = sample_paths(rs, rep, t, n, chains, seed, keep_paths=False)[0].probabilities()
-        assert payload["endpoints"] == {",".join(map(str, w)): p for w, p in sorted(empirical.items())}
-        tv = payload["tv_empirical_vs_exact"]
-        assert 0.0 <= tv <= 1.0
-        assert abs(tv - _tv_by_weight(empirical, exact)) <= 1e-15
+    oracle(out)
 
 
 @st.composite
@@ -639,7 +847,7 @@ def _exact_cli_calls(draw):
         code = 2 if epsilon == 0.0 or not any(n for _, n in factors) else 0
     argv += draw(st.sampled_from([[], ["--no-cache"]]))
     if draw(st.integers(0, 3)) == 0:
-        argv += _flag_argv(draw(st.sampled_from(sorted(set(cli._FLAGS) - set(cli._COMMANDS[command][2])))))
+        argv += _foreign_flag(draw, command)
         code = 1
     return argv, code, (rs, factors, epsilon)
 
@@ -1118,6 +1326,33 @@ def test_hook_check_does_not_load_the_acceptance_suite():
         "print('tensorstat.acceptance' in sys.modules)\n"
     )
     assert _last_line_of(code) == "False"
+
+
+def test_a_well_formed_call_loads_neither_argparse_nor_gettext():
+    # the flag table reads these calls; argparse and gettext cost 1.9 ms to import and 1.9 ms on first use.
+    # Modules NumPy imports itself do not count.
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "from tensorstat.cli import main\n"
+        "for argv in (\n"
+        "    ['decompose', '--algebra', 'A2', '--rep', '1,0', '--power', '3', '--no-cache'],\n"
+        "    ['measure', '--algebra', 'A2', '--rep', '1,0', '--power', '3', '--t', '0.3,0.1'],\n"
+        "    ['asymptotic', '--algebra', 'A2', '--rep', '1,0', '--power', '3'],\n"
+        "    ['sample', '--algebra', 'A2', '--rep', '1,0', '--steps', '3', '--chains', '20'],\n"
+        "    ['hook-check', '--max-power', '3'],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted({'argparse', 'gettext'} & (set(sys.modules) - before)))\n"
+    )
+    assert _last_line_of(code) == "[]"
+    help_code = (
+        "import sys\n"
+        "from tensorstat.cli import main\n"
+        "assert main(['decompose', '--help']) == 0\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+    )
+    assert _last_line_of(help_code) == "['argparse', 'gettext']"
 
 
 @pytest.mark.parametrize("rep", ["9223372036854775807", "100000"])
