@@ -499,9 +499,9 @@ def _coset_terms(par: _Parabolic, q: np.ndarray, shifted: np.ndarray):
 def _coset_terms_at(par: _Parabolic, q: np.ndarray, shifted: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The terms (P_w / P_1) e^{-x_w} of _coset_terms at given pairs: row j of shifted with coset cols[j].
 
-    The terms take q's dtype, long double in CharacterPlan's mixed sums.
-    For integer Lambda the stabilizer factors are exact in float, so only
-    x_w, the exponential and the ratios round in q's precision.  Every
+    The terms take q's dtype, long double in _mixed_coset_sums.  For
+    integer Lambda the stabilizer pairings are exact in float, and any other
+    Lambda is given in long double, so every step rounds in q's precision.  Every
     pairing is summed in coordinate order, as _rowdot sums it.
     """
     terms = np.exp(-_pairdot(shifted, q[cols]))
@@ -584,38 +584,13 @@ class CharacterPlan:
     the t-only floor eps (n0 + 2) / D: past the budget no row can pass,
     and the rows x cosets block is never formed.
 
-    The extended tier keeps that bound and changes only its term part.
-    qmat is exactly integral and Lambda, the pairings and poly are exact
-    in long double, so a term recomputed in long double rounds as above
-    with eps_ext = np.finfo(np.longdouble).eps in place of eps (2^-63 for
-    the x87 80-bit format, 2048 times smaller).  With every term in long
-    double and a signed sum in depth = ceil(log2 cosets) levels of
-    pairwise adds, each rounding by at most eps_ext relative, the term
-    part would be eps_ext (err + depth sum_w |term_w|) / D, err = sum_w
-    c_w, c_w = |term_w| ((r + 2) x_w + n0 + 2).  A row takes the tier
-    when that meets the budget: the slack
-
-      slack = (CHARACTER_BUDGET - rest) D - eps_ext (err + depth sum_w |term_w|) >= 0,
-
-    rest being the float-level part above.  Only the wide terms are
-    recomputed in long double: the identity term, and each w with
-
-      (c_w + depth |term_w|) cosets > slack / eps.
-
-    The others keep the float pass's values and are summed pairwise in
-    float; each carries at most eps (c_w + depth |term_w|) <= slack /
-    cosets, so together they carry at most slack.  The wide terms of a
-    row, in coset order, then that float sum S_F, are summed pairwise in
-    long double in levels = ceil(log2(wide + 1)) <= depth adds (ceil(log2
-    cosets) when every term is wide and S_F = 0).  The row's bound is
-
-      (eps err_F + eps_ext (err_L + levels (sum_L |term_w| + |S_F|))) / D + rest,
-
-    err_F = sum over the float terms of c_w + depth |term_w|, err_L and
-    sum_L over the wide ones of c_w and |term_w|, which is at most the
-    budget.  The rounding to float of S, of (lambda, t), log P_1, log D
-    and the final sum, and the eta part stay at float level.  The tier's
-    t-only floor is eps_ext (n0 + 2 + depth) / D.
+    The extended tier, _mixed_coset_sums, is shared with the intermediate
+    density.  Here it takes c_w = |term_w| ((r + 2) x_w + n0 + 2), the
+    floor D on S and the rest above, which stays at float level.  qmat is
+    exactly integral and Lambda, the pairings and poly are exact in long
+    double, so a term recomputed there rounds as above with eps_ext in
+    place of eps.  The tier's t-only floor is eps_ext (n0 + 2 + depth) / D,
+    depth = ceil(log2 cosets).
     """
 
     def __init__(self, rs: RootSystem, t):
@@ -698,12 +673,6 @@ class CharacterPlan:
             eta=eta,
         )
 
-    @cached_property
-    def _q_ext(self) -> np.ndarray:
-        """q of the coset sum in long double, from the exact qmat and the float pairings."""
-        c = self._cosets
-        return c.par.qmat.astype(np.longdouble) @ c.pair.astype(np.longdouble)
-
     def _coset_rows(self, c: _Cosets, lams, values, bounds, tier) -> None:
         """Fill values, bounds and tiers of the rows the coset sum takes, in float or mixed precision."""
         r = self.rs.rank
@@ -724,10 +693,8 @@ class CharacterPlan:
             contrib *= r + 2
             contrib += n0 + 2
             contrib *= mags
-            err = np.sum(contrib, axis=1)
             lam_t = _rowdot(lam, c.cinv_t[None, :])[:, 0]
-            mag_sum = np.sum(mags, axis=1)
-            log_s = np.maximum(abs(c.log_den), np.log(mag_sum))
+            log_s = np.maximum(abs(c.log_den), np.log(np.sum(mags, axis=1)))
             size = lam_t + np.abs(log_p1) + log_s + abs(c.log_den)
             norm = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", lam, self.rs.weight_gram_f, lam), 0.0))
             rest = (
@@ -735,69 +702,91 @@ class CharacterPlan:
                 + c.den_err
                 + np.expm1(np.minimum(norm * c.eta, 1.0))  # past 1 no row passes; the cap keeps expm1 finite
             )
-            bound = _EPS * err * c.inv_den + rest
+            bound = _EPS * np.sum(contrib, axis=1) * c.inv_den + rest
             bounds[lo : lo + step] = bound
             ok = np.flatnonzero(bound <= CHARACTER_BUDGET)
-            for i in ok:
-                total = math.fsum((c.par.sign * terms[i]).tolist())
+            tier[lo + ok] = 1
+            totals = {i: math.fsum((c.par.sign * terms[i]).tolist()) for i in ok.tolist()}  # S by row
+            if len(ok) < len(lam):
+                miss = np.flatnonzero(bound > CHARACTER_BUDGET)
+                sel = miss if len(ok) else slice(None)  # a view when every row misses
+                ext, s_ext, b_ext, bound_ext = _mixed_coset_sums(
+                    c.par, c.pair, lam[miss] + 1.0, terms[sel], mags[sel], contrib[sel], c.inv_den, rest[miss]
+                )
+                bounds[lo + miss] = np.minimum(bound[miss], bound_ext)
+                bounds[lo + miss[ext]] = b_ext
+                tier[lo + miss[ext]] = 2
+                totals.update(zip(miss[ext].tolist(), s_ext.tolist()))
+            for i, total in totals.items():
                 if total <= 0.0:
                     raise InternalConsistencyError("character sign certificate failed")
                 values[lo + i] = lam_t[i] + log_p1[i] + math.log(total) - c.log_den
-            tier[lo + ok] = 1
-            if len(ok) == len(lam):
-                continue
-            # rows the float bound rejects but the all-long-double bound admits: mixed precision
-            miss = bound > CHARACTER_BUDGET
-            bound_ext = eps_ext * (err + depth * mag_sum) * c.inv_den + rest
-            bounds[lo : lo + step] = np.where(miss, np.minimum(bound, bound_ext), bound)
-            ext = np.flatnonzero(miss & (bound_ext <= CHARACTER_BUDGET))
-            if len(ext):
-                # what the budget leaves the float rounding of the terms kept in float
-                slack = (CHARACTER_BUDGET - rest[ext]) / c.inv_den - eps_ext * (err[ext] + depth * mag_sum[ext])
-                sel = ext if len(ext) < len(lam) else slice(None)  # a view when every row is mixed
-                totals, term_err = self._mixed_sums(c, lam[ext] + 1.0, terms[sel], mags[sel], contrib[sel], slack)
-                bounds[lo + ext] = term_err * c.inv_den + rest[ext]
-                for i, total in zip(ext.tolist(), totals.tolist()):
-                    if total <= 0.0:
-                        raise InternalConsistencyError("character sign certificate failed")
-                    values[lo + i] = lam_t[i] + log_p1[i] + math.log(total) - c.log_den
-                tier[lo + ext] = 2
 
-    def _mixed_sums(self, c: _Cosets, shifted, terms, mags, contrib, slack) -> tuple[np.ndarray, np.ndarray]:
-        """S of rows the float bound rejects, with long double only for their wide terms; see the class.
 
-        terms, mags and contrib are the rows' float terms, |terms| and
-        |term| ((r + 2) x_w + n0 + 2); terms and mags are overwritten.
-        slack > 0 is what the budget leaves the rounding of the float
-        part.  Returns S in float and the bound on its rounding, times D.
-        """
-        sign = c.par.sign
-        n, cosets = terms.shape
-        depth = (cosets - 1).bit_length()
-        share = mags  # a float term's rounding, its pairwise sum's included, over eps
-        share *= depth
-        share += contrib
-        wide = share > (slack / (_EPS * cosets))[:, None]
-        wide[:, 0] = True  # the identity term
-        rows, cols = np.divmod(np.flatnonzero(wide), cosets)  # each row's wide terms in coset order
-        np.copyto(share, 0.0, where=wide)
-        err_float = np.sum(share, axis=1)
-        kept = terms
-        kept *= sign
-        np.copyto(kept, 0.0, where=wide)
-        s_float = _pairwise_sums(kept)
-        wide_terms = sign[cols] * _coset_terms_at(c.par, self._q_ext, shifted[rows], cols)
-        count = np.bincount(rows, minlength=n)
-        # per row: its wide terms, then its float part; a row's layout, and so its sum, is its own
-        block = np.zeros((n, int(count.max()) + 1), dtype=np.longdouble)
-        block[rows, np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)] = wide_terms
-        block[np.arange(n), count] = s_float
-        totals = _pairwise_sums(block).astype(float)
-        # levels that round: ceil(log2(count + 1)), or ceil(log2 count) when every term is wide and s_float = 0
-        levels = np.frexp(count - (count == cosets))[1]
-        err_wide = np.bincount(rows, weights=contrib[rows, cols], minlength=n)
-        mag_wide = np.bincount(rows, weights=np.abs(wide_terms).astype(float), minlength=n)
-        return totals, _EPS * err_float + _EPS_EXT * (err_wide + levels * (mag_wide + np.abs(s_float)))
+def _mixed_coset_sums(par: _Parabolic, pair, shifted, terms, mags, contrib, inv_low, rest):
+    """The coset sums S of rows a float bound rejected, in mixed precision where that meets the budget.
+
+    The one long-double tier of the coset sum, for CharacterPlan's rows and
+    the intermediate density's points, each with its own bound.  Per row:
+    shifted is Lambda (in long double where its pairings round in float),
+    terms the float terms, mags |term_w| or bounds on them, contrib c_w,
+    each term's rounding over eps, 1 / inv_low = L a floor on S and rest the
+    rest of its error; pair holds the simple-root pairings.  terms and mags
+    are overwritten.  A row is admitted when its bound with every term in
+    long double (eps_ext, where that is below eps), summed pairwise in
+    depth = ceil(log2 cosets) levels, leaves a slack for terms kept in float:
+
+      slack = (CHARACTER_BUDGET - rest) L - eps_ext (sum_w c_w + depth sum_w |term_w|) >= 0.
+
+    Only the wide terms, the identity and each w with (c_w + depth |term_w|)
+    cosets > slack / eps, are recomputed in long double.  The others keep
+    their float values, summed pairwise into S_F, and carry at most slack
+    together.  The wide terms and S_F are summed pairwise in long double in
+    levels = ceil(log2(wide + 1)) adds, so the row's bound is
+
+      (eps err_F + eps_ext (err_L + levels (sum_L |term_w| + |S_F|))) / L + rest,
+
+    err_F summing c_w + depth |term_w| over the float terms, err_L and sum_L
+    c_w and |term_w| over the wide ones.  Returns the admitted rows, their S
+    in float and their bounds, and every row's all-long-double bound.
+    """
+    eps_ext = _EPS_EXT if _EPS_EXT < _EPS else math.inf
+    n, cosets = terms.shape
+    depth = (cosets - 1).bit_length()
+    inv_low, rest = np.broadcast_to(inv_low, n), np.broadcast_to(rest, n)
+    mag_sum, err = np.sum(mags, axis=1), np.sum(contrib, axis=1)
+    bound_ext = eps_ext * (err + depth * mag_sum) * inv_low + rest
+    ext = np.flatnonzero(bound_ext <= CHARACTER_BUDGET)
+    slack = (CHARACTER_BUDGET - rest[ext]) / inv_low[ext] - eps_ext * (err[ext] + depth * mag_sum[ext])
+    sel = ext if len(ext) < n else slice(None)  # a view when every row is admitted
+    terms, contrib, share, shifted = terms[sel], contrib[sel], mags[sel], shifted[sel]
+    share *= depth  # a float term's rounding, its pairwise sum's included, over eps
+    share += contrib
+    wide = share > (slack / (_EPS * cosets))[:, None]
+    wide[:, 0] = True  # the identity term
+    rows, cols = np.divmod(np.flatnonzero(wide), cosets)  # each row's wide terms in coset order
+    np.copyto(share, 0.0, where=wide)
+    err_float = np.sum(share, axis=1)
+    terms *= par.sign
+    np.copyto(terms, 0.0, where=wide)
+    s_float = _pairwise_sums(terms)
+    # q in long double, from the exact qmat and the float pairings, for the cosets with a wide term
+    need = np.bincount(cols, minlength=cosets) > 0
+    q = np.zeros((cosets, len(pair)), dtype=np.longdouble)
+    q[need] = par.qmat[need].astype(np.longdouble) @ np.asarray(pair, dtype=np.longdouble)
+    wide_terms = par.sign[cols] * _coset_terms_at(par, q, shifted[rows], cols)
+    count = np.bincount(rows, minlength=len(ext))
+    # per row: its wide terms, then its float part; a row's layout, and so its sum, is its own
+    block = np.zeros((len(ext), int(count.max(initial=0)) + 1), dtype=np.longdouble)
+    block[rows, np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)] = wide_terms
+    block[np.arange(len(ext)), count] = s_float
+    totals = _pairwise_sums(block).astype(float)
+    # levels that round: ceil(log2(count + 1)), or ceil(log2 count) when every term is wide and s_float = 0
+    levels = np.frexp(count - (count == cosets))[1]
+    err_wide = np.bincount(rows, weights=contrib[rows, cols], minlength=len(ext))
+    mag_wide = np.bincount(rows, weights=np.abs(wide_terms).astype(float), minlength=len(ext))
+    term_err = _EPS * err_float + _EPS_EXT * (err_wide + levels * (mag_wide + np.abs(s_float)))
+    return ext, totals, term_err * inv_low[ext] + rest[ext], bound_ext
 
 
 class Branching:

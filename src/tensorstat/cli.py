@@ -215,8 +215,6 @@ def _cmd_asymptotic(args) -> int:
     problem = tensor_problem(rs, factors, args.epsilon)
     if args.xi is not None:
         xi = _parse_float_vector(args.xi)
-        if len(xi) != rs.rank:
-            raise DomainError(f"xi must have {rs.rank} coordinates")
         _emit(rate_point(problem, np.asarray(xi)).to_json(), args)
         return 0
     # per-weight comparison of exact multiplicities against the asymptotics

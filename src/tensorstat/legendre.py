@@ -24,12 +24,12 @@ import numpy as np
 
 from .charalg import (
     _EPS,
-    _EPS_EXT,
     CHARACTER_BUDGET,
     Weight,
     _coset_terms,
     _dominant_weight,
     _factors,
+    _mixed_coset_sums,
     _parabolic,
     _rowdot,
     second_casimir,
@@ -166,11 +166,22 @@ def _raise_row(status: int, lam=None, max_iter: int = 200) -> None:
         raise cls(message.format(lam=lam, max_iter=max_iter))
 
 
-def _xi_row(rs: RootSystem, xi) -> np.ndarray:
-    """xi as a one-row batch, or a DomainError."""
+def _xi_row(problem: TensorProblem, xi) -> np.ndarray:
+    """xi as a one-row batch; a DomainError, or a LegendreDomainError off the weight polytope conv(W top).
+
+    top = sum_k tau_k nu_k.  No point of the polytope has a root coordinate
+    past max |top| (tested with no arithmetic on xi), and a dominant point
+    is in it when it is below top in every root coordinate, up to rounding.
+    """
+    rs = problem.rs
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (rs.rank,):
-        raise DomainError(f"xi must have shape ({rs.rank},)")
+        raise DomainError(f"xi must have {rs.rank} coordinates")
+    top = rs.cartan_inv_f @ sum(tk * np.array(nu, dtype=float) for (nu, _), tk in zip(problem.factors, problem.tau))
+    size = float(np.max(np.abs(top)))
+    dom, eta, _ = reflect_to_chamber(rs, xi) if np.all(np.abs(xi) <= size) else (np.inf, 0.0, None)
+    if np.any(dom - top > eta / math.sqrt(float(np.min(np.linalg.eigvalsh(rs.B_f)))) + 4 * rs.rank * _EPS * size):
+        raise LegendreDomainError("xi outside Legendre domain: it lies off the weight polytope of the product")
     return xi[None]
 
 
@@ -195,11 +206,11 @@ def _dual_rows(problem: TensorProblem, xi: np.ndarray, max_iter=200):
     times a mean weight, so the residual is measured against s.  A row on
     the domain boundary leaves only after running out toward the
     recession cone; table rows on a wall or face never get here
-    (_log_multiplicity_rows), so that run-out is paid by off-lattice xi
-    only (rate_point, legendre_dual, pde).  A row whose target is nonzero
-    but within the tolerance at y = 0 (|xi| below about 1e-12 s) still
-    takes one step: y = 0 pairs to 0 with every root, and the prefactor's
-    log |Delta(x)| would read log 0.
+    (_log_multiplicity_rows), nor xi off the polytope (_xi_row), so that
+    run-out is paid by xi within rounding of it.  A row whose target is
+    nonzero but within the tolerance at y = 0 (|xi| below about 1e-12 s)
+    still takes one step: y = 0 pairs to 0 with every root, and the
+    prefactor's log |Delta(x)| would read log 0.
     """
     n, r = xi.shape
     target = _rows(problem.rs.B_f, xi)
@@ -257,11 +268,11 @@ def legendre_dual(problem: TensorProblem, xi, max_iter: int = 200) -> np.ndarray
 
     f is smooth and strictly convex, so the minimizer of f(y) - (y, xi) is
     unique when xi lies in the open domain (the interior of the mean-weight
-    polytope).  Outside it the iterates run away; that is reported as a
-    domain error once |y| passes _Y_MAX.  This is a one-row view of the
-    batched solve that rate points of a whole table share.
+    polytope).  A point off the polytope is a domain error before the
+    solve (_xi_row); one within rounding of it runs away until |y| passes
+    _Y_MAX.  This is a one-row view of the batched solve of a table.
     """
-    y, _, _, status = _dual_rows(problem, _xi_row(problem.rs, xi), max_iter)
+    y, _, _, status = _dual_rows(problem, _xi_row(problem, xi), max_iter)
     _raise_row(status[0], max_iter=max_iter)
     return y[0]
 
@@ -356,7 +367,7 @@ def rate_point(problem: TensorProblem, xi) -> RatePoint:
     A one-row view of the batched rate points.
     """
     rs = problem.rs
-    xi = _xi_row(rs, xi)
+    xi = _xi_row(problem, xi)
     x, S, hess, K, log_prefactor, status = (field[0] for field in _rate_rows(problem, xi))
     _raise_row(status)
     vectors = {k: tuple(v.tolist()) for k, v in (("xi", xi[0]), ("x", x), ("grad_S", -(rs.B_f @ x)))}
@@ -444,13 +455,13 @@ def _decimal_coset_sums(par, u_pair: np.ndarray, lams: np.ndarray, digits: int) 
         ctx.prec = digits
         (pair,) = decimals([u_pair.tolist()])
         qs = [[dot(row, pair) for row in decimals(q)] for q in par.qmat.tolist()]
-        polys, out = [decimals(poly) for poly in par.poly.tolist()], []
+        polys, signs, out = [decimals(poly) for poly in par.poly.tolist()], par.sign.tolist(), []
         for lam in decimals(lams.tolist()):
             ones = [dot(poly[0], lam) for poly in polys]
-            total = decimal.Decimal(0)
-            for w, (sign, q) in enumerate(zip(par.sign.tolist(), qs)):
-                term = (-dot(q, lam)).exp() * math.prod(dot(poly[w], lam) / one for poly, one in zip(polys, ones))
-                total += term if sign > 0 else -term
+            total = decimal.Decimal(1)  # the identity term, w = 0, is exactly 1
+            for w in range(1, len(qs)):
+                term = (-dot(qs[w], lam)).exp() * math.prod(dot(poly[w], lam) / one for poly, one in zip(polys, ones))
+                total += term if signs[w] > 0 else -term
             out.append(float(total))
         return out
 
@@ -461,15 +472,17 @@ def _intermediate_density(rs: RootSystem, pts: np.ndarray, u: np.ndarray, wall) 
     The pairings of u and Lambda = C b are taken as computed, a few ulps
     from u and b like any rounded input.  Term w is at most M_w = e^{-x_w}
     prod_k (|Lambda| . |poly_k,w|) / (Lambda . poly_k,1), and the identity
-    term is 1.  As each operation rounds by eps / 2 and exp by eps, term w
-    rounds by at most eps M_w ((2r - 1) |Lambda| . q_w + (r + 1/2) n0 + 1),
-    and the sum adds eps cosets / 2 sum_w M_w.  S is at least 1 - sum over
-    w != 1 of M_w, and, as the orbital integral I = pi(rho) e^{(b, u)} P_1
-    S / (pi(b) pi_out(u)) is an average of e^{(k b, u)} over the compact
-    group, I >= 1 (Jensen).  p = G_u pi(b) P_1 S / pi_out(u), G_u the unit
-    Gaussian centred at u, is certified to within CHARACTER_BUDGET of
-    max(p, G_u).  Rows past the budget in float are summed in long double,
-    and past it there in decimal at the digits the bound asks for; past
+    term is exactly 1.  As each operation rounds by eps / 2 and exp by eps,
+    term w != 1 rounds by at most eps c_w, c_w = M_w ((2r - 1) |Lambda| .
+    q_w + (r + 1/2) n0 + 1), and the sum adds eps cosets / 2 sum_w M_w.  S
+    is at least 1 - sum over w != 1 of M_w, and, as the orbital integral
+    I = pi(rho) e^{(b, u)} P_1 S / (pi(b) pi_out(u)) is an average of
+    e^{(k b, u)} over the compact group, I >= 1 (Jensen).  p = G_u pi(b)
+    P_1 S / pi_out(u), G_u the unit Gaussian centred at u, is certified to
+    within CHARACTER_BUDGET of max(p, G_u).  Rows past it in float take the
+    mixed tier (charalg._mixed_coset_sums) with these c_w, |term_w| <= M_w,
+    that floor on S and rest 0, Lambda in long double; the rows it refuses
+    are summed in decimal at the digits the bound asks for, and past
     _DECIMAL_TERMS decimal terms the call raises DomainError.
     """
     order = weyl_group_order(rs.spec)
@@ -487,8 +500,9 @@ def _intermediate_density(rs: RootSystem, pts: np.ndarray, u: np.ndarray, wall) 
     big = np.exp(-x)
     for poly in par.poly:
         big *= _rowdot(np.abs(shifted), np.abs(poly)) / _rowdot(shifted, poly[:1])
-    err = big * ((2 * r - 1) * _rowdot(np.abs(shifted), q) + (r + 0.5) * n0 + 1.0 + cosets / 2)
-    err[:, 0] = cosets / 2  # the identity term is exactly 1
+    rounding = (2 * r - 1) * _rowdot(np.abs(shifted), q) + (r + 0.5) * n0 + 1.0  # c_w / (eps M_w)
+    rounding[:, 0] = 0.0  # the identity term is exactly 1
+    err = big * (rounding + cosets / 2)
     log_pi_b, log_pi_u = np.sum(np.log(b @ rs.pos_pairing_f.T), axis=1), np.sum(np.log(par.outside @ u_pair))
     log_low = np.maximum.reduce([
         log_pi_b + log_pi_u - b @ u_pair - log_p1 - np.sum(np.log(rs.pos_pairing_f @ rs.rho_root_f)),
@@ -498,16 +512,16 @@ def _intermediate_density(rs: RootSystem, pts: np.ndarray, u: np.ndarray, wall) 
     ratio = np.exp(np.minimum(np.log(np.sum(err, axis=1)) - log_low, 700.0))
     sums = terms @ par.sign
     ext = np.flatnonzero(_EPS * ratio > CHARACTER_BUDGET)
-    if len(ext):
-        ld = np.longdouble
-        _, terms, p1 = _coset_terms(par, par.qmat.astype(ld) @ u_pair.astype(ld), shifted[ext].astype(ld))
-        sums[ext], log_p1[ext] = terms @ par.sign.astype(ld), p1
-        wide = ext[(_EPS_EXT if _EPS_EXT < _EPS else math.inf) * ratio[ext] > CHARACTER_BUDGET]
-        if len(wide) * cosets > _DECIMAL_TERMS:
-            raise DomainError(f"the intermediate density needs {len(wide) * cosets} decimal coset terms here")
-        if len(wide):
-            digits = 2 + math.ceil(math.log10(float(np.max(ratio[wide])) / CHARACTER_BUDGET))
-            sums[wide] = _decimal_coset_sums(par, u_pair, shifted[wide], digits)
+    mags, inv_low = big[ext], np.exp(-log_low[ext])
+    lam = shifted[ext].astype(np.longdouble)  # Lambda's pairings round: form them in long double
+    ok, s_ok, _, _ = _mixed_coset_sums(par, u_pair, lam, terms[ext], mags, mags * rounding[ext], inv_low, 0.0)
+    sums[ext[ok]] = s_ok
+    wide = np.delete(ext, ok)
+    if len(wide) * cosets > _DECIMAL_TERMS:
+        raise DomainError(f"the intermediate density needs {len(wide) * cosets} decimal coset terms here")
+    if len(wide):
+        digits = 2 + math.ceil(math.log10(float(np.max(ratio[wide])) / CHARACTER_BUDGET))
+        sums[wide] = _decimal_coset_sums(par, u_pair, shifted[wide], digits)
     log_c = 0.5 * (np.linalg.slogdet(rs.B_f)[1] - r * math.log(2.0 * math.pi) - u @ u_pair)
     log_c -= log_pi_u
     log_b = log_pi_b + b @ u_pair + log_p1
@@ -547,7 +561,9 @@ def limit_density(
 
     on the open chamber and 0 on its walls; at u = 0 it is "plancherel".
     Each value is within 1e-11 of max(p, G_u), G_u the unit Gaussian
-    centred at u, whatever S cancels (see _intermediate_density).
+    centred at u, whatever S cancels: S is summed in float, in the mixed
+    tier that characters share, or in decimal, by the density's own bound
+    (see _intermediate_density).
     u is reflected into the dominant chamber first.  Returns densities
     with respect to Lebesgue measure in root coordinates.
     """

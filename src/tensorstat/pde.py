@@ -22,12 +22,6 @@ from .errors import DomainError
 from .legendre import TensorProblem, _raise_row, _rate_rows, _rows, _xi_row, tensor_problem
 
 
-def _single_factor(problem: TensorProblem):
-    if len(problem.factors) != 1:
-        raise DomainError("rate-function PDE applies to single-factor problems")
-    return problem.factors[0]
-
-
 class DerivativeReport(NamedTuple):
     xi_deviation: float
     tau_deviation: float
@@ -62,7 +56,7 @@ def pde_residual(problem: TensorProblem, xi, h: float = 1e-5) -> PdeReport:
     |lhs - rhs| / lhs.  Central differences with step h fill the _fd
     fields for both partials.  A one-row view of _pde_rows.
     """
-    return _pde_rows(problem, _xi_row(problem.rs, xi), h)[0]
+    return _pde_rows(problem, _xi_row(problem, xi), h)[0]
 
 
 def _pde_rows(problem: TensorProblem, xi: np.ndarray, h: float = 1e-5) -> list[PdeReport]:
@@ -71,8 +65,10 @@ def _pde_rows(problem: TensorProblem, xi: np.ndarray, h: float = 1e-5) -> list[P
     The problem itself takes the base points and their 2r xi-differences;
     the problems at tau + h and tau - h take the base points.
     """
+    if len(problem.factors) != 1:
+        raise DomainError("rate-function PDE applies to single-factor problems")
     rs = problem.rs
-    nu, n = _single_factor(problem)
+    ((nu, n),) = problem.factors
     tau = problem.epsilon * n
     k, r = xi.shape
     shifts = xi[:, None, :] + h * np.eye(r), xi[:, None, :] - h * np.eye(r)

@@ -843,7 +843,8 @@ def test_coset_terms_at_pairs_match_a_long_double_block(f4_rows):
     # every (row, coset) pair of an F4 wall block against the whole block formed by matmuls in long double
     rs, lams = f4_rows
     plan = CharacterPlan(rs, _t_with_pairings(rs, F4_EXTENDED_CASES["wall"]))
-    par, q = plan._cosets.par, plan._q_ext
+    par = plan._cosets.par
+    q = par.qmat.astype(np.longdouble) @ plan._cosets.pair.astype(np.longdouble)
     shifted = np.array(lams, dtype=float) + 1.0
     rows, cols = np.divmod(np.arange(len(lams) * len(par.sign)), len(par.sign))
     got = charalg._coset_terms_at(par, q, shifted[rows], cols).reshape(len(lams), -1)
@@ -900,6 +901,33 @@ def test_float_rows_keep_their_bits_with_the_extended_tier(monkeypatch, algebra,
             assert bound.tobytes() == bound_off.tobytes()
         else:
             assert bound < bound_off  # the extended bound is the tighter one
+
+
+# SHA-256 of values, bounds and paths of evaluate at the F4_EXTENDED_CASES and the
+# FLOAT_BITS_PATHS cases, as recorded before the mixed tier moved out of CharacterPlan
+EVALUATE_DIGESTS = {
+    "F4-wall": "d08f41b36808388ef32f4cf9e3e035f5499a4fd6f83243bd4653cccfe1350933",
+    "F4-small": "e3087cf8984f5a9443334a4540f53783c71387eef6b2c5a11065389bbdf25a81",
+    "F4-regular": "81a38f819e1ca5464023f46401d9cd8e0ea9a6a40b2a20ad5838a3a2002d3e66",
+    "B3": "d7b2c1437e10dbb1d09ea20c87708e4763ef55d3427069fca911d5f68a516688",
+    "G2": "36e1a02dc3e16b7907c133f0f93359a7d59de25c217d5a4a07df921214da4127",
+}
+EVALUATE_PIN_CASES = {
+    **{f"F4-{kind}": ("F4", ((0, 0, 0, 1), 5), pairings) for kind, pairings in F4_EXTENDED_CASES.items()},
+    "B3": ("B3", ((1, 0, 0), 10), (0.45, 0.1, 0.45)),
+    "G2": ("G2", ((0, 1), 8), (0.2, 0.1)),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="long-double bits differ without the x87 format")
+@pytest.mark.parametrize("case", sorted(EVALUATE_DIGESTS))
+def test_evaluate_bits_are_pinned(case):
+    algebra, factor, pairings = EVALUATE_PIN_CASES[case]
+    rs = build_root_system(algebra)
+    lams = [lam for lam, _ in tensor_power_decompose(rs, [factor]).sorted_entries()]
+    got = CharacterPlan(rs, _t_with_pairings(rs, pairings)).evaluate(lams)
+    digest = hashlib.sha256(got.values.tobytes() + got.bounds.tobytes() + ",".join(got.paths).encode())
+    assert digest.hexdigest() == EVALUATE_DIGESTS[case]
 
 
 def test_pairwise_sums_stay_within_their_depth_bound():

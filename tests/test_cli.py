@@ -13,10 +13,11 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from tensorstat import (
@@ -679,9 +680,7 @@ def _asymptotic_xi(draw, rs, rep, n):
 
     xi is drawn in a box around the weight polytope, next to a vertex at a
     relative distance 10^-k inside or outside, or huge.  A point inside by
-    a margin of 1e-9 must answer; one off the polytope is a domain error,
-    or exit 3 where the dual solve stalls before it diverges (a fault,
-    open under the ROADMAP's item 10: it should be a domain error too).
+    a margin of 1e-9 must answer; one off the polytope is a domain error.
     """
     top = rs.cartan_inv_f @ np.array(rep, dtype=float)  # scaled top eps N nu = nu at the default epsilon
     kind = draw(st.sampled_from(["box", "box", "vertex", "huge"]))
@@ -698,7 +697,7 @@ def _asymptotic_xi(draw, rs, rep, n):
         xi[draw(st.integers(0, rs.rank - 1))] = draw(st.sampled_from([-1.0, 1.0]))
         xi *= 10.0 ** draw(st.integers(2, 300))
     margin = -math.inf if kind == "huge" else _dominant_margin(rs, top, xi)
-    codes = {0} if margin >= 1e-9 else {0, 2} if margin >= 0 else {2, 3}
+    codes = {0} if margin >= 1e-9 else {0, 2} if margin >= 0 else {2}
     event(f"asymptotic --xi {kind}, {'inside' if margin >= 0 else 'outside'}")
 
     def oracle(out):
@@ -708,6 +707,79 @@ def _asymptotic_xi(draw, rs, rep, n):
         assert np.max(np.abs(forward_dual(problem, np.array(payload["x"])) - xi)) <= 1e-9 * np.max(np.abs(top))
 
     return [f"--xi={','.join(map(repr, xi.tolist()))}"], codes, oracle
+
+
+def _a1_limit_law(kind, nu, n, t):
+    """The A1 (nu)^n limit density of `kind` at the default epsilon 1/n, in closed form, and its coordinate.
+
+    Returns (density, scaled): density maps an (m, 1) array of points to
+    the law's density there, and scaled maps a weight lambda to the
+    coordinate limit-compare bins it at.  The weights of V(nu) pair with t
+    as m y, m = nu, nu - 2, ..., -nu, where y = |t| is t's root coordinate.
+    """
+    m = np.arange(nu, -nu - 1, -2.0)
+    if kind == "gaussian":
+        p = np.exp(m * abs(t) - nu * abs(t))
+        p /= p.sum()
+        mean = float(p @ m)
+        k = 4.0 / float(p @ (m - mean) ** 2)  # K = B H^-1 B, H = Var(m) at tau = 1
+        return (lambda a: math.sqrt(k / (2 * math.pi)) * np.exp(-0.5 * k * a[:, 0] ** 2),
+                lambda lam: (lam - n * mean) / (2 * math.sqrt(n)))
+    x = nu * (nu + 2) / 6  # Hess f(0) = x B: c2(nu) / dim g at tau = 1
+    u = abs(t) * math.sqrt(n * x)
+
+    def density(pts):  # (4 / sqrt(pi)) b^2 e^{-b^2}, or (b / (sqrt(pi) u)) (e^{-(b - u)^2} - e^{-(b + u)^2}), b > 0
+        b = np.maximum(pts[:, 0], 0.0)
+        if kind == "plancherel":
+            return 4 / math.sqrt(math.pi) * b * b * np.exp(-b * b)
+        return 2 / math.sqrt(math.pi) * b * np.exp(-b * b - u * u) * np.sinh(2 * b * u) / u
+
+    return density, lambda lam: (lam + 1) / (2 * math.sqrt(n * x))  # (lambda + rho) sqrt(eps / x)
+
+
+def _limit_compare(algebra, rep, n, kind, t, fails=False):
+    """The argv, exit codes and oracle of a limit-compare call; t is in root coordinates, None at t = 0.
+
+    plancherel takes t = 0 and the other kinds a nonzero t, else the call
+    is a domain error, as it is when it fails.  At A1 the printed tv must
+    equal the tv of the exact measure against the closed-form limit
+    density (_a1_limit_law), integrated by the same cell rule on the grid
+    the call binned on; at higher rank both masses must be within
+    _COVERAGE_TOL of 1.
+    """
+    argv = ["limit-compare", "--no-cache", "--algebra", algebra, "--rep", rep, "--power", str(n), "--kind", kind]
+    if t is not None:
+        argv.append(f"--t={','.join(map(repr, t))}")
+
+    def oracle(out):
+        payload = json.loads(out)
+        if algebra != "A1":
+            for mass in ("exact_mass_in_grid", "limit_mass_in_grid"):
+                assert abs(payload[mass] - 1.0) <= measures._COVERAGE_TOL
+            return
+        with mock.patch.object(measures, "cell_integrals", wraps=measures.cell_integrals) as spy:
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(argv)
+        (edges,) = spy.call_args.args[1]
+        density, scaled = _a1_limit_law(kind, int(rep), n, 0.0 if t is None else t[0])
+        exact = evolve_exact(build_root_system("A1"), (int(rep),), t, n).probabilities()
+        points = np.array([scaled(lam) for (lam,) in exact])
+        P = np.histogram(points, bins=edges, weights=list(exact.values()))[0]
+        Q = measures.cell_integrals(density, [edges])[0]
+        tv = 0.5 * (np.sum(np.abs(P - Q)) + (1.0 - P.sum()) + max(0.0, 1.0 - Q.sum()))
+        assert abs(payload["tv"] - tv) <= 1e-9
+
+    return argv, {0} if (kind == "plancherel") == (t is None) and not fails else {2}, oracle
+
+
+def _limit_compare_call(draw, algebra, rs, text, n):
+    """A limit-compare call of any kind at t zero, on a wall, small or regular."""
+    scale = draw(st.sampled_from([0.0, 0.05, 1.0]))
+    pairings = [draw(st.floats(0.05, 1.0)) * scale for _ in range(rs.rank)]
+    if scale and draw(st.booleans()):
+        pairings[draw(st.integers(0, rs.rank - 1))] = 0.0  # a wall; t = 0 at A1
+    t = tuple(np.linalg.solve(rs.B_f, pairings).tolist()) if any(pairings) else None
+    return _limit_compare(algebra, text, n, draw(st.sampled_from(["plancherel", "gaussian", "intermediate"])), t)
 
 
 def _pde_check(draw, rs, n):
@@ -743,7 +815,8 @@ def _cli_calls(draw):
     --criteria entry that names no criterion, so no criterion runs.  A
     quarter of the other calls carry a flag of another command: exit 1.
     """
-    command = draw(st.sampled_from(["measure", "sample", "asymptotic", "pde-check", "hook-check", "selftest"]))
+    command = draw(st.sampled_from(["measure", "sample", "asymptotic", "pde-check", "hook-check", "selftest",
+                                    "limit-compare"]))
     if command == "selftest":
         known = sorted(acceptance.ALL_CRITERIA)
         entries = draw(st.lists(st.sampled_from(known), max_size=3))
@@ -758,7 +831,7 @@ def _cli_calls(draw):
         max_power = draw(st.sampled_from([1, 2, 3, 4, 0, -1]))
         argv, codes, oracle = ["hook-check", "--max-power", str(max_power)], {0} if max_power >= 1 else {2}, _hook_check_oracle
     else:
-        algebra = draw(st.sampled_from(sorted(_PROPERTY_REPS)))
+        algebra = draw(st.sampled_from(["A1", "A2"] if command == "limit-compare" else sorted(_PROPERTY_REPS)))
         rs = build_root_system(algebra)
         large = algebra in _PROPERTY_LARGE_REPS and draw(st.integers(0, 4)) == 0
         text = _PROPERTY_LARGE_REPS[algebra] if large else draw(st.sampled_from(_PROPERTY_REPS[algebra]))
@@ -771,6 +844,8 @@ def _cli_calls(draw):
         elif command == "pde-check":
             tail, codes, oracle = _pde_check(draw, rs, n)
             argv += tail
+        elif command == "limit-compare":
+            argv, codes, oracle = _limit_compare_call(draw, algebra, rs, text, n)
         else:
             # the scale of t's pairings with the simple roots
             kind = draw(st.sampled_from(["zero", "wall", "tiny", "regular", "huge"]))
@@ -802,6 +877,10 @@ def _tv_by_weight(empirical, exact):
 
 @settings(max_examples=100)
 @given(call=_cli_calls())
+# small t: of the intermediate density's 210 points past their float bound, 89 take the mixed tier and 121 decimal
+@example(call=_limit_compare("A1", "1", 8, "intermediate", (1e-9,)))
+# past the decimal cap: 155120 decimal coset terms
+@example(call=_limit_compare("B2", "0,1", 40, "intermediate", (0.002, 0.001), fails=True))
 def test_cli_answers_correctly_or_fails_in_one_line(call):
     argv, codes, oracle = call
     out, err = io.StringIO(), io.StringIO()
@@ -1283,14 +1362,35 @@ def test_sample_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "95481efccbe67ef4ca395f1df79bbcd4b26ef2f62fff657b5e15a511a5dde506"
 
 
-def _last_line_of(code: str) -> str:
-    """Run code in a fresh interpreter on this checkout's package; the last line it prints."""
+def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    """Run python with args in a fresh interpreter on this checkout's package."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def _last_line_of(code: str) -> str:
+    """Run code in a fresh interpreter on this checkout's package; the last line it prints."""
+    proc = _fresh_interpreter("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the top weight times 1 + 1e-3: the dual solve's line search stalled first (exit 3)
+        ["--algebra", "A2", "--rep", "1,0", "--power", "4", "--xi=0.6673333333333332,0.3336666666666666"],
+        # past 1e154 the solve's norms overflowed: four RuntimeWarnings came before the error line
+        ["--algebra", "A1", "--rep", "1", "--power", "2", "--xi=1e200"],
+    ],
+    ids=["just-outside", "huge"],
+)
+def test_asymptotic_xi_off_the_polytope_is_one_domain_error(argv):
+    proc = _fresh_interpreter("-W", "error", "-m", "tensorstat.cli", "asymptotic", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: xi outside Legendre domain: it lies off the weight polytope of the product\n"
 
 
 def test_sample_does_not_import_numpy_ma():

@@ -13,6 +13,7 @@ from tensorstat import (
     LegendreDomainError,
     asymptotic_log_multiplicity,
     build_root_system,
+    charalg,
     enumerate_weyl_group,
     f_eval,
     f_grad_hess,
@@ -200,38 +201,60 @@ def _e6_points(rs):
     return np.linalg.solve(rs.B_f, np.abs(np.random.default_rng(1).standard_normal((6, 5)))).T[1:4]
 
 
+def _weight_points(*rows):
+    """Chamber points given by their weight coordinates, as a function of the root system."""
+    return lambda rs: np.array(rows, dtype=float) @ rs.cartan_inv_f.T
+
+
+# the u pairings of a G2 (1,0)^16 comparison at t = (0.05, 0.04)
+_G2_U = (0.03023716, 0.04031621)
+
+
 @pytest.mark.parametrize(
-    "name, points, u_pairings",
+    "name, points, u_pairings, tier",
     [
         # the 6480-term float coset sum cancels by up to 1e39: it read 1.8e3, 9.4e9 and 1.8e10 here
-        ("E6", _e6_points, (0, 0, 0.1, 0.1, 0, 0.2)),
-        # a limit-compare point of G2 (1,0)^16 at t = (0.05, 0.04): S = 1.2e-7 from twelve terms near 1
-        # carried a float error of 5.6e-10, past the long-double bound too
-        ("G2", lambda rs: np.array([[2.6457513110645907, 4.630064794363033]]), (0.03023716, 0.04031621)),
+        ("E6", _e6_points, (0, 0, 0.1, 0.1, 0, 0.2), "decimal"),
+        # a point of that comparison: S = 1.2e-7 from twelve terms near 1 carried a float error of 5.6e-10,
+        # past the long-double bound too
+        ("G2", lambda rs: np.array([[2.6457513110645907, 4.630064794363033]]), _G2_U, "decimal"),
+        # points past their float bound that the mixed tier admits, with some of their terms kept in float
+        ("G2", _weight_points((0.5, 1.0), (0.5, 3.0), (1.0, 1.5), (1.5, 1.0), (2.0, 0.5)), (0.1, 0.15), "mixed"),
+        ("B2", _weight_points((1.5, 1.5), (2.0, 1.0), (3.0, 0.5)), (0.05, 0.1), "mixed"),
     ],
-    ids=["E6", "G2"],
+    ids=["E6", "G2", "G2-mixed", "B2-mixed"],
 )
-def test_intermediate_density_at_small_u_is_certified(monkeypatch, name, points, u_pairings):
+def test_intermediate_density_at_small_u_is_certified(monkeypatch, name, points, u_pairings, tier):
     rs = build_root_system(AlgebraSpec.parse(name))
     pts, u = points(rs), _with_pairings(rs, u_pairings)
-    decimal_sums, digits = legendre._decimal_coset_sums, []
-
-    def wider_sums(par, pair, lams, n):  # the digits the bound asks for, then 30 more on the second call
-        digits.append(n)
-        return decimal_sums(par, pair, lams, n + 30 * (len(digits) > 1))
-
-    monkeypatch.setattr(legendre, "_decimal_coset_sums", wider_sums)
+    decimal_sums, mixed_sums = legendre._decimal_coset_sums, legendre._mixed_coset_sums
+    terms_at = charalg._coset_terms_at
+    decimal_rows, wide_terms = [], []
+    monkeypatch.setattr(legendre, "_decimal_coset_sums",
+                        lambda par, pair, lams, n: decimal_rows.append(len(lams)) or decimal_sums(par, pair, lams, n))
+    monkeypatch.setattr(charalg, "_coset_terms_at",
+                        lambda par, q, lams, cols: wide_terms.append(len(cols)) or terms_at(par, q, lams, cols))
     dens = limit_density(rs, "intermediate", pts, u=u)
-    assert digits, "the float and long-double bounds admit every point"
+    long_double = charalg._EPS_EXT < charalg._EPS  # else the mixed tier is skipped
+    assert bool(decimal_rows) == (tier == "decimal" or not long_double)
+    if tier == "mixed" and long_double:
+        # the long-double pass forms the wide terms only, not the whole rows x cosets block
+        cosets = len(charalg._parabolic(rs.spec, (False,) * rs.rank).sign)
+        assert 0 < sum(wide_terms) < len(pts) * cosets
     # 1 <= I(b, u) <= e^{(b, u)} for the orbital integral I = p e^{|u|^2/2} / (Plancherel density)
     low = limit_density(rs, "plancherel", pts) * math.exp(-0.5 * float(u @ rs.B_f @ u))
     assert np.all(low <= dens * (1 + 1e-10)) and np.all(dens <= low * np.exp(pts @ rs.B_f @ u) * (1 + 1e-10))
-    # 30 more digits move no value past the budget of max(p, G_u), G_u the unit Gaussian centred at u
+    # the reference: every point past its float bound summed in decimal, 30 digits past what its bound asks
+    # (a rest of inf in the mixed tier's bound admits no row there)
+    monkeypatch.setattr(legendre, "_mixed_coset_sums", lambda *args: mixed_sums(*args[:-1], np.inf))
+    monkeypatch.setattr(legendre, "_decimal_coset_sums",
+                        lambda par, pair, lams, n: decimal_sums(par, pair, lams, n + 30))
     wider = limit_density(rs, "intermediate", pts, u=u)
     d = pts - u
     g_u = np.exp(-0.5 * np.einsum("ij,jk,ik->i", d, rs.B_f, d))
     g_u *= math.sqrt(np.linalg.det(rs.B_f) / (2 * math.pi) ** rs.rank)
-    assert np.all(np.abs(dens - wider) <= 2e-11 * np.maximum(wider, g_u))
+    # no value is past the budget of max(p, G_u), G_u the unit Gaussian centred at u
+    assert np.all(np.abs(dens - wider) <= 1e-11 * np.maximum(wider, g_u))
 
 
 def test_limit_density_input_validation():
@@ -410,7 +433,10 @@ def test_each_row_of_a_mixed_batch_keeps_its_own_status():
         assert np.isnan(rows.log_prefactor[i])
         with pytest.raises(LegendreDomainError) as err:
             rate_point(p, xi[i])
+        # the one-row view refuses a point off the polytope before its solve; the edge point keeps its row's error
         cls, message = legendre._ROW_ERRORS[rows.status[i]]
+        if i < 4:
+            message = "xi outside Legendre domain: it lies off the weight polytope of the product"
         assert type(err.value) is cls and str(err.value) == message
     # a stalled or unfinished solve is a ConvergenceError, in the view too
     with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
