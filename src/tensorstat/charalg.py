@@ -789,6 +789,56 @@ def _mixed_coset_sums(par: _Parabolic, pair, shifted, terms, mags, contrib, inv_
     return ext, totals, term_err * inv_low[ext] + rest[ext], bound_ext
 
 
+def _brauer_klimyk(rs: RootSystem, xt: np.ndarray, reflected: int, values, mults: np.ndarray, by_source=False):
+    """The Brauer-Klimyk sum: each x + rho reflected into the chamber, signed values summed per target.
+
+    xt: (r, m) int64 x + rho per term, column-major; its first `reflected` columns may leave
+    the chamber and are reflected in place.  Term p = j n + i (n = len(values)) carries
+    values[i] mults[j] times its parity; singular terms cancel.  Returns (sources, targets,
+    sums): the nonzero sums per target dom - rho, sorted by target (by source index i first
+    with by_source, else sources is None).  A negative sum is an InternalConsistencyError,
+    checked unless every coefficient is positive, when no sum can fall to 0 or below.
+    """
+    n = len(values)
+    if reflected:
+        parity = dominant_reflect_rows(rs, xt[:, :reflected].T)  # in place, on a view
+    # singular terms cancel
+    regular = xt[0] > 0
+    for column in xt[1:]:
+        regular &= column > 0
+    pos = np.flatnonzero(regular)
+    if not len(pos):
+        return (pos if by_source else None), xt[:, :0].T, values[:0]
+    order, starts = row_runs(np.take(xt, pos, axis=1).T, pos % n if by_source else None)
+    pos = pos[order]
+    src = pos % n
+    terms = values[src]
+    d = mults.tolist()  # read at each sum: the sign check follows the multiplicities in use
+    checked = reflected or min(d) <= 0
+    if checked or max(d) != 1:
+        coef = np.repeat(mults, n)
+        if reflected:
+            coef[:reflected] *= parity
+        coef = coef[pos]
+        scaled = np.flatnonzero(coef != 1)  # most terms are unreflected weights of multiplicity 1
+        terms[scaled] *= coef[scaled]
+    sums = np.add.reduceat(terms, starts)
+    if checked:
+        positive = sums > 0
+        if not positive.all():
+            if np.any(sums < 0):
+                i = int(np.argmax(sums < 0))
+                target = tuple((xt[:, pos[starts[i]]] - 1).tolist())
+                raise InternalConsistencyError(f"negative multiplicity {sums[i]} at {target}")
+            starts, sums = starts[positive], sums[positive]
+    return (src[starts] if by_source else None), np.take(xt, pos[starts], axis=1).T - 1, sums
+
+
+def _reflection_reach(rs: RootSystem) -> int:
+    """(h - 1) max|C|, h the Coxeter number: reflecting x into the chamber keeps |x_j| within this times max|x|."""
+    return (2 * rs.n_positive // rs.rank - 1) * int(np.abs(rs.cartan_int).max())
+
+
 class Branching:
     """Branching numbers b(lam, mu) of V(lam) (x) V(nu) for one factor nu.
 
@@ -808,8 +858,8 @@ class Branching:
     whose coefficients sum to at most h - 1 in absolute value
     (h = 2 |Phi+| / r, the Coxeter number); a reflection step also forms
     a coordinate times a Cartan entry.  So (max(lam) + S) (h - 1) max|C|
-    < 2^63 keeps every value exact, and without reflection
-    max(lam) + S < 2^63 does.
+    < 2^63 keeps every value exact (_reflection_reach), and without
+    reflection max(lam) + S < 2^63 does.
     """
 
     def __init__(self, rs: RootSystem, nu):
@@ -819,10 +869,7 @@ class Branching:
         self._shifts = np.array([mu for mu, _ in weights], dtype=np.int64).reshape(len(weights), rs.rank).T + 1
         self._mults = np.array([d for _, d in weights], dtype=np.int64)
         self._reflecting = sum(min(mu) < -1 for mu, _ in weights)  # the weights whose terms may reflect
-        reach = 1
-        if self._reflecting:
-            coxeter = 2 * rs.n_positive // rs.rank
-            reach = (coxeter - 1) * int(np.abs(rs.cartan_int).max())
+        reach = _reflection_reach(rs) if self._reflecting else 1
         self._key_limit = (2**63 - 1) // reach - int(np.abs(self._shifts).max())
 
     def fold(self, keys: np.ndarray, values: np.ndarray, by_source: bool = False):
@@ -830,60 +877,24 @@ class Branching:
 
         keys: (n, r) int64 dominant weights; values: (n,) positive ints,
         int64 or Python ints in an object array (kept exact).  Returns
-        (sources, targets, sums): the nonzero sums, sorted by target; with
-        by_source they are summed per (source index, target) and sorted by
-        both, else sources is None.
+        _brauer_klimyk's (sources, targets, sums).
 
         The terms are laid out weight-major, term p = j n + i pairing
         weight j with source i, so the terms of one weight come in the
         order of keys: sorted keys leave one sorted run per weight for the
         stable sort of row_runs to merge.  Only the block of weights that
-        may reflect is reflected.  When every coefficient the fold uses is
-        positive, no sum of positive values can fall to 0 or below, and the
-        check for a negative multiplicity is skipped; it runs otherwise.
+        may reflect is reflected.
         """
         r = self.rs.rank
-        n, mults = len(keys), self._mults
+        n = len(keys)
         if n and keys.max() > self._key_limit:
             raise DomainError(
                 f"weight coordinate {int(keys.max())} is past {self._key_limit}: "
                 "the terms of this fold or their reflections could leave int64"
             )
         # (r, terms), column-major throughout: NumPy loops over a short last axis slowly
-        xt = (np.ascontiguousarray(keys.T)[:, None] + self._shifts[:, :, None]).reshape(r, len(mults) * n)
-        reflected = n * self._reflecting
-        if reflected:
-            parity = dominant_reflect_rows(self.rs, xt[:, :reflected].T)  # in place, on a view
-        # singular terms cancel
-        regular = xt[0] > 0
-        for column in xt[1:]:
-            regular &= column > 0
-        pos = np.flatnonzero(regular)
-        if not len(pos):
-            return (pos if by_source else None), xt[:, :0].T, values[:0]
-        order, starts = row_runs(np.take(xt, pos, axis=1).T, pos % n if by_source else None)
-        pos = pos[order]
-        src = pos % n
-        terms = values[src]
-        d = mults.tolist()  # read at each fold: the sign check follows the multiplicities in use
-        checked = reflected or min(d) <= 0
-        if checked or max(d) != 1:
-            coef = np.repeat(mults, n)
-            if reflected:
-                coef[:reflected] *= parity
-            coef = coef[pos]
-            scaled = np.flatnonzero(coef != 1)  # most terms are unreflected weights of multiplicity 1
-            terms[scaled] *= coef[scaled]
-        sums = np.add.reduceat(terms, starts)
-        if checked:
-            positive = sums > 0
-            if not positive.all():
-                if np.any(sums < 0):
-                    i = int(np.argmax(sums < 0))
-                    target = tuple((xt[:, pos[starts[i]]] - 1).tolist())
-                    raise InternalConsistencyError(f"negative multiplicity {sums[i]} at {target}")
-                starts, sums = starts[positive], sums[positive]
-        return (src[starts] if by_source else None), np.take(xt, pos[starts], axis=1).T - 1, sums
+        xt = (np.ascontiguousarray(keys.T)[:, None] + self._shifts[:, :, None]).reshape(r, len(self._mults) * n)
+        return _brauer_klimyk(self.rs, xt, n * self._reflecting, values, self._mults, by_source)
 
 
 def klimyk_tensor_step(rs: RootSystem, table: dict[Weight, int], nu) -> dict[Weight, int]:
@@ -970,26 +981,118 @@ class DecompositionTable(_DecompositionTableFields):
         )
 
 
+@lru_cache(maxsize=256)
+def _ehrhart(spec, nu: Weight) -> tuple[int, ...]:
+    """Differences D_j at 0 of L(k), the number of weights of V(nu)^(x)k, so L(n) = sum_j C(n, j) D_j.
+
+    The weights are the lattice points of k conv(W nu) - k w0 nu, a lattice polytope: L is its
+    Ehrhart polynomial, of degree r, so the sizes of the k-fold sums of weights for k <= r fix it.
+    """
+    r = spec.rank
+    mu = np.array(list(weight_multiplicities(build_root_system(spec), nu).multiplicities), dtype=np.int64)
+    sums, counts = np.zeros((1, r), dtype=np.int64), [1]
+    for _ in range(r):
+        sums = (sums[:, None] + mu).reshape(-1, r)
+        order, starts = row_runs(sums)
+        sums = sums[order[starts]]
+        counts.append(len(sums))
+    return tuple(int(np.diff(counts, j)[0]) for j in range(r + 1))
+
+
+def _recurrence_pays(rs: RootSystem, nu: Weight, n: int) -> bool:
+    """Whether Miller's recurrence and one Brauer-Klimyk sum cost less than n folds, a priori.
+
+    With w the weights of V(nu), fold k has about L(k - 1) / |W| sources (_ehrhart) of w terms;
+    the recurrence has L(n) points of w terms and |Phi+| reflection levels, a fixed cost per
+    height level and one per call.  Past _EHRHART_ROWS k-fold sums, L is not counted.
+    """
+    weights = len(weight_multiplicities(rs, nu).multiplicities)
+    if n < 2 or math.comb(weights + rs.rank - 1, rs.rank) > _EHRHART_ROWS:
+        return False
+    # sum_{k<n} L(k), L(n); and the height of n (nu - w0 nu), 2 n ht(nu) as -w0 permutes the simple roots
+    sums, points = (sum(math.comb(n, j + i) * d for j, d in enumerate(_ehrhart(rs.spec, nu))) for i in (1, 0))
+    levels = n * (2 * int(rs.root_numerators([nu]).sum()) // rs.cartan_inverse_int[0])
+    recurrence = _CALL_NS + _LEVEL_NS * levels + _POINT_NS * points * (weights + rs.n_positive)
+    return recurrence < _FOLD_TERM_NS * weights * sums // weyl_group_order(rs.spec) + _FOLD_NS * n
+
+
+# the gate's costs in ns, fitted on 2 cores (Python 3.11, NumPy 2.4), ints so that no power overflows
+# them: per fold term, per fold, per recurrence point and term or reflection level, per height level,
+# per call; and its count cap
+_FOLD_TERM_NS, _FOLD_NS, _POINT_NS, _LEVEL_NS, _CALL_NS = 70, 50_000, 150, 20_000, 500_000
+_EHRHART_ROWS = 2**12
+
+
+def _power_weights(rs: RootSystem, nu: Weight, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """K_N: the (r, P) int64 weights of V(nu)^(x)n, column-major, and their multiplicities (object ints).
+
+    Miller's recurrence for a power of a polynomial (Knuth, TAOCP 2, 4.7): P D(P^n) = n D(P) P^n,
+    P = sum m(mu) e^mu and D the derivative along the height h, reads at s = tau - n mu0 in root
+    coordinates, mu0 the lowest weight and nu_j = mu_j - mu0 >= 0,
+      m(mu0) h(s) K(s) = sum_{nu_j != 0} m_j ((n + 1) h(nu_j) - h(s)) K(s - nu_j).
+    One exact pass per height level, over level k - 1's points plus a simple root, keeps the s with
+    K(s) != 0; a remainder is an InternalConsistencyError.  K lives in a box padded so that every
+    s - nu_j stays in it.  Weights whose reflections (_reflection_reach) or box index could leave
+    int64 are a DomainError.
+    """
+    ws = weight_multiplicities(rs, nu).multiplicities
+    mu, mults = np.array(list(ws), dtype=np.int64).reshape(len(ws), rs.rank), list(ws.values())
+    num = rs.root_numerators(mu)
+    low = int(np.argmin(num.sum(axis=1)))
+    rc = (num - num[low]) // rs.cartan_inverse_int[0]
+    top = rc.max(axis=0).tolist()  # nu - mu0
+    dims = [(n + 1) * t + 2 for t in top]  # t of padding below, n t of box, one candidate above
+    if n * int(np.abs(mu).max()) + 1 > (2**63 - 1) // _reflection_reach(rs) or math.prod(dims) >= 2**63:
+        raise DomainError(f"the weights of V{nu}^(x){n} or their reflections could leave int64")
+    strides = np.cumprod([1] + dims[:0:-1])[::-1]
+    terms = [(o, m, h) for o, m, h in zip((rc @ strides).tolist(), mults, rc.sum(axis=1).tolist()) if h]
+    K = np.zeros(math.prod(dims), dtype=object)
+    levels = [np.array([int(np.dot(top, strides))])]
+    K[levels[0]] = 1
+    for k in range(1, n * sum(top) + 1):
+        cand = (levels[-1][:, None] + strides).ravel()
+        cand = np.unique(cand) if rs.rank > 1 else cand
+        acc = sum(K[cand - o] * (m * ((n + 1) * h - k)) for o, m, h in terms)
+        q = acc // (k * mults[low])  # m(mu0) = 1 in an irreducible; else the remainders show it
+        if np.any(q * (k * mults[low]) != acc):
+            raise InternalConsistencyError(f"Miller's recurrence left a remainder at height {k} of V{nu}^(x){n}")
+        levels.append(cand[q != 0])
+        K[levels[-1]] = q[q != 0]
+    idx = np.concatenate(levels)
+    s = np.array(np.unravel_index(idx, dims)) - np.array(top)[:, None]
+    return rs.cartan_int @ s + n * mu[low][:, None], K[idx]
+
+
 def tensor_power_decompose(
     rs: RootSystem, factors, entry_cap: int = 5_000_000
 ) -> DecompositionTable:
     """Decompose a product of tensor powers of irreducibles, exactly.
 
-    factors: sequence of (highest weight, power) pairs.  One fold of
-    that factor's Branching per applied factor; the table never holds
-    anything but exact highest weight multiplicities.
+    factors: sequence of (highest weight, power) pairs.  Where _recurrence_pays, the first
+    power is one Brauer-Klimyk sum m_lam = sum_w eps(w) K_N(w(lam + rho) - rho) over its
+    weights (_power_weights), refused first if they number over |W| entry_cap.  Otherwise,
+    and for every other factor, one Branching fold per factor applied.  The table never
+    holds anything but exact highest weight multiplicities.
     """
     problem = _factors(rs, factors)
     keys = np.zeros((1, rs.rank), dtype=np.int64)
     values = np.array([1], dtype=object)
-    for nu, n in problem:
+    folds = problem
+    if problem and _recurrence_pays(rs, *problem[0]):
+        (nu, n), folds = problem[0], problem[1:]
+        points = sum(math.comb(n, j) * d for j, d in enumerate(_ehrhart(rs.spec, nu)))
+        if points > weyl_group_order(rs.spec) * entry_cap:
+            raise EntryCapExceededError(f"V{nu}^(x){n} has {points} weights, past |W| x {entry_cap}")
+        x, K = _power_weights(rs, nu, n)
+        _, keys, values = _brauer_klimyk(rs, x + 1, x.shape[1], K, np.ones(1, dtype=np.int64))
+        if len(keys) > entry_cap:
+            raise EntryCapExceededError(f"decomposition support exceeded {entry_cap} entries")
+    for nu, n in folds:
         branching = Branching(rs, nu)
         for _ in range(n):
             _, keys, values = branching.fold(keys, values)
             if len(keys) > entry_cap:
-                raise EntryCapExceededError(
-                    f"decomposition support exceeded {entry_cap} entries"
-                )
+                raise EntryCapExceededError(f"decomposition support exceeded {entry_cap} entries")
     entries = dict(zip(map(tuple, keys.tolist()), values.tolist()))
     return DecompositionTable(algebra=str(rs.spec), problem=problem, entries=entries)
 

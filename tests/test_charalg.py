@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -574,17 +575,101 @@ def test_factor_order_is_immaterial():
     assert dict(a.entries) == dict(b.entries)
 
 
+def _decompose_by(rs, factors, recurrence, **kwargs):
+    """tensor_power_decompose with its path forced: Miller's recurrence for the first factor, or folds only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charalg, "_recurrence_pays", lambda rs, nu, n: recurrence)
+        return tensor_power_decompose(rs, factors, **kwargs)
+
+
 def test_entry_cap_enforced():
     rs = build_root_system(AlgebraSpec.parse("A2"))
-    with pytest.raises(EntryCapExceededError):
-        tensor_power_decompose(rs, [((1, 0), 30)], entry_cap=10)
-    # the cap counts the nonzero support: a cap equal to it passes
-    full = tensor_power_decompose(rs, [((1, 1), 12)]).entries
-    assert all(m > 0 for m in full.values())
-    capped = tensor_power_decompose(rs, [((1, 1), 12)], entry_cap=len(full))
-    assert capped.entries == full
-    with pytest.raises(EntryCapExceededError):
-        tensor_power_decompose(rs, [((1, 1), 12)], entry_cap=len(full) - 1)
+    for recurrence in (False, True):
+        with pytest.raises(EntryCapExceededError):
+            _decompose_by(rs, [((1, 0), 30)], recurrence, entry_cap=10)
+        # the cap counts the nonzero support: a cap equal to it passes
+        full = _decompose_by(rs, [((1, 1), 12)], recurrence).entries
+        assert all(m > 0 for m in full.values())
+        capped = _decompose_by(rs, [((1, 1), 12)], recurrence, entry_cap=len(full))
+        assert capped.entries == full
+        with pytest.raises(EntryCapExceededError):
+            _decompose_by(rs, [((1, 1), 12)], recurrence, entry_cap=len(full) - 1)
+
+
+# per algebra: the highest weights drawn, and the largest power of each factor
+POWER_PATH_FACTORS = {
+    "A1": ([(1,), (2,), (3,)], 12),
+    "A2": ([(1, 0), (0, 1), (1, 1)], 6),
+    "B2": ([(1, 0), (0, 1)], 6),
+    "G2": ([(1, 0), (0, 1)], 4),
+    "B3": ([(1, 0, 0), (0, 0, 1)], 3),
+}
+
+
+@given(data=st.data())
+def test_the_recurrence_and_the_folds_give_one_table(data):
+    # one or two factors: with two, the recurrence builds the first table and the second is folded onto it
+    algebra = data.draw(st.sampled_from(sorted(POWER_PATH_FACTORS)), label="algebra")
+    reps, top = POWER_PATH_FACTORS[algebra]
+    factors = data.draw(
+        st.lists(st.tuples(st.sampled_from(reps), st.integers(0, top)), min_size=1, max_size=2), label="factors"
+    )
+    rs = build_root_system(AlgebraSpec.parse(algebra))
+    by_recurrence = _decompose_by(rs, factors, True)
+    folded = _decompose_by(rs, factors, False)
+    assert list(by_recurrence.entries.items()) == list(folded.entries.items())
+
+
+@pytest.mark.parametrize(
+    "algebra, nu, power, recurrence",
+    [
+        ("A1", (1,), 1200, True),  # the cli-exact headline
+        ("A2", (1, 0), 1000, True),
+        # the session-t-sweep, cli-sample and cli-exact tables, where the folds cost less
+        ("A2", (1, 0), 36, False),
+        ("A2", (1, 0), 60, False),
+        ("G2", (1, 0), 9, False),
+        ("B3", (1, 0, 0), 10, False),
+        ("B3", (1, 0, 0), 12, False),
+        ("F4", (0, 0, 0, 1), 5, False),
+        ("A2", (1, 1), 34, False),
+        ("G2", (1, 0), 28, False),
+    ],
+)
+def test_the_gate_picks_the_cheaper_path(algebra, nu, power, recurrence):
+    assert charalg._recurrence_pays(build_root_system(AlgebraSpec.parse(algebra)), nu, power) is recurrence
+
+
+@pytest.mark.parametrize(
+    "algebra, nu",
+    [("A1", (2,)), ("A2", (1, 1)), ("B2", (0, 1)), ("G2", (1, 0)), ("A3", (1, 0, 1)), ("C3", (0, 1, 0)), ("D4", (0, 0, 0, 1))],
+)
+def test_the_weight_count_of_a_power_is_ehrharts_polynomial(algebra, nu):
+    # the a-priori entry cap and the gate read L(n) from k <= r; the recurrence's points are the weights
+    rs = build_root_system(AlgebraSpec.parse(algebra))
+    diffs = charalg._ehrhart(rs.spec, nu)
+    for n in range(8):
+        assert sum(math.comb(n, j) * d for j, d in enumerate(diffs)) == len(charalg._power_weights(rs, nu, n)[1])
+
+
+def test_a_remainder_in_millers_recurrence_is_a_consistency_error(monkeypatch):
+    # the lowest weight of an irreducible has multiplicity 1; at 2, K would be (P / 2)^3, and 3 / 2 at height 1
+    corrupt = types.SimpleNamespace(multiplicities={(1,): 1, (-1,): 2})  # a corrupt weight system
+    monkeypatch.setattr(charalg, "weight_multiplicities", lambda rs, nu: corrupt)
+    with pytest.raises(InternalConsistencyError, match="remainder at height 1"):
+        charalg._power_weights(build_root_system(AlgebraSpec.parse("A1")), (1,), 3)
+
+
+@pytest.mark.parametrize(
+    "algebra, nu, power",
+    [
+        ("A1", (1,), 2**62),  # a weight coordinate whose reflections pass 2^63
+        ("A2", (1, 0), 2**32),  # a box of (2^32 + 3)^2 points
+    ],
+)
+def test_the_recurrence_refuses_int64_overflow_before_it_allocates(algebra, nu, power):
+    with pytest.raises(DomainError, match="int64"):
+        charalg._power_weights(build_root_system(AlgebraSpec.parse(algebra)), nu, power)
 
 
 def test_decomposition_json_roundtrip():

@@ -1479,3 +1479,21 @@ def test_a_rank_2_weight_system_past_the_dominant_weight_gate_exits_2_at_once(ca
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "more than 4096 dominant weights" in captured.err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "algebra, rep, power",
+    [("A1", "1", "100000000"), ("A2", "1,0", "100000000"), ("A2", "1,0", "1" + "0" * 200)],
+    ids=["A1", "A2", "A2-10^200"],
+)
+def test_a_power_far_past_the_entry_cap_exits_2_at_once(capsys, algebra, rep, power):
+    # the recurrence counts the weights of the power before it builds them, where n folds would run for
+    # hours; the gate weighs its costs in ints, which no power overflows
+    start = time.perf_counter()
+    code = main(["decompose", "--algebra", algebra, "--rep", rep, "--power", power, "--no-cache"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "past |W| x 5000000" in captured.err
+    assert elapsed < 1.0
