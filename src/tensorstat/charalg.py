@@ -1068,18 +1068,19 @@ def tensor_power_decompose(
 ) -> DecompositionTable:
     """Decompose a product of tensor powers of irreducibles, exactly.
 
-    factors: sequence of (highest weight, power) pairs.  Where _recurrence_pays, the first
-    power is one Brauer-Klimyk sum m_lam = sum_w eps(w) K_N(w(lam + rho) - rho) over its
-    weights (_power_weights), refused first if they number over |W| entry_cap.  Otherwise,
-    and for every other factor, one Branching fold per factor applied.  The table never
-    holds anything but exact highest weight multiplicities.
+    factors: sequence of (highest weight, power) pairs.  The first power, in the given order,
+    that _recurrence_pays for is one Brauer-Klimyk sum m_lam = sum_w eps(w) K_N(w(lam + rho)
+    - rho) over its weights (_power_weights), refused first if they number over |W| entry_cap.
+    Every other factor is one Branching fold per factor applied, in the given order.  The
+    table never holds anything but exact highest weight multiplicities.
     """
     problem = _factors(rs, factors)
     keys = np.zeros((1, rs.rank), dtype=np.int64)
     values = np.array([1], dtype=object)
     folds = problem
-    if problem and _recurrence_pays(rs, *problem[0]):
-        (nu, n), folds = problem[0], problem[1:]
+    first = next((i for i, factor in enumerate(problem) if _recurrence_pays(rs, *factor)), None)
+    if first is not None:
+        (nu, n), folds = problem[first], problem[:first] + problem[first + 1 :]
         points = sum(math.comb(n, j) * d for j, d in enumerate(_ehrhart(rs.spec, nu)))
         if points > weyl_group_order(rs.spec) * entry_cap:
             raise EntryCapExceededError(f"V{nu}^(x){n} has {points} weights, past |W| x {entry_cap}")

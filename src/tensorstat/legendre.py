@@ -586,9 +586,10 @@ def limit_density(
         if K is None:
             raise DomainError("gaussian density needs the precision matrix K")
         K = np.asarray(K, dtype=float)
-        sign, logdet = np.linalg.slogdet(K)
-        if sign <= 0:
+        # slogdet's sign is +1 for -I in even rank: definiteness is the smallest eigenvalue's sign
+        if not np.linalg.eigvalsh(K)[0] > 0:
             raise DomainError("K must be positive definite")
+        logdet = np.linalg.slogdet(K)[1]
         in0 = stabilizer_roots(rs, wall)
         v = rs.pos_pairing_f[in0]  # row alpha: a -> (alpha, a)
         rho0 = rs.pos_roots_f[in0].sum(axis=0) / 2

@@ -366,7 +366,7 @@ def lattice_aligned_edges(scaled_points: np.ndarray, spacing: float, cover=None)
     return edges
 
 
-# cell_integrals refines each cell to at most MAX_SUBDIV^r midpoints; a
+# cell_integrals evaluates the density at MAX_SUBDIV^r midpoints per cell; a
 # comparison grid may take at most this many (2^23 points of rank 2: 128 MiB an array)
 _MAX_GRID_POINTS = 2**23
 # a grid must capture all but this much of the limit mass
@@ -388,10 +388,11 @@ def weak_convergence_distance(
 ) -> WeakConvergenceReport:
     """Total-variation distance between binned exact and limit measures.
 
-    The highest weights are rescaled by bulk_scaling at t = 0 and for
-    "intermediate", by gaussian_scaling otherwise, binned over a grid and
-    compared with cell integrals of the limit density; mass outside the
-    grid counts in full.  t is reflected into the dominant chamber first.
+    The highest weights are rescaled by bulk_scaling for "intermediate"
+    and by the table's own m.scaling otherwise (bulk_scaling at t = 0,
+    gaussian_scaling else), binned over a grid and compared with
+    cell_integrals of the limit density; mass outside the grid counts in
+    full.  t is reflected into the dominant chamber first.
 
     "gaussian" (nonzero t) and "plancherel" (t = 0) are one law: with
     Phi0+ the positive roots t pairs to zero with and rho0 their half sum,
@@ -411,9 +412,10 @@ def weak_convergence_distance(
     in norm); Cauchy-Schwarz gives per-coordinate bounds.  A grid needing
     over _MAX_GRID_POINTS quadrature points is a DomainError.  A grid
     capturing under 1 - _COVERAGE_TOL of the limit mass is a
-    GridCoverageError; when the cell quadrature did not converge, or its
-    midpoints lie wider apart than the law's width, the error names that
-    spacing and width.
+    GridCoverageError; when the midpoints of cell_integrals lie wider
+    apart than the law's width on some axis, the error names that spacing
+    and width, else the mass the grid captures.  The midpoint rule's own
+    error is not estimated.
     """
     problem = m._tensor_problem()
     rs = problem.rs
@@ -438,7 +440,7 @@ def weak_convergence_distance(
             return limit_density(rs, kind, pts, u=u)
 
     else:
-        scaling = bulk_scaling(problem) if m.t is None else gaussian_scaling(problem, m.t)
+        scaling = m.scaling
         _, grad, hess = f_grad_hess(problem, t_dom)
         K = precision_matrix(rs, hess, sum(problem.tau))
         in0 = stabilizer_roots(rs, wall)
@@ -476,13 +478,13 @@ def weak_convergence_distance(
     P = np.histogramdd(scaled[inside], bins=edges, weights=pvals[inside])[0]
     p_in = float(pvals[inside].sum())
 
-    Q, converged = cell_integrals(density, edges)
+    Q = cell_integrals(density, edges)
     q_in = float(Q.sum())
     if q_in < 1.0 - _COVERAGE_TOL:
         # a law narrower than the midpoint spacing falls between the midpoints
         spacing = np.array([float(np.max(np.diff(e))) / MAX_SUBDIV for e in edges])
         ax = int(np.argmax(spacing / width))
-        if not converged or spacing[ax] > width[ax]:
+        if spacing[ax] > width[ax]:
             raise GridCoverageError(
                 f"cell quadrature did not resolve the limit law: its {MAX_SUBDIV} midpoints per cell"
                 f" lie {spacing[ax]:.3g} apart on axis {ax + 1}, against a limit law of width"

@@ -620,6 +620,18 @@ def test_the_recurrence_and_the_folds_give_one_table(data):
     assert list(by_recurrence.entries.items()) == list(folded.entries.items())
 
 
+def test_the_recurrence_takes_the_first_factor_it_pays_for(monkeypatch):
+    # the gate once asked about the first factor only: (1,1)^2 first sent (1,0)^100 to 100 folds
+    rs = build_root_system("A2")
+    powers = []
+    build = charalg._power_weights
+    monkeypatch.setattr(charalg, "_power_weights", lambda rs, nu, n: powers.append((nu, n)) or build(rs, nu, n))
+    factors = [((1, 1), 2), ((1, 0), 100)]
+    tables = [tensor_power_decompose(rs, order) for order in (factors, factors[::-1])]
+    assert powers == [((1, 0), 100)] * 2
+    assert list(tables[0].entries.items()) == list(tables[1].entries.items())
+
+
 @pytest.mark.parametrize(
     "algebra, nu, power, recurrence",
     [
@@ -849,6 +861,14 @@ def test_log_characters_dimension_path_at_zero():
     got = CharacterPlan(rs, np.zeros(2)).evaluate([(0, 0), (2, 1)])
     assert got.paths == ("dimension", "dimension")
     assert np.exp(got.values).tolist() == pytest.approx([1, weyl_dimension(rs, (2, 1))], rel=1e-15)
+
+
+def test_character_plan_refuses_a_t_of_the_wrong_length_and_an_unknown_method():
+    rs = build_root_system("A2")
+    with pytest.raises(DomainError, match="t must be 2 finite reals"):
+        CharacterPlan(rs, [0.1])
+    with pytest.raises(ValueError, match="unknown method 'x'"):
+        CharacterPlan(rs, [0.1, 0.2]).evaluate([(1, 0)], method="x")
 
 
 

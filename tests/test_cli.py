@@ -765,7 +765,7 @@ def _limit_compare(algebra, rep, n, kind, t, fails=False):
         exact = evolve_exact(build_root_system("A1"), (int(rep),), t, n).probabilities()
         points = np.array([scaled(lam) for (lam,) in exact])
         P = np.histogram(points, bins=edges, weights=list(exact.values()))[0]
-        Q = measures.cell_integrals(density, [edges])[0]
+        Q = measures.cell_integrals(density, [edges])
         tv = 0.5 * (np.sum(np.abs(P - Q)) + (1.0 - P.sum()) + max(0.0, 1.0 - Q.sum()))
         assert abs(payload["tv"] - tv) <= 1e-9
 
@@ -1079,6 +1079,36 @@ def test_cache_outside_the_support_cone_is_a_consistency_error(capsys, tmp_path,
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_cached_weight_of_the_wrong_length_is_a_consistency_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(tmp_path))
+    args = ["decompose", "--algebra", "A2", "--rep", "1,0", "--power", "3"]
+    assert main(list(args)) == 0
+    capsys.readouterr()
+    (path,) = tmp_path.glob("*.json")
+    payload = json.loads(path.read_text())
+    payload["entries"][0][0] = [0, 0, 0]  # an A2 weight of three coordinates
+    path.write_text(json.dumps(payload))
+    assert main(list(args)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cached table ") and captured.err.count("\n") == 1
+
+
+def test_failed_cache_replace_is_exit_3_and_leaves_no_temporary_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(tmp_path))
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code = main(["decompose", "--algebra", "A2", "--rep", "1,0", "--power", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: PermissionError: cannot replace ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_swapped_factor_order_reuses_the_cache_file(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(tmp_path))
     forward = ["decompose", "--algebra", "A2", "--rep", "1,0", "--power", "2", "--rep", "0,1", "--power", "1"]
@@ -1285,6 +1315,46 @@ def test_sample_at_overflowing_t_is_a_domain_error(capsys):
                                           "--t", "1e308"])
     assert (code, out) == (2, "")
     assert len(err) == 1 and err[0].startswith("error: t is too large")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["measure", "--algebra", "A2", "--rep", "1,0", "--power", "2", "--t", "1,x"],
+         "expected comma-separated reals, got '1,x'"),
+        (["decompose", "--algebra", "A2", "--rep", "1,0", "--rep", "0,1", "--power", "2"],
+         "need one --power per --rep (or none at all)"),
+        (["sample", "--algebra", "A2", "--rep", "1,0", "--steps", "4", "--chains", "0"], "need at least one chain"),
+        (["asymptotic", "--algebra", "A2", "--rep", "1,0", "--power", "4", "--xi", "0.1"],
+         "xi must have 2 coordinates"),
+    ],
+)
+def test_malformed_values_are_domain_errors(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# stdout SHA-256 of limit-compare --no-cache, recorded while cell_integrals still refined 2, 4, 8, 16
+# midpoints per cell axis: no comparison stopped before 16, so the one 16-point pass keeps every bit
+LIMIT_COMPARE_DIGESTS = {
+    ("A1", "1", "8", "plancherel", None): "a76aec27eaf60facf204064e41a4a3d45802548d34413af1046b24d2b8e0f014",
+    ("A2", "1,0", "20", "gaussian", "1,0.5"): "fcda2dbd7d15a1f1b3ed4c1bf86b33f95f78c676948e527b234bde5642d60f17",
+    ("A2", "1,0", "20", "intermediate", "1,0.5"): "5bcec2020b8c83990227b17fad37a2ce9d66c66933f80870cbaea3e7cfa73f14",
+    ("B2", "0,1", "40", "plancherel", None): "924ef0f5842db44f7799ae55094dd5e4d2f627173ef3d92bd95d18a44fe4e723",
+}
+
+
+@pytest.mark.parametrize("case", list(LIMIT_COMPARE_DIGESTS))
+def test_limit_compare_stdout_is_pinned(capsys, case):
+    algebra, rep, power, kind, t = case
+    argv = ["limit-compare", "--no-cache", "--algebra", algebra, "--rep", rep, "--power", power, "--kind", kind]
+    code = main(argv + (["--t", t] if t else []))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == LIMIT_COMPARE_DIGESTS[case]
 
 
 def test_limit_compare_names_an_unresolved_quadrature(capsys):

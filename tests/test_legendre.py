@@ -267,6 +267,20 @@ def test_limit_density_input_validation():
         limit_density(rs, "plancherel", np.zeros((3, 1)))  # wrong width
 
 
+@pytest.mark.parametrize(
+    "name, K, points",
+    [
+        # det(-I) > 0 in even rank: a sign check of slogdet let it through
+        ("A2", -np.eye(2), [[0.0, 0.0], [1.0, 0.5], [3.0, 2.0]]),
+        ("A3", np.diag([1.0, -1.0, -1.0]), [[0.0, 0.0, 0.0], [1.0, 0.5, 0.2]]),
+    ],
+)
+def test_limit_density_refuses_a_k_that_is_not_positive_definite(name, K, points):
+    rs = build_root_system(AlgebraSpec.parse(name))
+    with pytest.raises(DomainError, match="positive definite"):
+        limit_density(rs, "gaussian", np.array(points), K=K)
+
+
 def _wall_law(name, wall):
     """rs, K = B H^-1 B and H = Hess f(t) for (1, 0, ...)^10 at a t with these walls."""
     rs = build_root_system(AlgebraSpec.parse(name))
