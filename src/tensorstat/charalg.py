@@ -923,10 +923,6 @@ class DecompositionTable(_DecompositionTableFields):
     def rs(self) -> RootSystem:
         return build_root_system(self.algebra)
 
-    @property
-    def total_power(self) -> int:
-        return sum(n for _, n in self.problem)
-
     @cached_property
     def _dimension_weights(self) -> tuple[list[int], int]:
         """(m_lam dim V(lam) per entry, in entries order; prod_k dim V(nu_k)^{N_k}), exact, from one pass."""
@@ -1002,24 +998,21 @@ def _ehrhart(spec, nu: Weight) -> tuple[int, ...]:
 def _recurrence_pays(rs: RootSystem, nu: Weight, n: int) -> bool:
     """Whether Miller's recurrence and one Brauer-Klimyk sum cost less than n folds, a priori.
 
-    With w the weights of V(nu), fold k has about L(k - 1) / |W| sources (_ehrhart) of w terms;
-    the recurrence has L(n) points of w terms and |Phi+| reflection levels, a fixed cost per
-    height level and one per call.  Past _EHRHART_ROWS k-fold sums, L is not counted.
+    L(k), the weight count of V(nu)^(x)k, has degree r (_ehrhart), so n folds read about
+    n L(n) / ((r + 1) |W|) sources of w terms each, w the weights of V(nu); the terms of the q
+    weights with a coordinate below -1 may reflect (Branching) and cost about twice as much.
+    The recurrence reads L(n) points of w + |Phi+| terms, each worth about 5/2 fold terms.  So
+    it pays where 2 n (w + q) >= 5 (r + 1) |W| (w + |Phi+|).  Past _EHRHART_ROWS k-fold sums
+    of weights, the entry cap could not count L(n), and the folds are taken.
     """
-    weights = len(weight_multiplicities(rs, nu).multiplicities)
-    if n < 2 or math.comb(weights + rs.rank - 1, rs.rank) > _EHRHART_ROWS:
+    mus = weight_multiplicities(rs, nu).multiplicities
+    w, q = len(mus), sum(min(mu) < -1 for mu in mus)
+    if math.comb(w + rs.rank - 1, rs.rank) > _EHRHART_ROWS:
         return False
-    # sum_{k<n} L(k), L(n); and the height of n (nu - w0 nu), 2 n ht(nu) as -w0 permutes the simple roots
-    sums, points = (sum(math.comb(n, j + i) * d for j, d in enumerate(_ehrhart(rs.spec, nu))) for i in (1, 0))
-    levels = n * (2 * int(rs.root_numerators([nu]).sum()) // rs.cartan_inverse_int[0])
-    recurrence = _CALL_NS + _LEVEL_NS * levels + _POINT_NS * points * (weights + rs.n_positive)
-    return recurrence < _FOLD_TERM_NS * weights * sums // weyl_group_order(rs.spec) + _FOLD_NS * n
+    return 2 * n * (w + q) >= 5 * (rs.rank + 1) * weyl_group_order(rs.spec) * (w + rs.n_positive)
 
 
-# the gate's costs in ns, fitted on 2 cores (Python 3.11, NumPy 2.4), ints so that no power overflows
-# them: per fold term, per fold, per recurrence point and term or reflection level, per height level,
-# per call; and its count cap
-_FOLD_TERM_NS, _FOLD_NS, _POINT_NS, _LEVEL_NS, _CALL_NS = 70, 50_000, 150, 20_000, 500_000
+# the most k-fold sums of weights _ehrhart may form
 _EHRHART_ROWS = 2**12
 
 

@@ -371,6 +371,7 @@ def test_character_methods_agree_hypothesis(lam, t):
 def test_klimyk_step_oracles():
     a1 = build_root_system(AlgebraSpec.parse("A1"))
     assert klimyk_tensor_step(a1, {(1,): 1}, (1,)) == {(2,): 1, (0,): 1}
+    assert klimyk_tensor_step(a1, {}, (1,)) == {}
     a2 = build_root_system(AlgebraSpec.parse("A2"))
     assert klimyk_tensor_step(a2, {(1, 0): 1}, (0, 1)) == {(1, 1): 1, (0, 0): 1}
     g2 = build_root_system(AlgebraSpec.parse("G2"))
@@ -646,6 +647,12 @@ def test_the_recurrence_takes_the_first_factor_it_pays_for(monkeypatch):
         ("F4", (0, 0, 0, 1), 5, False),
         ("A2", (1, 1), 34, False),
         ("G2", (1, 0), 28, False),
+        # cases a gate of fitted timings got wrong (fold vs recurrence, median of 5 on 2 cores)
+        ("A1", (2,), 32, True),  # 2.18 vs 1.26 ms
+        ("A1", (3,), 80, True),  # 6.41 vs 5.01 ms
+        ("A2", (1, 0), 72, False),  # 6.61 vs 8.60 ms
+        ("B2", (0, 1), 116, False),  # 17.7 vs 22.4 ms
+        ("A3", (1, 0, 0), 540, False),  # the recurrence peaks at 363 MiB already at N = 200, folds at 61
     ],
 )
 def test_the_gate_picks_the_cheaper_path(algebra, nu, power, recurrence):
@@ -657,7 +664,7 @@ def test_the_gate_picks_the_cheaper_path(algebra, nu, power, recurrence):
     [("A1", (2,)), ("A2", (1, 1)), ("B2", (0, 1)), ("G2", (1, 0)), ("A3", (1, 0, 1)), ("C3", (0, 1, 0)), ("D4", (0, 0, 0, 1))],
 )
 def test_the_weight_count_of_a_power_is_ehrharts_polynomial(algebra, nu):
-    # the a-priori entry cap and the gate read L(n) from k <= r; the recurrence's points are the weights
+    # the a-priori entry cap reads L(n) from k <= r; the recurrence's points are the weights
     rs = build_root_system(AlgebraSpec.parse(algebra))
     diffs = charalg._ehrhart(rs.spec, nu)
     for n in range(8):

@@ -294,6 +294,14 @@ def test_hook_check_output_file(capsys, tmp_path):
     assert target.read_text() == stdout == "hook-check: 17 multiplicities, 0 mismatches\n"
 
 
+def test_hook_check_mismatch_exits_3_with_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "hook_sweep", lambda max_power: iter([("A1", 1, (1,), True), ("A1", 2, (2,), False)]))
+    assert main(["hook-check", "--max-power", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "hook-check: 2 multiplicities, 1 mismatches\n"
+    assert captured.err == "error: 1 hook mismatches\n"
+
+
 def test_selftest_output_file(capsys, tmp_path):
     target = tmp_path / "selftest.txt"
     code, out = run_cli(capsys, "selftest", "--criteria", "2", "--output", str(target))
@@ -1062,6 +1070,23 @@ def test_truncated_cache_is_a_miss_and_is_rewritten(capsys, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
 
 
+def test_cache_holding_another_problem_is_a_miss_and_is_rewritten(capsys, tmp_path, monkeypatch):
+    # a CRC-32 collision leaves a valid table of another problem at this problem's file name
+    monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(tmp_path))
+    args = ["decompose", "--algebra", "A2", "--rep", "1,0", "--power", "4"]
+    assert main(list(args)) == 0
+    fresh = capsys.readouterr().out
+    (path,) = tmp_path.glob("*.json")
+    good = path.read_text()
+    other = tensor_power_decompose(build_root_system("A2"), [((1, 0), 3)])
+    assert other.check_dimension_identity()
+    path.write_text(other.to_json())
+    assert main(list(args)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == fresh and captured.err == ""
+    assert path.read_text() == good
+
+
 def test_cache_outside_the_support_cone_is_a_consistency_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TENSORSTAT_CACHE_DIR", str(tmp_path))
     args = ["decompose", "--algebra", "A2", "--rep", "1,0", "--power", "3"]
@@ -1558,7 +1583,7 @@ def test_a_rank_2_weight_system_past_the_dominant_weight_gate_exits_2_at_once(ca
 )
 def test_a_power_far_past_the_entry_cap_exits_2_at_once(capsys, algebra, rep, power):
     # the recurrence counts the weights of the power before it builds them, where n folds would run for
-    # hours; the gate weighs its costs in ints, which no power overflows
+    # hours; the gate compares ints, which no power overflows
     start = time.perf_counter()
     code = main(["decompose", "--algebra", algebra, "--rep", rep, "--power", power, "--no-cache"])
     elapsed = time.perf_counter() - start

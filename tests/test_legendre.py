@@ -265,6 +265,8 @@ def test_limit_density_input_validation():
         limit_density(rs, "intermediate", np.zeros((3, 2)))  # u missing
     with pytest.raises(DomainError):
         limit_density(rs, "plancherel", np.zeros((3, 1)))  # wrong width
+    with pytest.raises(ValueError, match="unknown density kind 'bogus'"):
+        limit_density(rs, "bogus", np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize(

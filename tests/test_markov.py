@@ -96,6 +96,9 @@ def test_deep_chamber_row_hypothesis(extra):
 def test_evolve_exact_zero_steps(a1):
     m = evolve_exact(a1, (1,), None, 0)
     assert m.probabilities() == {(0,): 1.0}
+    # a table of no tensor factors has no asymptotic estimate
+    (estimate,) = m.asymptotic_log_probabilities
+    assert math.isnan(estimate)
 
 
 @pytest.mark.parametrize("steps", [0, 3])
@@ -128,6 +131,11 @@ def test_evolve_exact_telescopes_to_character_measure(a1, t):
 def test_evolve_exact_rejects_negative_steps(a1):
     with pytest.raises(DomainError):
         evolve_exact(a1, (1,), None, -1)
+
+
+def test_sample_paths_rejects_negative_steps(a1):
+    with pytest.raises(DomainError, match="nonnegative"):
+        sample_paths(a1, (1,), None, -1, 3, 0)
 
 
 @pytest.mark.parametrize(
