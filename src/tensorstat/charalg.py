@@ -66,7 +66,7 @@ def _dominant_rows(rs: RootSystem, lams) -> np.ndarray:
     One array check serves a whole batch; only a batch that fails it is
     checked weight by weight, so the first bad weight names the error.
     """
-    lams = list(lams)
+    lams = lams if isinstance(lams, np.ndarray) else list(lams)
     n, r = len(lams), rs.rank
     try:
         arr = np.array(lams) if n else np.zeros((0, r), dtype=np.int64)

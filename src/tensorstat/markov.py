@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -115,17 +115,17 @@ def trajectories_to_jsonl(trajectories) -> str:
 class TransitionKernel:
     """Memoizing view of the kernel for one (algebra, V, t).
 
-    States are interned to integer ids.  Row sid is stored once, in three
-    aligned tables of one row per state: target ids (sorted by weight,
-    padded with -1), their probabilities, and their cumulative sums
-    (padded with 2.0, above every uniform); an unbuilt row holds only
-    pads.  Exact evolution, sampling and row() read these tables.  Rows
-    are made only by _build_row: one Branching fold per level of the walk
-    it is asked for, then one pass that finishes every new row.
-    _build_to_depth(N) builds all rows a walk of N steps from the origin
-    reads and records N as the kernel's depth; below that depth the
-    sampler builds the rows its chains reach, as they reach them.  The
-    kernel is not thread-safe.
+    A state is a row of the int64 table _states, addressed by its id.
+    Row sid of the kernel is stored once, in three tables aligned with it:
+    target ids (sorted by weight, padded with -1), their probabilities,
+    and their cumulative sums (padded with 2.0, above every uniform); an
+    unbuilt row holds only pads.  Exact evolution, sampling and row()
+    read these tables.  Rows are made only by _build_row: one Branching
+    fold per level of the walk it is asked for, then one pass that
+    finishes every new row.  _build_to_depth(N) builds all rows a walk of
+    N steps from the origin reads and records N as the kernel's depth;
+    below that depth the sampler builds the rows its chains reach, as
+    they reach them.  The kernel is not thread-safe.
     """
 
     def __init__(self, rs: RootSystem, rep, t=None):
@@ -137,51 +137,46 @@ class TransitionKernel:
         self._t_arr = t_arr
         self.t = None if t_arr is None else tuple(float(v) for v in t_arr)
         self._branching = Branching(rs, self.rep)
-        self._states: list[Weight] = []
-        self._state_ids: dict[Weight, int] = {}
-        # a row has at most one target per weight of V
-        shape = (64, len(self._branching._mults))
-        self._targets = np.full(shape, -1, dtype=np.int64)
-        self._probs = np.zeros(shape)
-        self._cdf = np.full(shape, 2.0)
-        self._log_chi: dict[Weight, float] = {}
+        self._ids: dict[bytes, int] = {}  # a state's row bytes -> its id
+        width = len(self._branching._mults)  # a row has at most one target per weight of V
+        self._states = np.zeros((64, rs.rank), dtype=np.int64)
+        self._targets = np.full((64, width), -1, dtype=np.int64)
+        self._probs = np.zeros((64, width))
+        self._cdf = np.full((64, width), 2.0)
+        self._log_chi = np.full(64, np.nan)  # log chi(e^t) per id, NaN until evaluated
         self._depth = 0  # every row a walk of this many steps from the origin reads is built
         self._dim_v = weyl_dimension(rs, self.rep)
         if t_arr is not None:
             self._characters = CharacterPlan(rs, t_arr)
-            self._log_chi_v = self._log_chi_at([self.rep])[0]
+            self._log_chi_v = float(self._characters.evaluate([self.rep]).values[0])
+
+    def _intern(self, rows: np.ndarray) -> np.ndarray:
+        """Ids of the (n, r) int64 rows; the unseen ones get the next ids in first-sight order."""
+        keys = np.ascontiguousarray(rows, dtype=np.int64).view(np.dtype((np.void, 8 * self.rs.rank))).ravel().tolist()
+        fresh = list(dict.fromkeys(filterfalse(self._ids.__contains__, keys)))
+        n = len(self._ids)
+        self._ids.update(zip(fresh, range(n, n + len(fresh))))
+        while len(self._states) < len(self._ids):  # double the tables; new rows hold the pads
+            pads = (self._states, 0), (self._targets, -1), (self._probs, 0.0), (self._cdf, 2.0), (self._log_chi, np.nan)
+            self._states, self._targets, self._probs, self._cdf, self._log_chi = (
+                np.concatenate([table, np.full_like(table, pad)]) for table, pad in pads
+            )
+        self._states[n : len(self._ids)] = np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(-1, self.rs.rank)
+        return np.fromiter(map(self._ids.__getitem__, keys), dtype=np.int64, count=len(keys))
 
     def state_id(self, lam: Weight) -> int:
         """Integer id of a state, interning it on first sight."""
-        sid = self._state_ids.get(lam)
-        if sid is None:
-            sid = len(self._states)
-            self._states.append(lam)
-            self._state_ids[lam] = sid
-            if sid == len(self._targets):  # double the tables; new rows hold the pads
-                self._targets, self._probs, self._cdf = (
-                    np.concatenate([table, np.full_like(table, pad)])
-                    for table, pad in ((self._targets, -1), (self._probs, 0.0), (self._cdf, 2.0))
-                )
-        return sid
+        return int(self._intern(np.array([lam]))[0])
 
     def state(self, sid: int) -> Weight:
-        return self._states[sid]
-
-    def _log_chi_at(self, lams) -> list[float]:
-        """log chi(e^t) per weight; the unseen ones are evaluated in one batch."""
-        missing = [lam for lam in dict.fromkeys(lams) if lam not in self._log_chi]
-        if missing:
-            values = self._characters.evaluate(missing).values
-            self._log_chi.update(zip(missing, values.tolist()))
-        return [self._log_chi[lam] for lam in lams]
+        return tuple(self._states[: len(self._ids)][sid].tolist())  # an id never issued is an IndexError
 
     def row(self, source) -> TransitionRow:
         source = _dominant_weight(self.rs, source)
         sid = self.state_id(source)
         self._build_row(np.array([sid]))
         n = int(np.count_nonzero(self._targets[sid] >= 0))
-        targets = [self._states[i] for i in self._targets[sid, :n].tolist()]
+        targets = map(tuple, self._states[self._targets[sid, :n]].tolist())
         return TransitionRow(source, tuple(zip(targets, self._probs[sid, :n].tolist())))
 
     def _build_to_depth(self, N: int) -> None:
@@ -196,24 +191,23 @@ class TransitionKernel:
         Level by level, as _evolve walks them, the unbuilt rows among the
         states the walk stands on, sorted by id, get one fold, which
         returns the branching numbers sorted by (source, target), the order
-        the tables keep; the targets are interned in that order.  Then one
-        character batch, one _segment_laws call (a segment per row: its
-        b dim mu at t = 0, else its logs of b chi_mu / (chi_lambda chi_V),
-        whose common log chi_lambda + log chi_V errs by at most 2 e_top) and
-        one table write finish every new row.
+        the tables keep; one _intern call gives the targets their ids.
+        Then one character batch, one _segment_laws call (a segment per
+        row: its b dim mu at t = 0, else its logs of b chi_mu / (chi_lambda
+        chi_V), whose common log chi_lambda + log chi_V errs by at most
+        2 e_top) and one table write finish every new row.
         """
         folds = []
         for level in range(levels):
             if level:  # the states the next step stands on; this call's targets stand in the table till the end
                 reached = self._targets[sids]
                 sids = np.flatnonzero(np.bincount(reached[reached >= 0]))
-            todo = np.zeros(len(self._states), dtype=bool)
+            todo = np.zeros(len(self._ids), dtype=bool)
             todo[sids[self._targets[sids, 0] < 0]] = True
             todo = np.flatnonzero(todo)
             if len(todo):
-                keys = np.array([self._states[i] for i in todo.tolist()], dtype=np.int64).reshape(len(todo), -1)
-                src, targets, b = self._branching.fold(keys, np.ones(len(todo), dtype=np.int64), by_source=True)
-                target_ids = np.array([self.state_id(mu) for mu in map(tuple, targets.tolist())], dtype=np.int64)
+                src, targets, b = self._branching.fold(self._states[todo], np.ones(len(todo), dtype=np.int64), by_source=True)
+                target_ids = self._intern(targets)
                 lengths = np.bincount(src, minlength=len(todo))
                 rows, cols = todo[src], np.arange(len(src)) - (np.cumsum(lengths) - lengths)[src]
                 self._targets[rows, cols] = target_ids
@@ -223,24 +217,27 @@ class TransitionKernel:
         todo, lengths, rows, cols, target_ids, b = map(np.concatenate, zip(*folds))
         self._targets[todo] = -1  # unbuilt again until the rows are normalized
         src = np.repeat(np.arange(len(todo)), lengths)  # each entry's row in todo
-        sources = [self._states[sid] for sid in todo.tolist()]
 
         def label(k):
-            return f"transition row from {sources[k]}"
+            return f"transition row from {self.state(todo[k])}"
 
         if self._t_arr is None:
             # one dimension per state: a state is the target of several rows
-            dim = np.zeros(len(self._states), dtype=object)
+            dim = np.zeros(len(self._ids), dtype=object)
             dim[todo] = dim[target_ids] = 1
             ids = np.flatnonzero(dim)
-            dim[ids] = _weyl_dimensions(self.rs, [self._states[sid] for sid in ids.tolist()])
+            dim[ids] = _weyl_dimensions(self.rs, self._states[ids])
             probs = _segment_laws(b.astype(object) * dim[target_ids], lengths, label, dim[todo] * self._dim_v)
         else:
-            log_chi = np.array(self._log_chi_at(sources + [self._states[sid] for sid in target_ids.tolist()]))
-            log_p = np.array(list(map(math.log, b.tolist()))) + log_chi[len(sources) :]
+            ids = np.concatenate([todo, target_ids])
+            fresh = np.flatnonzero(np.bincount(ids, weights=np.isnan(self._log_chi[ids])))
+            if len(fresh):  # one batch for every state whose character is not known yet
+                self._log_chi[fresh] = self._characters.evaluate(self._states[fresh]).values
+            log_chi = self._log_chi[ids]
+            log_p = np.array(list(map(math.log, b.tolist()))) + log_chi[len(todo) :]
             log_p -= log_chi[src]
             log_p -= self._log_chi_v
-            errors = _log_chi_error(self.rs, self._t_arr, np.array(sources) + self.rep)  # e_top, top = lambda + V
+            errors = _log_chi_error(self.rs, self._t_arr, self._states[todo] + self.rep)  # e_top, top = lambda + V
             probs = _segment_laws(log_p, lengths, label, errors=errors, common=lambda ks: 2 * errors[ks])
         self._targets[rows, cols] = target_ids
         self._probs[rows, cols] = probs
@@ -253,7 +250,7 @@ def _endpoint_table(kernel: TransitionKernel, N: int, sids: np.ndarray, probs: n
     """Measure table of the law after N steps that puts probs[i] on state sids[i]."""
     if N > 0:
         problem = tensor_problem(kernel.rs, [(kernel.rep, N)], epsilon)
-        dist = dict(zip(map(kernel.state, sids.tolist()), probs.tolist()))
+        dist = dict(zip(map(tuple, kernel._states[sids].tolist()), probs.tolist()))
         return assemble_measure_table(problem, dist, kernel.t)
     # zero tensor factors: the chain has not moved, no rescaling applies
     rank = kernel.rs.rank
@@ -389,7 +386,7 @@ def _run_block(kernel: TransitionKernel, seed: int, lo: int, hi: int, N: int, ke
     width = kernel._targets.shape[1]
 
     def tables():
-        n = len(kernel._states)
+        n = len(kernel._ids)
         # the last slot holds 1.0 or a pad, never <= u
         return kernel._targets[:n].ravel(), np.ascontiguousarray(kernel._cdf[:n, :-1].T)
 
@@ -433,7 +430,7 @@ def sample_paths(
     counts = _sample(kernel, N, chains, seed, on_paths)
     ends = np.flatnonzero(counts)
     table = _endpoint_table(kernel, N, ends, counts[ends] / chains, epsilon)
-    states = kernel._states
+    states = list(map(tuple, kernel._states[: len(kernel._ids)].tolist()))
     trajectories = tuple(
         Trajectory(seed=seed, chain=c, steps=tuple(map(states.__getitem__, path)))
         for c, path in enumerate(chain.from_iterable(paths.tolist() for paths in blocks))
@@ -465,22 +462,22 @@ def _sample(kernel: TransitionKernel, N: int, chains: int, seed: int, on_paths=N
         ends.append(ids)
         if on_paths is not None:
             on_paths(lo, paths)
-    return np.bincount(np.concatenate(ends), minlength=len(kernel._states))
+    return np.bincount(np.concatenate(ends), minlength=len(kernel._ids))
 
 
 def _paths_writer(stream, kernel: TransitionKernel, seed: int):
     """An on_paths for _sample that writes each block to stream as JSONL.
 
-    The bytes are those of trajectories_to_jsonl on the same chains.  Each
-    state's text is encoded once per block; each slice of _PATHS_SLICE
+    The bytes are those of trajectories_to_jsonl on the same chains: a
+    state's text, str of its row as a list of ints, is its JSON text, read
+    from the state table once per block.  Each slice of _PATHS_SLICE
     chains is one object grid of line heads, "text, " and "text]}\n"
     pieces, joined and written at once, so the grid and its text stay
     small while a block holds up to _BLOCK chains.
     """
-    text = _WeightText().__getitem__
 
     def write(lo: int, paths: np.ndarray) -> None:
-        texts = list(map(text, kernel._states))
+        texts = list(map(str, kernel._states[: len(kernel._ids)].tolist()))
         inner = np.array([s + ", " for s in texts], dtype=object)
         last = np.array([s + "]}\n" for s in texts], dtype=object)
         for start in range(0, len(paths), _PATHS_SLICE):

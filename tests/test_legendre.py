@@ -11,6 +11,7 @@ from tensorstat import (
     AlgebraSpec,
     DomainError,
     LegendreDomainError,
+    WeylGroupTooLargeError,
     asymptotic_log_multiplicity,
     build_root_system,
     charalg,
@@ -267,6 +268,13 @@ def test_limit_density_input_validation():
         limit_density(rs, "plancherel", np.zeros((3, 1)))  # wrong width
     with pytest.raises(ValueError, match="unknown density kind 'bogus'"):
         limit_density(rs, "bogus", np.zeros((3, 2)))
+
+
+def test_intermediate_density_refuses_a_weyl_group_too_large_to_stack():
+    # |W(E8)| = 696729600: the sum over W is refused, not attempted
+    e8 = build_root_system(AlgebraSpec.parse("E8"))
+    with pytest.raises(WeylGroupTooLargeError):
+        limit_density(e8, "intermediate", np.ones((1, 8)), u=np.ones(8))
 
 
 @pytest.mark.parametrize(

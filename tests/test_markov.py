@@ -259,7 +259,8 @@ def _row_by_loop(kernel, lam):
         denom = weyl_dimension(rs, lam) * weyl_dimension(rs, kernel.rep)
         return targets, np.array([float(Fraction(branches[mu] * weyl_dimension(rs, mu), denom)) for mu in targets])
     log_chi = kernel._log_chi
-    probs = np.exp([math.log(branches[mu]) + log_chi[mu] - log_chi[lam] - kernel._log_chi_v for mu in targets])
+    sid = kernel.state_id
+    probs = np.exp([math.log(branches[mu]) + log_chi[sid(mu)] - log_chi[sid(lam)] - kernel._log_chi_v for mu in targets])
     return targets, probs / float(probs.sum())
 
 
@@ -273,8 +274,10 @@ def test_kernel_rows_of_one_batch_match_rows_built_alone(rep, t):
     markov._evolve(batch, 6)
     built = np.flatnonzero(batch._targets[:, 0] >= 0)
     alone = TransitionKernel(g2, rep, t)
-    for lam in batch._states:
+    n = len(batch._ids)
+    for lam in batch._states[:n].tolist():
         alone.state_id(lam)
+    assert np.array_equal(alone._states[:n], batch._states[:n])
     for sid in built.tolist():
         alone._build_row(np.array([sid]))
     widths = np.count_nonzero(batch._targets[built] >= 0, axis=1)
@@ -324,11 +327,58 @@ def test_batched_build_matches_level_by_level(name, rep, n, t):
     batch, levels = TransitionKernel(rs, rep, t), TransitionKernel(rs, rep, t)
     batch._build_to_depth(n)
     _build_level_by_level(levels, n)
-    assert batch._states == levels._states
+    assert len(batch._ids) == len(levels._ids)
+    assert np.array_equal(batch._states, levels._states)
     for table in ("_targets", "_probs", "_cdf"):
         assert getattr(batch, table).tobytes() == getattr(levels, table).tobytes(), table
     batch._build_to_depth(n - 1)
     assert (batch._depth, levels._depth) == (n, 0)
+
+
+@pytest.mark.parametrize("name, rep, t, n", [("A2", (1, 0), (0.3, 0.1), 16), ("G2", (1, 0), (0.05, 0.04), 10)])
+def test_state_ids_keep_first_sight_order_past_the_table_doubling(name, rep, t, n):
+    # on A2 the first-sight order is also the sorted order; on G2 it is not
+    rs = build_root_system(name)
+    kernel = TransitionKernel(rs, rep, t)
+    kernel._build_to_depth(n)
+    size = len(kernel._ids)
+    assert 64 < size <= len(kernel._states)  # the tables doubled at least once
+    for table in ("_targets", "_probs", "_cdf", "_log_chi"):
+        assert len(getattr(kernel, table)) == len(kernel._states), table
+    # the order of first sight: level by level, the unbuilt rows by id, each row's targets by weight
+    origin = (0,) * rs.rank
+    order, rows, stands = {origin: 0}, {}, [origin]
+    for _ in range(n):
+        for lam in sorted((lam for lam in stands if lam not in rows), key=order.get):
+            rows[lam] = sorted(klimyk_tensor_step(rs, {lam: 1}, rep))
+            for mu in rows[lam]:
+                order.setdefault(mu, len(order))
+        stands = list(dict.fromkeys(mu for lam in stands for mu in rows[lam]))
+    assert [kernel.state(i) for i in range(size)] == list(order)
+    assert all(kernel.state(kernel.state_id(w)) == w for w in order)
+    assert len(kernel._ids) == size  # looking a state up interns nothing
+    with pytest.raises(IndexError):  # the table's spare rows are no states
+        kernel.state(size)
+    log_chi = CharacterPlan(rs, np.array(t)).evaluate(kernel._states[:size]).values
+    assert kernel._log_chi[:size].tobytes() == log_chi.tobytes()
+    assert np.isnan(kernel._log_chi[size:]).all()
+
+
+def test_row_of_a_built_state_folds_nothing(a2, monkeypatch):
+    kernel = TransitionKernel(a2, (1, 0), (0.3, 0.1))
+    first = kernel.row((1, 1))
+    calls = []
+    fold = charalg.Branching.fold
+
+    def spy(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return fold(self, *args, **kwargs)
+
+    monkeypatch.setattr(charalg.Branching, "fold", spy)
+    assert kernel.row((1, 1)) == first
+    assert calls == []
+    kernel.row((2, 0))
+    assert calls == [1]
 
 
 _PROPERTY_REPS = {"A1": [(1,), (2,)], "A2": [(1, 0), (0, 1)], "B2": [(1, 0), (0, 1)], "G2": [(1, 0), (0, 1)]}

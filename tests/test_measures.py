@@ -73,6 +73,18 @@ def test_dimension_weights_sum_check_is_an_internal_error(a2):
         character_probabilities(wrong, None)
 
 
+def test_segment_laws_refuses_a_row_sum_rounding_cannot_explain():
+    # exact logs of 0.5 and 0.2: a row summing to 0.7 is a fault, not rounding drift
+    with pytest.raises(InternalConsistencyError, match="transition row sums to 0.7, expected 1"):
+        measures._segment_laws(
+            np.log([0.5, 0.2]),
+            [2],
+            lambda k: "transition row",
+            errors=np.zeros(1),
+            common=lambda ks: np.zeros(len(ks)),
+        )
+
+
 def test_character_probabilities_a1_closed_form(a1):
     # chi_[2] / chi_[1]^2 at e^t with chi_[1] = 2 cosh t, chi_[2] = 1 + 2 cosh 2t
     table = tensor_power_decompose(a1, [((1,), 2)])

@@ -151,6 +151,13 @@ def test_basis_conversion_roundtrip():
     assert rs.weight_coords(rc) == tuple(Fraction(c) for c in w)
 
 
+def test_basis_conversion_refuses_the_wrong_coordinate_count(a2):
+    with pytest.raises(DomainError, match="expected 2 weight coordinates, got 1"):
+        a2.root_coords((1,))
+    with pytest.raises(DomainError, match="expected 2 root coordinates, got 3"):
+        a2.weight_coords((1, 2, 3))
+
+
 def _root_oracle(rs, lam) -> list[Fraction]:
     """C^-1 lam in Fractions, straight from the exact inverse."""
     return [sum(rs.cartan_inverse[a][b] * int(lam[b]) for b in range(rs.rank)) for a in range(rs.rank)]

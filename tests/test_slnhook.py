@@ -99,6 +99,21 @@ def test_partition_weight_roundtrip_oracle():
         partition_from_weight(2, (4, 4), 6)  # total too small for the weight
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: partition_from_weight(2, (1, -1), 3), "not a dominant A_2 weight"),
+        (lambda: hook_multiplicity(1, (2, 1, 1)), "more than 2 parts"),
+        (lambda: hook_multiplicity(2, (1, 2)), "not a partition"),
+        (lambda: sigma_from_xi(2, 1.0, [0.1]), "xi must have shape"),
+    ],
+    ids=["weight-not-dominant", "too-many-parts", "parts-increase", "xi-too-short"],
+)
+def test_malformed_weights_partitions_and_xi_are_domain_errors(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 @given(
     parts=st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)).map(
         lambda p: tuple(sorted(p, reverse=True))
