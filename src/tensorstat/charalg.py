@@ -1001,19 +1001,33 @@ def _recurrence_pays(rs: RootSystem, nu: Weight, n: int) -> bool:
     L(k), the weight count of V(nu)^(x)k, has degree r (_ehrhart), so n folds read about
     n L(n) / ((r + 1) |W|) sources of w terms each, w the weights of V(nu); the terms of the q
     weights with a coordinate below -1 may reflect (Branching) and cost about twice as much.
-    The recurrence reads L(n) points of w + |Phi+| terms, each worth about 5/2 fold terms.  So
-    it pays where 2 n (w + q) >= 5 (r + 1) |W| (w + |Phi+|).  Past _EHRHART_ROWS k-fold sums
-    of weights, the entry cap could not count L(n), and the folds are taken.
+    The recurrence reads the L(n) / 2 points up to the middle height level, of w terms each
+    (_power_weights), and the Brauer-Klimyk sum reflects all L(n) points, through |Phi+| / 2
+    passes of r coordinates on average (the mean length of an element of W); each of these
+    terms is worth about 5/2 fold terms.  So it pays where
+    4 n (w + q) >= 5 (r + 1) |W| (w + r |Phi+|).  Past _EHRHART_ROWS k-fold sums of weights,
+    the entry cap could not count L(n), and the folds are taken.
     """
     mus = weight_multiplicities(rs, nu).multiplicities
     w, q = len(mus), sum(min(mu) < -1 for mu in mus)
     if math.comb(w + rs.rank - 1, rs.rank) > _EHRHART_ROWS:
         return False
-    return 2 * n * (w + q) >= 5 * (rs.rank + 1) * weyl_group_order(rs.spec) * (w + rs.n_positive)
+    return 4 * n * (w + q) >= 5 * (rs.rank + 1) * weyl_group_order(rs.spec) * (w + rs.rank * rs.n_positive)
 
 
 # the most k-fold sums of weights _ehrhart may form
 _EHRHART_ROWS = 2**12
+
+
+def _opposition(rs: RootSystem) -> np.ndarray:
+    """iota, w0 omega_i = -omega_iota(i) for the longest element w0 of W: the dominant image of -omega_i."""
+    flip = -np.eye(rs.rank, dtype=np.int64)
+    dominant_reflect_rows(rs, flip)  # row i becomes omega_iota(i)
+    return flip.argmax(axis=1)
+
+
+# quotient and remainder of object ints in one call
+_divmod = np.frompyfunc(divmod, 2, 2)
 
 
 def _power_weights(rs: RootSystem, nu: Weight, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1024,9 +1038,14 @@ def _power_weights(rs: RootSystem, nu: Weight, n: int) -> tuple[np.ndarray, np.n
     coordinates, mu0 the lowest weight and nu_j = mu_j - mu0 >= 0,
       m(mu0) h(s) K(s) = sum_{nu_j != 0} m_j ((n + 1) h(nu_j) - h(s)) K(s - nu_j).
     One exact pass per height level, over level k - 1's points plus a simple root, keeps the s with
-    K(s) != 0; a remainder is an InternalConsistencyError.  K lives in a box padded so that every
-    s - nu_j stays in it.  Weights whose reflections (_reflection_reach) or box index could leave
-    int64 are a DomainError.
+    K(s) != 0; a remainder is an InternalConsistencyError.  K is W-invariant, and the longest
+    element w0 of W (w0 x = -iota(x) in weight and in root coordinates, iota from _opposition)
+    maps height level k onto level H - k, H = n h(nu - mu0).  So the passes run to the middle
+    level H // 2, and each level above it is the w0-image of one below, sharing its ints: the
+    fixed cost of a pass is paid on about H / 2 levels.  One pass more, at H // 2 + 1, must equal
+    its w0-image; a mismatch (a weight system that is not W-invariant) is an
+    InternalConsistencyError.  K lives in a box padded so that every s - nu_j stays in it.
+    Weights whose reflections (_reflection_reach) or box index could leave int64 are a DomainError.
     """
     ws = weight_multiplicities(rs, nu).multiplicities
     mu, mults = np.array(list(ws), dtype=np.int64).reshape(len(ws), rs.rank), list(ws.values())
@@ -1039,21 +1058,48 @@ def _power_weights(rs: RootSystem, nu: Weight, n: int) -> tuple[np.ndarray, np.n
         raise DomainError(f"the weights of V{nu}^(x){n} or their reflections could leave int64")
     strides = np.cumprod([1] + dims[:0:-1])[::-1]
     terms = [(o, m, h) for o, m, h in zip((rc @ strides).tolist(), mults, rc.sum(axis=1).tolist()) if h]
+    iota = _opposition(rs)
+    # w0 in box indices: s -> n (nu - mu0) - iota(s), and nu - mu0 = iota(nu - mu0)
+    flipped = (n + 2) * int(np.dot(top, strides))
+
+    def w0_image(idx):
+        return flipped - strides @ np.array(np.unravel_index(idx, dims))[iota]
+
+    height = n * sum(top)
+    half = height // 2
     K = np.zeros(math.prod(dims), dtype=object)
     levels = [np.array([int(np.dot(top, strides))])]
     K[levels[0]] = 1
-    for k in range(1, n * sum(top) + 1):
+    for k in range(1, min(half + 1, height) + 1):
         cand = (levels[-1][:, None] + strides).ravel()
-        cand = np.unique(cand) if rs.rank > 1 else cand
-        acc = sum(K[cand - o] * (m * ((n + 1) * h - k)) for o, m, h in terms)
-        q = acc // (k * mults[low])  # m(mu0) = 1 in an irreducible; else the remainders show it
-        if np.any(q * (k * mults[low]) != acc):
+        if rs.rank > 1:  # sorted, each point once; np.unique would import numpy.ma, 10 ms in a fresh interpreter
+            cand.sort()
+            new = np.empty(len(cand), dtype=bool)
+            new[:1] = True
+            np.not_equal(cand[1:], cand[:-1], out=new[1:])
+            cand = cand[new]
+        o, m, h = terms[0]
+        acc = K[cand - o] * (m * ((n + 1) * h - k))
+        for o, m, h in terms[1:]:
+            acc += K[cand - o] * (m * ((n + 1) * h - k))
+        q, rem = _divmod(acc, k * mults[low])  # m(mu0) = 1 in an irreducible; else the remainders show it
+        if rem.any():
             raise InternalConsistencyError(f"Miller's recurrence left a remainder at height {k} of V{nu}^(x){n}")
-        levels.append(cand[q != 0])
-        K[levels[-1]] = q[q != 0]
-    idx = np.concatenate(levels)
+        nonzero = np.flatnonzero(q)
+        levels.append(cand[nonzero])
+        K[levels[-1]] = q[nonzero]
+    if height:  # the pass past the middle against its w0-image
+        mirror = levels[height - half - 1]
+        if len(mirror) != len(levels[-1]) or not (K[w0_image(mirror)] == K[mirror]).all():
+            raise InternalConsistencyError(
+                f"Miller's recurrence at height {half + 1} of V{nu}^(x){n} is not the w0-image of height {height - half - 1}"
+            )
+    idx = np.concatenate(levels[: half + 1])
+    K = K[idx]
+    shared = sum(map(len, levels[: height - half]))  # the points of the levels below H - H // 2
+    idx = np.concatenate([idx, w0_image(idx[:shared])])
     s = np.array(np.unravel_index(idx, dims)) - np.array(top)[:, None]
-    return rs.cartan_int @ s + n * mu[low][:, None], K[idx]
+    return rs.cartan_int @ s + n * mu[low][:, None], np.concatenate([K, K[:shared]])
 
 
 def tensor_power_decompose(

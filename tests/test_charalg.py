@@ -638,20 +638,21 @@ def test_the_recurrence_takes_the_first_factor_it_pays_for(monkeypatch):
     [
         ("A1", (1,), 1200, True),  # the cli-exact headline
         ("A2", (1, 0), 1000, True),
-        # the session-t-sweep, cli-sample and cli-exact tables, where the folds cost less
+        # the session-t-sweep, cli-sample and cli-exact tables; all but A2 (1,1)^34 take the folds
         ("A2", (1, 0), 36, False),
         ("A2", (1, 0), 60, False),
         ("G2", (1, 0), 9, False),
         ("B3", (1, 0, 0), 10, False),
         ("B3", (1, 0, 0), 12, False),
         ("F4", (0, 0, 0, 1), 5, False),
-        ("A2", (1, 1), 34, False),
+        ("A2", (1, 1), 34, True),  # fold vs recurrence, median of 15 fresh interpreters on 2 cores: 10.7 vs 8.1 ms
         ("G2", (1, 0), 28, False),
         # cases a gate of fitted timings got wrong (fold vs recurrence, median of 5 on 2 cores)
         ("A1", (2,), 32, True),  # 2.18 vs 1.26 ms
         ("A1", (3,), 80, True),  # 6.41 vs 5.01 ms
-        ("A2", (1, 0), 72, False),  # 6.61 vs 8.60 ms
-        ("B2", (0, 1), 116, False),  # 17.7 vs 22.4 ms
+        # cases the recurrence took once it stopped at the middle level (median of 9 in process)
+        ("A2", (1, 0), 72, True),  # 4.47 vs 2.97 ms
+        ("B2", (0, 1), 116, True),  # 18.6 vs 13.0 ms
         ("A3", (1, 0, 0), 540, False),  # the recurrence peaks at 363 MiB already at N = 200, folds at 61
     ],
 )
@@ -677,6 +678,84 @@ def test_a_remainder_in_millers_recurrence_is_a_consistency_error(monkeypatch):
     monkeypatch.setattr(charalg, "weight_multiplicities", lambda rs, nu: corrupt)
     with pytest.raises(InternalConsistencyError, match="remainder at height 1"):
         charalg._power_weights(build_root_system(AlgebraSpec.parse("A1")), (1,), 3)
+
+
+def test_a_power_that_is_not_w0_symmetric_is_a_consistency_error(monkeypatch):
+    # m(mu0) = 1 leaves no remainder, but (1 + 2 e^alpha)^3 has the coefficients 1, 6, 12, 8: the pass
+    # past the middle, at height 2, reads 12 where w0 maps height 1's 6
+    corrupt = types.SimpleNamespace(multiplicities={(-1,): 1, (1,): 2})  # a weight system that is not W-invariant
+    monkeypatch.setattr(charalg, "weight_multiplicities", lambda rs, nu: corrupt)
+    with pytest.raises(InternalConsistencyError, match="height 2 of .* not the w0-image of height 1"):
+        charalg._power_weights(build_root_system(AlgebraSpec.parse("A1")), (1,), 3)
+
+
+def _power_by_convolution(rs, nu, n):
+    """{weight: multiplicity} of V(nu)^(x)n by n raw convolutions of the weight system of V(nu)."""
+    ws = weight_multiplicities(rs, nu).multiplicities
+    power = {(0,) * rs.rank: 1}
+    for _ in range(n):
+        nxt = {}
+        for w1, m1 in power.items():
+            for w2, m2 in ws.items():
+                key = tuple(a + b for a, b in zip(w1, w2))
+                nxt[key] = nxt.get(key, 0) + m1 * m2
+        power = nxt
+    return power
+
+
+@pytest.mark.parametrize(
+    "algebra, nu, power",
+    [
+        ("A1", (1,), 7),  # an odd top height
+        ("A1", (2,), 5),
+        ("A2", (0, 1), 4),  # w0 != -1 here and at A3, D5 and E6
+        ("A3", (0, 1, 0), 3),
+        ("B2", (0, 1), 5),
+        ("G2", (1, 0), 3),
+        ("D5", (0, 0, 0, 0, 1), 2),
+        ("E6", (1, 0, 0, 0, 0, 0), 2),
+    ],
+)
+def test_the_weights_of_a_power_are_its_convolution(algebra, nu, power):
+    # the levels above the middle are read as w0-images of those below
+    rs = build_root_system(AlgebraSpec.parse(algebra))
+    x, K = charalg._power_weights(rs, nu, power)
+    expected = _power_by_convolution(rs, nu, power)
+    assert x.shape[1] == len(expected)
+    assert dict(zip(map(tuple, x.T.tolist()), K.tolist())) == expected
+
+
+@pytest.mark.parametrize(
+    "algebra, nu, power",
+    [("A1", (1,), 0), ("A1", (1,), 1), ("A1", (1,), 7), ("A1", (2,), 5), ("A2", (1, 0), 9), ("G2", (1, 0), 4), ("A3", (0, 1, 0), 3)],
+)
+def test_the_recurrence_runs_one_level_past_the_middle(monkeypatch, algebra, nu, power):
+    # H // 2 passes and the checked one, at every H >= 1; one divmod per pass
+    divisors = []
+    quotient = charalg._divmod
+    monkeypatch.setattr(charalg, "_divmod", lambda acc, d: divisors.append(d) or quotient(acc, d))
+    rs = build_root_system(AlgebraSpec.parse(algebra))
+    x, _ = charalg._power_weights(rs, nu, power)
+    heights = rs.root_numerators(x.T).sum(axis=1) // rs.cartan_inverse_int[0]
+    top = int(heights.max() - heights.min())
+    assert len(divisors) == (top // 2 + 1 if top else 0)
+
+
+@pytest.mark.parametrize("algebra", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "D5", "E6", "E7", "E8", "F4", "G2"])
+def test_the_opposition_maps_each_fundamental_weight_to_minus_its_lowest_weight(algebra):
+    rs = build_root_system(AlgebraSpec.parse(algebra))
+    iota = charalg._opposition(rs).tolist()
+    assert [iota[j] for j in iota] == list(range(rs.rank))  # an involution
+    for i in range(rs.rank):
+        # the lowest weight of V(omega_i) is the antidominant weight of its W-orbit
+        lam = [int(j == i) for j in range(rs.rank)]
+        while any(c > 0 for c in lam):
+            a = next(j for j, c in enumerate(lam) if c > 0)
+            lam = [c - lam[a] * rs.cartan[j][a] for j, c in enumerate(lam)]
+        assert lam == [-int(j == iota[i]) for j in range(rs.rank)]
+        if rs.rank <= 3:
+            ws = list(weight_multiplicities(rs, tuple(int(j == i) for j in range(rs.rank))).multiplicities)
+            assert list(ws[int(np.argmin(rs.root_numerators(ws).sum(axis=1)))]) == lam
 
 
 @pytest.mark.parametrize(
